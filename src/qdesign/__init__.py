@@ -38,6 +38,9 @@ from .grassmann import (
     intersect_dim,
     iter_subspaces,
     subspace_from_rows,
+    subspace_rank,
+    t_subspace_ranks,
+    unrank,
 )
 from .incidence import (
     IncidenceStructure,

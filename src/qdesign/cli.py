@@ -185,7 +185,12 @@ def _cmd_incidence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    candidate = load_design(args.design)
+    try:
+        candidate = load_design(args.design)
+    except OSError as exc:
+        raise InvalidParameters(
+            f"cannot read design file {args.design}: {exc.strerror or exc}"
+        ) from exc
     report = verify_design(candidate, args.t, max_columns=args.max_columns)
     hist = " ".join(f"{c}:{m}" for c, m in sorted(report.counts_histogram.items()))
     obj = {
@@ -408,7 +413,12 @@ def _cmd_search(args) -> int:
         return 3
     assert isinstance(result, DesignCandidate)
     if args.out:
-        save_design(result, args.out, fmt=args.out_format)
+        try:
+            save_design(result, args.out, fmt=args.out_format)
+        except OSError as exc:
+            raise InvalidParameters(
+                f"cannot write design file {args.out}: {exc.strerror or exc}"
+            ) from exc
     if args.json:
         obj = {
             "schema_version": 1,

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import TooLarge
-from .gf import FieldSpec, mat_mul
+from .gf import FieldSpec
 from .grassmann import (
     SubspaceBasis,
     apply_map,
     enumerate_subspaces,
     gl_map_between,
-    iter_subspaces,
-    subspace_from_rows,
+    subspace_rank,
+    t_subspace_ranks,
 )
 from .qcount import q_binomial
 
@@ -59,11 +59,11 @@ def build_incidence(
 ) -> IncidenceStructure:
     """Build the full structure for parameters t <= k <= n.
 
-    Each row's ones are found by enumerating the t-subspaces *of the row
-    subspace* (images of the t-subspaces of an abstract F_q^k under the
-    row basis), which costs [k t]_q per row instead of a containment test
-    per (row, column) pair.  Entries are only ever 0 or 1 by
-    construction, so the boundedness parameter of the structure is 1.
+    Each row's ones sit at the canonical ranks of the t-subspaces *of the
+    row subspace* (grassmann.t_subspace_ranks), which costs [k t]_q per
+    row instead of a containment test per (row, column) pair.  Entries
+    are only ever 0 or 1 by construction, so the boundedness parameter
+    of the structure is 1.
     """
     q = field.q
     if not 0 <= t <= k <= n:
@@ -75,20 +75,14 @@ def build_incidence(
 
     rows = enumerate_subspaces(n, k, field)
     cols = enumerate_subspaces(n, t, field)
-    col_pos = {a: i for i, a in enumerate(cols)}
     row_weight = q_binomial(k, t, q)
     col_weight = q_binomial(n - t, k - t, q)
 
-    # t-subspaces of an abstract F_q^k, pushed through each row basis
-    patterns = [W.basis for W in iter_subspaces(k, t, field)]
     bits = []
     col_counts = [0] * num_cols
     for B in rows:
         mask = 0
-        for pat in patterns:
-            image = mat_mul(pat, B.basis)
-            a = subspace_from_rows(field, n, image.row_list())
-            pos = col_pos[a]
+        for pos in t_subspace_ranks(B, t):
             mask |= 1 << pos
             col_counts[pos] += 1
         if mask.bit_count() != row_weight:
@@ -145,14 +139,13 @@ def check_symmetry_transitivity(M: IncidenceStructure, trials: int, seed: int) -
     """
     rng = random.Random(seed)
     nrows, ncols = M.num_rows, M.num_cols
-    row_pos = {s: i for i, s in enumerate(M.row_index)}
-    col_pos = {s: i for i, s in enumerate(M.col_index)}
     for _ in range(trials):
         b1 = rng.randrange(nrows)
         b2 = rng.randrange(nrows)
         L = gl_map_between(M.row_index[b1], M.row_index[b2])
-        pi = [row_pos[apply_map(L, s)] for s in M.row_index]
-        sigma = [col_pos[apply_map(L, s)] for s in M.col_index]
+        # row and column positions are canonical ranks
+        pi = [subspace_rank(apply_map(L, s)) for s in M.row_index]
+        sigma = [subspace_rank(apply_map(L, s)) for s in M.col_index]
         if pi[b1] != b2:
             return False
         if sorted(pi) != list(range(nrows)) or sorted(sigma) != list(range(ncols)):

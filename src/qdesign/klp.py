@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch
 from .localdecode import solve_coefficients
-from .qcount import q_binomial
+from .qcount import q_binomial, validate_q
 
 
 def nth_root_floor(x: int, r: int) -> int:
@@ -84,6 +84,7 @@ def klp_report(q: int, n: int, k: int, t: int, constant: int = 1) -> KLPReport:
         raise DimensionMismatch(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
     if constant < 1:
         raise ValueError("constant must be >= 1")
+    validate_q(q)
     c1_bound = q ** (k * (t + 1) ** 2 + t * (n - t) + n)
     c2 = 1
     c3_bound = q ** (2 * k * (t + 1) ** 2)

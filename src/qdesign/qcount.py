@@ -11,11 +11,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import TooManyTerms
+from .errors import InvalidParameters, TooManyTerms
+
+
+def validate_q(q: int) -> None:
+    """Raise InvalidParameters unless q >= 2 (the q-analogues need q > 1)."""
+    if q < 2:
+        raise InvalidParameters(f"need q >= 2, got q={q}")
 
 
 def q_int(i: int, q: int) -> int:
     """The q-integer [i]_q = 1 + q + ... + q^(i-1)."""
+    validate_q(q)
     return (q**i - 1) // (q - 1)
 
 
@@ -37,6 +44,7 @@ def q_binomial(n: int, k: int, q: int) -> int:
     dividing exactly at each step so intermediates stay small; every
     partial product is itself a Gaussian binomial, hence an integer.
     """
+    validate_q(q)
     if k < 0 or k > n:
         return 0
     k = min(k, n - k)

@@ -3,7 +3,9 @@ greedy.
 
 A t-(n, k, lambda) design is a selection of candidate k-subspaces
 covering every t-subspace exactly lambda times, so the search reduces to
-exact multi-cover over the canonical enumerations.  The exhaustive
+exact multi-cover over the canonical enumerations; a candidate covers
+the columns at the canonical ranks of its own t-subspaces
+(grassmann.t_subspace_ranks).  The exhaustive
 method branches on the most-constrained deficient column; at each node
 the candidates covering it are tried in canonical order and earlier
 alternatives are excluded in the subtree, which partitions the solution
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import TooLarge
 from .gf import FieldSpec
-from .grassmann import enumerate_subspaces
+from .grassmann import enumerate_subspaces, t_subspace_ranks
 from .qcount import q_binomial
 from .verifier import DesignCandidate, verify_design
 
@@ -61,21 +63,12 @@ def build_cover_instance(
         raise TooLarge(f"universe [{n} {t}]_{q} exceeds cap {max_universe}")
     if q_binomial(n, k, q) > max_candidates:
         raise TooLarge(f"candidates [{n} {k}]_{q} exceed cap {max_candidates}")
-    universe = enumerate_subspaces(n, t, field)
     candidates = enumerate_subspaces(n, k, field)
-    expected = q_binomial(k, t, q)
-    covers = []
-    for block in candidates:
-        bmask = block.vector_mask
-        hit = tuple(
-            i for i, a in enumerate(universe) if bmask & a.vector_mask == a.vector_mask
-        )
-        assert len(hit) == expected
-        covers.append(hit)
     return CoverInstance(
-        universe=tuple(universe),
+        universe=tuple(enumerate_subspaces(n, t, field)),
         candidates=tuple(candidates),
-        covers=tuple(covers),
+        # a universe index is a canonical rank
+        covers=tuple(tuple(sorted(t_subspace_ranks(b, t))) for b in candidates),
         multiplicity=lam,
     )
 

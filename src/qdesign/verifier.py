@@ -3,10 +3,11 @@ over F_q.
 
 A collection of k-subspaces is a t-design iff every t-subspace of the
 ambient space is contained in the same number lambda of blocks.
-Verification counts coverage per t-subspace directly from the blocks
-(each block contributes its own [k t]_q t-subspaces), so the full
-incidence matrix is never materialized and the only size cap is the
-number of t-subspaces.
+Verification counts coverage per t-subspace directly from the blocks:
+each block contributes the canonical ranks of its own [k t]_q
+t-subspaces (grassmann.t_subspace_ranks) to a flat list of counts, so
+neither the incidence matrix nor the t-subspaces themselves are
+materialized and the only size cap is the number of t-subspaces.
 
 Design file format (text):
     line 1: "q n k"
@@ -22,8 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, TooLarge
-from .gf import FieldSpec, make_field, mat_mul
-from .grassmann import SubspaceBasis, iter_subspaces, subspace_from_rows
+from .gf import FieldSpec, make_field
+from .grassmann import SubspaceBasis, subspace_from_rows, t_subspace_ranks, unrank
 from .qcount import q_binomial
 
 _DIGITS = "0123456789abcdef"
@@ -74,14 +75,12 @@ def verify_design(
     if num_cols > max_columns:
         raise TooLarge(f"[{n} {t}]_{q} = {num_cols} exceeds cap {max_columns}")
 
-    counts: dict[SubspaceBasis, int] = {a: 0 for a in iter_subspaces(n, t, field)}
-    patterns = [W.basis for W in iter_subspaces(k, t, field)]
+    counts = [0] * num_cols  # indexed by canonical rank
     for block in candidate.blocks:
-        for pat in patterns:
-            image = mat_mul(pat, block.basis)
-            counts[subspace_from_rows(field, n, image.row_list())] += 1
+        for r in t_subspace_ranks(block, t):
+            counts[r] += 1
 
-    histogram = dict(sorted(Counter(counts.values()).items()))
+    histogram = dict(sorted(Counter(counts).items()))
     N = len(candidate.blocks)
     is_simple = len(set(candidate.blocks)) == N
     is_design = len(histogram) == 1
@@ -93,7 +92,7 @@ def verify_design(
             raise AssertionError("design counting identity violated")
     else:
         mode = min(histogram, key=lambda c: (-histogram[c], c))
-        failing = next(a for a, c in counts.items() if c != mode)
+        failing = unrank(n, t, field, next(r for r, c in enumerate(counts) if c != mode))
     is_trivial = is_simple and N == q_binomial(n, k, q)
     return VerificationReport(
         is_design=is_design,
@@ -180,6 +179,9 @@ def parse_design_text(text: str) -> DesignCandidate:
 
 
 def design_from_json_obj(obj: dict) -> DesignCandidate:
+    missing = [key for key in ("q", "n", "k", "blocks") if key not in obj]
+    if missing:
+        raise ValueError(f"design JSON is missing field {missing[0]!r}")
     q, n, k = int(obj["q"]), int(obj["n"]), int(obj["k"])
     field = make_field(q)
     blocks = tuple(

@@ -126,6 +126,33 @@ def test_verify_missing_file_exit_2():
     assert code == 2
 
 
+def test_verify_directory_exit_2(tmp_path):
+    code, out, err = run_cli("verify", "--design", str(tmp_path), "--t", "1")
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read design file {tmp_path}: Is a directory\n"
+
+
+def test_verify_json_missing_field_exit_2(tmp_path):
+    (tmp_path / "d.json").write_text('{"q": 2, "k": 1, "blocks": []}\n')
+    code, _, err = run_cli("verify", "--design", str(tmp_path / "d.json"), "--t", "1")
+    assert code == 2
+    assert err == "error: design JSON is missing field 'n'\n"
+
+
+def test_qbinom_q_below_2_exit_2():
+    code, out, err = run_cli("qbinom", "--q", "1", "--n", "4", "--k", "2")
+    assert code == 2 and out == ""
+    assert err == "error: need q >= 2, got q=1\n"
+
+
+def test_klp_report_q_below_2_exit_2():
+    # n <= 64 reaches q_binomial; a larger n skips it
+    for n in ("10", "100"):
+        code, out, err = run_cli("klp-report", "--q", "1", "--n", n, "--k", "2", "--t", "1")
+        assert code == 2 and out == ""
+        assert err == "error: need q >= 2, got q=1\n"
+
+
 def test_decode_text():
     code, out, _ = run_cli("decode", "--q", "2", "--t", "1", "--k", "2")
     assert code == 0

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qdesign.errors import TooManyTerms
+from qdesign.errors import InvalidParameters, TooManyTerms
 from qdesign.gf import make_field
 from qdesign.grassmann import iter_subspaces
 from qdesign.qcount import (
@@ -23,6 +23,14 @@ def test_q_factorial_examples():
 def test_q_int():
     assert [q_int(i, 2) for i in range(5)] == [0, 1, 3, 7, 15]
     assert q_int(3, 3) == 13
+
+
+def test_q_below_2_rejected():
+    for q in (1, 0, -2):
+        with pytest.raises(InvalidParameters):
+            q_int(3, q)
+        with pytest.raises(InvalidParameters):
+            q_binomial(4, 2, q)
 
 
 def test_q_binomial_edges():

@@ -1,0 +1,146 @@
+"""Canonical ranks and the t-subspaces-of-a-block kernel, checked against
+enumeration order and against vector-set (vector_mask) containment."""
+
+import random
+from collections import Counter
+
+import pytest
+
+from qdesign.errors import DimensionMismatch, InvalidParameters
+from qdesign.gf import make_field, random_invertible
+from qdesign.grassmann import (
+    apply_map,
+    enumerate_subspaces,
+    extensions,
+    iter_subspaces,
+    subspace_from_rows,
+    subspace_rank,
+    t_subspace_ranks,
+    unrank,
+)
+from qdesign.qcount import q_binomial
+from qdesign.verifier import DesignCandidate, verify_design
+
+RANK_CAP = 5000
+
+
+def _rank_cases():
+    """Every (q, n, k), q in {2, 3, 4}, with [n k]_q <= RANK_CAP, for each n
+    whose nontrivial Grassmannians ([n 1]_q and up) can fit under the cap."""
+    for q in (2, 3, 4):
+        n = 0
+        while n < 2 or q_binomial(n, 1, q) <= RANK_CAP:
+            for k in range(n + 1):
+                if q_binomial(n, k, q) <= RANK_CAP:
+                    yield q, n, k
+            n += 1
+
+
+def test_rank_matches_enumeration_order_and_unrank_inverts():
+    cases = 0
+    for q, n, k in _rank_cases():
+        field = make_field(q)
+        count = 0
+        for i, S in enumerate(iter_subspaces(n, k, field)):
+            assert subspace_rank(S) == i
+            assert unrank(n, k, field, i) == S
+            count += 1
+        assert count == q_binomial(n, k, q)
+        cases += 1
+    assert cases > 100
+
+
+def test_unrank_rejects_out_of_range():
+    f = make_field(3)
+    for r in (-1, q_binomial(4, 2, 3)):
+        with pytest.raises(InvalidParameters):
+            unrank(4, 2, f, r)
+    with pytest.raises(DimensionMismatch):
+        unrank(3, 4, f, 0)
+
+
+def _mask_ranks(block, cols):
+    """Positions of the t-subspaces inside block, by vector-set containment."""
+    bm = block.vector_mask
+    return [i for i, am in enumerate(cols) if bm & am == am]
+
+
+def _check_blocks(blocks, n, t, field):
+    cols = [a.vector_mask for a in iter_subspaces(n, t, field)]
+    for block in blocks:
+        ranks = t_subspace_ranks(block, t)
+        assert len(ranks) == q_binomial(block.k, t, field.q)
+        assert sorted(ranks) == _mask_ranks(block, cols), block
+
+
+@pytest.mark.parametrize("q,n,k,t", [(2, 5, 3, 2), (3, 4, 2, 1), (4, 4, 2, 1)])
+def test_kernel_matches_containment_on_every_block(q, n, k, t):
+    field = make_field(q)
+    _check_blocks(iter_subspaces(n, k, field), n, t, field)
+
+
+@pytest.mark.parametrize("q,n,k,t", [(2, 6, 3, 2), (3, 5, 3, 2), (5, 4, 3, 1), (8, 3, 2, 1)])
+def test_kernel_on_blocks_from_random_rows(q, n, k, t):
+    field = make_field(q)
+    rng = random.Random(f"rows:{q}:{n}:{k}")
+    blocks = []
+    while len(blocks) < 25:
+        # extra rows, so that the RREF has to eliminate
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k + 1)]
+        S = subspace_from_rows(field, n, rows)
+        if S.k == k:
+            blocks.append(S)
+    _check_blocks(blocks, n, t, field)
+
+
+@pytest.mark.parametrize("q,n,k,t", [(2, 6, 3, 2), (3, 4, 3, 2), (4, 4, 2, 1)])
+def test_kernel_on_mapped_blocks(q, n, k, t):
+    field = make_field(q)
+    subs = enumerate_subspaces(n, k, field)
+    rng = random.Random(f"map:{q}:{n}:{k}")
+    blocks = []
+    for seed in range(3):
+        L = random_invertible(field, n, seed)
+        blocks += [apply_map(L, S) for S in rng.sample(subs, 8)]
+    _check_blocks(blocks, n, t, field)
+
+
+@pytest.mark.parametrize("q,n,k,t", [(2, 6, 3, 2), (3, 5, 3, 1), (2, 6, 4, 2)])
+def test_kernel_on_extension_blocks(q, n, k, t):
+    field = make_field(q)
+    rng = random.Random(f"ext:{q}:{n}:{k}")
+    blocks = []
+    for V in rng.sample(enumerate_subspaces(n, 1, field), 3):
+        blocks += extensions(V, k)
+    _check_blocks(blocks, n, t, field)
+
+
+def test_kernel_t_zero_and_t_equal_k():
+    field = make_field(3)
+    for S in enumerate_subspaces(4, 2, field):
+        assert t_subspace_ranks(S, 0) == [0]
+        assert t_subspace_ranks(S, 2) == [subspace_rank(S)]
+    with pytest.raises(DimensionMismatch):
+        t_subspace_ranks(S, 3)
+
+
+def _mask_histogram_and_witness(blocks, n, t, field):
+    cols = list(iter_subspaces(n, t, field))
+    bmasks = [b.vector_mask for b in blocks]
+    counts = [sum(1 for bm in bmasks if bm & a.vector_mask == a.vector_mask) for a in cols]
+    histogram = dict(sorted(Counter(counts).items()))
+    mode = min(histogram, key=lambda c: (-histogram[c], c))
+    return histogram, next(a for a, c in zip(cols, counts) if c != mode)
+
+
+@pytest.mark.parametrize("q,n,k,t,size", [(2, 6, 3, 2, 200), (3, 4, 2, 1, 60), (2, 5, 2, 1, 70)])
+def test_verify_histogram_and_witness_match_mask_oracle(q, n, k, t, size):
+    field = make_field(q)
+    subs = enumerate_subspaces(n, k, field)
+    for seed in range(3):
+        blocks = tuple(random.Random(seed).sample(subs, size))
+        report = verify_design(DesignCandidate(field=field, n=n, k=k, blocks=blocks), t)
+        assert not report.is_design
+        histogram, witness = _mask_histogram_and_witness(blocks, n, t, field)
+        assert report.counts_histogram == histogram
+        assert report.failing_t_subspace == witness
