@@ -3,11 +3,16 @@
 Subcommands: qbinom, enumerate, incidence, verify, decode, lemma2-check,
 klp-report, search, selftest.
 
+Each handler returns (exit code, JSON object, text lines) and writes
+nothing; `main` prints either the object, under `--json` (`--format json`
+for enumerate), or the lines.
+
 Exit codes: 0 success, 1 mathematical failure (a verification or bound
-check that comes back false), 2 usage error, 3 resource cap or timeout.
-All integers print in full decimal; JSON output is a single object with
-a schema_version field, sorted keys, and two-space indentation, so
-parsing and re-serializing it is byte-identical.
+check that comes back false), 2 usage error (also an unreadable or
+malformed input file and an unwritable output file), 3 resource cap or
+timeout. All integers print in full decimal; JSON output is a single
+object with a schema_version field, sorted keys, and two-space
+indentation, so parsing and re-serializing it is byte-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
+from contextlib import contextmanager
 
 from .errors import InvalidParameters, QDesignError, ResourceLimitError
 from .gf import make_field
@@ -39,6 +46,7 @@ from .selftest import format_report_text, report_to_json_obj, run_selftest
 from .verifier import (
     DesignCandidate,
     design_to_json_obj,
+    format_design_text,
     load_design,
     save_design,
     verify_design,
@@ -51,111 +59,91 @@ def _rows_str(subspace) -> list[str]:
     return ["".join(_DIGITS[x] for x in row) for row in subspace.rows()]
 
 
-def _emit_json(obj: dict) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _text(val) -> str:
+    if isinstance(val, bool):
+        return "true" if val else "false"
+    return "absent" if val is None else str(val)
 
 
-def _bool(x: bool) -> str:
-    return "true" if x else "false"
+def _kv(obj: dict, *keys: str) -> list[str]:
+    """`key = value` lines: booleans as true/false, None as absent."""
+    return [f"{key} = {_text(obj[key])}" for key in keys]
+
+
+def _lines(text: str) -> list[str]:
+    """The lines of a newline-terminated text, split at newlines only."""
+    return text.split("\n")[:-1]
+
+
+def _blank_separated(blocks):
+    """The rows of each block, with a blank line between blocks."""
+    for i, rows in enumerate(blocks):
+        if i:
+            yield ""
+        yield from rows
+
+
+@contextmanager
+def _user_file(action: str, path: str):
+    """Report an OSError on a file the user named as a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidParameters(f"cannot {action} file {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # handlers
 
+# exit code, JSON object (None when the output has no JSON form), text lines
+_Result = tuple[int, "dict | None", Iterable[str]]
 
-def _cmd_qbinom(args) -> int:
+
+def _cmd_qbinom(args) -> _Result:
     value = q_binomial(args.n, args.k, args.q)
-    obj: dict = {
-        "schema_version": 1,
-        "command": "qbinom",
-        "q": args.q,
-        "n": args.n,
-        "k": args.k,
-        "value": value,
-    }
+    obj: dict = {"q": args.q, "n": args.n, "k": args.k, "value": value}
     code = 0
     if args.via_sum:
-        via = q_binomial_via_sum(args.n, args.k, args.q, max_terms=args.max_terms)
-        obj["via_sum"] = via
-        if via != value:
+        obj["via_sum"] = q_binomial_via_sum(args.n, args.k, args.q, max_terms=args.max_terms)
+        if obj["via_sum"] != value:
             code = 1
-    bounds = check_bounds(args.n, args.k, args.q) if args.bounds else None
-    if bounds is not None:
-        obj["bounds"] = {"lower": bounds.lower, "upper": bounds.upper, "ok": bounds.ok}
-        if not bounds.ok:
-            code = 1
-    if args.json:
-        _emit_json(obj)
-        return code
-    if bounds is not None:
-        print(f"lower = {bounds.lower}")
-        print(f"value = {value}")
-        print(f"upper = {bounds.upper}")
-        print(f"ok = {_bool(bounds.ok)}")
-    else:
-        print(obj.get("via_sum", value))
-    return code
+    if not args.bounds:
+        return code, obj, [str(obj.get("via_sum", value))]
+    bounds = check_bounds(args.n, args.k, args.q)
+    obj["bounds"] = {"lower": bounds.lower, "upper": bounds.upper, "ok": bounds.ok}
+    if not bounds.ok:
+        code = 1
+    return code, obj, _kv({**obj["bounds"], "value": value}, "lower", "value", "upper", "ok")
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> _Result:
     field = make_field(args.q)
     count = q_binomial(args.n, args.k, args.q)
     if count > args.max_subspaces:
         raise ResourceLimitError(
             f"[{args.n} {args.k}]_{args.q} = {count} exceeds cap {args.max_subspaces}"
         )
+    obj: dict = {"q": args.q, "n": args.n, "k": args.k, "count": count}
     if args.count_only:
-        if args.format == "json":
-            _emit_json(
-                {
-                    "schema_version": 1,
-                    "command": "enumerate",
-                    "q": args.q,
-                    "n": args.n,
-                    "k": args.k,
-                    "count": count,
-                }
-            )
-        else:
-            print(count)
-        return 0
-    subs = iter_subspaces(args.n, args.k, field)
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema_version": 1,
-                "command": "enumerate",
-                "q": args.q,
-                "n": args.n,
-                "k": args.k,
-                "count": count,
-                "subspaces": [_rows_str(s) for s in subs],
-            }
-        )
-    else:
-        first = True
-        for s in subs:
-            if not first:
-                print()
-            first = False
-            for line in _rows_str(s):
-                print(line)
-    return 0
+        return 0, obj, [str(count)]
+    subs = (_rows_str(s) for s in iter_subspaces(args.n, args.k, field))
+    if args.json:
+        obj["subspaces"] = list(subs)
+        return 0, obj, []
+    # text streams one subspace at a time
+    return 0, obj, _blank_separated(subs)
 
 
-def _cmd_incidence(args) -> int:
-    field = make_field(args.q)
-    M = build_incidence(args.n, args.k, args.t, field, max_bits=args.max_bits)
+def _cmd_incidence(args) -> _Result:
+    M = build_incidence(args.n, args.k, args.t, make_field(args.q), max_bits=args.max_bits)
     if args.export_bits == "-":
-        sys.stdout.write(export_bits_text(M))
-        return 0
+        return 0, None, _lines(export_bits_text(M))
     if args.export_bits:
-        with open(args.export_bits, "w", encoding="utf-8") as fh:
-            fh.write(export_bits_text(M))
+        with _user_file("write bits", args.export_bits):
+            with open(args.export_bits, "w", encoding="utf-8") as fh:
+                fh.write(export_bits_text(M))
     avg = average_row(M)
     obj = {
-        "schema_version": 1,
-        "command": "incidence",
         "q": args.q,
         "n": args.n,
         "k": args.k,
@@ -168,34 +156,18 @@ def _cmd_incidence(args) -> int:
         "constant_vector": check_constant_vector_property(M),
         "average_row": f"{avg.numerator}/{avg.denominator}",
     }
-    if args.json:
-        _emit_json(obj)
-        return 0
     if args.weights_only:
-        keys = ["rows", "cols", "row_weight", "col_weight"]
-    else:
-        keys = [
-            "q", "n", "k", "t", "rows", "cols", "row_weight", "col_weight",
-            "total_ones", "constant_vector", "average_row",
-        ]
-    for key in keys:
-        val = obj[key]
-        print(f"{key} = {_bool(val) if isinstance(val, bool) else val}")
-    return 0
+        return 0, obj, _kv(obj, "rows", "cols", "row_weight", "col_weight")
+    return 0, obj, _kv(obj, *obj)  # every field, in order
 
 
-def _cmd_verify(args) -> int:
-    try:
+def _cmd_verify(args) -> _Result:
+    with _user_file("read design", args.design):
         candidate = load_design(args.design)
-    except OSError as exc:
-        raise InvalidParameters(
-            f"cannot read design file {args.design}: {exc.strerror or exc}"
-        ) from exc
     report = verify_design(candidate, args.t, max_columns=args.max_columns)
-    hist = " ".join(f"{c}:{m}" for c, m in sorted(report.counts_histogram.items()))
+    hist = sorted(report.counts_histogram.items())
+    failing = report.failing_t_subspace
     obj = {
-        "schema_version": 1,
-        "command": "verify",
         "q": candidate.field.q,
         "n": candidate.n,
         "k": candidate.k,
@@ -205,93 +177,62 @@ def _cmd_verify(args) -> int:
         "lambda": report.lambda_,
         "simple": report.is_simple,
         "trivial": report.is_trivial,
-        "histogram": {str(c): m for c, m in sorted(report.counts_histogram.items())},
-        "failing_t_subspace": (
-            _rows_str(report.failing_t_subspace)
-            if report.failing_t_subspace is not None
-            else None
-        ),
+        "histogram": {str(c): m for c, m in hist},
+        "failing_t_subspace": _rows_str(failing) if failing is not None else None,
     }
-    if args.json:
-        _emit_json(obj)
-    else:
-        for key in ("q", "n", "k", "N", "t"):
-            print(f"{key} = {obj[key]}")
-        print(f"is_design = {_bool(report.is_design)}")
-        print(f"lambda = {report.lambda_ if report.lambda_ is not None else 'absent'}")
-        print(f"simple = {_bool(report.is_simple)}")
-        print(f"trivial = {_bool(report.is_trivial)}")
-        print(f"histogram = {hist}")
-        if report.failing_t_subspace is not None:
-            print(f"failing_t_subspace = {','.join(_rows_str(report.failing_t_subspace))}")
-    return 0 if report.is_design else 1
+    lines = _kv(obj, "q", "n", "k", "N", "t", "is_design", "lambda", "simple", "trivial")
+    lines.append("histogram = " + " ".join(f"{c}:{m}" for c, m in hist))
+    if failing is not None:
+        lines.append(f"failing_t_subspace = {','.join(obj['failing_t_subspace'])}")
+    return (0 if report.is_design else 1), obj, lines
 
 
-def _cmd_decode(args) -> int:
+def _cmd_decode(args) -> _Result:
     system = solve_coefficients(args.q, args.t, args.k)
     obj = {
-        "schema_version": 1,
-        "command": "decode",
         "q": args.q,
         "t": args.t,
         "k": args.k,
         "D": [list(row) for row in system.D],
         "m": system.m,
         "f": list(system.f),
-        "Dj_dets": list(system.Dj_dets),
+        "Dj_dets": list(system.f),
     }
-    code = 0
-    cert_lines: list[str] = []
-    if args.certify:
-        if args.n is None:
-            raise InvalidParameters("--certify requires --n")
-        field = make_field(args.q)
-        V = next(iter_subspaces(args.n, args.t, field))
-        cert = decode_certificate(V, args.k, max_subspaces=args.max_certificate)
-        ok = verify_certificate(cert)
-        by_dim: dict[int, int] = {}
-        for U in cert.coefficients:
-            j = intersect_dim(U, V)
-            by_dim[j] = by_dim.get(j, 0) + 1
-        obj["certificate"] = {
-            "n": args.n,
-            "V": _rows_str(V),
-            "W": _rows_str(cert.envelope),
-            "l1_norm": cert.l1_norm,
-            "subspaces_by_dim": {str(j): by_dim[j] for j in sorted(by_dim)},
-            "certified": ok,
-        }
-        cert_lines.append(f"certify n = {args.n}")
-        cert_lines.append(f"V = {','.join(_rows_str(V))}")
-        cert_lines.append(f"W = {','.join(_rows_str(cert.envelope))}")
-        for j in sorted(by_dim):
-            cert_lines.append(
-                f"coefficient[dim={j}] = {system.f[j]} on {by_dim[j]} subspaces"
-            )
-        cert_lines.append(f"l1_norm = {cert.l1_norm}")
-        cert_lines.append(f"certified = {_bool(ok)}")
-        if not ok:
-            code = 1
-    if args.json:
-        _emit_json(obj)
-        return code
-    print(f"q = {args.q}")
-    print(f"t = {args.t}")
-    print(f"k = {args.k}")
-    for i, row in enumerate(system.D):
-        print(f"D row {i} = {' '.join(str(x) for x in row)}")
-    print(f"m = {system.m}")
-    print(f"f = {' '.join(str(x) for x in system.f)}")
-    for line in cert_lines:
-        print(line)
-    return code
+    lines = _kv(obj, "q", "t", "k")
+    lines += [f"D row {i} = {' '.join(str(x) for x in row)}" for i, row in enumerate(system.D)]
+    lines += _kv(obj, "m")
+    lines.append(f"f = {' '.join(str(x) for x in system.f)}")
+    if not args.certify:
+        return 0, obj, lines
+    if args.n is None:
+        raise InvalidParameters("--certify requires --n")
+    V = next(iter_subspaces(args.n, args.t, make_field(args.q)))
+    cert = decode_certificate(V, args.k, max_subspaces=args.max_certificate)
+    ok = verify_certificate(cert)
+    by_dim: dict[int, int] = {}
+    for U in cert.coefficients:
+        j = intersect_dim(U, V)
+        by_dim[j] = by_dim.get(j, 0) + 1
+    obj["certificate"] = cert_obj = {
+        "n": args.n,
+        "V": _rows_str(V),
+        "W": _rows_str(cert.envelope),
+        "l1_norm": cert.l1_norm,
+        "subspaces_by_dim": {str(j): by_dim[j] for j in sorted(by_dim)},
+        "certified": ok,
+    }
+    lines.append(f"certify n = {args.n}")
+    lines.append(f"V = {','.join(cert_obj['V'])}")
+    lines.append(f"W = {','.join(cert_obj['W'])}")
+    for j in sorted(by_dim):
+        lines.append(f"coefficient[dim={j}] = {system.f[j]} on {by_dim[j]} subspaces")
+    lines += _kv(cert_obj, "l1_norm", "certified")
+    return (0 if ok else 1), obj, lines
 
 
-def _cmd_lemma2_check(args) -> int:
+def _cmd_lemma2_check(args) -> _Result:
     report = lemma2_grid_report(args.q, args.n, args.t, args.k)
     obj = {
-        "schema_version": 1,
-        "command": "lemma2-check",
         "q": args.q,
         "n": args.n,
         "t": args.t,
@@ -305,29 +246,18 @@ def _cmd_lemma2_check(args) -> int:
         "ok": report.ok,
         "mismatch": report.mismatch,
     }
-    if args.json:
-        _emit_json(obj)
-    else:
-        for key in ("q", "n", "t", "k"):
-            print(f"{key} = {obj[key]}")
-        print(f"pairs = {report.pair_count}")
-        print(f"extension_count = {report.extension_count}")
-        for c in report.cells:
-            print(f"l={c.l} j={c.j}: formula = {c.formula} pairs = {c.pairs}")
-        print(f"ok = {_bool(report.ok)}")
-        if not report.ok:
-            print(f"mismatch = {report.mismatch}")
-    return 0 if report.ok else 1
+    lines = _kv(obj, "q", "n", "t", "k", "pairs", "extension_count")
+    lines += [f"l={c.l} j={c.j}: formula = {c.formula} pairs = {c.pairs}" for c in report.cells]
+    lines += _kv(obj, "ok") if report.ok else _kv(obj, "ok", "mismatch")
+    return (0 if report.ok else 1), obj, lines
 
 
-def _cmd_klp_report(args) -> int:
+def _cmd_klp_report(args) -> _Result:
     rep = klp_report(args.q, args.n, args.k, args.t, constant=args.constant)
     witness = (
         divisibility_witness(args.q, args.n, args.k, args.t) if args.n <= 64 else None
     )
     obj = {
-        "schema_version": 1,
-        "command": "klp-report",
         "q": rep.q,
         "n": rep.n,
         "k": rep.k,
@@ -348,27 +278,18 @@ def _cmd_klp_report(args) -> int:
         "k_gt_12t_plus_1": rep.k_gt_12t_plus_1,
         "log_reading": rep.log_reading,
     }
-    if args.json:
-        _emit_json(obj)
-        return 0
-    for key in ("q", "n", "k", "t", "constant"):
-        print(f"{key} = {obj[key]}")
-    for key in (
-        "c1_bound", "c2", "c3_bound", "A_upper", "B_lower",
-        "A_exact", "B_exact", "rhs_final", "block_budget",
-    ):
-        val = obj[key]
-        print(f"{key} = {'absent' if val is None else val}")
+    lines = _kv(
+        obj, "q", "n", "k", "t", "constant", "c1_bound", "c2", "c3_bound", "A_upper",
+        "B_lower", "A_exact", "B_exact", "rhs_final", "block_budget",
+    )
     if witness is not None:
-        print(f"divisibility_witness = {witness}")
-    print(f"feasible = {_bool(rep.feasible)} (relative to supplied constant)")
-    print(f"k_gt_12t = {_bool(rep.k_gt_12t)}")
-    print(f"k_gt_12t_plus_1 = {_bool(rep.k_gt_12t_plus_1)}")
-    print(f"log_reading = {rep.log_reading}")
-    return 0
+        lines += _kv(obj, "divisibility_witness")
+    lines.append(f"feasible = {_text(rep.feasible)} (relative to supplied constant)")
+    lines += _kv(obj, "k_gt_12t", "k_gt_12t_plus_1", "log_reading")
+    return 0, obj, lines
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> _Result:
     result = search_design(
         args.q,
         args.n,
@@ -382,75 +303,41 @@ def _cmd_search(args) -> int:
         max_candidates=args.max_candidates,
     )
     if isinstance(result, NotFound):
-        if args.json:
-            _emit_json(
-                {
-                    "schema_version": 1,
-                    "command": "search",
-                    "status": "not_found",
-                    "reason": result.reason,
-                }
-            )
-        else:
-            print(f"not found: {result.reason}")
-        return 1
+        obj = {"status": "not_found", "reason": result.reason}
+        return 1, obj, [f"not found: {result.reason}"]
     if isinstance(result, Timeout):
-        if args.json:
-            _emit_json(
-                {
-                    "schema_version": 1,
-                    "command": "search",
-                    "status": "timeout",
-                    "best_satisfied": result.best_satisfied,
-                    "universe_size": result.universe_size,
-                }
-            )
-        else:
-            print(
-                f"timeout: best {result.best_satisfied}/{result.universe_size} "
-                "columns satisfied"
-            )
-        return 3
-    assert isinstance(result, DesignCandidate)
-    if args.out:
-        try:
-            save_design(result, args.out, fmt=args.out_format)
-        except OSError as exc:
-            raise InvalidParameters(
-                f"cannot write design file {args.out}: {exc.strerror or exc}"
-            ) from exc
-    if args.json:
         obj = {
-            "schema_version": 1,
-            "command": "search",
-            "status": "found",
-            "t": args.t,
-            "lambda": args.lam,
-            "design": design_to_json_obj(result),
+            "status": "timeout",
+            "best_satisfied": result.best_satisfied,
+            "universe_size": result.universe_size,
         }
-        _emit_json(obj)
-        return 0
-    print(
+        return 3, obj, [
+            f"timeout: best {result.best_satisfied}/{result.universe_size} columns satisfied"
+        ]
+    assert isinstance(result, DesignCandidate)
+    obj = {
+        "status": "found",
+        "t": args.t,
+        "lambda": args.lam,
+        "design": design_to_json_obj(result),
+    }
+    lines = [
         f"found: q={args.q} n={args.n} k={args.k} t={args.t} "
         f"lambda={args.lam} N={len(result.blocks)}"
-    )
+    ]
     if args.out:
-        print(f"wrote design to {args.out}")
+        with _user_file("write design", args.out):
+            save_design(result, args.out, fmt=args.out_format)
+        lines.append(f"wrote design to {args.out}")
     else:
-        sys.stdout.write("\n")
-        from .verifier import format_design_text
-
-        sys.stdout.write(format_design_text(result))
-    return 0
+        lines += ["", *_lines(format_design_text(result))]
+    return 0, obj, lines
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> _Result:
     report = run_selftest(workers=args.workers, names=args.suite or None)
-    if args.json:
-        _emit_json(report_to_json_obj(report))
-    else:
-        sys.stdout.write(format_report_text(report))
-    return 0 if report.ok else 1
+    code = 0 if report.ok else 1
+    return code, report_to_json_obj(report), _lines(format_report_text(report))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +346,13 @@ def _cmd_selftest(args) -> int:
 
 def _add_int(p, name, required=True, default=None, help=""):
     p.add_argument(name, type=int, required=required, default=default, help=help)
+
+
+class _FormatJson(argparse.Action):
+    """`--format json` sets the same `json` flag that `--json` sets."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values == "json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int(p, "--n")
     _add_int(p, "--k")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument(
+        "--format", dest="json", choices=("text", "json"), default=False, action=_FormatJson
+    )
     _add_int(p, "--max-subspaces", required=False, default=10**7)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -571,11 +467,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, obj, lines = args.func(args)
+        if args.json and obj is not None:
+            obj = {**obj, "schema_version": 1, "command": args.subcommand}
+            lines = [json.dumps(obj, indent=2, sort_keys=True)]
+        for line in lines:
+            print(line)
+        return code
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidParameters, FileNotFoundError, KeyError, ValueError) as exc:
+    except (InvalidParameters, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QDesignError as exc:

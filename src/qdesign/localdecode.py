@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSystem, DimensionMismatch, TooLarge
-from .gf import make_field, mat_mul
+from .gf import make_field
 from .grassmann import (
     SubspaceBasis,
     extensions,
@@ -36,6 +36,8 @@ from .grassmann import (
     iter_subspaces,
     subspace_dim_from_count,
     subspace_from_rows,
+    t_subspace_ranks,
+    unrank,
 )
 from .qcount import q_binomial
 
@@ -48,7 +50,6 @@ class DecodeSystem:
     D: tuple[tuple[int, ...], ...]
     m: int
     f: tuple[int, ...]
-    Dj_dets: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def solve_coefficients(q: int, t: int, k: int) -> DecodeSystem:
     if f[t] * q_binomial(k, k - t, q) != m:
         raise DegenerateSystem("top coefficient identity f(t) [k k-t]_q = m failed")
 
-    return DecodeSystem(q=q, t=t, k=k, D=D, m=m, f=f, Dj_dets=f)
+    return DecodeSystem(q=q, t=t, k=k, D=D, m=m, f=f)
 
 
 def check_cond2(q: int, t: int, k: int) -> bool:
@@ -177,6 +178,8 @@ def decode_certificate(
 
     W extends V's basis by the k lowest-index standard vectors outside
     V's pivot columns; the coefficient of U is f(dim(U intersect V)).
+    The k-subspaces of W come from the rank kernel (t_subspace_ranks);
+    verify_certificate checks the result through vector masks instead.
     """
     field, n, t = V.field, V.n, V.k
     q = field.q
@@ -197,9 +200,8 @@ def decode_certificate(
 
     coefficients: dict[SubspaceBasis, int] = {}
     l1 = 0
-    for Ubar in iter_subspaces(t + k, k, field):
-        image = mat_mul(Ubar.basis, W.basis)
-        U = subspace_from_rows(field, n, image.row_list())
+    for r in t_subspace_ranks(W, k):
+        U = unrank(n, k, field, r)
         c = system.f[intersect_dim(U, V)]
         coefficients[U] = c
         l1 += abs(c)
@@ -449,7 +451,7 @@ def check_det_bounds(q: int, t: int, k: int) -> DetBoundsReport:
     det_cap = q ** (k * (t + 1) ** 2)
     checks = [BoundCheck("det_D", abs(system.m), det_cap, abs(system.m) <= det_cap)]
     for j in range(size):
-        lhs = abs(system.Dj_dets[j])
+        lhs = abs(system.f[j])
         checks.append(BoundCheck(f"det_D{j}", lhs, det_cap, lhs <= det_cap))
 
     prod = 1

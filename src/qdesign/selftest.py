@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InvalidParameters
 from .gf import (
     SUPPORTED_ORDERS,
     MatrixGFq,
@@ -629,7 +630,7 @@ def run_selftest(workers: int = 1, names=None) -> SelftestReport:
     else:
         unknown = [n for n in names if n not in SUITES]
         if unknown:
-            raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
+            raise InvalidParameters(f"unknown suite(s): {', '.join(unknown)}")
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

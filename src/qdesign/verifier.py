@@ -184,9 +184,13 @@ def design_from_json_obj(obj: dict) -> DesignCandidate:
         raise ValueError(f"design JSON is missing field {missing[0]!r}")
     q, n, k = int(obj["q"]), int(obj["n"]), int(obj["k"])
     field = make_field(q)
-    blocks = tuple(
-        _block_from_digit_rows(field, n, k, list(rows)) for rows in obj["blocks"]
-    )
+    digit_rows = obj["blocks"]
+    if not isinstance(digit_rows, list) or not all(
+        isinstance(rows, list) and all(isinstance(row, str) for row in rows)
+        for rows in digit_rows
+    ):
+        raise ValueError("design JSON field 'blocks' must be a list of lists of digit strings")
+    blocks = tuple(_block_from_digit_rows(field, n, k, rows) for rows in digit_rows)
     return DesignCandidate(field=field, n=n, k=k, blocks=blocks)
 
 

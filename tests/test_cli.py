@@ -20,6 +20,24 @@ def test_qbinom_via_sum():
     assert code == 0 and out == "35\n"
 
 
+def test_qbinom_json():
+    code, out, _ = run_cli("qbinom", "--q", "2", "--n", "4", "--k", "2", "--json")
+    assert code == 0
+    assert out == (
+        '{\n  "command": "qbinom",\n  "k": 2,\n  "n": 4,\n  "q": 2,\n'
+        '  "schema_version": 1,\n  "value": 35\n}\n'
+    )
+    code, out, _ = run_cli(
+        "qbinom", "--q", "2", "--n", "4", "--k", "2", "--json", "--via-sum", "--bounds"
+    )
+    assert code == 0
+    assert out == (
+        '{\n  "bounds": {\n    "lower": 16,\n    "ok": true,\n    "upper": 96\n  },\n'
+        '  "command": "qbinom",\n  "k": 2,\n  "n": 4,\n  "q": 2,\n'
+        '  "schema_version": 1,\n  "value": 35,\n  "via_sum": 35\n}\n'
+    )
+
+
 def test_qbinom_term_cap_exit_3():
     code, _, err = run_cli(
         "qbinom", "--q", "2", "--n", "40", "--k", "20", "--via-sum", "--max-terms", "100"
@@ -38,6 +56,17 @@ def test_usage_error_exit_2():
 def test_enumerate_count_only():
     code, out, _ = run_cli("enumerate", "--q", "3", "--n", "4", "--k", "2", "--count-only")
     assert code == 0 and out == "130\n"
+
+
+def test_enumerate_count_only_json():
+    code, out, _ = run_cli(
+        "enumerate", "--q", "3", "--n", "4", "--k", "2", "--count-only", "--format", "json"
+    )
+    assert code == 0
+    assert out == (
+        '{\n  "command": "enumerate",\n  "count": 130,\n  "k": 2,\n  "n": 4,\n'
+        '  "q": 3,\n  "schema_version": 1\n}\n'
+    )
 
 
 def test_enumerate_text_lines():
@@ -86,6 +115,21 @@ def test_incidence_export_bits_stdout():
     )
     assert code == 0
     assert out == "100\n010\n001\n"
+
+
+def test_unwritable_output_file_exit_2(tmp_path):
+    code, out, err = run_cli(
+        "incidence", "--q", "2", "--n", "2", "--k", "1", "--t", "1",
+        "--export-bits", str(tmp_path),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write bits file {tmp_path}: Is a directory\n"
+    code, out, err = run_cli(
+        "search", "--q", "2", "--n", "4", "--k", "2", "--t", "1", "--lambda", "1",
+        "--out", str(tmp_path),
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: cannot write design file {tmp_path}: Is a directory\n"
 
 
 def test_verify_pipeline(tmp_path):
@@ -139,6 +183,16 @@ def test_verify_json_missing_field_exit_2(tmp_path):
     assert err == "error: design JSON is missing field 'n'\n"
 
 
+def test_verify_json_blocks_malformed_exit_2(tmp_path):
+    for blocks in ("5", "[[1]]"):
+        (tmp_path / "d.json").write_text(f'{{"q": 2, "n": 2, "k": 1, "blocks": {blocks}}}\n')
+        code, out, err = run_cli("verify", "--design", str(tmp_path / "d.json"), "--t", "1")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: design JSON field 'blocks' must be a list of lists of digit strings\n"
+        )
+
+
 def test_qbinom_q_below_2_exit_2():
     code, out, err = run_cli("qbinom", "--q", "1", "--n", "4", "--k", "2")
     assert code == 2 and out == ""
@@ -160,6 +214,17 @@ def test_decode_text():
     assert "D row 1 = 0 3" in out
     assert "m = 6" in out
     assert "f = -1 2" in out
+
+
+def test_decode_json():
+    code, out, _ = run_cli("decode", "--q", "2", "--t", "1", "--k", "2", "--json")
+    assert code == 0
+    assert out == (
+        '{\n  "D": [\n    [\n      2,\n      1\n    ],\n    [\n      0,\n      3\n    ]\n  ],\n'
+        '  "Dj_dets": [\n    -1,\n    2\n  ],\n  "command": "decode",\n'
+        '  "f": [\n    -1,\n    2\n  ],\n  "k": 2,\n  "m": 6,\n  "q": 2,\n'
+        '  "schema_version": 1,\n  "t": 1\n}\n'
+    )
 
 
 def test_decode_certify_json():
@@ -187,6 +252,21 @@ def test_lemma2_check():
     assert "ok = true" in out
 
 
+def test_lemma2_check_json():
+    code, out, _ = run_cli(
+        "lemma2-check", "--q", "2", "--n", "4", "--t", "1", "--k", "2", "--json"
+    )
+    assert code == 0
+    assert out == (
+        '{\n  "cells": [\n'
+        '    {\n      "formula": 6,\n      "j": 0,\n      "l": 0,\n      "pairs": 210\n    },\n'
+        '    {\n      "formula": 1,\n      "j": 1,\n      "l": 0,\n      "pairs": 210\n    }\n'
+        '  ],\n  "command": "lemma2-check",\n  "extension_count": 7,\n  "k": 2,\n'
+        '  "mismatch": "",\n  "n": 4,\n  "ok": true,\n  "pairs": 210,\n  "q": 2,\n'
+        '  "schema_version": 1,\n  "t": 1\n}\n'
+    )
+
+
 def test_klp_report_feasible_point():
     code, out, _ = run_cli(
         "klp-report", "--q", "2", "--n", "1000", "--k", "25", "--t", "1"
@@ -198,6 +278,45 @@ def test_klp_report_feasible_point():
     )
     assert code == 0
     assert "feasible = false (relative to supplied constant)" in out
+
+
+def test_klp_report_text_without_exact_values():
+    # n > 64: no exact A, B and no divisibility witness
+    code, out, _ = run_cli("klp-report", "--q", "2", "--n", "65", "--k", "2", "--t", "1")
+    assert code == 0
+    assert out == "\n".join([
+        "q = 2",
+        "n = 65",
+        "k = 2",
+        "t = 1",
+        "constant = 1",
+        "c1_bound = 174224571863520493293247799005065324265472",
+        "c2 = 1",
+        "c3_bound = 65536",
+        "A_upper = 680564733841876926926749214863536422912",
+        "B_lower = 85070591730234615865843651857942052864",
+        "A_exact = absent",
+        "B_exact = absent",
+        "rhs_final = 375016382951990021510788150208673440629742997801485052794322"
+        "112434822033158579565495766472173811895851326488005195649981191801317565636626"
+        "622137955662709081609606228332208018537361958674242462625288517818215417519019"
+        "324275923251195071600849724216574117140493186420009436858645198548438424706958"
+        "959015137549484264396256975352961245089542161851798957098830479500856080384866"
+        "691152769217471736868818544490505846998561491651169303431239208105713328337003"
+        "552594401951744000000000",
+        "block_budget = 404383322139383786816477496045239279881745774329263798057"
+        "747618202062613543322661271165839718141518619504072568279747281350019479353104"
+        "355290133905342489107347888285208868328270279614101537727392823678758532731328"
+        "754431124847707666528413354070818186224887925429783084055360424478044364258292"
+        "076364269605889516801944427382398924805501721028960728271011505655417661693902"
+        "566209314870046134327081424680818238815751481918795761961668847790356375564868"
+        "25129977240950172286976",
+        "feasible = false (relative to supplied constant)",
+        "k_gt_12t = false",
+        "k_gt_12t_plus_1 = false",
+        "log_reading = bit_length(|A| c2) ** 8",
+        "",
+    ])
 
 
 def test_klp_report_json_round_trip():
@@ -229,6 +348,17 @@ def test_search_json(tmp_path):
     assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == out
 
 
+def test_search_found_text():
+    code, out, _ = run_cli(
+        "search", "--q", "2", "--n", "4", "--k", "2", "--t", "1", "--lambda", "1"
+    )
+    assert code == 0
+    assert out == (
+        "found: q=2 n=4 k=2 t=1 lambda=1 N=5\n\n2 4 2\n\n1000\n0100\n\n1001\n0110\n"
+        "\n1010\n0111\n\n1011\n0101\n\n0010\n0001\n"
+    )
+
+
 def test_search_timeout_exit_3():
     code, out, _ = run_cli(
         "search", "--q", "2", "--n", "6", "--k", "3", "--t", "2", "--lambda", "1",
@@ -236,6 +366,20 @@ def test_search_timeout_exit_3():
     )
     assert code == 3
     assert out.startswith("timeout:")
+
+
+def test_search_timeout_json():
+    code, out, _ = run_cli(
+        "search", "--q", "2", "--n", "6", "--k", "3", "--t", "2", "--lambda", "1",
+        "--method", "greedy", "--timeout", "0.2", "--json",
+    )
+    assert code == 3
+    obj = json.loads(out)
+    assert sorted(obj) == [
+        "best_satisfied", "command", "schema_version", "status", "universe_size"
+    ]
+    assert obj["status"] == "timeout" and obj["universe_size"] == 651
+    assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == out
 
 
 def test_verify_json_output(tmp_path):
@@ -287,8 +431,9 @@ def test_selftest_subset_and_determinism():
 
 
 def test_selftest_unknown_suite_exit_2():
-    code, _, err = run_cli("selftest", "--suite", "nope")
-    assert code == 2
+    code, out, err = run_cli("selftest", "--suite", "nope")
+    assert code == 2 and out == ""
+    assert err == "error: unknown suite(s): nope\n"
 
 
 def test_selftest_json():

@@ -94,7 +94,6 @@ def test_solve_worked_example():
     s = solve_coefficients(2, 1, 2)
     assert s.m == 6
     assert s.f == (-1, 2)
-    assert s.Dj_dets == s.f
     assert -1 * 2 + 2 * 1 == 0  # homogeneous row
     assert 2 * 3 == 6  # f(t) [k k-t]_q = m
 
