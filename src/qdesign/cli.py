@@ -70,11 +70,6 @@ def _kv(obj: dict, *keys: str) -> list[str]:
     return [f"{key} = {_text(obj[key])}" for key in keys]
 
 
-def _lines(text: str) -> list[str]:
-    """The lines of a newline-terminated text, split at newlines only."""
-    return text.split("\n")[:-1]
-
-
 def _blank_separated(blocks):
     """The rows of each block, with a blank line between blocks."""
     for i, rows in enumerate(blocks):
@@ -137,7 +132,7 @@ def _cmd_enumerate(args) -> _Result:
 def _cmd_incidence(args) -> _Result:
     M = build_incidence(args.n, args.k, args.t, make_field(args.q), max_bits=args.max_bits)
     if args.export_bits == "-":
-        return 0, None, _lines(export_bits_text(M))
+        return 0, None, [export_bits_text(M)[:-1]]
     if args.export_bits:
         with _user_file("write bits", args.export_bits):
             with open(args.export_bits, "w", encoding="utf-8") as fh:
@@ -330,14 +325,14 @@ def _cmd_search(args) -> _Result:
             save_design(result, args.out, fmt=args.out_format)
         lines.append(f"wrote design to {args.out}")
     else:
-        lines += ["", *_lines(format_design_text(result))]
+        lines += ["", format_design_text(result)[:-1]]
     return 0, obj, lines
 
 
 def _cmd_selftest(args) -> _Result:
     report = run_selftest(workers=args.workers, names=args.suite or None)
     code = 0 if report.ok else 1
-    return code, report_to_json_obj(report), _lines(format_report_text(report))
+    return code, report_to_json_obj(report), [format_report_text(report)[:-1]]
 
 
 # ---------------------------------------------------------------------------

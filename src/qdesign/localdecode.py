@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSystem, DimensionMismatch, TooLarge
-from .gf import make_field
+from .gf import make_field, mat_mul
 from .grassmann import (
     SubspaceBasis,
     extensions,
@@ -36,8 +36,6 @@ from .grassmann import (
     iter_subspaces,
     subspace_dim_from_count,
     subspace_from_rows,
-    t_subspace_ranks,
-    unrank,
 )
 from .qcount import q_binomial
 
@@ -178,8 +176,6 @@ def decode_certificate(
 
     W extends V's basis by the k lowest-index standard vectors outside
     V's pivot columns; the coefficient of U is f(dim(U intersect V)).
-    The k-subspaces of W come from the rank kernel (t_subspace_ranks);
-    verify_certificate checks the result through vector masks instead.
     """
     field, n, t = V.field, V.n, V.k
     q = field.q
@@ -200,8 +196,9 @@ def decode_certificate(
 
     coefficients: dict[SubspaceBasis, int] = {}
     l1 = 0
-    for r in t_subspace_ranks(W, k):
-        U = unrank(n, k, field, r)
+    for Ubar in iter_subspaces(t + k, k, field):
+        image = mat_mul(Ubar.basis, W.basis)
+        U = subspace_from_rows(field, n, image.row_list())
         c = system.f[intersect_dim(U, V)]
         coefficients[U] = c
         l1 += abs(c)

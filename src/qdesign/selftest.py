@@ -658,8 +658,6 @@ def format_report_text(report: SelftestReport) -> str:
 
 def report_to_json_obj(report: SelftestReport) -> dict:
     return {
-        "schema_version": 1,
-        "command": "selftest",
         "ok": report.ok,
         "suites": [
             {"name": r.name, "ok": r.ok, "checks": r.checks, "detail": r.detail}

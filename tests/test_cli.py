@@ -442,4 +442,5 @@ def test_selftest_json():
     obj = json.loads(out)
     assert obj["ok"] is True
     assert obj["suites"][0]["name"] == "qcount_pascal"
+    assert obj["schema_version"] == 1 and obj["command"] == "selftest"
     assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == out

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -157,6 +158,17 @@ def test_certificate_caps_and_guards():
         decode_certificate(V, 3)  # needs n >= t + k = 4
     with pytest.raises(TooLarge):
         decode_certificate(V, 2, max_subspaces=3)
+
+
+def test_certificate_cost_does_not_grow_with_ambient_n():
+    # the [t+k k]_q subspaces are built inside the envelope, so a huge
+    # ambient space costs no more than F_2^3 beyond longer rows
+    V = next(iter_subspaces(1000, 1, F2))
+    start = time.monotonic()
+    cert = decode_certificate(V, 2)
+    assert time.monotonic() - start < 1.0
+    assert cert.m == 6 and cert.l1_norm == 10
+    assert sorted(cert.coefficients.values()) == [-1, -1, -1, -1, 2, 2, 2]
 
 
 def test_lemma2_worked_values():
