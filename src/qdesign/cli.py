@@ -203,7 +203,7 @@ def _cmd_decode(args) -> _Result:
         raise InvalidParameters("--certify requires --n")
     V = next(iter_subspaces(args.n, args.t, make_field(args.q)))
     cert = decode_certificate(V, args.k, max_subspaces=args.max_certificate)
-    ok = verify_certificate(cert)
+    ok = verify_certificate(cert, max_subspaces=args.max_certificate)
     by_dim: dict[int, int] = {}
     for U in cert.coefficients:
         j = intersect_dim(U, V)
@@ -402,7 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int(p, "--k")
     p.add_argument("--certify", action="store_true", help="verify the certificate in F_q^n")
     _add_int(p, "--n", required=False)
-    _add_int(p, "--max-certificate", required=False, default=10**6)
+    _add_int(
+        p,
+        "--max-certificate",
+        required=False,
+        default=10**6,
+        help="cap on the [t+k k]_q certificate subspaces and, with --certify,"
+        " on the [n t]_q t-subspaces checked (default: 1000000)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_decode)
 
@@ -445,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=int(os.environ.get("QDESIGN_WORKERS", "1")),
+        # a string default goes through type=int only when selftest parses
+        default=os.environ.get("QDESIGN_WORKERS", "1"),
         help="worker processes (default: QDESIGN_WORKERS or 1)",
     )
     p.add_argument("--suite", action="append", metavar="NAME", help="run only the named suite")

@@ -212,11 +212,14 @@ def decode_certificate(
     )
 
 
-def verify_certificate(cert: CoefficientCertificate) -> bool:
+def verify_certificate(cert: CoefficientCertificate, max_subspaces: int = 10**6) -> bool:
     """Exhaustively check sum_U coeff(U) 1[a <= U] = m [a == V] over
-    every t-subspace a of the ambient space."""
+    every t-subspace a of the ambient space, refusing with TooLarge when
+    there are more than max_subspaces of them."""
     V = cert.decoded_column
     field, n, t = V.field, V.n, V.k
+    if q_binomial(n, t, field.q) > max_subspaces:
+        raise TooLarge(f"ambient t-subspaces [{n} {t}]_{field.q} exceed cap {max_subspaces}")
     terms = [(U.vector_mask, c) for U, c in cert.coefficients.items()]
     for a in iter_subspaces(n, t, field):
         amask = a.vector_mask

@@ -5,15 +5,22 @@ A t-(n, k, lambda) design is a selection of candidate k-subspaces
 covering every t-subspace exactly lambda times, so the search reduces to
 exact multi-cover over the canonical enumerations; a candidate covers
 the columns at the canonical ranks of its own t-subspaces
-(grassmann.t_subspace_ranks).  The exhaustive
-method branches on the most-constrained deficient column; at each node
-the candidates covering it are tried in canonical order and earlier
-alternatives are excluded in the subtree, which partitions the solution
-space (branch i commits to candidate i being the lowest-index block
-covering that column), so the search is complete and deterministic.
-The greedy method repeatedly picks a random block that over-covers
-nothing, restarting until the time budget runs out; it makes no
-completeness claim.
+(grassmann.t_subspace_ranks).
+
+The exhaustive method branches on the deficient column with the fewest
+usable candidates, lowest index first; at each node the candidates
+covering it are tried in canonical order and earlier alternatives are
+excluded in the subtree, which partitions the solution space (branch i
+commits to candidate i being the lowest-index block covering that
+column), so the search is complete and deterministic.  Per-column
+availability and per-candidate block counts are updated as candidates
+are taken and excluded, and undone on backtrack, so a node costs one
+scan of the columns plus the work its choice touches; the levels live
+on an explicit stack, so designs of any block count are in reach.
+
+The greedy method takes, in a shuffled order, every block that
+over-covers nothing, restarting until the time budget runs out; it
+makes no completeness claim.
 """
 
 from __future__ import annotations
@@ -78,10 +85,27 @@ class _Expired(Exception):
 
 
 class _ExactCover:
-    """Backtracking exact multi-cover in canonical order."""
+    """Backtracking exact multi-cover in canonical order.
+
+    Three counts are kept up to date as candidates are taken, undone,
+    excluded and released, so no node recounts from scratch (the
+    multiplicity form of dancing links, Knuth TAOCP 4B 7.2.2.1
+    Algorithm M):
+
+    - need[c]: how many more times column c must be covered;
+    - blocked[r]: how many reasons candidate r is unusable -- it is
+      taken, it is excluded, or it covers a satisfied column (one reason
+      per such column);
+    - avail[c]: how many candidates covering column c are unblocked;
+
+    plus `satisfied`, the number of columns with need 0.  The search
+    runs on an explicit stack of [options, index of the option taken]
+    frames, one per level, so its depth (the block count) is not bounded
+    by the interpreter's recursion limit.
+    """
 
     def __init__(self, inst: CoverInstance, deadline: float | None):
-        self.inst = inst
+        self.covers = inst.covers
         self.deadline = deadline
         ncols = len(inst.universe)
         self.need = [inst.multiplicity] * ncols
@@ -89,88 +113,120 @@ class _ExactCover:
         for r, cov in enumerate(inst.covers):
             for c in cov:
                 self.col_cands[c].append(r)
-        self.used = [False] * len(inst.candidates)
-        self.excluded = [0] * len(inst.candidates)
+        self.avail = [len(rows) for rows in self.col_cands]
+        self.blocked = [0] * len(inst.candidates)
+        self.satisfied = 0
         self.chosen: list[int] = []
+        self.stack: list[list] = []
         self.best_satisfied = 0
         self.nodes = 0
 
-    def _usable(self, r: int) -> bool:
-        if self.used[r] or self.excluded[r]:
-            return False
-        return all(self.need[c] > 0 for c in self.inst.covers[r])
+    def _block(self, rows) -> None:
+        blocked, avail, covers = self.blocked, self.avail, self.covers
+        for r in rows:
+            blocked[r] += 1
+            if blocked[r] == 1:
+                for c in covers[r]:
+                    avail[c] -= 1
+
+    def _unblock(self, rows) -> None:
+        blocked, avail, covers = self.blocked, self.avail, self.covers
+        for r in rows:
+            blocked[r] -= 1
+            if not blocked[r]:
+                for c in covers[r]:
+                    avail[c] += 1
+
+    def _take(self, r: int) -> None:
+        need = self.need
+        self.chosen.append(r)
+        self._block((r,))
+        for c in self.covers[r]:
+            need[c] -= 1
+            if not need[c]:
+                self.satisfied += 1
+                self._block(self.col_cands[c])
+
+    def _untake(self, r: int) -> None:
+        need = self.need
+        for c in self.covers[r]:
+            if not need[c]:
+                self.satisfied -= 1
+                self._unblock(self.col_cands[c])
+            need[c] += 1
+        self._unblock((r,))
+        self.chosen.pop()
 
     def _pick_column(self) -> int | None:
+        """The deficient column with the fewest available candidates,
+        lowest index first; -1 if some deficient column cannot be
+        completed, None if every column is satisfied."""
         best = None
-        best_key = None
-        for c, nd in enumerate(self.need):
+        best_avail = 0
+        for c, (nd, avail) in enumerate(zip(self.need, self.avail)):
             if nd == 0:
                 continue
-            avail = sum(1 for r in self.col_cands[c] if self._usable(r))
             if avail < nd:
                 return -1  # dead end
-            key = (avail, c)
-            if best_key is None or key < best_key:
-                best, best_key = c, key
+            if best is None or avail < best_avail:
+                best, best_avail = c, avail
         return best
 
     def solve(self) -> list[int] | None:
-        self.nodes += 1
-        if self.deadline is not None and self.nodes % 64 == 0:
-            if time.monotonic() > self.deadline:
-                raise _Expired
-        satisfied = sum(1 for nd in self.need if nd == 0)
-        self.best_satisfied = max(self.best_satisfied, satisfied)
-        col = self._pick_column()
-        if col is None:
-            return list(self.chosen)
-        if col == -1:
-            return None
-        options = [r for r in self.col_cands[col] if self._usable(r)]
-        newly_excluded: list[int] = []
-        try:
-            for r in options:
-                self.used[r] = True
-                self.chosen.append(r)
-                for c in self.inst.covers[r]:
-                    self.need[c] -= 1
-                result = self.solve()
-                for c in self.inst.covers[r]:
-                    self.need[c] += 1
-                self.chosen.pop()
-                self.used[r] = False
-                if result is not None:
-                    return result
-                self.excluded[r] += 1
-                newly_excluded.append(r)
-            return None
-        finally:
-            for r in newly_excluded:
-                self.excluded[r] -= 1
+        stack = self.stack
+        while True:
+            # enter a node
+            self.nodes += 1
+            if self.deadline is not None and self.nodes % 64 == 0:
+                if time.monotonic() > self.deadline:
+                    raise _Expired
+            self.best_satisfied = max(self.best_satisfied, self.satisfied)
+            col = self._pick_column()
+            if col is None:
+                return list(self.chosen)
+            options = [] if col == -1 else [
+                r for r in self.col_cands[col] if not self.blocked[r]
+            ]
+            # try each option in turn; a failed option stays excluded in
+            # the subtrees of its siblings, and all are released when the
+            # frame is exhausted
+            stack.append([options, -1])
+            while stack:
+                frame = stack[-1]
+                options, i = frame
+                if i >= 0:
+                    self._untake(options[i])
+                    self._block((options[i],))
+                i += 1
+                if i < len(options):
+                    frame[1] = i
+                    self._take(options[i])
+                    break
+                self._unblock(options)
+                stack.pop()
+            else:
+                return None
 
 
 def _greedy_once(inst: CoverInstance, rng: random.Random) -> tuple[list[int] | None, int]:
-    """One greedy pass; returns (solution or None, columns fully satisfied)."""
+    """One greedy pass; returns (solution or None, columns fully satisfied).
+
+    Takes, in shuffled order, every candidate that covers no satisfied
+    column.  need only decreases, so a candidate passed over can never
+    become takeable later and one pass over the order suffices."""
     ncols = len(inst.universe)
     need = [inst.multiplicity] * ncols
     order = list(range(len(inst.candidates)))
     rng.shuffle(order)
     chosen = []
     remaining = inst.multiplicity * ncols
-    progress = True
-    while remaining and progress:
-        progress = False
-        for r in order:
-            cov = inst.covers[r]
-            if all(need[c] > 0 for c in cov):
-                chosen.append(r)
-                for c in cov:
-                    need[c] -= 1
-                remaining -= len(cov)
-                progress = True
-                break
-        if progress:
-            order.remove(chosen[-1])
+    for r in order:
+        cov = inst.covers[r]
+        if all(need[c] > 0 for c in cov):
+            chosen.append(r)
+            for c in cov:
+                need[c] -= 1
+            remaining -= len(cov)
     satisfied = sum(1 for nd in need if nd == 0)
     return (chosen if remaining == 0 else None), satisfied
 

@@ -178,11 +178,18 @@ def parse_design_text(text: str) -> DesignCandidate:
     return DesignCandidate(field=field, n=n, k=k, blocks=tuple(blocks))
 
 
+def _int_field(obj: dict, key: str) -> int:
+    try:
+        return int(obj[key])
+    except (TypeError, ValueError, OverflowError):  # null, a list, a string, 1e999
+        raise ValueError(f"design JSON field {key!r} must be an integer") from None
+
+
 def design_from_json_obj(obj: dict) -> DesignCandidate:
     missing = [key for key in ("q", "n", "k", "blocks") if key not in obj]
     if missing:
         raise ValueError(f"design JSON is missing field {missing[0]!r}")
-    q, n, k = int(obj["q"]), int(obj["n"]), int(obj["k"])
+    q, n, k = (_int_field(obj, key) for key in ("q", "n", "k"))
     field = make_field(q)
     digit_rows = obj["blocks"]
     if not isinstance(digit_rows, list) or not all(

@@ -193,6 +193,17 @@ def test_verify_json_blocks_malformed_exit_2(tmp_path):
         )
 
 
+def test_verify_json_non_integer_field_exit_2(tmp_path):
+    for key, value in (("q", "null"), ("n", "[2]"), ("k", '"one"'), ("k", "1e999")):
+        fields = {"q": "2", "n": "2", "k": "1", key: value}
+        (tmp_path / "d.json").write_text(
+            '{"q": %(q)s, "n": %(n)s, "k": %(k)s, "blocks": []}\n' % fields
+        )
+        code, out, err = run_cli("verify", "--design", str(tmp_path / "d.json"), "--t", "1")
+        assert code == 2 and out == ""
+        assert err == f"error: design JSON field '{key}' must be an integer\n"
+
+
 def test_qbinom_q_below_2_exit_2():
     code, out, err = run_cli("qbinom", "--q", "1", "--n", "4", "--k", "2")
     assert code == 2 and out == ""
@@ -243,6 +254,15 @@ def test_decode_certify_json():
 def test_decode_certify_requires_n():
     code, _, err = run_cli("decode", "--q", "2", "--t", "1", "--k", "2", "--certify")
     assert code == 2
+
+
+def test_decode_certify_ambient_cap_exit_3():
+    # 7 coefficient subspaces, but [1000 1]_2 ambient lines to check
+    code, out, err = run_cli(
+        "decode", "--q", "2", "--t", "1", "--k", "2", "--certify", "--n", "1000"
+    )
+    assert code == 3 and out == ""
+    assert err == "error: ambient t-subspaces [1000 1]_2 exceed cap 1000000\n"
 
 
 def test_lemma2_check():
@@ -334,6 +354,17 @@ def test_search_not_found_exit_1():
     code, out, _ = run_cli("search", "--q", "2", "--n", "3", "--k", "2", "--t", "1", "--lambda", "1")
     assert code == 1
     assert out.startswith("not found:")
+
+
+def test_search_deep_trivial_design_json():
+    # lambda 15 forces all 1,395 blocks, one search level per block
+    code, out, err = run_cli(
+        "search", "--q", "2", "--n", "6", "--k", "3", "--t", "2", "--lambda", "15", "--json"
+    )
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["status"] == "found"
+    assert len(obj["design"]["blocks"]) == 1395
 
 
 def test_search_json(tmp_path):
@@ -434,6 +465,18 @@ def test_selftest_unknown_suite_exit_2():
     code, out, err = run_cli("selftest", "--suite", "nope")
     assert code == 2 and out == ""
     assert err == "error: unknown suite(s): nope\n"
+
+
+def test_malformed_qdesign_workers_only_fails_selftest(monkeypatch):
+    monkeypatch.setenv("QDESIGN_WORKERS", "abc")
+    code, out, err = run_cli("qbinom", "--q", "2", "--n", "4", "--k", "2")
+    assert (code, out, err) == (0, "35\n", "")
+    code, out, err = run_cli("selftest", "--suite", "qcount_pascal")
+    assert code == 2 and out == ""
+    assert err.endswith("error: argument --workers: invalid int value: 'abc'\n")
+    monkeypatch.setenv("QDESIGN_WORKERS", "2")
+    code, out, _ = run_cli("selftest", "--suite", "qcount_pascal")
+    assert code == 0 and out.endswith("selftest: 1/1 suites ok\n")
 
 
 def test_selftest_json():

@@ -160,6 +160,14 @@ def test_certificate_caps_and_guards():
         decode_certificate(V, 2, max_subspaces=3)
 
 
+def test_verify_certificate_caps_ambient_t_subspaces():
+    # [3 1]_2 = 7 lines of F_2^3 to check
+    cert = decode_certificate(next(iter_subspaces(3, 1, F2)), 2)
+    assert verify_certificate(cert, max_subspaces=7)
+    with pytest.raises(TooLarge, match=r"\[3 1\]_2 exceed cap 6"):
+        verify_certificate(cert, max_subspaces=6)
+
+
 def test_certificate_cost_does_not_grow_with_ambient_n():
     # the [t+k k]_q subspaces are built inside the envelope, so a huge
     # ambient space costs no more than F_2^3 beyond longer rows

@@ -1,17 +1,24 @@
+import hashlib
+import random
+
 import pytest
 
 from qdesign.errors import TooLarge
 from qdesign.gf import make_field
 from qdesign.qcount import q_binomial
 from qdesign.search import (
+    CoverInstance,
     NotFound,
     Timeout,
+    _ExactCover,
+    _greedy_once,
     build_cover_instance,
     search_design,
 )
-from qdesign.verifier import DesignCandidate, verify_design
+from qdesign.verifier import DesignCandidate, format_design_text, verify_design
 
 F2 = make_field(2)
+F4 = make_field(4)
 
 
 def test_cover_instance_shapes():
@@ -105,3 +112,138 @@ def test_exhaustive_timeout():
 def test_unknown_method():
     with pytest.raises(ValueError):
         search_design(2, 4, 2, 1, 1, method="magic")
+
+
+def test_deep_search_trivial_design():
+    # lambda 15 forces every 3-subspace of F_2^6: the search is 1,395
+    # levels deep, past the interpreter's default recursion limit
+    result = search_design(2, 6, 3, 2, 15)
+    assert isinstance(result, DesignCandidate)
+    assert len(result.blocks) == 1395
+    rep = verify_design(result, 2)
+    assert rep.is_design and rep.is_simple and rep.is_trivial and rep.lambda_ == 15
+
+
+class _RecountingCover(_ExactCover):
+    """Checks, at every node, each maintained count against a recount
+    from the chosen candidates and the exclusions on the stack."""
+
+    def __init__(self, inst, deadline):
+        super().__init__(inst, deadline)
+        self.inst = inst
+        self.checked = 0
+
+    def _pick_column(self):
+        inst = self.inst
+        taken = [options[i] for options, i in self.stack]
+        assert self.chosen == taken
+        excluded = [r for options, i in self.stack for r in options[:i]]
+        need = [inst.multiplicity] * len(inst.universe)
+        for r in taken:
+            for c in inst.covers[r]:
+                need[c] -= 1
+        blocked = [
+            taken.count(r) + excluded.count(r) + sum(1 for c in cov if need[c] == 0)
+            for r, cov in enumerate(inst.covers)
+        ]
+        avail = [0] * len(inst.universe)
+        for r, cov in enumerate(inst.covers):
+            if not blocked[r]:
+                for c in cov:
+                    avail[c] += 1
+        assert self.need == need
+        assert self.blocked == blocked
+        assert self.avail == avail
+        assert self.satisfied == sum(1 for nd in need if nd == 0)
+        self.checked += 1
+        return super()._pick_column()
+
+
+def _shuffled(inst, rng):
+    perm = list(range(len(inst.candidates)))
+    rng.shuffle(perm)
+    return CoverInstance(
+        universe=inst.universe,
+        candidates=tuple(inst.candidates[r] for r in perm),
+        covers=tuple(inst.covers[r] for r in perm),
+        multiplicity=inst.multiplicity,
+    )
+
+
+@pytest.mark.parametrize(
+    "field, n, k, t, lam",
+    [(F2, 4, 2, 1, 1), (F2, 6, 3, 1, 1), (F2, 5, 3, 2, 7), (F4, 4, 2, 1, 1), (F2, 4, 2, 1, 3)],
+)
+def test_solver_counts_match_recount_at_every_node(field, n, k, t, lam):
+    # the canonical candidate order, then seeded shuffles of it, which
+    # walk other trees through the same instance; only 1-(4,2,3)_2
+    # backtracks much (153 nodes for 21 blocks in canonical order)
+    canonical = build_cover_instance(n, k, t, lam, field)
+    rng = random.Random(f"{field.q}-{n}-{k}-{t}-{lam}")
+    for inst in (canonical, _shuffled(canonical, rng), _shuffled(canonical, rng)):
+        solver = _RecountingCover(inst, None)
+        rows = solver.solve()
+        assert solver.checked == solver.nodes
+        assert rows is not None and sorted(rows) == sorted(solver.chosen)
+
+
+def test_solver_restores_counts_after_exhausting_the_tree():
+    # no line spread of F_2^3: 3 does not divide 7
+    inst = build_cover_instance(3, 2, 1, 1, F2)
+    solver = _RecountingCover(inst, None)
+    assert solver.solve() is None
+    assert solver.checked == solver.nodes > 1
+    assert solver.stack == [] and solver.chosen == []
+    assert solver.need == [1] * 7 and solver.blocked == [0] * 7
+    assert solver.avail == [3] * 7 and solver.satisfied == 0
+
+
+@pytest.mark.parametrize(
+    "n, k, t, lam, nodes, digest",
+    [
+        (8, 2, 1, 1, 86, "f1345ee7fc388059518d1d681b01dcc0b9aa424b69136f08625d229a664c5b95"),
+        (5, 3, 2, 7, 156, "272b1290ecae94c362513e7775fcdc676420cf76bd9e147bbe8826dd79a70503"),
+    ],
+)
+def test_solver_tree_and_solution_pinned(n, k, t, lam, nodes, digest):
+    # a solver that walks a different tree, even to the same solution,
+    # changes the node count
+    inst = build_cover_instance(n, k, t, lam, F2)
+    solver = _ExactCover(inst, None)
+    rows = solver.solve()
+    assert solver.nodes == nodes
+    assert solver.best_satisfied == len(inst.universe)
+    blocks = tuple(inst.candidates[r] for r in sorted(rows))
+    text = format_design_text(DesignCandidate(field=F2, n=n, k=k, blocks=blocks))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert search_design(2, n, k, t, lam).blocks == blocks
+
+
+def _greedy_rescan(inst, rng):
+    """Reference greedy pass: rescan the order from the start after every
+    pick."""
+    need = [inst.multiplicity] * len(inst.universe)
+    order = list(range(len(inst.candidates)))
+    rng.shuffle(order)
+    chosen = []
+    progress = True
+    while progress:
+        progress = False
+        for r in order:
+            if all(need[c] > 0 for c in inst.covers[r]):
+                chosen.append(r)
+                for c in inst.covers[r]:
+                    need[c] -= 1
+                order.remove(r)
+                progress = True
+                break
+    done = all(nd == 0 for nd in need)
+    return (chosen if done else None), sum(1 for nd in need if nd == 0)
+
+
+def test_greedy_single_pass_matches_rescan():
+    for n, k, t, lam in ((4, 2, 1, 1), (6, 3, 1, 1), (5, 3, 2, 7)):
+        inst = build_cover_instance(n, k, t, lam, F2)
+        for seed in range(8):
+            got = _greedy_once(inst, random.Random(seed))
+            assert got == _greedy_rescan(inst, random.Random(seed))
