@@ -10,9 +10,12 @@ for enumerate), or the lines.
 Exit codes: 0 success, 1 mathematical failure (a verification or bound
 check that comes back false), 2 usage error (also an unreadable or
 malformed input file and an unwritable output file), 3 resource cap or
-timeout. All integers print in full decimal; JSON output is a single
-object with a schema_version field, sorted keys, and two-space
-indentation, so parsing and re-serializing it is byte-identical.
+timeout, 141 stdout closed by its reader before all output was written
+(128 + SIGPIPE, the status a shell reports for a process that a broken
+pipe kills; nothing is printed to stderr). All integers print in full
+decimal; JSON output is a single object with a schema_version field,
+sorted keys, and two-space indentation, so parsing and re-serializing it
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ def _cmd_decode(args) -> _Result:
 
 
 def _cmd_lemma2_check(args) -> _Result:
-    report = lemma2_grid_report(args.q, args.n, args.t, args.k)
+    report = lemma2_grid_report(args.q, args.n, args.t, args.k, max_pairs=args.max_pairs)
     obj = {
         "q": args.q,
         "n": args.n,
@@ -248,7 +251,9 @@ def _cmd_lemma2_check(args) -> _Result:
 
 
 def _cmd_klp_report(args) -> _Result:
-    rep = klp_report(args.q, args.n, args.k, args.t, constant=args.constant)
+    rep = klp_report(
+        args.q, args.n, args.k, args.t, constant=args.constant, max_bits=args.max_bits
+    )
     witness = (
         divisibility_witness(args.q, args.n, args.k, args.t) if args.n <= 64 else None
     )
@@ -420,6 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int(p, "--n")
     _add_int(p, "--t")
     _add_int(p, "--k")
+    _add_int(
+        p,
+        "--max-pairs",
+        required=False,
+        default=10**7,
+        help="cap on the [n t]_q [n k]_q containment tests (default: 10000000)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lemma2_check)
 
@@ -429,6 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_int(p, "--k")
     _add_int(p, "--t")
     _add_int(p, "--constant", required=False, default=1)
+    _add_int(
+        p,
+        "--max-bits",
+        required=False,
+        default=10**6,
+        help="cap on the bit length of the largest power built (default: 1000000)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_klp_report)
 
@@ -476,7 +495,13 @@ def main(argv=None) -> int:
             lines = [json.dumps(obj, indent=2, sort_keys=True)]
         for line in lines:
             print(line)
+        sys.stdout.flush()
         return code
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so the flush
+        # at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

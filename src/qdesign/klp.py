@@ -9,26 +9,46 @@ log factor is read as (log(|A| c2))^8 and implemented as bit_length^8,
 an upper bound on the base-2 logarithm.  The inequality involves an
 unspecified absolute constant, so feasibility is always reported
 relative to the supplied constant.
+
+Integer roots run Newton's iteration from a start computed at half
+the precision (precision doubling), so a root of a few hundred
+thousand bits takes a few full-size steps rather than one per bit of
+error.  klp_report refuses, before building anything, parameters whose
+largest power would exceed its max_bits cap.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, TooLarge
 from .localdecode import solve_coefficients
 from .qcount import q_binomial, validate_q
 
 
 def nth_root_floor(x: int, r: int) -> int:
-    """Largest integer y with y^r <= x (Newton iteration on big ints)."""
+    """Largest integer y with y^r <= x (Newton iteration on big ints).
+
+    Precision doubling (Brent & Zimmermann, Modern Computer Arithmetic,
+    1.5): with s about half the root's bits, y0 = nth_root_floor(x >> rs)
+    gives the start g = (y0 + 1) << s.  Since (y0 + 1)^r > x >> rs,
+    g^r > x, so the start is above the true root and agrees with it in
+    about s leading bits; the descent then takes a step or two at full
+    size instead of one per bit of error.
+    """
     if x < 0 or r < 1:
         raise ValueError("need x >= 0, r >= 1")
     if x == 0:
         return 0
     if r == 1:
         return x
-    g = 1 << -(-x.bit_length() // r)  # >= true root
+    root_bits = -(-x.bit_length() // r)
+    if root_bits <= 64:
+        g = 1 << root_bits  # >= true root
+    else:
+        s = root_bits // 2
+        g = (nth_root_floor(x >> (r * s), r) + 1) << s
     while True:
         ng = ((r - 1) * g + x // g ** (r - 1)) // r
         if ng >= g:
@@ -70,7 +90,9 @@ class KLPReport:
     log_reading: str
 
 
-def klp_report(q: int, n: int, k: int, t: int, constant: int = 1) -> KLPReport:
+def klp_report(
+    q: int, n: int, k: int, t: int, constant: int = 1, max_bits: int = 10**6
+) -> KLPReport:
     """Evaluate every parameter bound and the feasibility inequality
     rhs(constant) < |B|_lower as exact integers.
 
@@ -79,12 +101,27 @@ def klp_report(q: int, n: int, k: int, t: int, constant: int = 1) -> KLPReport:
     around the headline statement (k > 12t and k > 12(t+1)) are
     surfaced; neither is asserted, feasibility is purely the evaluated
     inequality.
+
+    The largest powers built are B_lower, block_budget, A_upper^52 and
+    (c2 c3)^12; their bit lengths follow from the exponents alone, and
+    if one exceeds max_bits the report raises TooLarge before building
+    any of them.
     """
     if not 1 <= t <= k <= n:
         raise DimensionMismatch(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
     if constant < 1:
         raise ValueError("constant must be >= 1")
     validate_q(q)
+    powers = {
+        "B_lower": k * (n - k),
+        "block_budget": 12 * (t + 1) * n,
+        "A_upper**52": 52 * (t * (n - t) + n),
+        "(c2*c3)**12": 24 * k * (t + 1) ** 2,
+    }
+    name, exponent = max(powers.items(), key=lambda item: item[1])
+    # q^e has floor(e log2 q) + 1 bits; the int-float comparison is exact
+    if exponent >= max_bits / math.log2(q):
+        raise TooLarge(f"{name} = {q}^{exponent} exceeds the cap of {max_bits} bits")
     c1_bound = q ** (k * (t + 1) ** 2 + t * (n - t) + n)
     c2 = 1
     c3_bound = q ** (2 * k * (t + 1) ** 2)

@@ -18,8 +18,15 @@ checks the identity against every column by exhaustive summation.
 All determinants run through fraction-free (Bareiss) elimination and,
 for D itself, are cross-checked against the diagonal product; the
 coefficient vector is additionally recomputed by rational
-back-substitution.  lemma2_count's closed-form intersection counts are
-paired with an enumeration oracle over exhaustive vector sets.
+back-substitution.
+
+lemma2_count's closed-form intersection counts are paired with
+enumeration over exhaustive vector sets: lemma2_count_bruteforce walks
+extensions(V1, k) for one pair, and lemma2_grid_report checks every
+ordered pair of t-subspaces at once, reading the k-subspaces above each
+V1 off one pass over all k-subspace vector masks and counting their
+intersections with every V2 together in bit-sliced lanes, one bit per
+t-subspace.
 """
 
 from __future__ import annotations
@@ -319,26 +326,80 @@ class Lemma2GridReport:
     mismatch: str
 
 
-def lemma2_grid_report(q: int, n: int, t: int, k: int) -> Lemma2GridReport:
+def _add_lanes(planes: list[int], lanes: int) -> None:
+    """Add 1 to the bit-sliced counter of every lane set in `lanes`.
+
+    planes[b] holds bit b of every lane's count, and there are enough
+    planes for the largest count; the carry ripples up only as far as
+    some lane still carries.
+    """
+    for b, p in enumerate(planes):
+        planes[b] = p ^ lanes
+        lanes &= p
+        if not lanes:
+            return
+
+
+def _lanes_equal(planes: list[int], value: int, lanes: int) -> int:
+    """The lanes of `lanes` whose bit-sliced count equals value."""
+    if value >> len(planes):
+        return 0
+    for b, p in enumerate(planes):
+        lanes &= p if value >> b & 1 else ~p
+    return lanes
+
+
+def _lane_value(planes: list[int], lane: int) -> int:
+    return sum((p >> lane & 1) << b for b, p in enumerate(planes))
+
+
+def _nonzero_vectors(mask: int) -> list[int]:
+    """Indices of the set bits of a vector mask, the zero vector (bit 0) left out."""
+    mask &= ~1
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def lemma2_grid_report(
+    q: int, n: int, t: int, k: int, max_pairs: int = 10**7
+) -> Lemma2GridReport:
     """Check the closed-form intersection counts against enumeration for
     EVERY ordered pair of distinct t-subspaces of F_q^n at once.
 
     For each pair (V1, V2) with dim(V1 int V2) = l, the number of
     k-subspaces U >= V1 with dim(U int V2) = j must match the formula
-    for every j, and the formula values summed over j must equal the
-    total extension count [n-t k-t]_q.  Each nonzero cell is also
+    for every j, and V1 must lie in exactly [n-t k-t]_q k-subspaces,
+    the formula values summed over j.  Each nonzero cell is also
     re-derived from the ordered-basis counting products (see
-    _ordered_basis_products_check).  Enumeration uses exhaustive
-    vector-set intersection, so it shares no code path with the formula.
+    _ordered_basis_products_check).
+
+    Enumeration is exhaustive vector-set intersection, so it shares no
+    code path with the formula.  The t-subspaces are numbered as lanes:
+    lanes[v] has bit i set when vector v lies in the i-th t-subspace.
+    Adding the lanes of U's nonzero vectors into bit-sliced counters
+    gives |U int V2| - 1 for every V2 at once, and a second set of
+    bit-sliced counters tallies, per j, how many U >= V1 meet each V2
+    in q^j vectors.  The U >= V1 are read off one pass over the vector
+    masks of all k-subspaces.  The [n t]_q [n k]_q containment tests
+    that pass makes are capped by max_pairs (TooLarge, raised before
+    anything is enumerated).  The first failing pair, in the order V1
+    then V2 by canonical index, is reported.
     """
     if not 1 <= t <= k <= n:
         raise DimensionMismatch(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
     field = make_field(q)
-    tsubs = list(iter_subspaces(n, t, field))
-    if len(tsubs) < 2:
+    n_t = q_binomial(n, t, q)
+    if n_t < 2:
         raise DimensionMismatch("need at least two distinct t-subspaces")
-    masks = [s.vector_mask for s in tsubs]
-    dim_of = {q**d: d for d in range(t + 1)}
+    tests = n_t * q_binomial(n, k, q)
+    if tests > max_pairs:
+        raise TooLarge(
+            f"[{n} {t}]_{q} * [{n} {k}]_{q} = {tests} containment tests exceed cap {max_pairs}"
+        )
     ext_total = q_binomial(n - t, k - t, q)
 
     # dim(V1 + V2) = 2t - l must fit in the ambient space, so
@@ -369,35 +430,69 @@ def lemma2_grid_report(q: int, n: int, t: int, k: int) -> Lemma2GridReport:
                 )
         expected[l] = row
 
+    tmasks = [s.vector_mask for s in iter_subspaces(n, t, field)]
+    lanes = [0] * q**n
+    for i, m in enumerate(tmasks):
+        for v in _nonzero_vectors(m):
+            lanes[v] |= 1 << i
+    # each k-subspace as its vector mask and the lanes of its nonzero vectors
+    ksubs = [
+        (um, [lanes[v] for v in _nonzero_vectors(um)])
+        for um in (U.vector_mask for U in iter_subspaces(n, k, field))
+    ]
+    all_lanes = (1 << n_t) - 1
+    count_bits = (q**t - 1).bit_length()
+    tally_bits = ext_total.bit_length()
+    # a subspace meeting V2 in dimension j shares q^j - 1 nonzero vectors with it
+    nonzero = [q**j - 1 for j in range(t + 1)]
+
     pair_count = 0
     l_pairs = [0] * t
-    for i, V1 in enumerate(tsubs):
-        ext_masks = [U.vector_mask for U in extensions(V1, k)]
-        if len(ext_masks) != ext_total:
+    for i, m1 in enumerate(tmasks):
+        containing = [ulanes for um, ulanes in ksubs if um & m1 == m1]
+        if len(containing) != ext_total:
             return Lemma2GridReport(
                 q=q, n=n, t=t, k=k, pair_count=pair_count,
                 extension_count=ext_total, cells=(), ok=False,
-                mismatch=f"extension count {len(ext_masks)} != {ext_total} at V1 index {i}",
+                mismatch=f"extension count {len(containing)} != {ext_total} at V1 index {i}",
             )
-        m1 = masks[i]
-        for mi, m2 in enumerate(masks):
-            if mi == i:
-                continue
-            l = dim_of[(m1 & m2).bit_count()]
-            tally = [0] * (t + 1)
-            for um in ext_masks:
-                tally[dim_of[(um & m2).bit_count()]] += 1
-            if tally != expected[l]:
-                return Lemma2GridReport(
-                    q=q, n=n, t=t, k=k, pair_count=pair_count,
-                    extension_count=ext_total, cells=(), ok=False,
-                    mismatch=(
-                        f"pair (V1 index {i}, V2 index {mi}, l={l}): "
-                        f"counted {tally}, formula {expected[l]}"
-                    ),
-                )
-            l_pairs[l] += 1
-            pair_count += 1
+        tallies = [[0] * tally_bits for _ in range(t + 1)]
+        for ulanes in containing:
+            counts = [0] * count_bits
+            for lane in ulanes:
+                _add_lanes(counts, lane)
+            for j, c in enumerate(nonzero):
+                hit = _lanes_equal(counts, c, all_lanes)
+                if hit:
+                    _add_lanes(tallies[j], hit)
+
+        shared = [0] * count_bits
+        for v in _nonzero_vectors(m1):
+            _add_lanes(shared, lanes[v])
+        # V1's own lane counts q^t - 1 and so falls in no l < t
+        at_l = {l: _lanes_equal(shared, nonzero[l], all_lanes) for l in expected}
+        failing = 0
+        for l, row in expected.items():
+            agree = at_l[l]
+            for j in range(t + 1):
+                agree = _lanes_equal(tallies[j], row[j], agree)
+            failing |= at_l[l] ^ agree
+        if failing:
+            mi = (failing & -failing).bit_length() - 1
+            l = next(l for l, lm in at_l.items() if lm >> mi & 1)
+            tally = [_lane_value(tallies[j], mi) for j in range(t + 1)]
+            # the pairs of this V1 before V2, V1 itself not among them
+            return Lemma2GridReport(
+                q=q, n=n, t=t, k=k, pair_count=pair_count + mi - (mi > i),
+                extension_count=ext_total, cells=(), ok=False,
+                mismatch=(
+                    f"pair (V1 index {i}, V2 index {mi}, l={l}): "
+                    f"counted {tally}, formula {expected[l]}"
+                ),
+            )
+        for l, lm in at_l.items():
+            l_pairs[l] += lm.bit_count()
+        pair_count += n_t - 1
 
     missing = [l for l in range(l_min, t) if l_pairs[l] == 0]
     if missing:

@@ -9,6 +9,7 @@ independent and results are emitted in registry order.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -625,12 +626,21 @@ def _run_suite(name: str) -> SuiteResult:
 
 
 def run_selftest(workers: int = 1, names=None) -> SelftestReport:
+    """Run the named suites (by default all, in registry order).
+
+    More than one worker shards the suites across a process pool of
+    min(workers, suites run, CPU count) processes; the report is the same
+    for any worker count.
+    """
+    if workers < 1:
+        raise InvalidParameters(f"workers must be >= 1, got {workers}")
     if names is None:
         names = list(SUITES)
     else:
         unknown = [n for n in names if n not in SUITES]
         if unknown:
             raise InvalidParameters(f"unknown suite(s): {', '.join(unknown)}")
+    workers = min(workers, len(names), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
-from conftest import run_cli
+from conftest import SRC, run_cli
 
 
 def test_qbinom_value():
@@ -287,6 +290,28 @@ def test_lemma2_check_json():
     )
 
 
+def test_lemma2_check_pair_cap_exit_3():
+    code, out, err = run_cli("lemma2-check", "--q", "2", "--n", "9", "--t", "2", "--k", "3")
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: [9 2]_2 * [9 3]_2 = 34228300225 containment tests exceed cap 10000000\n"
+    )
+    args = ("lemma2-check", "--q", "2", "--n", "4", "--t", "1", "--k", "2", "--max-pairs")
+    assert run_cli(*args, "524")[0] == 3
+    assert run_cli(*args, "525")[0] == 0
+
+
+def test_klp_report_bit_cap_exit_3():
+    code, out, err = run_cli(
+        "klp-report", "--q", "2", "--n", "100000", "--k", "25000", "--t", "1"
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: B_lower = 2^1875000000 exceeds the cap of 1000000 bits\n"
+    args = ("klp-report", "--q", "2", "--n", "20", "--k", "5", "--t", "1", "--max-bits")
+    assert run_cli(*args, "2028")[0] == 3
+    assert run_cli(*args, "2029")[0] == 0
+
+
 def test_klp_report_feasible_point():
     code, out, _ = run_cli(
         "klp-report", "--q", "2", "--n", "1000", "--k", "25", "--t", "1"
@@ -477,6 +502,69 @@ def test_malformed_qdesign_workers_only_fails_selftest(monkeypatch):
     monkeypatch.setenv("QDESIGN_WORKERS", "2")
     code, out, _ = run_cli("selftest", "--suite", "qcount_pascal")
     assert code == 0 and out.endswith("selftest: 1/1 suites ok\n")
+
+
+def test_selftest_workers_below_1_exit_2():
+    for value in ("0", "-3"):
+        code, out, err = run_cli("selftest", "--workers", value, "--suite", "qcount_pascal")
+        assert (code, out, err) == (2, "", f"error: workers must be >= 1, got {value}\n")
+
+
+def test_selftest_workers_clamped(monkeypatch):
+    import concurrent.futures
+
+    from qdesign import selftest
+
+    pools = []
+
+    class RecordingPool:
+        """Records max_workers and runs the suites in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    names = ["qcount_pascal", "qcount_symmetry", "qcount_term_bounds", "decode_systems"]
+    serial = selftest.run_selftest(workers=1, names=names)
+    assert pools == []
+    cases = (  # (requested, suites run, CPU count) -> pool size, None for serial
+        (10**9, 4, 3, 3),
+        (10**9, 2, 3, 2),
+        (2, 4, 3, 2),
+        (10**9, 4, None, None),
+        (10**9, 1, 8, None),
+    )
+    for requested, suites, cpus, expected in cases:
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        pools.clear()
+        report = selftest.run_selftest(workers=requested, names=names[:suites])
+        assert pools == ([] if expected is None else [expected])
+        assert report.results == serial.results[:suites]
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    # about 380 kB of text, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qdesign", "enumerate", "--q", "2", "--n", "7", "--k", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (141, b"")
 
 
 def test_selftest_json():

@@ -1,6 +1,9 @@
+import random
+import time
+
 import pytest
 
-from qdesign.errors import DimensionMismatch
+from qdesign.errors import DimensionMismatch, TooLarge
 from qdesign.klp import divisibility_witness, klp_report, nth_root_floor, pow_frac_ceil
 from qdesign.qcount import q_binomial
 
@@ -15,6 +18,36 @@ def test_nth_root_floor():
     for x in range(200):
         r = nth_root_floor(x, 3)
         assert r**3 <= x < (r + 1) ** 3
+
+
+def _root_by_bisection(x, r):
+    """floor(x^(1/r)) by bisection on lo^r <= x < hi^r."""
+    lo, hi = 0, 1 << (x.bit_length() // r + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**r <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def test_nth_root_floor_matches_bisection():
+    rng = random.Random(20131)
+    for r in range(1, 9):
+        for _ in range(8):
+            x = rng.getrandbits(rng.randrange(1, 10_000))
+            assert nth_root_floor(x, r) == _root_by_bisection(x, r), (r, x.bit_length())
+
+
+def test_nth_root_floor_at_perfect_powers():
+    rng = random.Random(52)
+    for r in range(1, 9):
+        for bits in (1, 2, 63, 64, 65, 300, 10_000 // r):
+            y = rng.getrandbits(bits) | 1 << (bits - 1)
+            assert nth_root_floor(y**r, r) == y
+            assert nth_root_floor(y**r - 1, r) == y - 1
+            assert nth_root_floor(y**r + 1, r) == (y + 1 if r == 1 else y)
 
 
 def test_pow_frac_ceil():
@@ -92,6 +125,20 @@ def test_witness_below_c1_bound_grid():
             for k in range(t, 6):
                 for n in range(k, 11):
                     assert divisibility_witness(q, n, k, t) <= klp_report(q, n, k, t).c1_bound
+
+
+def test_klp_report_caps_largest_power():
+    # at (2, 20, 5, 1) the largest power is A_upper^52 = 2^(52 * 39), 2029 bits
+    assert klp_report(2, 20, 5, 1, max_bits=2029).feasible is False
+    with pytest.raises(TooLarge, match=r"A_upper\*\*52 = 2\^2028 exceeds the cap of 2028 bits"):
+        klp_report(2, 20, 5, 1, max_bits=2028)
+    # B_lower alone would be 2^1875000000; refused before any power is built
+    start = time.monotonic()
+    with pytest.raises(TooLarge, match=r"B_lower = 2\^1875000000"):
+        klp_report(2, 100_000, 25_000, 1)
+    assert time.monotonic() - start < 1.0
+    # the default admits the largest report in the benchmark, about 362k bits
+    assert klp_report(5, 1000, 20, 2).A_upper == 5**2996
 
 
 def test_parameter_guards():

@@ -1,5 +1,8 @@
+import hashlib
 import random
+import re
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -236,6 +239,165 @@ def test_lemma2_grid_report_small():
     assert rep.ok
     assert rep.pair_count == 35 * 34
     assert sum(c.formula for c in rep.cells if c.l == 1) == rep.extension_count
+
+
+# sha256 of repr(lemma2_grid_report(q, n, t, k)) on the acceptance grid, captured
+# from the per-pair implementation that walked extensions(V1, k) for every V1
+LEMMA2_REPR_SHA256 = {
+    (2, 2, 1, 1): "16408974c4d190cc14ecf303373d09d956c6dd3b71480811f561f02fa8807c3b",
+    (2, 2, 1, 2): "cca1f81c53eef4efd2827ae7ce4c144553ae258200bdceb106deaacc5b3d996e",
+    (2, 3, 1, 1): "068e924d0674d136c6d25f51525f2b92623e4014edb38bb804c4a96f1b2a40dd",
+    (2, 3, 1, 2): "ff4d78db911959dab054f70d867243e8f008bb7664cc2ed75165421e1c46f8b1",
+    (2, 3, 1, 3): "2601d46c87f76f372a60ba7f6d53d676198a97616d480bbcee308fe138fed692",
+    (2, 3, 2, 2): "d0994948a3960782f20857f9db7fc109a28144cc36f6dae7456978dbc1480470",
+    (2, 3, 2, 3): "883f0aeb10fe543c26da0db58cb1bd801725fce492a4ff9f2422809c821b63aa",
+    (2, 4, 1, 1): "3cfa901dac5831dfcb71fa9f2dc096000b03cf34b922ee8508f9fbd0e323e827",
+    (2, 4, 1, 2): "914efe107ce7858cbaf107937baf17549ffdac23044853d2a325cd1c4adf83a6",
+    (2, 4, 1, 3): "52f124778e25413dc3018165ca3e33c90170abcb0022b73f80614bef1f1edc84",
+    (2, 4, 1, 4): "b63b33e0d74243b0f175eef989424e451958e1fd96b2e721a34eca2950392f57",
+    (2, 4, 2, 2): "4e37d20f1b89c157077024edd3778cfdd7873a426652e159885146ecfedcba96",
+    (2, 4, 2, 3): "922a73659813abd8a7aae4935c2bdd2dfe322aca51060243eeaf0e81f029d30d",
+    (2, 4, 2, 4): "924e31d68bc0c5d608d595289b2bee096495d4435dd0092eef9789a2d06c0353",
+    (2, 5, 1, 1): "7c68185ee939101bb20ff7da01b729aa0af6d61323438c1bd351bd4fa8f8cd4e",
+    (2, 5, 1, 2): "f21972e6aee3aadb23d2003744910dbf4782546ca6a390610ad4bd68ca8bad35",
+    (2, 5, 1, 3): "d0d13cf9e9e64a75c1e50b696bffa203fc2a1a30b9f7003a314bcc8095594e7d",
+    (2, 5, 1, 4): "d34f527f3f88695686ce27deffab5b87e8c0ce3b0b89458d36c8c208d6645599",
+    (2, 5, 2, 2): "3bb2da2e305cd40952e5bc80d9687c891c60ba646a56ce06eaeb03e62570f241",
+    (2, 5, 2, 3): "f12c420d848ae00181f702085da75880a45c9cbef1810118adc9d9b0dd8f50ac",
+    (2, 5, 2, 4): "69e176bad7691f70af058f234d2c1e2684373639c3ff395ae571c1b31d8af86a",
+    (2, 6, 1, 1): "3a5f87334e6dd6be5b029aaab698df184505652e7210fd7bf5d337ade8eb4764",
+    (2, 6, 1, 2): "4ae945d6a68ba96eb2fa95a6a33a4dcc90c7e51d13c006dfbce8a5d1e643c39b",
+    (2, 6, 1, 3): "de5e01b2e1b56ac57be6304df6e0cb7aa4cc6c0dfcd51d5f984734389318104e",
+    (2, 6, 1, 4): "3015a835e78d623b519f549e82a767d3abe6421ba5dc9690e1e522c08e0581f4",
+    (2, 6, 2, 2): "6435b3fe6521a342f16e25f258e766a4bd1cf7ce35319f0c3d8c196199ba4a51",
+    (2, 6, 2, 3): "40099ef46b19ba696a95c4ffe4d2157cea4e0916e5307c9be2aa535eea873622",
+    (2, 6, 2, 4): "9da96631c3d4eae18578208d9853b847bd39e3eeb34ee60ee832f19474e2b56b",
+    (3, 2, 1, 1): "ead22d6bed8b88158288c7d1b909aef38a049cafe5b0ec42c7ad708766bca365",
+    (3, 2, 1, 2): "7f7dc8dfa79b1fd8ae098c048d08608e8df613cfba8bdb636fbb32018faa959e",
+    (3, 3, 1, 1): "920b2c88fba1a3b322cf6981708b4ddf2b1d21c9a707cf2d8f4117df4300ddaf",
+    (3, 3, 1, 2): "456931b1d9d5496b1a750316bfdd5b7f914659e1ace3cd02f0f9abf20f1278d0",
+    (3, 3, 1, 3): "0ddf590fa52247551fe7ef1ce815a741bfac4192e91cffdcf39b341dc7d06e41",
+    (3, 3, 2, 2): "8226ef56afe7ebc17bbc476df0cee4603699989ca62ce7e80b6bf75c86f57142",
+    (3, 3, 2, 3): "98e256bc23e25370964ba45e08beac4cb3e841e7b5aeb3c60fa03a3fe50ee863",
+    (3, 4, 1, 1): "7dd202faabec5842e36eae811a385259e7275f843315f7590faff1a2d331e2be",
+    (3, 4, 1, 2): "33fb5f75d38ef171a338ab15b7f1f30cbfb74f22205aaf12d372a895b7643afd",
+    (3, 4, 1, 3): "d3d154bc1781f0cdb4d05d42d4dc6e333261474e044d99d83a34bd26a4cefe76",
+    (3, 4, 1, 4): "51608eaae9bb6303cfc27e2ec61387d08a3595df22b9b9bb2e4f50158ebb0f66",
+    (3, 4, 2, 2): "3f5ddea193a74de304f2fd6a96cc6bc65ca5ff3512ea1eb557e209aebcd11dbe",
+    (3, 4, 2, 3): "7ec94d25eb0b55c865d73f1df64e5523447d1b9004ed5a34b1e5db528ebf2682",
+    (3, 4, 2, 4): "234fd2c2ffc1f54e8eafdf86e6c0dcc214d8225b3b39dc20a2947dc8811c6c0f",
+}
+
+
+def test_lemma2_grid_report_reprs_pinned():
+    for params, digest in LEMMA2_REPR_SHA256.items():
+        text = repr(lemma2_grid_report(*params))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, params
+
+
+def test_lemma2_grid_report_caps_containment_tests():
+    # [4 1]_2 [4 2]_2 = 15 * 35 = 525
+    assert lemma2_grid_report(2, 4, 1, 2, max_pairs=525).ok
+    with pytest.raises(TooLarge, match=r"\[4 1\]_2 \* \[4 2\]_2 = 525 containment tests"):
+        lemma2_grid_report(2, 4, 1, 2, max_pairs=524)
+    start = time.monotonic()
+    with pytest.raises(TooLarge, match="exceed cap 10000000"):
+        lemma2_grid_report(2, 9, 2, 3)
+    assert time.monotonic() - start < 1.0
+
+
+def _first_failure(q, t, tmasks, kmasks, formula, ext_total):
+    """(pairs checked, mismatch) of the grid check, recounted pair by pair."""
+    pairs = 0
+    for i, m1 in enumerate(tmasks):
+        ext = [um for um in kmasks if um & m1 == m1]
+        if len(ext) != ext_total:
+            return pairs, f"extension count {len(ext)} != {ext_total} at V1 index {i}"
+        for mi, m2 in enumerate(tmasks):
+            if mi == i:
+                continue
+            l = [q**d for d in range(t + 1)].index((m1 & m2).bit_count())
+            tally = [0] * (t + 1)
+            for um in ext:
+                size = (um & m2).bit_count()
+                for j in range(t + 1):
+                    tally[j] += size == q**j
+            if tally != formula[l]:
+                return pairs, (
+                    f"pair (V1 index {i}, V2 index {mi}, l={l}): "
+                    f"counted {tally}, formula {formula[l]}"
+                )
+            pairs += 1
+    return pairs, ""
+
+
+@pytest.mark.parametrize("q, n", [(2, 5), (3, 4)])
+def test_lemma2_grid_report_failures_match_pair_recount(monkeypatch, q, n):
+    """Tamper with the k-subspace masks the check enumerates and compare
+    both failure branches with the pair-by-pair recount."""
+    import qdesign.localdecode as localdecode
+
+    t, k = 2, 3
+    field = make_field(q)
+    good = lemma2_grid_report(q, n, t, k)
+    formula = {l: [0] * (t + 1) for l in range(t)}
+    for c in good.cells:
+        formula[c.l][c.j] = c.formula
+    tmasks = [s.vector_mask for s in iter_subspaces(n, t, field)]
+    kmasks = [s.vector_mask for s in iter_subspaces(n, k, field)]
+    real = localdecode.iter_subspaces
+
+    def check(edited):
+        def enumerate_edited(n_, d, field_):
+            if d != k:
+                return real(n_, d, field_)
+            return [SimpleNamespace(vector_mask=m) for m in edited]
+
+        monkeypatch.setattr(localdecode, "iter_subspaces", enumerate_edited)
+        rep = lemma2_grid_report(q, n, t, k)
+        pairs, mismatch = _first_failure(q, t, tmasks, edited, formula, good.extension_count)
+        assert (rep.ok, rep.pair_count, rep.mismatch) == (False, pairs, mismatch)
+        assert rep.cells == ()
+        return mismatch
+
+    ext = good.extension_count
+    rng = random.Random(q)
+    tampered = rng.sample(range(len(kmasks)), 6)
+    # extension-count branch: one k-subspace dropped or repeated
+    for d in tampered:
+        assert check(kmasks[:d] + kmasks[d + 1:]).startswith(f"extension count {ext - 1} ")
+        assert check(kmasks + [kmasks[d]]).startswith(f"extension count {ext + 1} ")
+    # tally branch: vectors added to a k-subspace U's set break intersection
+    # sizes but no extension count.  A plane not inside U has at least two
+    # nonzero vectors outside it, so one added vector completes none; at
+    # q = 2 the two added vectors v, w have v + w outside U, so they do not
+    # complete a plane either, and a V2 = <v, w> missing U then has only
+    # its j = 0 tally off.
+    v2_before_v1 = False
+    for d in tampered:
+        um = kmasks[d]
+        outside = [v for v in range(q**n) if not um >> v & 1]
+        for _ in range(2):
+            if q == 2:
+                v, w = rng.sample(outside, 2)
+                while um >> (v ^ w) & 1:
+                    v, w = rng.sample(outside, 2)
+                added = 1 << v | 1 << w
+            else:
+                added = 1 << rng.choice(outside)
+            mismatch = check(kmasks[:d] + [um | added] + kmasks[d + 1:])
+            found = re.match(r"pair \(V1 index (\d+), V2 index (\d+)", mismatch)
+            i, mi = map(int, found.groups())
+            v2_before_v1 |= mi < i
+    assert v2_before_v1
+    if q == 2:
+        # V2 = <e0, e1>, the first plane in canonical order, misses the
+        # 3-space <e2, e3, e4> of the vectors below 8; with e0 (16) and e1 (8)
+        # added there, V2 is the lowest failing lane and only its j = 0
+        # tally is off
+        d = kmasks.index(0xFF)
+        mismatch = check(kmasks[:d] + [0xFF | 1 << 16 | 1 << 8] + kmasks[d + 1:])
+        assert mismatch.endswith(", V2 index 0, l=0): counted [3, 3, 0], formula [4, 3, 0]")
 
 
 def test_ordered_basis_products_reproduce_formula():
