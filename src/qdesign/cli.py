@@ -13,7 +13,8 @@ malformed input file and an unwritable output file), 3 resource cap or
 timeout, 141 stdout closed by its reader before all output was written
 (128 + SIGPIPE, the status a shell reports for a process that a broken
 pipe kills; nothing is printed to stderr). All integers print in full
-decimal; JSON output is a single object with a schema_version field,
+decimal, except that a cap error shows a count of more than 200 bits as
+"more than 2^b"; JSON output is a single object with a schema_version field,
 sorted keys, and two-space indentation, so parsing and re-serializing it
 is byte-identical.
 """
@@ -27,7 +28,7 @@ import sys
 from collections.abc import Iterable
 from contextlib import contextmanager
 
-from .errors import InvalidParameters, QDesignError, ResourceLimitError
+from .errors import InvalidParameters, QDesignError, ResourceLimitError, number_text
 from .gf import make_field
 from .grassmann import intersect_dim, iter_subspaces
 from .incidence import (
@@ -119,7 +120,7 @@ def _cmd_enumerate(args) -> _Result:
     count = q_binomial(args.n, args.k, args.q)
     if count > args.max_subspaces:
         raise ResourceLimitError(
-            f"[{args.n} {args.k}]_{args.q} = {count} exceeds cap {args.max_subspaces}"
+            f"[{args.n} {args.k}]_{args.q} = {number_text(count)} exceeds cap {args.max_subspaces}"
         )
     obj: dict = {"q": args.q, "n": args.n, "k": args.k, "count": count}
     if args.count_only:

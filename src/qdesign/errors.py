@@ -1,5 +1,17 @@
 """Exception hierarchy shared by all qdesign modules."""
 
+# counts up to this many bits are printed in full in error messages
+_SHOWN_BITS = 200
+
+
+def number_text(x: int) -> str:
+    """x in decimal when it is short, else "more than 2^b" with b as
+    large as is true.  Cap errors compare first and print after; the
+    decimal string of a huge count takes time quadratic in its length."""
+    if x.bit_length() <= _SHOWN_BITS:
+        return str(x)
+    return f"more than 2^{(x - 1).bit_length() - 1}"
+
 
 class QDesignError(Exception):
     """Base class for all library errors."""

@@ -25,7 +25,14 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
-from .errors import AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, TooLarge
+from .errors import (
+    AmbientMismatch,
+    DimensionMismatch,
+    InvalidParameters,
+    SingularMap,
+    TooLarge,
+    number_text,
+)
 from .gf import FieldSpec, MatrixGFq, mat_inverse, mat_mul, rank, rank_of_rows, rref
 from .qcount import q_binomial
 
@@ -56,32 +63,58 @@ class SubspaceBasis:
         entries = self.basis.entries
         return (piv, tuple(entries[f] for f in _free_positions(self.n, piv)))
 
-    @cached_property
-    def vector_mask(self) -> int:
-        """Bitmask of all q^k vectors of the subspace.
+    def nonzero_vectors(self) -> list[int]:
+        """Indices of the q^k - 1 nonzero vectors of the subspace.
 
-        Vector (v0..v(n-1)) is encoded as the base-q integer with v0 most
-        significant; bit v of the mask is set iff vector v lies in the
-        subspace.  Used by brute-force oracles: containment and
-        intersection dimension become AND + popcount.
+        Vector (v0..v(n-1)) is indexed by the base-q integer with v0 most
+        significant.  In characteristic 2 the base-q digits of an index
+        are the base-2 digits of its entries and entries add by XOR, so
+        two vectors add by XOR of their indices and the span is built on
+        indices alone.  In odd characteristic the vectors are summed as
+        tuples and indexed at the end.  Not cached: kept for every
+        subspace, the lists would outweigh the masks.
         """
-        field = self.field
-        q, add, mul = field.q, field.add, field.mul
-        vecs: list[tuple[int, ...]] = [(0,) * self.n]
-        for i in range(self.k):
-            row = self.basis.row(i)
-            new = list(vecs)
+        q, mul = self.field.q, self.field.mul_table
+        rows = self.rows()
+        if self.field.characteristic == 2:
+            vecs: list[int] = []
+            for row in rows:
+                multiples = []
+                for c in range(1, q):
+                    mc = mul[c]
+                    idx = 0
+                    for x in row:
+                        idx = idx * q + mc[x]
+                    multiples.append(idx)
+                vecs += multiples + [m ^ v for m in multiples for v in vecs]
+            return vecs
+        add = self.field.add_table
+        tuples: list[tuple[int, ...]] = [(0,) * self.n]
+        for row in rows:
+            new = list(tuples)
             for c in range(1, q):
-                scaled = tuple(mul(c, x) for x in row)
-                for v in vecs:
-                    new.append(tuple(add(a, b) for a, b in zip(v, scaled)))
-            vecs = new
-        mask = 0
-        for v in vecs:
+                scaled = [mul[c][x] for x in row]
+                for v in tuples:
+                    new.append(tuple([add[a][b] for a, b in zip(v, scaled)]))
+            tuples = new
+        out = []
+        for v in tuples[1:]:
             idx = 0
             for x in v:
                 idx = idx * q + x
-            mask |= 1 << idx
+            out.append(idx)
+        return out
+
+    @cached_property
+    def vector_mask(self) -> int:
+        """Bitmask of all q^k vectors of the subspace: bit v is set iff
+        the vector of index v (see nonzero_vectors) lies in it, bit 0
+        for the zero vector.  Used by brute-force oracles: containment
+        and intersection dimension become AND + popcount.
+        """
+        mask = 1
+        for v in self.nonzero_vectors():
+            mask |= 1 << v
         return mask
 
     def rows(self) -> list[tuple[int, ...]]:
@@ -267,7 +300,7 @@ def enumerate_subspaces(
     """All k-subspaces as a list; raises TooLarge past max_count."""
     count = q_binomial(n, k, field.q)
     if count > max_count:
-        raise TooLarge(f"[{n} {k}]_{field.q} = {count} exceeds cap {max_count}")
+        raise TooLarge(f"[{n} {k}]_{field.q} = {number_text(count)} exceeds cap {max_count}")
     return list(iter_subspaces(n, k, field))
 
 
@@ -317,7 +350,7 @@ def extensions(V: SubspaceBasis, k: int, max_count: int = 10**7) -> list[Subspac
         raise DimensionMismatch(f"need dim V = {t} <= k <= n = {n}")
     count = q_binomial(n - t, k - t, field.q)
     if count > max_count:
-        raise TooLarge(f"extension count {count} exceeds cap {max_count}")
+        raise TooLarge(f"extension count {number_text(count)} exceeds cap {max_count}")
     pivset = set(V.pivot_columns)
     nonpiv = [j for j in range(n) if j not in pivset]
     vrows = V.rows()

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TooLarge
+from .errors import TooLarge, number_text
 from .gf import FieldSpec
 from .grassmann import (
     SubspaceBasis,
@@ -71,7 +71,9 @@ def build_incidence(
     num_rows = q_binomial(n, k, q)
     num_cols = q_binomial(n, t, q)
     if num_rows * num_cols > max_bits:
-        raise TooLarge(f"{num_rows} x {num_cols} bits exceeds cap {max_bits}")
+        raise TooLarge(
+            f"{number_text(num_rows)} x {number_text(num_cols)} bits exceeds cap {max_bits}"
+        )
 
     rows = enumerate_subspaces(n, k, field)
     cols = enumerate_subspaces(n, t, field)

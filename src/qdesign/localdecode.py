@@ -13,7 +13,9 @@ Assigning coefficient f(dim(U intersect V)) to every k-subspace U of a
 fixed (t+k)-dimensional envelope W containing V yields an integer row
 combination that sums to m at column V and 0 at every other t-subspace;
 decode_certificate materializes that combination and verify_certificate
-checks the identity against every column by exhaustive summation.
+checks the identity against every column on exhaustive vector sets: the
+k-subspaces above each t-subspace are read off per-vector bit lanes, one
+bit per k-subspace, and summed per coefficient value by popcount.
 
 All determinants run through fraction-free (Bareiss) elimination and,
 for D itself, are cross-checked against the diagonal product; the
@@ -24,9 +26,10 @@ lemma2_count's closed-form intersection counts are paired with
 enumeration over exhaustive vector sets: lemma2_count_bruteforce walks
 extensions(V1, k) for one pair, and lemma2_grid_report checks every
 ordered pair of t-subspaces at once, reading the k-subspaces above each
-V1 off one pass over all k-subspace vector masks and counting their
+V1 off per-vector lanes (one bit per k-subspace) and counting their
 intersections with every V2 together in bit-sliced lanes, one bit per
-t-subspace.
+t-subspace.  Both oracles work on the vector indices of
+SubspaceBasis.nonzero_vectors and never call the RREF or rank routes.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateSystem, DimensionMismatch, TooLarge
+from .errors import DegenerateSystem, DimensionMismatch, TooLarge, number_text
 from .gf import make_field, mat_mul
 from .grassmann import (
     SubspaceBasis,
@@ -192,7 +195,7 @@ def decode_certificate(
         raise DimensionMismatch(f"need ambient n >= t + k = {t + k}, got {n}")
     count = q_binomial(k + t, k, q)
     if count > max_subspaces:
-        raise TooLarge(f"[{k + t} {k}]_{q} = {count} exceeds cap {max_subspaces}")
+        raise TooLarge(f"[{k + t} {k}]_{q} = {number_text(count)} exceeds cap {max_subspaces}")
 
     system = solve_coefficients(q, t, k)
     pivset = set(V.pivot_columns)
@@ -222,15 +225,32 @@ def decode_certificate(
 def verify_certificate(cert: CoefficientCertificate, max_subspaces: int = 10**6) -> bool:
     """Exhaustively check sum_U coeff(U) 1[a <= U] = m [a == V] over
     every t-subspace a of the ambient space, refusing with TooLarge when
-    there are more than max_subspaces of them."""
+    there are more than max_subspaces of them.
+
+    Containment is read from vector sets: lanes[v] has bit u set when
+    vector v lies in the u-th U, so the U above a are the AND of the
+    lanes of a's nonzero vectors, and the sum is sum_c c * |above & U_c|
+    over the sets U_c of the U with coefficient c.
+    """
     V = cert.decoded_column
     field, n, t = V.field, V.n, V.k
     if q_binomial(n, t, field.q) > max_subspaces:
         raise TooLarge(f"ambient t-subspaces [{n} {t}]_{field.q} exceed cap {max_subspaces}")
-    terms = [(U.vector_mask, c) for U, c in cert.coefficients.items()]
+    lanes: dict[int, int] = {}
+    by_coefficient: dict[int, int] = {}
+    for u, (U, c) in enumerate(cert.coefficients.items()):
+        bit = 1 << u
+        for v in U.nonzero_vectors():
+            lanes[v] = lanes.get(v, 0) | bit
+        by_coefficient[c] = by_coefficient.get(c, 0) | bit
+    every = (1 << len(cert.coefficients)) - 1
     for a in iter_subspaces(n, t, field):
-        amask = a.vector_mask
-        total = sum(c for umask, c in terms if umask & amask == amask)
+        above = every
+        for v in a.nonzero_vectors():
+            above &= lanes.get(v, 0)
+            if not above:
+                break
+        total = sum(c * (above & us).bit_count() for c, us in by_coefficient.items())
         if total != (cert.m if a == V else 0):
             return False
     return True
@@ -353,15 +373,8 @@ def _lane_value(planes: list[int], lane: int) -> int:
     return sum((p >> lane & 1) << b for b, p in enumerate(planes))
 
 
-def _nonzero_vectors(mask: int) -> list[int]:
-    """Indices of the set bits of a vector mask, the zero vector (bit 0) left out."""
-    mask &= ~1
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+# bits in either lane family of lemma2_grid_report: 32 MiB of lane ints
+_MAX_LANE_BITS = 2**28
 
 
 def lemma2_grid_report(
@@ -379,14 +392,16 @@ def lemma2_grid_report(
 
     Enumeration is exhaustive vector-set intersection, so it shares no
     code path with the formula.  The t-subspaces are numbered as lanes:
-    lanes[v] has bit i set when vector v lies in the i-th t-subspace.
-    Adding the lanes of U's nonzero vectors into bit-sliced counters
-    gives |U int V2| - 1 for every V2 at once, and a second set of
-    bit-sliced counters tallies, per j, how many U >= V1 meet each V2
-    in q^j vectors.  The U >= V1 are read off one pass over the vector
-    masks of all k-subspaces.  The [n t]_q [n k]_q containment tests
-    that pass makes are capped by max_pairs (TooLarge, raised before
-    anything is enumerated).  The first failing pair, in the order V1
+    tlanes[v] has bit i set when vector v lies in the i-th t-subspace,
+    and klanes[v] likewise for the k-subspaces.  The U >= V1 are the
+    AND of the k-lanes of V1's nonzero vectors, taken in canonical
+    order.  Adding the t-lanes of U's nonzero vectors into bit-sliced
+    counters gives |U int V2| - 1 for every V2 at once, and a second
+    set of bit-sliced counters tallies, per j, how many U >= V1 meet
+    each V2 in q^j vectors.  Before anything is enumerated, TooLarge
+    is raised when the [n t]_q [n k]_q (V1, U) containments exceed
+    max_pairs, or when either lane family, [n t]_q q^n or [n k]_q q^n
+    bits, exceeds 2^28 bits.  The first failing pair, in the order V1
     then V2 by canonical index, is reported.
     """
     if not 1 <= t <= k <= n:
@@ -395,11 +410,20 @@ def lemma2_grid_report(
     n_t = q_binomial(n, t, q)
     if n_t < 2:
         raise DimensionMismatch("need at least two distinct t-subspaces")
-    tests = n_t * q_binomial(n, k, q)
+    n_k = q_binomial(n, k, q)
+    tests = n_t * n_k
     if tests > max_pairs:
         raise TooLarge(
-            f"[{n} {t}]_{q} * [{n} {k}]_{q} = {tests} containment tests exceed cap {max_pairs}"
+            f"[{n} {t}]_{q} * [{n} {k}]_{q} = {number_text(tests)} "
+            f"containment tests exceed cap {max_pairs}"
         )
+    for d, count in ((t, n_t), (k, n_k)):
+        bits = count * q**n
+        if bits > _MAX_LANE_BITS:
+            raise TooLarge(
+                f"[{n} {d}]_{q} * {q}^{n} = {number_text(bits)} "
+                f"lane bits exceed cap {_MAX_LANE_BITS}"
+            )
     ext_total = q_binomial(n - t, k - t, q)
 
     # dim(V1 + V2) = 2t - l must fit in the ambient space, so
@@ -430,17 +454,23 @@ def lemma2_grid_report(
                 )
         expected[l] = row
 
-    tmasks = [s.vector_mask for s in iter_subspaces(n, t, field)]
-    lanes = [0] * q**n
-    for i, m in enumerate(tmasks):
-        for v in _nonzero_vectors(m):
-            lanes[v] |= 1 << i
-    # each k-subspace as its vector mask and the lanes of its nonzero vectors
-    ksubs = [
-        (um, [lanes[v] for v in _nonzero_vectors(um)])
-        for um in (U.vector_mask for U in iter_subspaces(n, k, field))
-    ]
-    all_lanes = (1 << n_t) - 1
+    tvecs = [s.nonzero_vectors() for s in iter_subspaces(n, t, field)]
+    tlanes = [0] * q**n
+    for i, vecs in enumerate(tvecs):
+        bit = 1 << i
+        for v in vecs:
+            tlanes[v] |= bit
+    # the k-lanes, and each k-subspace as the t-lanes of its nonzero vectors
+    klanes = [0] * q**n
+    kvec_lanes = []
+    for u, U in enumerate(iter_subspaces(n, k, field)):
+        bit = 1 << u
+        vecs = U.nonzero_vectors()
+        for v in vecs:
+            klanes[v] |= bit
+        kvec_lanes.append([tlanes[v] for v in vecs])
+    all_t = (1 << n_t) - 1
+    all_k = (1 << len(kvec_lanes)) - 1
     count_bits = (q**t - 1).bit_length()
     tally_bits = ext_total.bit_length()
     # a subspace meeting V2 in dimension j shares q^j - 1 nonzero vectors with it
@@ -448,29 +478,35 @@ def lemma2_grid_report(
 
     pair_count = 0
     l_pairs = [0] * t
-    for i, m1 in enumerate(tmasks):
-        containing = [ulanes for um, ulanes in ksubs if um & m1 == m1]
-        if len(containing) != ext_total:
+    for i, vecs in enumerate(tvecs):
+        above = all_k
+        for v in vecs:
+            above &= klanes[v]
+        if above.bit_count() != ext_total:
             return Lemma2GridReport(
                 q=q, n=n, t=t, k=k, pair_count=pair_count,
                 extension_count=ext_total, cells=(), ok=False,
-                mismatch=f"extension count {len(containing)} != {ext_total} at V1 index {i}",
+                mismatch=(
+                    f"extension count {above.bit_count()} != {ext_total} at V1 index {i}"
+                ),
             )
         tallies = [[0] * tally_bits for _ in range(t + 1)]
-        for ulanes in containing:
+        while above:
+            low = above & -above
+            above ^= low
             counts = [0] * count_bits
-            for lane in ulanes:
+            for lane in kvec_lanes[low.bit_length() - 1]:
                 _add_lanes(counts, lane)
             for j, c in enumerate(nonzero):
-                hit = _lanes_equal(counts, c, all_lanes)
+                hit = _lanes_equal(counts, c, all_t)
                 if hit:
                     _add_lanes(tallies[j], hit)
 
         shared = [0] * count_bits
-        for v in _nonzero_vectors(m1):
-            _add_lanes(shared, lanes[v])
+        for v in vecs:
+            _add_lanes(shared, tlanes[v])
         # V1's own lane counts q^t - 1 and so falls in no l < t
-        at_l = {l: _lanes_equal(shared, nonzero[l], all_lanes) for l in expected}
+        at_l = {l: _lanes_equal(shared, nonzero[l], all_t) for l in expected}
         failing = 0
         for l, row in expected.items():
             agree = at_l[l]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import InvalidParameters, TooManyTerms
+from .errors import InvalidParameters, TooManyTerms, number_text
 
 
 def validate_q(q: int) -> None:
@@ -68,7 +68,7 @@ def q_binomial_via_sum(n: int, k: int, q: int, max_terms: int = 10**6) -> int:
         raise ValueError("need 0 <= k <= n")
     nterms = math.comb(n, k)
     if nterms > max_terms:
-        raise TooManyTerms(f"C({n},{k}) = {nterms} exceeds cap {max_terms}")
+        raise TooManyTerms(f"C({n},{k}) = {number_text(nterms)} exceeds cap {max_terms}")
     shift = k * (k + 1) // 2
     total = 0
     for s in combinations(range(1, n + 1), k):

@@ -22,7 +22,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, TooLarge
+from .errors import DimensionMismatch, TooLarge, number_text
 from .gf import FieldSpec, make_field
 from .grassmann import SubspaceBasis, subspace_from_rows, t_subspace_ranks, unrank
 from .qcount import q_binomial
@@ -73,7 +73,7 @@ def verify_design(
         raise DimensionMismatch(f"need 0 <= t <= k, got t={t}, k={k}")
     num_cols = q_binomial(n, t, q)
     if num_cols > max_columns:
-        raise TooLarge(f"[{n} {t}]_{q} = {num_cols} exceeds cap {max_columns}")
+        raise TooLarge(f"[{n} {t}]_{q} = {number_text(num_cols)} exceeds cap {max_columns}")
 
     counts = [0] * num_cols  # indexed by canonical rank
     for block in candidate.blocks:

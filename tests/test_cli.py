@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from conftest import SRC, run_cli
 
@@ -299,6 +300,28 @@ def test_lemma2_check_pair_cap_exit_3():
     args = ("lemma2-check", "--q", "2", "--n", "4", "--t", "1", "--k", "2", "--max-pairs")
     assert run_cli(*args, "524")[0] == 3
     assert run_cli(*args, "525")[0] == 0
+
+
+def test_lemma2_check_lane_cap_exit_3():
+    code, out, err = run_cli("lemma2-check", "--q", "2", "--n", "17", "--t", "1", "--k", "17")
+    assert (code, out) == (3, "")
+    assert err == "error: [17 1]_2 * 2^17 = 17179738112 lane bits exceed cap 268435456\n"
+
+
+def test_cap_errors_abbreviate_huge_counts():
+    # [1000000 1]_2 has 301,030 decimal digits; the caps refuse it at once
+    cases = {
+        ("enumerate", "--k", "1"): "[1000000 1]_2 = more than 2^999999 exceeds cap 10000000",
+        ("lemma2-check", "--t", "1", "--k", "1"): (
+            "[1000000 1]_2 * [1000000 1]_2 = more than 2^1999999 "
+            "containment tests exceed cap 10000000"
+        ),
+    }
+    for args, message in cases.items():
+        start = time.monotonic()
+        code, out, err = run_cli(args[0], "--q", "2", "--n", "1000000", *args[1:])
+        assert time.monotonic() - start < 1.5
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 def test_klp_report_bit_cap_exit_3():

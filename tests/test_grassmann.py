@@ -1,9 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from qdesign.errors import AmbientMismatch, DimensionMismatch, SingularMap, TooLarge
 from qdesign.gf import (
+    SUPPORTED_ORDERS,
     MatrixGFq,
     identity_matrix,
     make_field,
@@ -101,6 +103,27 @@ def test_intersect_dim_vector_set_oracle():
             V = pool[rng.randrange(len(pool))]
             inter = U.vector_mask & V.vector_mask
             assert subspace_dim_from_count(q, inter.bit_count()) == intersect_dim(U, V)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_nonzero_vectors_match_coefficient_enumeration(q):
+    # every vector sum_i c_i row_i, indexed base q with entry 0 most significant
+    field = make_field(q)
+    n = 3 if q <= 9 else 2
+    for k in range(n + 1):
+        for S in iter_subspaces(n, k, field):
+            rows = S.rows()
+            indices = set()
+            for coeffs in product(range(q), repeat=k):
+                vec = [0] * n
+                for c, row in zip(coeffs, rows):
+                    vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, row)]
+                indices.add(sum(x * q ** (n - 1 - i) for i, x in enumerate(vec)))
+            assert len(indices) == q**k
+            nonzero = S.nonzero_vectors()
+            assert len(nonzero) == q**k - 1
+            assert set(nonzero) == indices - {0}
+            assert S.vector_mask == sum(1 << v for v in indices)
 
 
 def test_dimension_formula():

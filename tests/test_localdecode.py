@@ -2,13 +2,14 @@ import hashlib
 import random
 import re
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from qdesign.errors import DimensionMismatch, TooLarge
 from qdesign.gf import make_field
-from qdesign.grassmann import enumerate_subspaces, intersect_dim, iter_subspaces
+from qdesign.grassmann import enumerate_subspaces, intersect_dim, iter_subspaces, unrank
 from qdesign.localdecode import (
     build_D,
     c3_bound,
@@ -171,6 +172,31 @@ def test_verify_certificate_caps_ambient_t_subspaces():
         verify_certificate(cert, max_subspaces=6)
 
 
+@pytest.mark.parametrize(
+    "q, n, t, k", [(2, 4, 1, 2), (2, 5, 2, 2), (2, 6, 2, 3), (3, 4, 1, 2), (4, 3, 1, 2)]
+)
+def test_verify_certificate_rejects_tampered_coefficients(q, n, t, k):
+    # adding 1 to a coefficient changes the sum at every a <= U; moving a
+    # nonzero coefficient from U to U' changes it at an a <= U' not <= U
+    field = make_field(q)
+    rng = random.Random(n * q + t)
+    V = unrank(n, t, field, rng.randrange(q_binomial(n, t, q)))
+    cert = decode_certificate(V, k)
+    assert verify_certificate(cert)
+    subs = list(cert.coefficients)
+
+    def verdict(coefficients):
+        return verify_certificate(replace(cert, coefficients=coefficients))
+
+    for U in rng.sample(subs, 4):
+        assert not verdict({**cert.coefficients, U: cert.coefficients[U] + 1})
+    movable = [W for W in subs if cert.coefficients[W]]
+    for U in rng.sample(movable, min(4, len(movable))):
+        other = rng.choice([W for W in subs if W != U])
+        c = cert.coefficients
+        assert not verdict({**c, U: 0, other: c[other] + c[U]})
+
+
 def test_certificate_cost_does_not_grow_with_ambient_n():
     # the [t+k k]_q subspaces are built inside the envelope, so a huge
     # ambient space costs no more than F_2^3 beyond longer rows
@@ -306,6 +332,18 @@ def test_lemma2_grid_report_caps_containment_tests():
     assert time.monotonic() - start < 1.0
 
 
+def test_lemma2_grid_report_caps_lane_bits():
+    # one 17-subspace gives 131,071 containment tests, under the pair
+    # cap, but the t-lanes would hold [17 1]_2 * 2^17 bits
+    start = time.monotonic()
+    with pytest.raises(TooLarge, match=r"\[17 1\]_2 \* 2\^17 = 17179738112 lane bits exceed"):
+        lemma2_grid_report(2, 17, 1, 17)
+    assert time.monotonic() - start < 1.0
+    # with the pair cap lifted, the k-lanes are capped too
+    with pytest.raises(TooLarge, match=r"\[12 2\]_2 \* 2\^12 = 11444858880 lane bits"):
+        lemma2_grid_report(2, 12, 1, 2, max_pairs=10**12)
+
+
 def _first_failure(q, t, tmasks, kmasks, formula, ext_total):
     """(pairs checked, mismatch) of the grid check, recounted pair by pair."""
     pairs = 0
@@ -333,8 +371,8 @@ def _first_failure(q, t, tmasks, kmasks, formula, ext_total):
 
 @pytest.mark.parametrize("q, n", [(2, 5), (3, 4)])
 def test_lemma2_grid_report_failures_match_pair_recount(monkeypatch, q, n):
-    """Tamper with the k-subspace masks the check enumerates and compare
-    both failure branches with the pair-by-pair recount."""
+    """Tamper with the k-subspace vector sets the check enumerates and
+    compare both failure branches with the pair-by-pair recount."""
     import qdesign.localdecode as localdecode
 
     t, k = 2, 3
@@ -351,7 +389,13 @@ def test_lemma2_grid_report_failures_match_pair_recount(monkeypatch, q, n):
         def enumerate_edited(n_, d, field_):
             if d != k:
                 return real(n_, d, field_)
-            return [SimpleNamespace(vector_mask=m) for m in edited]
+            # each tampered mask as the nonzero vector indices the check reads
+            return [
+                SimpleNamespace(
+                    nonzero_vectors=lambda m=m: [v for v in range(1, q**n) if m >> v & 1]
+                )
+                for m in edited
+            ]
 
         monkeypatch.setattr(localdecode, "iter_subspaces", enumerate_edited)
         rep = lemma2_grid_report(q, n, t, k)
