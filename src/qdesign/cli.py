@@ -50,18 +50,12 @@ from .selftest import format_report_text, report_to_json_obj, run_selftest
 from .verifier import (
     DesignCandidate,
     design_to_json_obj,
+    digit_rows,
     format_design_text,
     load_design,
     save_design,
     verify_design,
 )
-
-_DIGITS = "0123456789abcdef"
-
-
-def _rows_str(subspace) -> list[str]:
-    return ["".join(_DIGITS[x] for x in row) for row in subspace.rows()]
-
 
 def _text(val) -> str:
     if isinstance(val, bool):
@@ -125,7 +119,7 @@ def _cmd_enumerate(args) -> _Result:
     obj: dict = {"q": args.q, "n": args.n, "k": args.k, "count": count}
     if args.count_only:
         return 0, obj, [str(count)]
-    subs = (_rows_str(s) for s in iter_subspaces(args.n, args.k, field))
+    subs = (digit_rows(s) for s in iter_subspaces(args.n, args.k, field))
     if args.json:
         obj["subspaces"] = list(subs)
         return 0, obj, []
@@ -177,7 +171,7 @@ def _cmd_verify(args) -> _Result:
         "simple": report.is_simple,
         "trivial": report.is_trivial,
         "histogram": {str(c): m for c, m in hist},
-        "failing_t_subspace": _rows_str(failing) if failing is not None else None,
+        "failing_t_subspace": digit_rows(failing) if failing is not None else None,
     }
     lines = _kv(obj, "q", "n", "k", "N", "t", "is_design", "lambda", "simple", "trivial")
     lines.append("histogram = " + " ".join(f"{c}:{m}" for c, m in hist))
@@ -214,8 +208,8 @@ def _cmd_decode(args) -> _Result:
         by_dim[j] = by_dim.get(j, 0) + 1
     obj["certificate"] = cert_obj = {
         "n": args.n,
-        "V": _rows_str(V),
-        "W": _rows_str(cert.envelope),
+        "V": digit_rows(V),
+        "W": digit_rows(cert.envelope),
         "l1_norm": cert.l1_norm,
         "subspaces_by_dim": {str(j): by_dim[j] for j in sorted(by_dim)},
         "certified": ok,

@@ -2,7 +2,9 @@
 
 A subspace is identified with its reduced-row-echelon basis (no zero
 rows), which is unique, so two SubspaceBasis values are equal exactly
-when they represent the same subspace.
+when they represent the same subspace.  Rows are checked only where
+they enter from outside (subspace_from_rows); subspaces the library
+generates itself are built from their canonical entries directly.
 
 Canonical enumeration order: by pivot-column set (lexicographically
 increasing), then by the free entries read in row-major order as a
@@ -13,9 +15,11 @@ position.  Enumeration generates matrices directly in echelon shape
 The rank of a subspace is its position in that order: the count of
 subspaces with a smaller pivot set (prefix sums of q^(free count), a
 q-analogue of the combinatorial number system) plus its free entries
-read as that base-q number (subspace_rank, unrank).  t_subspace_ranks
-lists the ranks of a block's t-subspaces without elimination; the
-verifier, the incidence matrix and the search all count through it.
+read as that base-q number (subspace_rank, unrank).  block_echelon_forms
+lists the canonical bases of a block's t-subspaces without elimination;
+t_subspace_ranks reads their ranks off it for the verifier, the
+incidence matrix and the search, and the decoding certificate takes
+its subspaces from it.
 """
 
 from __future__ import annotations
@@ -33,24 +37,25 @@ from .errors import (
     TooLarge,
     number_text,
 )
-from .gf import FieldSpec, MatrixGFq, mat_inverse, mat_mul, rank, rank_of_rows, rref
+from .gf import FieldSpec, MatrixGFq, _rref_rows, mat_inverse, mat_mul, rank, rank_of_rows, rref
 from .qcount import q_binomial
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SubspaceBasis:
-    """A k-subspace of F_q^n as its canonical RREF basis matrix."""
+    """A k-subspace of F_q^n as the row-major entries of its canonical
+    (RREF, no zero rows) k x n basis, so the generated equality and hash
+    hold exactly between equal subspaces."""
 
     field: FieldSpec
-    basis: MatrixGFq
+    n: int
+    k: int
+    entries: tuple[int, ...]
 
     @property
-    def n(self) -> int:
-        return self.basis.cols
-
-    @property
-    def k(self) -> int:
-        return self.basis.rows
+    def basis(self) -> MatrixGFq:
+        """The canonical basis as a MatrixGFq, built on each access."""
+        return MatrixGFq(field=self.field, rows=self.k, cols=self.n, entries=self.entries)
 
     @cached_property
     def pivot_columns(self) -> tuple[int, ...]:
@@ -60,7 +65,7 @@ class SubspaceBasis:
     def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(pivot columns, row-major free entries): the enumeration order."""
         piv = self.pivot_columns
-        entries = self.basis.entries
+        entries = self.entries
         return (piv, tuple(entries[f] for f in _free_positions(self.n, piv)))
 
     def nonzero_vectors(self) -> list[int]:
@@ -118,43 +123,22 @@ class SubspaceBasis:
         return mask
 
     def rows(self) -> list[tuple[int, ...]]:
-        return self.basis.row_list()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubspaceBasis):
-            return NotImplemented
-        return (
-            self.field.q == other.field.q
-            and self.basis.cols == other.basis.cols
-            and self.basis.entries == other.basis.entries
-        )
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.field.q, self.basis.cols, self.basis.entries))
-            self.__dict__["_hash"] = h
-        return h
+        n, entries = self.n, self.entries
+        return [entries[i * n : (i + 1) * n] for i in range(self.k)]
 
     def __repr__(self) -> str:
         rows = ",".join("".join(str(x) for x in r) for r in self.rows())
         return f"Subspace(q={self.field.q}, n={self.n}, [{rows}])"
 
 
-def _subspace(field: FieldSpec, n: int, k: int, entries: tuple[int, ...]) -> SubspaceBasis:
-    """Wrap row-major entries already known to be a canonical RREF basis."""
-    return SubspaceBasis(field=field, basis=MatrixGFq(field=field, rows=k, cols=n, entries=entries))
-
-
 def subspace_from_rows(field: FieldSpec, n: int, rows) -> SubspaceBasis:
-    """Subspace spanned by arbitrary row vectors (canonicalized by RREF)."""
+    """Subspace spanned by arbitrary row vectors: checked against n and
+    F_q, then canonicalized by RREF."""
     rows = [tuple(r) for r in rows]
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("row length does not match ambient dimension")
-    if not rows:
-        return _subspace(field, n, 0, ())
     R, rk = rref(MatrixGFq.from_rows(field, rows))
-    return _subspace(field, n, rk, R.entries[: rk * n])
+    return SubspaceBasis(field, n, rk, R.entries[: rk * n])
 
 
 @lru_cache(maxsize=4096)
@@ -194,7 +178,7 @@ def iter_subspaces(n: int, k: int, field: FieldSpec) -> Iterator[SubspaceBasis]:
     if k < 0 or k > n:
         raise DimensionMismatch(f"need 0 <= k <= n, got k={k}, n={n}")
     for _, entries in _echelon_forms(n, k, field.q):
-        yield _subspace(field, n, k, entries)
+        yield SubspaceBasis(field, n, k, entries)
 
 
 @lru_cache(maxsize=None)
@@ -217,7 +201,7 @@ def _pivots(rows) -> tuple[int, ...]:
 
 def subspace_rank(S: SubspaceBasis) -> int:
     """Position of S in the canonical order of iter_subspaces(S.n, S.k, .)."""
-    q, entries = S.field.q, S.basis.entries
+    q, entries = S.field.q, S.entries
     offset, free = _rank_plan(S.n, S.k, q)[_pivots(S.rows())]
     r = 0
     for f in free:
@@ -236,7 +220,7 @@ def unrank(n: int, k: int, field: FieldSpec, r: int) -> SubspaceBasis:
             r -= offset
             for pos in reversed(free):
                 r, entries[pos] = divmod(r, q)
-            return _subspace(field, n, k, tuple(entries))
+            return SubspaceBasis(field, n, k, tuple(entries))
     raise InvalidParameters(f"rank {r} is outside 0 .. [{n} {k}]_{q} - 1")
 
 
@@ -255,31 +239,34 @@ def _patterns(k: int, t: int, q: int) -> tuple:
     return tuple((pivots, tuple(bases)) for pivots, bases in groups.items())
 
 
-def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
-    """Canonical ranks of the [k t]_q t-subspaces of a k-dimensional block.
+def block_echelon_forms(
+    block: SubspaceBasis, t: int
+) -> list[tuple[tuple[int, ...], list[list[int]]]]:
+    """The row-major RREF entries of the [k t]_q t-subspaces of a
+    k-dimensional block, grouped as (pivot columns, entries of each), in
+    the canonical order of the t-subspaces of F_q^k they are images of.
 
     Each is the row space of P B, for P a canonical t x k basis of F_q^k
     and B the block's basis.  With B in RREF, P B is in RREF too: its row
     i has its pivot where B's row p_i has, p_i being P's pivot in row i.
-    So the rank is read straight off the product, with no elimination.
+    So the canonical basis is the product itself, with no elimination.
 
-    Precondition: `block.basis` is canonical (RREF, no zero rows), the
+    Precondition: `block.entries` is canonical (RREF, no zero rows), the
     SubspaceBasis invariant that every library constructor guarantees;
     it is not re-checked here.
     """
     field = block.field
     q, add, mul = field.q, field.add_table, field.mul_table
     rows = block.rows()
-    n, k = block.n, len(rows)
+    k = len(rows)
     if not 0 <= t <= k:
         raise DimensionMismatch(f"need 0 <= t <= k, got t={t}, k={k}")
-    plan = _rank_plan(n, t, q)
     pivots = _pivots(rows)
     # scaled[m][c] = c * row m, for the coefficients c >= 1 that occur
     scaled = [[None, row] + [tuple([mul[c][x] for x in row]) for c in range(2, q)] for row in rows]
-    out = []
+    groups = []
     for pat_pivots, bases in _patterns(k, t, q):
-        offset, free = plan[tuple([pivots[p] for p in pat_pivots])]
+        images = []
         for basis in bases:
             image: list[int] = []
             for lead, terms in basis:
@@ -287,6 +274,21 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
                 for m, c in terms:
                     acc = [add[x][y] for x, y in zip(acc, scaled[m][c])]
                 image += acc
+            images.append(image)
+        groups.append((tuple([pivots[p] for p in pat_pivots]), images))
+    return groups
+
+
+def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
+    """Canonical ranks of the [k t]_q t-subspaces of a k-dimensional
+    block, read off block_echelon_forms with no elimination."""
+    q = block.field.q
+    groups = block_echelon_forms(block, t)
+    plan = _rank_plan(block.n, t, q)
+    out = []
+    for pivots, images in groups:
+        offset, free = plan[pivots]
+        for image in images:
             r = 0
             for f in free:
                 r = r * q + image[f]
@@ -356,13 +358,14 @@ def extensions(V: SubspaceBasis, k: int, max_count: int = 10**7) -> list[Subspac
     vrows = V.rows()
     out = []
     for W in iter_subspaces(n - t, k - t, field):
-        lifted = []
+        rows = [list(r) for r in vrows]
         for row in W.rows():
             full = [0] * n
             for pos, x in zip(nonpiv, row):
                 full[pos] = x
-            lifted.append(tuple(full))
-        out.append(subspace_from_rows(field, n, vrows + lifted))
+            rows.append(full)
+        rows, _ = _rref_rows(field, rows, n)
+        out.append(SubspaceBasis(field, n, k, tuple([x for r in rows for x in r])))
     out.sort(key=lambda S: S.sort_key)
     return out
 

@@ -12,8 +12,10 @@ determinant of D with column j replaced by (0, ..., 0, 1)^T).
 Assigning coefficient f(dim(U intersect V)) to every k-subspace U of a
 fixed (t+k)-dimensional envelope W containing V yields an integer row
 combination that sums to m at column V and 0 at every other t-subspace;
-decode_certificate materializes that combination and verify_certificate
-checks the identity against every column on exhaustive vector sets: the
+decode_certificate materializes that combination, taking the U from the
+block kernel grassmann.block_echelon_forms with no elimination, and
+verify_certificate checks the identity against every column on
+exhaustive vector sets, sharing no code with that kernel: the
 k-subspaces above each t-subspace are read off per-vector bit lanes, one
 bit per k-subspace, and summed per coefficient value by popcount.
 
@@ -38,14 +40,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSystem, DimensionMismatch, TooLarge, number_text
-from .gf import make_field, mat_mul
+from .gf import make_field
 from .grassmann import (
     SubspaceBasis,
+    block_echelon_forms,
     extensions,
     intersect_dim,
     iter_subspaces,
     subspace_dim_from_count,
-    subspace_from_rows,
 )
 from .qcount import q_binomial
 
@@ -186,6 +188,8 @@ def decode_certificate(
 
     W extends V's basis by the k lowest-index standard vectors outside
     V's pivot columns; the coefficient of U is f(dim(U intersect V)).
+    Those unit rows and V's rows cleared at their columns are already
+    W's canonical basis; the U come from grassmann.block_echelon_forms.
     """
     field, n, t = V.field, V.n, V.k
     q = field.q
@@ -198,20 +202,22 @@ def decode_certificate(
         raise TooLarge(f"[{k + t} {k}]_{q} = {number_text(count)} exceeds cap {max_subspaces}")
 
     system = solve_coefficients(q, t, k)
-    pivset = set(V.pivot_columns)
-    extra = [j for j in range(n) if j not in pivset][:k]
-    lifted = [tuple(1 if i == j else 0 for i in range(n)) for j in extra]
-    W = subspace_from_rows(field, n, V.rows() + lifted)
-    assert W.k == t + k
+    pivots = V.pivot_columns
+    extra = [j for j in range(n) if j not in pivots][:k]
+    cleared = set(extra)
+    by_pivot = {j: [int(i == j) for i in range(n)] for j in extra}
+    for p, row in zip(pivots, V.rows()):
+        by_pivot[p] = [0 if i in cleared else x for i, x in enumerate(row)]
+    W = SubspaceBasis(field, n, t + k, tuple([x for p in sorted(by_pivot) for x in by_pivot[p]]))
 
     coefficients: dict[SubspaceBasis, int] = {}
     l1 = 0
-    for Ubar in iter_subspaces(t + k, k, field):
-        image = mat_mul(Ubar.basis, W.basis)
-        U = subspace_from_rows(field, n, image.row_list())
-        c = system.f[intersect_dim(U, V)]
-        coefficients[U] = c
-        l1 += abs(c)
+    for _, images in block_echelon_forms(W, k):
+        for entries in images:
+            U = SubspaceBasis(field, n, k, tuple(entries))
+            c = system.f[intersect_dim(U, V)]
+            coefficients[U] = c
+            l1 += abs(c)
     assert l1 <= count * max(abs(v) for v in system.f)
     return CoefficientCertificate(
         decoded_column=V,
@@ -271,6 +277,12 @@ def lemma2_count(V1: SubspaceBasis, V2: SubspaceBasis, k: int, j: int) -> int:
         raise DimensionMismatch(f"need l = {l} <= j <= t = {t}, got j={j}")
     if not t <= k <= n:
         raise DimensionMismatch(f"need t <= k <= n, got k={k}")
+    return _lemma2_formula(q, n, t, k, l, j)
+
+
+def _lemma2_formula(q: int, n: int, t: int, k: int, l: int, j: int) -> int:
+    """q^((k-t-j+l)(t-j)) [t-l j-l]_q [n-2t+l k-t-j+l]_q, the lemma-2
+    closed form, and 0 where either binomial vanishes."""
     b1 = q_binomial(t - l, j - l, q)
     b2 = q_binomial(n - 2 * t + l, k - t - j + l, q)
     if b1 == 0 or b2 == 0:
@@ -426,32 +438,26 @@ def lemma2_grid_report(
             )
     ext_total = q_binomial(n - t, k - t, q)
 
+    def report(pair_count: int, mismatch: str, cells: tuple = ()) -> Lemma2GridReport:
+        return Lemma2GridReport(
+            q=q, n=n, t=t, k=k, pair_count=pair_count, extension_count=ext_total,
+            cells=cells, ok=not mismatch, mismatch=mismatch,
+        )
+
     # dim(V1 + V2) = 2t - l must fit in the ambient space, so
     # intersection dimensions below 2t - n cannot occur
     l_min = max(0, 2 * t - n)
     expected: dict[int, list[int]] = {}
     for l in range(l_min, t):
-        row = [0] * (t + 1)
-        for j in range(l, t + 1):
-            b1 = q_binomial(t - l, j - l, q)
-            b2 = q_binomial(n - 2 * t + l, k - t - j + l, q)
-            if b1 and b2:
-                row[j] = q ** ((k - t - j + l) * (t - j)) * b1 * b2
+        row = [0] * l + [_lemma2_formula(q, n, t, k, l, j) for j in range(l, t + 1)]
         if sum(row) != ext_total:
-            return Lemma2GridReport(
-                q=q, n=n, t=t, k=k, pair_count=0, extension_count=ext_total,
-                cells=(), ok=False,
-                mismatch=f"formula row for l={l} sums to {sum(row)} != {ext_total}",
-            )
+            return report(0, f"formula row for l={l} sums to {sum(row)} != {ext_total}")
         for j in range(l, t + 1):
             if row[j] == 0:
                 continue
             problem = _ordered_basis_products_check(q, n, t, k, l, j)
             if problem is not None:
-                return Lemma2GridReport(
-                    q=q, n=n, t=t, k=k, pair_count=0, extension_count=ext_total,
-                    cells=(), ok=False, mismatch=problem,
-                )
+                return report(0, problem)
         expected[l] = row
 
     tvecs = [s.nonzero_vectors() for s in iter_subspaces(n, t, field)]
@@ -483,12 +489,8 @@ def lemma2_grid_report(
         for v in vecs:
             above &= klanes[v]
         if above.bit_count() != ext_total:
-            return Lemma2GridReport(
-                q=q, n=n, t=t, k=k, pair_count=pair_count,
-                extension_count=ext_total, cells=(), ok=False,
-                mismatch=(
-                    f"extension count {above.bit_count()} != {ext_total} at V1 index {i}"
-                ),
+            return report(
+                pair_count, f"extension count {above.bit_count()} != {ext_total} at V1 index {i}"
             )
         tallies = [[0] * tally_bits for _ in range(t + 1)]
         while above:
@@ -518,13 +520,10 @@ def lemma2_grid_report(
             l = next(l for l, lm in at_l.items() if lm >> mi & 1)
             tally = [_lane_value(tallies[j], mi) for j in range(t + 1)]
             # the pairs of this V1 before V2, V1 itself not among them
-            return Lemma2GridReport(
-                q=q, n=n, t=t, k=k, pair_count=pair_count + mi - (mi > i),
-                extension_count=ext_total, cells=(), ok=False,
-                mismatch=(
-                    f"pair (V1 index {i}, V2 index {mi}, l={l}): "
-                    f"counted {tally}, formula {expected[l]}"
-                ),
+            return report(
+                pair_count + mi - (mi > i),
+                f"pair (V1 index {i}, V2 index {mi}, l={l}): "
+                f"counted {tally}, formula {expected[l]}",
             )
         for l, lm in at_l.items():
             l_pairs[l] += lm.bit_count()
@@ -532,20 +531,13 @@ def lemma2_grid_report(
 
     missing = [l for l in range(l_min, t) if l_pairs[l] == 0]
     if missing:
-        return Lemma2GridReport(
-            q=q, n=n, t=t, k=k, pair_count=pair_count,
-            extension_count=ext_total, cells=(), ok=False,
-            mismatch=f"no pair realizes intersection dimension {missing[0]}",
-        )
+        return report(pair_count, f"no pair realizes intersection dimension {missing[0]}")
     cells = tuple(
         Lemma2Cell(l=l, j=j, formula=expected[l][j], pairs=l_pairs[l])
         for l in range(l_min, t)
         for j in range(l, t + 1)
     )
-    return Lemma2GridReport(
-        q=q, n=n, t=t, k=k, pair_count=pair_count, extension_count=ext_total,
-        cells=cells, ok=True, mismatch="",
-    )
+    return report(pair_count, "", cells)
 
 
 @dataclass(frozen=True)
@@ -636,9 +628,7 @@ def c3_bound(q: int, t: int, k: int, max_subspaces: int = 10**6) -> C3Report:
         )
     field = make_field(q)
     n0 = t + k
-    V = subspace_from_rows(
-        field, n0, [tuple(1 if i == j else 0 for i in range(n0)) for j in range(t)]
-    )
+    V = next(iter_subspaces(n0, t, field))  # spanned by the first t unit vectors
     vmask = V.vector_mask
     l1 = 0
     for U in iter_subspaces(n0, k, field):

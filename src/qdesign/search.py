@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import TooLarge
-from .gf import FieldSpec
+from .gf import FieldSpec, make_field
 from .grassmann import enumerate_subspaces, t_subspace_ranks
 from .qcount import q_binomial
 from .verifier import DesignCandidate, verify_design
@@ -240,7 +240,6 @@ def search_design(
     method: str = "exhaustive",
     seed: int = 0,
     limit: float | None = None,
-    field: FieldSpec | None = None,
     max_universe: int = 10**4,
     max_candidates: int = 10**5,
 ):
@@ -252,10 +251,7 @@ def search_design(
     """
     if method not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown method {method!r}")
-    if field is None:
-        from .gf import make_field
-
-        field = make_field(q)
+    field = make_field(q)
 
     # the block count N is forced by lam [n t]_q = N [k t]_q; a fractional
     # N rules the design out before any search (same identity as

@@ -28,6 +28,7 @@ from .grassmann import SubspaceBasis, subspace_from_rows, t_subspace_ranks, unra
 from .qcount import q_binomial
 
 _DIGITS = "0123456789abcdef"
+_DIGIT_VALUES = {c: int(c, 16) for c in _DIGITS + "ABCDEF"}
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,16 @@ def lambda_identity_check(n: int, k: int, t: int, q: int, N: int) -> int | None:
 # design file I/O
 
 
+def digit_rows(subspace: SubspaceBasis) -> list[str]:
+    """The basis rows of a subspace as digit strings, as in design files."""
+    return ["".join([_DIGITS[x] for x in row]) for row in subspace.rows()]
+
+
 def format_design_text(candidate: DesignCandidate) -> str:
     out = [f"{candidate.field.q} {candidate.n} {candidate.k}"]
     for block in candidate.blocks:
         out.append("")
-        for row in block.rows():
-            out.append("".join(_DIGITS[x] for x in row))
+        out += digit_rows(block)
     return "\n".join(out) + "\n"
 
 
@@ -135,21 +140,27 @@ def design_to_json_obj(candidate: DesignCandidate) -> dict:
         "q": candidate.field.q,
         "n": candidate.n,
         "k": candidate.k,
-        "blocks": [
-            ["".join(_DIGITS[x] for x in row) for row in block.rows()]
-            for block in candidate.blocks
-        ],
+        "blocks": [digit_rows(block) for block in candidate.blocks],
     }
 
 
-def _block_from_digit_rows(field: FieldSpec, n: int, k: int, rows: list[str]) -> SubspaceBasis:
+def _block_from_digit_rows(
+    field: FieldSpec, n: int, k: int, rows: list[str], index: int
+) -> SubspaceBasis:
     if len(rows) != k:
         raise ValueError(f"block has {len(rows)} rows, expected {k}")
+    q = field.q
     parsed = []
     for line in rows:
         if len(line) != n:
             raise ValueError(f"row '{line}' has {len(line)} digits, expected {n}")
-        parsed.append(tuple(int(c, 16) for c in line))
+        row = tuple([_DIGIT_VALUES.get(c, q) for c in line])
+        if max(row, default=0) >= q:
+            raise ValueError(
+                f"design block {index} row '{line}' has a digit outside "
+                f"0..{_DIGITS[q - 1]} (q = {q})"
+            )
+        parsed.append(row)
     block = subspace_from_rows(field, n, parsed)
     if block.k != k:
         raise ValueError("block rows are not linearly independent")
@@ -163,7 +174,8 @@ def parse_design_text(text: str) -> DesignCandidate:
     header = lines[0].split()
     if len(header) != 3:
         raise ValueError("header must be 'q n k'")
-    q, n, k = (int(x) for x in header)
+    fields = dict(zip(("q", "n", "k"), header))
+    q, n, k = (_int_field(fields, key, "header") for key in ("q", "n", "k"))
     field = make_field(q)
     blocks = []
     current: list[str] = []
@@ -171,18 +183,18 @@ def parse_design_text(text: str) -> DesignCandidate:
         if ln:
             current.append(ln)
         elif current:
-            blocks.append(_block_from_digit_rows(field, n, k, current))
+            blocks.append(_block_from_digit_rows(field, n, k, current, len(blocks)))
             current = []
     if current:
-        blocks.append(_block_from_digit_rows(field, n, k, current))
+        blocks.append(_block_from_digit_rows(field, n, k, current, len(blocks)))
     return DesignCandidate(field=field, n=n, k=k, blocks=tuple(blocks))
 
 
-def _int_field(obj: dict, key: str) -> int:
+def _int_field(obj: dict, key: str, part: str = "JSON") -> int:
     try:
         return int(obj[key])
     except (TypeError, ValueError, OverflowError):  # null, a list, a string, 1e999
-        raise ValueError(f"design JSON field {key!r} must be an integer") from None
+        raise ValueError(f"design {part} field {key!r} must be an integer") from None
 
 
 def design_from_json_obj(obj: dict) -> DesignCandidate:
@@ -191,13 +203,15 @@ def design_from_json_obj(obj: dict) -> DesignCandidate:
         raise ValueError(f"design JSON is missing field {missing[0]!r}")
     q, n, k = (_int_field(obj, key) for key in ("q", "n", "k"))
     field = make_field(q)
-    digit_rows = obj["blocks"]
-    if not isinstance(digit_rows, list) or not all(
+    block_rows = obj["blocks"]
+    if not isinstance(block_rows, list) or not all(
         isinstance(rows, list) and all(isinstance(row, str) for row in rows)
-        for rows in digit_rows
+        for rows in block_rows
     ):
         raise ValueError("design JSON field 'blocks' must be a list of lists of digit strings")
-    blocks = tuple(_block_from_digit_rows(field, n, k, rows) for rows in digit_rows)
+    blocks = tuple(
+        _block_from_digit_rows(field, n, k, rows, i) for i, rows in enumerate(block_rows)
+    )
     return DesignCandidate(field=field, n=n, k=k, blocks=blocks)
 
 

@@ -208,6 +208,24 @@ def test_verify_json_non_integer_field_exit_2(tmp_path):
         assert err == f"error: design JSON field '{key}' must be an integer\n"
 
 
+def test_verify_design_file_digit_and_header_errors_exit_2(tmp_path):
+    # each message names where the file is at fault
+    cases = (
+        ("e.txt", "2 3 1\n\n100\n\n102\n",
+         "error: design block 1 row '102' has a digit outside 0..1 (q = 2)\n"),
+        ("e.json", '{"q": 2, "n": 3, "k": 1, "blocks": [["102"]]}\n',
+         "error: design block 0 row '102' has a digit outside 0..1 (q = 2)\n"),
+        ("e.txt", "2 3 1\n\n1g0\n",
+         "error: design block 0 row '1g0' has a digit outside 0..1 (q = 2)\n"),
+        ("e.txt", "2 3 x\n\n100\n", "error: design header field 'k' must be an integer\n"),
+    )
+    for name, text, expected in cases:
+        (tmp_path / name).write_text(text)
+        for extra in ((), ("--json",)):
+            code, out, err = run_cli("verify", "--design", str(tmp_path / name), "--t", "1", *extra)
+            assert (code, out, err) == (2, "", expected)
+
+
 def test_qbinom_q_below_2_exit_2():
     code, out, err = run_cli("qbinom", "--q", "1", "--n", "4", "--k", "2")
     assert code == 2 and out == ""

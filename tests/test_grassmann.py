@@ -9,11 +9,14 @@ from qdesign.gf import (
     MatrixGFq,
     identity_matrix,
     make_field,
+    mat_inverse,
     rank_of_rows,
     random_invertible,
 )
 from qdesign.grassmann import (
+    SubspaceBasis,
     apply_map,
+    block_echelon_forms,
     complete_basis,
     contains,
     enumerate_subspaces,
@@ -23,7 +26,11 @@ from qdesign.grassmann import (
     iter_subspaces,
     subspace_dim_from_count,
     subspace_from_rows,
+    subspace_rank,
+    t_subspace_ranks,
+    unrank,
 )
+from qdesign.localdecode import decode_certificate
 from qdesign.qcount import q_binomial
 
 F2 = make_field(2)
@@ -241,3 +248,53 @@ def test_subspace_hash_consistency():
     b = enumerate_subspaces(4, 2, F2)
     assert a == b
     assert {x: i for i, x in enumerate(a)} == {x: i for i, x in enumerate(b)}
+
+
+def test_every_constructor_gives_the_same_value():
+    S = list(iter_subspaces(4, 2, F3))[77]
+    r = subspace_rank(S)
+    a, b = S.rows()
+    # two other rows spanning S: a + b and 2b
+    spanning = [tuple(F3.add(x, y) for x, y in zip(a, b)), tuple(F3.mul(2, y) for y in b)]
+    L = random_invertible(F3, 4, seed=5)
+    line = subspace_from_rows(F3, 4, [a])
+    block = extensions(S, 3)[-1]
+    from_kernel = [
+        SubspaceBasis(F3, 4, 2, tuple(e)) for _, images in block_echelon_forms(block, 2) for e in images
+    ]
+    routes = [
+        unrank(4, 2, F3, r),
+        subspace_from_rows(F3, 4, spanning),
+        apply_map(mat_inverse(L), apply_map(L, S)),
+        next(U for U in extensions(line, 2) if repr(U) == repr(S)),
+        next(U for U in from_kernel if repr(U) == repr(S)),
+    ]
+    for U in routes:
+        assert U == S and hash(U) == hash(S)
+        assert repr(U) == repr(S)
+        assert type(U.entries) is tuple
+        assert U.basis.entries == S.basis.entries == S.entries
+    assert len({S, *routes}) == 1
+
+
+def test_generated_subspaces_build_no_matrix(monkeypatch):
+    # subspaces the library generates in canonical form skip MatrixGFq and
+    # its range check; rows from outside still pass through both
+    V = subspace_from_rows(F2, 7, [(0, 1, 1, 0, 1, 0, 1), (0, 0, 1, 1, 0, 0, 1)])
+    created = []
+    original = MatrixGFq.__post_init__
+
+    def counting(self):
+        created.append(self.entries)
+        original(self)
+
+    monkeypatch.setattr(MatrixGFq, "__post_init__", counting)
+    blocks = list(iter_subspaces(6, 3, F2))
+    unrank(6, 3, F2, 1000)
+    for block in blocks[::50]:
+        t_subspace_ranks(block, 2)
+    cert = decode_certificate(V, 3)
+    assert created == []
+    assert len(cert.coefficients) == q_binomial(5, 3, 2)
+    subspace_from_rows(F2, 7, V.rows())
+    assert created

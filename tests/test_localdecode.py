@@ -9,7 +9,13 @@ import pytest
 
 from qdesign.errors import DimensionMismatch, TooLarge
 from qdesign.gf import make_field
-from qdesign.grassmann import enumerate_subspaces, intersect_dim, iter_subspaces, unrank
+from qdesign.grassmann import (
+    enumerate_subspaces,
+    intersect_dim,
+    iter_subspaces,
+    subspace_from_rows,
+    unrank,
+)
 from qdesign.localdecode import (
     build_D,
     c3_bound,
@@ -206,6 +212,45 @@ def test_certificate_cost_does_not_grow_with_ambient_n():
     assert time.monotonic() - start < 1.0
     assert cert.m == 6 and cert.l1_norm == 10
     assert sorted(cert.coefficients.values()) == [-1, -1, -1, -1, 2, 2, 2]
+
+
+# sha256 of repr(list(cert.coefficients.items())) for a seeded random V;
+# the values come from building each U by mat_mul and RREF, which the
+# kernel route must reproduce
+CERTIFICATE_SHA256 = {
+    (2, 7, 2, 3): "e9034dae8cff109c659f8483c51fbd3f579beee692ae3695e663847d01545cea",
+    (16, 3, 1, 2): "45289880e82aeae1ffa375df4ded31b333d45856b9b1f1312e7229dc84a3d280",
+    (3, 5, 1, 2): "26cfa68a690a61d7718dbbe0ef7955e9b35cf3539e834865a74b1e2726972748",
+    (2, 1000, 1, 2): "8af90feebae2dd92f727d8b5013e79ea6883d8415b3321620016972f8feb33e0",
+}
+
+
+def _seeded_subspace(q, n, t, k):
+    field = make_field(q)
+    rng = random.Random(f"{q},{n},{t},{k}")
+    while True:
+        V = subspace_from_rows(field, n, [[rng.randrange(q) for _ in range(n)] for _ in range(t)])
+        if V.k == t:
+            return V
+
+
+def test_certificate_coefficients_pinned():
+    for (q, n, t, k), digest in CERTIFICATE_SHA256.items():
+        cert = decode_certificate(_seeded_subspace(q, n, t, k), k)
+        text = repr(list(cert.coefficients.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (q, n, t, k)
+
+
+@pytest.mark.parametrize("q, n, t, k", [(2, 5, 2, 2), (3, 4, 1, 2), (4, 4, 1, 2)])
+def test_certificate_envelope_is_rref_of_v_and_unit_rows(q, n, t, k):
+    # W is built without elimination; RREF of V's rows plus the unit rows
+    # outside V's pivots must give the same subspace
+    field = make_field(q)
+    for V in iter_subspaces(n, t, field):
+        extra = [j for j in range(n) if j not in V.pivot_columns][:k]
+        units = [[int(i == j) for i in range(n)] for j in extra]
+        W = subspace_from_rows(field, n, V.rows() + units)
+        assert decode_certificate(V, k).envelope == W and W.k == t + k
 
 
 def test_lemma2_worked_values():
