@@ -12,9 +12,15 @@ check that comes back false), 2 usage error (also an unreadable or
 malformed input file and an unwritable output file), 3 resource cap or
 timeout, 141 stdout closed by its reader before all output was written
 (128 + SIGPIPE, the status a shell reports for a process that a broken
-pipe kills; nothing is printed to stderr). All integers print in full
-decimal, except that a cap error shows a count of more than 200 bits as
-"more than 2^b"; JSON output is a single object with a schema_version field,
+pipe kills; nothing is printed to stderr). Dimensions must satisfy
+0 <= t <= k <= n (1 <= t for decode, lemma2-check and klp-report), and
+search needs --lambda >= 0; a design file's header must satisfy
+0 <= k <= n. Otherwise the run exits 2 with one line naming the values,
+such as "error: need 0 <= t <= k <= n, got t=3, k=2, n=4". All integers
+print in full decimal, except that a cap error shows a count of more
+than 200 bits as "more than 2^b", or as "more than q^e" when the lower
+bound q^e = q^(k(n-k)) of [n k]_q already refuses it without the exact
+count; JSON output is a single object with a schema_version field,
 sorted keys, and two-space indentation, so parsing and re-serializing it
 is byte-identical.
 """
@@ -27,8 +33,9 @@ import os
 import sys
 from collections.abc import Iterable
 from contextlib import contextmanager
+from dataclasses import asdict
 
-from .errors import InvalidParameters, QDesignError, ResourceLimitError, number_text
+from .errors import InvalidParameters, QDesignError, ResourceLimitError
 from .gf import make_field
 from .grassmann import intersect_dim, iter_subspaces
 from .incidence import (
@@ -44,7 +51,7 @@ from .localdecode import (
     solve_coefficients,
     verify_certificate,
 )
-from .qcount import check_bounds, q_binomial, q_binomial_via_sum
+from .qcount import check_bounds, q_binomial, q_binomial_capped, q_binomial_via_sum
 from .search import NotFound, Timeout, search_design
 from .selftest import format_report_text, report_to_json_obj, run_selftest
 from .verifier import (
@@ -111,11 +118,7 @@ def _cmd_qbinom(args) -> _Result:
 
 def _cmd_enumerate(args) -> _Result:
     field = make_field(args.q)
-    count = q_binomial(args.n, args.k, args.q)
-    if count > args.max_subspaces:
-        raise ResourceLimitError(
-            f"[{args.n} {args.k}]_{args.q} = {number_text(count)} exceeds cap {args.max_subspaces}"
-        )
+    count = q_binomial_capped(args.n, args.k, args.q, args.max_subspaces)
     obj: dict = {"q": args.q, "n": args.n, "k": args.k, "count": count}
     if args.count_only:
         return 0, obj, [str(count)]
@@ -182,15 +185,7 @@ def _cmd_verify(args) -> _Result:
 
 def _cmd_decode(args) -> _Result:
     system = solve_coefficients(args.q, args.t, args.k)
-    obj = {
-        "q": args.q,
-        "t": args.t,
-        "k": args.k,
-        "D": [list(row) for row in system.D],
-        "m": system.m,
-        "f": list(system.f),
-        "Dj_dets": list(system.f),
-    }
+    obj = {**asdict(system), "Dj_dets": system.f}
     lines = _kv(obj, "q", "t", "k")
     lines += [f"D row {i} = {' '.join(str(x) for x in row)}" for i, row in enumerate(system.D)]
     lines += _kv(obj, "m")
@@ -232,10 +227,7 @@ def _cmd_lemma2_check(args) -> _Result:
         "k": args.k,
         "pairs": report.pair_count,
         "extension_count": report.extension_count,
-        "cells": [
-            {"l": c.l, "j": c.j, "formula": c.formula, "pairs": c.pairs}
-            for c in report.cells
-        ],
+        "cells": [asdict(c) for c in report.cells],
         "ok": report.ok,
         "mismatch": report.mismatch,
     }
@@ -252,27 +244,7 @@ def _cmd_klp_report(args) -> _Result:
     witness = (
         divisibility_witness(args.q, args.n, args.k, args.t) if args.n <= 64 else None
     )
-    obj = {
-        "q": rep.q,
-        "n": rep.n,
-        "k": rep.k,
-        "t": rep.t,
-        "constant": rep.constant,
-        "c1_bound": rep.c1_bound,
-        "c2": rep.c2,
-        "c3_bound": rep.c3_bound,
-        "A_upper": rep.A_upper,
-        "B_lower": rep.B_lower,
-        "A_exact": rep.A_exact,
-        "B_exact": rep.B_exact,
-        "rhs_final": rep.rhs_final,
-        "block_budget": rep.block_budget,
-        "feasible": rep.feasible,
-        "divisibility_witness": witness,
-        "k_gt_12t": rep.k_gt_12t,
-        "k_gt_12t_plus_1": rep.k_gt_12t_plus_1,
-        "log_reading": rep.log_reading,
-    }
+    obj = {**asdict(rep), "divisibility_witness": witness}
     lines = _kv(
         obj, "q", "n", "k", "t", "constant", "c1_bound", "c2", "c3_bound", "A_upper",
         "B_lower", "A_exact", "B_exact", "rhs_final", "block_budget",

@@ -1,14 +1,14 @@
 """Exception hierarchy shared by all qdesign modules."""
 
 # counts up to this many bits are printed in full in error messages
-_SHOWN_BITS = 200
+SHOWN_BITS = 200
 
 
 def number_text(x: int) -> str:
     """x in decimal when it is short, else "more than 2^b" with b as
     large as is true.  Cap errors compare first and print after; the
     decimal string of a huge count takes time quadratic in its length."""
-    if x.bit_length() <= _SHOWN_BITS:
+    if x.bit_length() <= SHOWN_BITS:
         return str(x)
     return f"more than 2^{(x - 1).bit_length() - 1}"
 
@@ -51,3 +51,15 @@ class SingularMap(InvalidParameters):
 
 class DegenerateSystem(QDesignError):
     """Internal assertion: a linear system that must be solvable is not."""
+
+
+def check_chain(low: int, **values: int) -> None:
+    """Raise DimensionMismatch unless low <= v1 <= v2 <= ... for the
+    named values in the order given, e.g. check_chain(0, t=t, k=k, n=n)
+    for 0 <= t <= k <= n.  The message names every value: "need 0 <= t
+    <= k <= n, got t=3, k=2, n=4".  A hot caller may test the chain
+    inline and call this only to raise."""
+    chain = [low, *values.values()]
+    if any(a > b for a, b in zip(chain, chain[1:])):
+        got = ", ".join(f"{name}={v}" for name, v in values.items())
+        raise DimensionMismatch(f"need {' <= '.join([str(low), *values])}, got {got}")

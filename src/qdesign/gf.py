@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import SingularMap, UnsupportedOrder
+from .errors import SingularMap, UnsupportedOrder, check_chain
 
 # Monic irreducible polynomial per supported prime power, coefficients by
 # increasing degree over the prime subfield.
@@ -289,8 +289,7 @@ def random_invertible(field: FieldSpec, n: int, seed: int) -> MatrixGFq:
     Rejection sampling: the invertible fraction is at least 28% even for
     q = 2, so expected retries are small.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_chain(1, n=n)
     rng = random.Random(seed)
     q = field.q
     while True:

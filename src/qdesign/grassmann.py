@@ -35,10 +35,11 @@ from .errors import (
     InvalidParameters,
     SingularMap,
     TooLarge,
+    check_chain,
     number_text,
 )
 from .gf import FieldSpec, MatrixGFq, _rref_rows, mat_inverse, mat_mul, rank, rank_of_rows, rref
-from .qcount import q_binomial
+from .qcount import q_binomial, q_binomial_capped
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,7 @@ def _echelon_forms(n: int, k: int, q: int) -> Iterator[tuple[tuple[int, ...], tu
 
 def iter_subspaces(n: int, k: int, field: FieldSpec) -> Iterator[SubspaceBasis]:
     """All k-subspaces of F_q^n in canonical order, lazily."""
-    if k < 0 or k > n:
-        raise DimensionMismatch(f"need 0 <= k <= n, got k={k}, n={n}")
+    check_chain(0, k=k, n=n)
     for _, entries in _echelon_forms(n, k, field.q):
         yield SubspaceBasis(field, n, k, entries)
 
@@ -211,8 +211,7 @@ def subspace_rank(S: SubspaceBasis) -> int:
 
 def unrank(n: int, k: int, field: FieldSpec, r: int) -> SubspaceBasis:
     """The k-subspace of F_q^n at position r of the canonical order."""
-    if k < 0 or k > n:
-        raise DimensionMismatch(f"need 0 <= k <= n, got k={k}, n={n}")
+    check_chain(0, k=k, n=n)
     q = field.q
     for pivots, (offset, free) in _rank_plan(n, k, q).items():
         if offset <= r < offset + q ** len(free):
@@ -259,8 +258,8 @@ def block_echelon_forms(
     q, add, mul = field.q, field.add_table, field.mul_table
     rows = block.rows()
     k = len(rows)
-    if not 0 <= t <= k:
-        raise DimensionMismatch(f"need 0 <= t <= k, got t={t}, k={k}")
+    if not 0 <= t <= k:  # inline: this runs once per block
+        check_chain(0, t=t, k=k)
     pivots = _pivots(rows)
     # scaled[m][c] = c * row m, for the coefficients c >= 1 that occur
     scaled = [[None, row] + [tuple([mul[c][x] for x in row]) for c in range(2, q)] for row in rows]
@@ -300,9 +299,7 @@ def enumerate_subspaces(
     n: int, k: int, field: FieldSpec, max_count: int = 10**7
 ) -> list[SubspaceBasis]:
     """All k-subspaces as a list; raises TooLarge past max_count."""
-    count = q_binomial(n, k, field.q)
-    if count > max_count:
-        raise TooLarge(f"[{n} {k}]_{field.q} = {number_text(count)} exceeds cap {max_count}")
+    q_binomial_capped(n, k, field.q, max_count)
     return list(iter_subspaces(n, k, field))
 
 
@@ -340,7 +337,8 @@ def subspace_dim_from_count(q: int, count: int) -> int:
 
 
 def extensions(V: SubspaceBasis, k: int, max_count: int = 10**7) -> list[SubspaceBasis]:
-    """All k-subspaces U with V <= U <= F_q^n, in canonical order.
+    """All k-subspaces U with V <= U <= F_q^n, in canonical order, for
+    V of dimension t <= k.
 
     Subspaces containing V correspond to (k - dim V)-subspaces of the
     quotient F_q^n / V; the quotient is coordinatized by the non-pivot
@@ -348,8 +346,7 @@ def extensions(V: SubspaceBasis, k: int, max_count: int = 10**7) -> list[Subspac
     placing its entries at those columns.
     """
     field, n, t = V.field, V.n, V.k
-    if not t <= k <= n:
-        raise DimensionMismatch(f"need dim V = {t} <= k <= n = {n}")
+    check_chain(0, t=t, k=k, n=n)
     count = q_binomial(n - t, k - t, field.q)
     if count > max_count:
         raise TooLarge(f"extension count {number_text(count)} exceeds cap {max_count}")

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TooLarge, number_text
+from .errors import TooLarge, check_chain, number_text
 from .gf import FieldSpec
 from .grassmann import (
     SubspaceBasis,
@@ -66,8 +66,7 @@ def build_incidence(
     of the structure is 1.
     """
     q = field.q
-    if not 0 <= t <= k <= n:
-        raise ValueError(f"need 0 <= t <= k <= n, got t={t}, k={k}, n={n}")
+    check_chain(0, t=t, k=k, n=n)
     num_rows = q_binomial(n, k, q)
     num_cols = q_binomial(n, t, q)
     if num_rows * num_cols > max_bits:

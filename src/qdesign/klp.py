@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, TooLarge
+from .errors import DimensionMismatch, TooLarge, check_chain
 from .localdecode import solve_coefficients
 from .qcount import q_binomial, validate_q
 
@@ -107,8 +107,7 @@ def klp_report(
     if one exceeds max_bits the report raises TooLarge before building
     any of them.
     """
-    if not 1 <= t <= k <= n:
-        raise DimensionMismatch(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
+    check_chain(1, t=t, k=k, n=n)
     if constant < 1:
         raise ValueError("constant must be >= 1")
     validate_q(q)
@@ -170,8 +169,9 @@ def divisibility_witness(q: int, n: int, k: int, t: int) -> int:
     to m [k t]_q, an integer vector, which is what makes the witness
     valid; that integrality is re-checked here with exact rationals.
     """
-    if not 1 <= t <= k <= n <= 64:
-        raise DimensionMismatch("need 1 <= t <= k <= n <= 64")
+    check_chain(1, t=t, k=k, n=n)
+    if n > 64:
+        raise DimensionMismatch(f"need n <= 64 for the exact witness, got n={n}")
     from fractions import Fraction
 
     m = solve_coefficients(q, t, k).m

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateSystem, DimensionMismatch, TooLarge, number_text
+from .errors import DegenerateSystem, DimensionMismatch, TooLarge, check_chain, number_text
 from .gf import make_field
 from .grassmann import (
     SubspaceBasis,
@@ -49,7 +49,7 @@ from .grassmann import (
     iter_subspaces,
     subspace_dim_from_count,
 )
-from .qcount import q_binomial
+from .qcount import q_binomial, q_binomial_capped
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,7 @@ def _entry(q: int, t: int, k: int, l: int, j: int) -> int:
 def build_D(q: int, t: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The (t+1) x (t+1) coefficient matrix; upper triangular with a
     positive diagonal whenever 1 <= t <= k."""
-    if not 1 <= t <= k:
-        raise DimensionMismatch(f"need 1 <= t <= k, got t={t}, k={k}")
+    check_chain(1, t=t, k=k)
     D = tuple(tuple(_entry(q, t, k, l, j) for j in range(t + 1)) for l in range(t + 1))
     for l in range(t + 1):
         for j in range(l):
@@ -197,9 +196,7 @@ def decode_certificate(
         raise DimensionMismatch("decoded column must have dimension >= 1")
     if n < t + k:
         raise DimensionMismatch(f"need ambient n >= t + k = {t + k}, got {n}")
-    count = q_binomial(k + t, k, q)
-    if count > max_subspaces:
-        raise TooLarge(f"[{k + t} {k}]_{q} = {number_text(count)} exceeds cap {max_subspaces}")
+    count = q_binomial_capped(k + t, k, q, max_subspaces)
 
     system = solve_coefficients(q, t, k)
     pivots = V.pivot_columns
@@ -273,10 +270,7 @@ def lemma2_count(V1: SubspaceBasis, V2: SubspaceBasis, k: int, j: int) -> int:
     l = intersect_dim(V1, V2)
     if l >= t:
         raise DimensionMismatch("V1 and V2 must be distinct (l < t)")
-    if not l <= j <= t:
-        raise DimensionMismatch(f"need l = {l} <= j <= t = {t}, got j={j}")
-    if not t <= k <= n:
-        raise DimensionMismatch(f"need t <= k <= n, got k={k}")
+    check_chain(0, l=l, j=j, t=t, k=k, n=n)
     return _lemma2_formula(q, n, t, k, l, j)
 
 
@@ -416,8 +410,7 @@ def lemma2_grid_report(
     bits, exceeds 2^28 bits.  The first failing pair, in the order V1
     then V2 by canonical index, is reported.
     """
-    if not 1 <= t <= k <= n:
-        raise DimensionMismatch(f"need 1 <= t <= k <= n, got t={t}, k={k}, n={n}")
+    check_chain(1, t=t, k=k, n=n)
     field = make_field(q)
     n_t = q_binomial(n, t, q)
     if n_t < 2:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import InvalidParameters, TooManyTerms, number_text
+from .errors import SHOWN_BITS, InvalidParameters, TooLarge, TooManyTerms, check_chain, number_text
 
 
 def validate_q(q: int) -> None:
@@ -28,8 +28,7 @@ def q_int(i: int, q: int) -> int:
 
 def q_factorial(n: int, q: int) -> int:
     """The q-factorial [n]_q! = [1]_q [2]_q ... [n]_q (1 for n = 0)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_chain(0, n=n)
     out = 1
     for i in range(1, n + 1):
         out *= q_int(i, q)
@@ -57,6 +56,25 @@ def q_binomial(n: int, k: int, q: int) -> int:
     return out
 
 
+def q_binomial_capped(n: int, k: int, q: int, cap: int) -> int:
+    """[n k]_q, or TooLarge("[n k]_q = X exceeds cap C") when it exceeds cap.
+
+    For 0 < k < n, [n k]_q > q^e >= 2^b with e = k(n-k) and b = e
+    floor(log2 q).  When 2^b alone is past the cap and past the bits a
+    message prints in full, the refusal reads "more than q^e" and the
+    exact count, whose cost grows about as n^4 at k = n/2, is never
+    computed.
+    """
+    e = k * (n - k)
+    b = e * (q.bit_length() - 1)
+    if b > SHOWN_BITS and b >= cap.bit_length():
+        raise TooLarge(f"[{n} {k}]_{q} = more than {q}^{e} exceeds cap {cap}")
+    count = q_binomial(n, k, q)
+    if count > cap:
+        raise TooLarge(f"[{n} {k}]_{q} = {number_text(count)} exceeds cap {cap}")
+    return count
+
+
 def q_binomial_via_sum(n: int, k: int, q: int, max_terms: int = 10**6) -> int:
     """Gaussian binomial via the monomial-sum identity.
 
@@ -64,8 +82,7 @@ def q_binomial_via_sum(n: int, k: int, q: int, max_terms: int = 10**6) -> int:
     Kept as an independent cross-check of q_binomial; the sum has
     C(n, k) terms, capped at max_terms.
     """
-    if k < 0 or k > n:
-        raise ValueError("need 0 <= k <= n")
+    check_chain(0, k=k, n=n)
     nterms = math.comb(n, k)
     if nterms > max_terms:
         raise TooManyTerms(f"C({n},{k}) = {number_text(nterms)} exceeds cap {max_terms}")
@@ -90,8 +107,7 @@ def check_bounds(n: int, k: int, q: int) -> BinomialBounds:
     The lower bound is the largest monomial in the sum identity; the
     upper bound multiplies it by the number of terms.
     """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    check_chain(0, k=k, n=n)
     lower = q ** (k * (n - k))
     upper = math.comb(n, k) * lower
     value = q_binomial(n, k, q)

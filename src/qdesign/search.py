@@ -29,7 +29,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .errors import TooLarge
+from .errors import TooLarge, check_chain
 from .gf import FieldSpec, make_field
 from .grassmann import enumerate_subspaces, t_subspace_ranks
 from .qcount import q_binomial
@@ -247,10 +247,13 @@ def search_design(
 
     Returns a verified DesignCandidate, NotFound (for the exhaustive
     method this is a completeness statement), or Timeout with partial
-    coverage statistics.
+    coverage statistics.  Raises DimensionMismatch, before any count is
+    taken, unless 0 <= t <= k <= n and lam >= 0.
     """
     if method not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown method {method!r}")
+    check_chain(0, t=t, k=k, n=n)
+    check_chain(0, **{"lambda": lam})
     field = make_field(q)
 
     # the block count N is forced by lam [n t]_q = N [k t]_q; a fractional

@@ -22,10 +22,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, TooLarge, number_text
+from .errors import DimensionMismatch, check_chain
 from .gf import FieldSpec, make_field
 from .grassmann import SubspaceBasis, subspace_from_rows, t_subspace_ranks, unrank
-from .qcount import q_binomial
+from .qcount import q_binomial, q_binomial_capped
 
 _DIGITS = "0123456789abcdef"
 _DIGIT_VALUES = {c: int(c, 16) for c in _DIGITS + "ABCDEF"}
@@ -70,11 +70,8 @@ def verify_design(
     """
     field, n, k = candidate.field, candidate.n, candidate.k
     q = field.q
-    if not 0 <= t <= k:
-        raise DimensionMismatch(f"need 0 <= t <= k, got t={t}, k={k}")
-    num_cols = q_binomial(n, t, q)
-    if num_cols > max_columns:
-        raise TooLarge(f"[{n} {t}]_{q} = {number_text(num_cols)} exceeds cap {max_columns}")
+    check_chain(0, t=t, k=k, n=n)
+    num_cols = q_binomial_capped(n, t, q, max_columns)
 
     counts = [0] * num_cols  # indexed by canonical rank
     for block in candidate.blocks:
@@ -89,7 +86,7 @@ def verify_design(
     failing: SubspaceBasis | None = None
     if is_design:
         lambda_ = next(iter(histogram))
-        if lambda_ * q_binomial(n, t, q) != N * q_binomial(k, t, q):
+        if lambda_ * num_cols != N * q_binomial(k, t, q):
             raise AssertionError("design counting identity violated")
     else:
         mode = min(histogram, key=lambda c: (-histogram[c], c))
@@ -111,8 +108,7 @@ def lambda_identity_check(n: int, k: int, t: int, q: int, N: int) -> int | None:
 
     None means no design with N blocks can exist at these parameters.
     """
-    if not 0 <= t <= k <= n:
-        raise DimensionMismatch("need 0 <= t <= k <= n")
+    check_chain(0, t=t, k=k, n=n)
     lam, rem = divmod(N * q_binomial(k, t, q), q_binomial(n, t, q))
     return lam if rem == 0 else None
 
@@ -167,6 +163,29 @@ def _block_from_digit_rows(
     return block
 
 
+def _design_from_fields(q: int, n: int, k: int, block_rows: list) -> DesignCandidate:
+    """The candidate of a design file, text or JSON, once q, n and k are read."""
+    field = make_field(q)
+    check_chain(0, k=k, n=n)
+    blocks = tuple(
+        _block_from_digit_rows(field, n, k, rows, i) for i, rows in enumerate(block_rows)
+    )
+    return DesignCandidate(field=field, n=n, k=k, blocks=blocks)
+
+
+def _int_field(value, key: str, part: str) -> int:
+    """A design file's q, n or k: a header word that int() reads, or a
+    JSON integer (a float or a boolean is refused, not truncated)."""
+    if part == "header":
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif type(value) is int:
+        return value
+    raise ValueError(f"design {part} field {key!r} must be an integer")
+
+
 def parse_design_text(text: str) -> DesignCandidate:
     lines = [ln.strip() for ln in text.splitlines()]
     if not lines:
@@ -174,45 +193,28 @@ def parse_design_text(text: str) -> DesignCandidate:
     header = lines[0].split()
     if len(header) != 3:
         raise ValueError("header must be 'q n k'")
-    fields = dict(zip(("q", "n", "k"), header))
-    q, n, k = (_int_field(fields, key, "header") for key in ("q", "n", "k"))
-    field = make_field(q)
-    blocks = []
-    current: list[str] = []
+    q, n, k = (_int_field(word, key, "header") for key, word in zip(("q", "n", "k"), header))
+    block_rows: list[list[str]] = [[]]
     for ln in lines[1:]:
         if ln:
-            current.append(ln)
-        elif current:
-            blocks.append(_block_from_digit_rows(field, n, k, current, len(blocks)))
-            current = []
-    if current:
-        blocks.append(_block_from_digit_rows(field, n, k, current, len(blocks)))
-    return DesignCandidate(field=field, n=n, k=k, blocks=tuple(blocks))
-
-
-def _int_field(obj: dict, key: str, part: str = "JSON") -> int:
-    try:
-        return int(obj[key])
-    except (TypeError, ValueError, OverflowError):  # null, a list, a string, 1e999
-        raise ValueError(f"design {part} field {key!r} must be an integer") from None
+            block_rows[-1].append(ln)
+        elif block_rows[-1]:
+            block_rows.append([])
+    return _design_from_fields(q, n, k, [rows for rows in block_rows if rows])
 
 
 def design_from_json_obj(obj: dict) -> DesignCandidate:
     missing = [key for key in ("q", "n", "k", "blocks") if key not in obj]
     if missing:
         raise ValueError(f"design JSON is missing field {missing[0]!r}")
-    q, n, k = (_int_field(obj, key) for key in ("q", "n", "k"))
-    field = make_field(q)
+    q, n, k = (_int_field(obj[key], key, "JSON") for key in ("q", "n", "k"))
     block_rows = obj["blocks"]
     if not isinstance(block_rows, list) or not all(
         isinstance(rows, list) and all(isinstance(row, str) for row in rows)
         for rows in block_rows
     ):
         raise ValueError("design JSON field 'blocks' must be a list of lists of digit strings")
-    blocks = tuple(
-        _block_from_digit_rows(field, n, k, rows, i) for i, rows in enumerate(block_rows)
-    )
-    return DesignCandidate(field=field, n=n, k=k, blocks=blocks)
+    return _design_from_fields(q, n, k, block_rows)
 
 
 def load_design(path: str) -> DesignCandidate:

@@ -198,7 +198,12 @@ def test_verify_json_blocks_malformed_exit_2(tmp_path):
 
 
 def test_verify_json_non_integer_field_exit_2(tmp_path):
-    for key, value in (("q", "null"), ("n", "[2]"), ("k", '"one"'), ("k", "1e999")):
+    cases = (
+        ("q", "null"), ("n", "[2]"), ("k", '"one"'), ("k", "1e999"),
+        # JSON numbers must be integers: no truncation, no boolean as 1
+        ("q", "2.9"), ("n", "3.5"), ("q", "true"), ("n", '"2"'),
+    )
+    for key, value in cases:
         fields = {"q": "2", "n": "2", "k": "1", key: value}
         (tmp_path / "d.json").write_text(
             '{"q": %(q)s, "n": %(n)s, "k": %(k)s, "blocks": []}\n' % fields
@@ -218,6 +223,13 @@ def test_verify_design_file_digit_and_header_errors_exit_2(tmp_path):
         ("e.txt", "2 3 1\n\n1g0\n",
          "error: design block 0 row '1g0' has a digit outside 0..1 (q = 2)\n"),
         ("e.txt", "2 3 x\n\n100\n", "error: design header field 'k' must be an integer\n"),
+        # the header must satisfy 0 <= k <= n, with or without blocks
+        ("e.txt", "2 3 4\n", "error: need 0 <= k <= n, got k=4, n=3\n"),
+        ("e.txt", "2 3 -1\n", "error: need 0 <= k <= n, got k=-1, n=3\n"),
+        ("e.json", '{"q": 2, "n": 3, "k": 4, "blocks": [["1000"]]}\n',
+         "error: need 0 <= k <= n, got k=4, n=3\n"),
+        ("e.json", '{"q": 2, "n": -3, "k": 1, "blocks": []}\n',
+         "error: need 0 <= k <= n, got k=1, n=-3\n"),
     )
     for name, text, expected in cases:
         (tmp_path / name).write_text(text)
@@ -342,6 +354,16 @@ def test_cap_errors_abbreviate_huge_counts():
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
+def test_binomial_cap_refuses_from_lower_bound():
+    # the exact [3000 1500]_2 takes seconds; q^(k(n-k)) alone is past the cap
+    start = time.monotonic()
+    code, out, err = run_cli("enumerate", "--q", "2", "--n", "3000", "--k", "1500")
+    assert time.monotonic() - start < 1.5
+    assert (code, out, err) == (
+        3, "", "error: [3000 1500]_2 = more than 2^2250000 exceeds cap 10000000\n"
+    )
+
+
 def test_klp_report_bit_cap_exit_3():
     code, out, err = run_cli(
         "klp-report", "--q", "2", "--n", "100000", "--k", "25000", "--t", "1"
@@ -405,6 +427,26 @@ def test_klp_report_text_without_exact_values():
     ])
 
 
+def test_klp_report_json_pinned():
+    code, out, _ = run_cli(
+        "klp-report", "--q", "2", "--n", "20", "--k", "5", "--t", "1", "--json"
+    )
+    assert code == 0
+    assert out == (
+        '{\n  "A_exact": 1048575,\n  "A_upper": 549755813888,\n'
+        '  "B_exact": 126769425631762997934675,\n  "B_lower": 37778931862957161709568,\n'
+        '  "block_budget": 312174855031599223138159722979316630574859814266497115085915695962'
+        "537173881976562012030610306349197115982693112140662289544797567928828530629017"
+        '6,\n  "c1_bound": 576460752303423488,\n  "c2": 1,\n  "c3_bound": 1099511627776,\n'
+        '  "command": "klp-report",\n  "constant": 1,\n  "divisibility_witness": 520093200,\n'
+        '  "feasible": false,\n  "k": 5,\n  "k_gt_12t": false,\n  "k_gt_12t_plus_1": false,\n'
+        '  "log_reading": "bit_length(|A| c2) ** 8",\n  "n": 20,\n  "q": 2,\n'
+        '  "rhs_final": 374882786914452308343265352236820227358802347079390191111387692769604'
+        "546331688370470147818783958777019774505644678762755591709876517028011255260792427086"
+        '51497324972896105267200000000,\n  "schema_version": 1,\n  "t": 1\n}\n'
+    )
+
+
 def test_klp_report_json_round_trip():
     code, out, _ = run_cli(
         "klp-report", "--q", "2", "--n", "12", "--k", "3", "--t", "1", "--json"
@@ -414,6 +456,22 @@ def test_klp_report_json_round_trip():
     assert obj["c2"] == 1
     assert obj["divisibility_witness"] is not None
     assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == out
+
+
+def test_search_out_of_range_exit_2():
+    # t > k, t < 0, k > n and lambda < 0 are refused before any count
+    cases = (
+        (("--n", "4", "--k", "2", "--t", "3", "--lambda", "1"), "t=3, k=2, n=4"),
+        (("--n", "4", "--k", "2", "--t", "-1", "--lambda", "1"), "t=-1, k=2, n=4"),
+        (("--n", "3", "--k", "5", "--t", "1", "--lambda", "1"), "t=1, k=5, n=3"),
+    )
+    for args, got in cases:
+        code, out, err = run_cli("search", "--q", "2", *args)
+        assert (code, out, err) == (2, "", f"error: need 0 <= t <= k <= n, got {got}\n")
+    code, out, err = run_cli(
+        "search", "--q", "2", "--n", "4", "--k", "2", "--t", "1", "--lambda", "-1"
+    )
+    assert (code, out, err) == (2, "", "error: need 0 <= lambda, got lambda=-1\n")
 
 
 def test_search_not_found_exit_1():

@@ -1,0 +1,166 @@
+"""The (t, k, n) contract: every function that takes dimensions checks
+them through errors.check_chain, refuses an out-of-range call with
+DimensionMismatch in one message shape, and accepts the boundary."""
+
+import pytest
+
+from qdesign.errors import DimensionMismatch, TooLarge
+from qdesign.gf import make_field, random_invertible
+from qdesign.grassmann import (
+    block_echelon_forms,
+    extensions,
+    iter_subspaces,
+    subspace_from_rows,
+    unrank,
+)
+from qdesign.incidence import build_incidence
+from qdesign.klp import divisibility_witness, klp_report
+from qdesign.localdecode import build_D, lemma2_count, lemma2_grid_report
+from qdesign.qcount import (
+    check_bounds,
+    q_binomial,
+    q_binomial_capped,
+    q_binomial_via_sum,
+    q_factorial,
+)
+from qdesign.search import search_design
+from qdesign.verifier import (
+    DesignCandidate,
+    lambda_identity_check,
+    parse_design_text,
+    verify_design,
+)
+
+F2 = make_field(2)
+# a 2-subspace of F_2^4 and a point outside it
+PLANE = subspace_from_rows(F2, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
+POINT = subspace_from_rows(F2, 4, [(0, 0, 1, 0)])
+POINT_IN = subspace_from_rows(F2, 4, [(1, 0, 0, 0)])
+
+
+def _points(n):
+    return DesignCandidate(F2, n, 1, tuple(iter_subspaces(n, 1, F2)))
+
+
+# name: (out-of-range call, its message, calls at the boundary)
+CASES = {
+    "q_factorial": (
+        lambda: q_factorial(-1, 2), "need 0 <= n, got n=-1",
+        [lambda: q_factorial(0, 2)],
+    ),
+    "q_binomial_via_sum": (
+        lambda: q_binomial_via_sum(4, 5, 2), "need 0 <= k <= n, got k=5, n=4",
+        [lambda: q_binomial_via_sum(4, 4, 2), lambda: q_binomial_via_sum(4, 0, 2)],
+    ),
+    "check_bounds": (
+        lambda: check_bounds(4, -1, 2), "need 0 <= k <= n, got k=-1, n=4",
+        [lambda: check_bounds(4, 4, 2), lambda: check_bounds(4, 0, 2)],
+    ),
+    "iter_subspaces": (
+        lambda: list(iter_subspaces(3, 4, F2)), "need 0 <= k <= n, got k=4, n=3",
+        [lambda: list(iter_subspaces(3, 3, F2)), lambda: list(iter_subspaces(3, 0, F2))],
+    ),
+    "unrank": (
+        lambda: unrank(3, 4, F2, 0), "need 0 <= k <= n, got k=4, n=3",
+        [lambda: unrank(3, 3, F2, 0), lambda: unrank(3, 0, F2, 0)],
+    ),
+    "block_echelon_forms": (
+        lambda: block_echelon_forms(PLANE, 3), "need 0 <= t <= k, got t=3, k=2",
+        [lambda: block_echelon_forms(PLANE, 2), lambda: block_echelon_forms(PLANE, 0)],
+    ),
+    "extensions": (
+        lambda: extensions(PLANE, 1), "need 0 <= t <= k <= n, got t=2, k=1, n=4",
+        [lambda: extensions(PLANE, 2), lambda: extensions(PLANE, 4)],
+    ),
+    "build_incidence": (
+        lambda: build_incidence(3, 2, 3, F2), "need 0 <= t <= k <= n, got t=3, k=2, n=3",
+        [lambda: build_incidence(3, 3, 3, F2), lambda: build_incidence(3, 2, 0, F2)],
+    ),
+    "verify_design": (
+        lambda: verify_design(_points(3), 2), "need 0 <= t <= k <= n, got t=2, k=1, n=3",
+        [lambda: verify_design(_points(3), 1), lambda: verify_design(_points(3), 0)],
+    ),
+    "verify_design k > n": (
+        lambda: verify_design(DesignCandidate(F2, 3, 4, ()), 1),
+        "need 0 <= t <= k <= n, got t=1, k=4, n=3",
+        [lambda: verify_design(DesignCandidate(F2, 3, 3, ()), 3)],
+    ),
+    "lambda_identity_check": (
+        lambda: lambda_identity_check(3, 4, 1, 2, 1),
+        "need 0 <= t <= k <= n, got t=1, k=4, n=3",
+        [lambda: lambda_identity_check(3, 3, 3, 2, 1),
+         lambda: lambda_identity_check(3, 1, 0, 2, 7)],
+    ),
+    "design file header": (
+        lambda: parse_design_text("2 3 4\n"), "need 0 <= k <= n, got k=4, n=3",
+        [lambda: parse_design_text("2 3 3\n\n100\n010\n001\n"),
+         lambda: parse_design_text("2 3 0\n")],
+    ),
+    "build_D": (
+        lambda: build_D(2, 0, 2), "need 1 <= t <= k, got t=0, k=2",
+        [lambda: build_D(2, 2, 2), lambda: build_D(2, 1, 2)],
+    ),
+    "lemma2_count": (
+        lambda: lemma2_count(POINT, POINT_IN, 5, 0),
+        "need 0 <= l <= j <= t <= k <= n, got l=0, j=0, t=1, k=5, n=4",
+        [lambda: lemma2_count(POINT, POINT_IN, 4, 1),
+         lambda: lemma2_count(POINT, POINT_IN, 1, 0)],
+    ),
+    "lemma2_grid_report": (
+        lambda: lemma2_grid_report(2, 3, 0, 1), "need 1 <= t <= k <= n, got t=0, k=1, n=3",
+        [lambda: lemma2_grid_report(2, 3, 1, 1), lambda: lemma2_grid_report(2, 3, 2, 3)],
+    ),
+    "klp_report": (
+        lambda: klp_report(2, 5, 6, 1), "need 1 <= t <= k <= n, got t=1, k=6, n=5",
+        [lambda: klp_report(2, 3, 3, 3), lambda: klp_report(2, 3, 1, 1)],
+    ),
+    "divisibility_witness": (
+        lambda: divisibility_witness(2, 5, 3, 0), "need 1 <= t <= k <= n, got t=0, k=3, n=5",
+        [lambda: divisibility_witness(2, 3, 3, 3), lambda: divisibility_witness(2, 64, 1, 1)],
+    ),
+    "random_invertible": (
+        lambda: random_invertible(F2, 0, seed=1), "need 1 <= n, got n=0",
+        [lambda: random_invertible(F2, 1, seed=1)],
+    ),
+    "search_design": (
+        lambda: search_design(2, 4, 2, 3, 1), "need 0 <= t <= k <= n, got t=3, k=2, n=4",
+        [lambda: search_design(2, 3, 2, 2, 1), lambda: search_design(2, 3, 3, 1, 1),
+         lambda: search_design(2, 3, 1, 0, 7)],
+    ),
+    "search_design lambda": (
+        lambda: search_design(2, 4, 2, 1, -1), "need 0 <= lambda, got lambda=-1",
+        [lambda: search_design(2, 3, 1, 1, 0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_out_of_range_raises_one_shape_and_boundary_passes(name):
+    bad, message, boundary = CASES[name]
+    with pytest.raises(DimensionMismatch) as info:
+        bad()
+    assert str(info.value) == message
+    for call in boundary:
+        call()
+
+
+def test_divisibility_witness_needs_exact_counts():
+    with pytest.raises(DimensionMismatch, match="need n <= 64 for the exact witness, got n=65"):
+        divisibility_witness(2, 65, 3, 1)
+
+
+def test_capped_binomial_messages():
+    assert q_binomial_capped(6, 3, 2, 1395) == q_binomial(6, 3, 2) == 1395
+    cases = (
+        (6, 3, 2, 1394, "1395"),
+        # the exact count, abbreviated as in every cap message
+        (201, 1, 2, 10, "more than 2^200"),
+        # past 200 bits of lower bound the refusal prints q^(k(n-k)) itself
+        (202, 1, 2, 10, "more than 2^201"),
+        (300, 150, 3, 10, "more than 3^22500"),
+        (5000, 2500, 16, 10, "more than 16^6250000"),
+    )
+    for n, k, q, cap, text in cases:
+        with pytest.raises(TooLarge) as info:
+            q_binomial_capped(n, k, q, cap)
+        assert str(info.value) == f"[{n} {k}]_{q} = {text} exceeds cap {cap}"
