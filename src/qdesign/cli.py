@@ -35,7 +35,7 @@ from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict
 
-from .errors import InvalidParameters, QDesignError, ResourceLimitError
+from .errors import InvalidParameters, QDesignError, ResourceLimitError, check_chain
 from .gf import make_field
 from .grassmann import intersect_dim, iter_subspaces
 from .incidence import (
@@ -100,7 +100,8 @@ _Result = tuple[int, "dict | None", Iterable[str]]
 
 
 def _cmd_qbinom(args) -> _Result:
-    value = q_binomial(args.n, args.k, args.q)
+    value = q_binomial(args.n, args.k, args.q)  # checks q first
+    check_chain(0, k=args.k, n=args.n)
     obj: dict = {"q": args.q, "n": args.n, "k": args.k, "value": value}
     code = 0
     if args.via_sum:
@@ -118,6 +119,7 @@ def _cmd_qbinom(args) -> _Result:
 
 def _cmd_enumerate(args) -> _Result:
     field = make_field(args.q)
+    check_chain(0, k=args.k, n=args.n)
     count = q_binomial_capped(args.n, args.k, args.q, args.max_subspaces)
     obj: dict = {"q": args.q, "n": args.n, "k": args.k, "count": count}
     if args.count_only:

@@ -16,6 +16,8 @@ These are the lexicographically minimal choices per (p, e), so every
 table, canonical form, and report produced by the library is reproducible
 bit for bit.  Full addition/multiplication/inverse tables are precomputed
 at construction; all later arithmetic is branch-free table lookup.
+Entries are range-checked where they enter (MatrixGFq); elimination and
+row products (_rref_rows, _mul_rows) read the tables and check nothing.
 """
 
 from __future__ import annotations
@@ -56,14 +58,8 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -208,9 +204,9 @@ def _rref_rows(field: FieldSpec, rows: list[list[int]], ncols: int) -> tuple[lis
     """In-place reduced row echelon form; returns (rows, rank).
 
     Pivot rule: columns scanned left to right, first nonzero entry
-    top-down among the unprocessed rows.
+    top-down among the unprocessed rows.  Entries are not range-checked.
     """
-    mul, sub, inv = field.mul, field.sub, field.inv
+    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
     nrows = len(rows)
     r = 0
     for c in range(ncols):
@@ -224,14 +220,14 @@ def _rref_rows(field: FieldSpec, rows: list[list[int]], ncols: int) -> tuple[lis
         rows[r], rows[pr] = rows[pr], rows[r]
         piv = rows[r][c]
         if piv != 1:
-            s = inv(piv)
-            rows[r] = [mul(s, x) for x in rows[r]]
+            scale = mul[inv[piv]]
+            rows[r] = [scale[x] for x in rows[r]]
         prow = rows[r]
         for i in range(nrows):
             if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri = rows[i]
-                rows[i] = [sub(x, mul(f, y)) for x, y in zip(ri, prow)]
+                # row_i - f * prow = row_i + (-f) * prow
+                scale = mul[neg[rows[i][c]]]
+                rows[i] = [add[x][scale[y]] for x, y in zip(rows[i], prow)]
         r += 1
         if r == nrows:
             break
@@ -245,7 +241,7 @@ def rref(M: MatrixGFq) -> tuple[MatrixGFq, int]:
 
 
 def rank(M: MatrixGFq) -> int:
-    return rref(M)[1]
+    return rank_of_rows(M.field, M.row_list(), M.cols)
 
 
 def rank_of_rows(field: FieldSpec, rows, ncols: int) -> int:
@@ -253,22 +249,25 @@ def rank_of_rows(field: FieldSpec, rows, ncols: int) -> int:
     return _rref_rows(field, [list(r) for r in rows], ncols)[1]
 
 
+def _mul_rows(field: FieldSpec, arows, brows, ncols: int) -> list[list[int]]:
+    """Rows of A B for A, B given by their rows, B having ncols columns."""
+    add, mul = field.add_table, field.mul_table
+    out = []
+    for arow in arows:
+        acc = [0] * ncols
+        for a, brow in zip(arow, brows):
+            if a:
+                scale = mul[a]
+                acc = [add[x][scale[b]] for x, b in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
 def mat_mul(A: MatrixGFq, B: MatrixGFq) -> MatrixGFq:
     if A.field != B.field or A.cols != B.rows:
         raise ValueError("incompatible shapes or fields")
-    field = A.field
-    mul, add = field.mul, field.add
-    brows = B.row_list()
-    out = []
-    for i in range(A.rows):
-        arow = A.row(i)
-        acc = [0] * B.cols
-        for k, a in enumerate(arow):
-            if a:
-                br = brows[k]
-                acc = [add(x, mul(a, b)) for x, b in zip(acc, br)]
-        out.append(acc)
-    return MatrixGFq(field=field, rows=A.rows, cols=B.cols, entries=tuple(x for r in out for x in r))
+    out = _mul_rows(A.field, A.row_list(), B.row_list(), B.cols)
+    return MatrixGFq(field=A.field, rows=A.rows, cols=B.cols, entries=tuple(x for r in out for x in r))
 
 
 def mat_inverse(M: MatrixGFq) -> MatrixGFq:

@@ -4,7 +4,9 @@ A subspace is identified with its reduced-row-echelon basis (no zero
 rows), which is unique, so two SubspaceBasis values are equal exactly
 when they represent the same subspace.  Rows are checked only where
 they enter from outside (subspace_from_rows); subspaces the library
-generates itself are built from their canonical entries directly.
+generates itself are built from their canonical entries directly, and
+those it eliminates (subspace_from_rows, apply_map, extensions) from
+bare rows by gf._rref_rows, with no MatrixGFq and no second check.
 
 Canonical enumeration order: by pivot-column set (lexicographically
 increasing), then by the free entries read in row-major order as a
@@ -29,17 +31,9 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
-from .errors import (
-    AmbientMismatch,
-    DimensionMismatch,
-    InvalidParameters,
-    SingularMap,
-    TooLarge,
-    check_chain,
-    number_text,
-)
-from .gf import FieldSpec, MatrixGFq, _rref_rows, mat_inverse, mat_mul, rank, rank_of_rows, rref
-from .qcount import q_binomial, q_binomial_capped
+from .errors import AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, check_chain
+from .gf import FieldSpec, MatrixGFq, _mul_rows, _rref_rows, mat_inverse, mat_mul, rank_of_rows
+from .qcount import q_binomial_capped
 
 
 @dataclass(frozen=True)
@@ -135,11 +129,19 @@ class SubspaceBasis:
 def subspace_from_rows(field: FieldSpec, n: int, rows) -> SubspaceBasis:
     """Subspace spanned by arbitrary row vectors: checked against n and
     F_q, then canonicalized by RREF."""
-    rows = [tuple(r) for r in rows]
+    rows = [list(r) for r in rows]
     if any(len(r) != n for r in rows):
         raise DimensionMismatch("row length does not match ambient dimension")
-    R, rk = rref(MatrixGFq.from_rows(field, rows))
-    return SubspaceBasis(field, n, rk, R.entries[: rk * n])
+    q = field.q
+    if any(not 0 <= x < q for r in rows for x in r):
+        raise ValueError("entry out of field range")
+    return _span(field, n, rows)
+
+
+def _span(field: FieldSpec, n: int, rows: list[list[int]]) -> SubspaceBasis:
+    """Row space of rows (eliminated in place), with no entry check."""
+    rows, rk = _rref_rows(field, rows, n)
+    return SubspaceBasis(field, n, rk, tuple([x for r in rows[:rk] for x in r]))
 
 
 @lru_cache(maxsize=4096)
@@ -347,9 +349,7 @@ def extensions(V: SubspaceBasis, k: int, max_count: int = 10**7) -> list[Subspac
     """
     field, n, t = V.field, V.n, V.k
     check_chain(0, t=t, k=k, n=n)
-    count = q_binomial(n - t, k - t, field.q)
-    if count > max_count:
-        raise TooLarge(f"extension count {number_text(count)} exceeds cap {max_count}")
+    q_binomial_capped(n - t, k - t, field.q, max_count)
     pivset = set(V.pivot_columns)
     nonpiv = [j for j in range(n) if j not in pivset]
     vrows = V.rows()
@@ -361,8 +361,7 @@ def extensions(V: SubspaceBasis, k: int, max_count: int = 10**7) -> list[Subspac
             for pos, x in zip(nonpiv, row):
                 full[pos] = x
             rows.append(full)
-        rows, _ = _rref_rows(field, rows, n)
-        out.append(SubspaceBasis(field, n, k, tuple([x for r in rows for x in r])))
+        out.append(_span(field, n, rows))
     out.sort(key=lambda S: S.sort_key)
     return out
 
@@ -373,10 +372,10 @@ def apply_map(L: MatrixGFq, V: SubspaceBasis) -> SubspaceBasis:
         raise AmbientMismatch("map and subspace over different fields")
     if L.rows != L.cols or L.rows != V.n:
         raise DimensionMismatch("map must be n x n for ambient dimension n")
-    if rank(L) != L.rows:
+    lrows = L.row_list()
+    if rank_of_rows(L.field, lrows, L.cols) != L.rows:
         raise SingularMap("map is not invertible")
-    image = mat_mul(V.basis, L)
-    out = subspace_from_rows(V.field, V.n, image.row_list())
+    out = _span(V.field, V.n, _mul_rows(V.field, V.rows(), lrows, V.n))
     assert out.k == V.k
     return out
 

@@ -57,6 +57,18 @@ def test_usage_error_exit_2():
     assert code == 2
 
 
+def test_qbinom_and_enumerate_count_refuse_k_out_of_range():
+    # a count of 0 outside 0 <= k <= n would read as a valid answer
+    cases = (
+        (("qbinom", "--n", "4", "--k", "5"), "k=5, n=4"),
+        (("qbinom", "--n", "4", "--k", "-1"), "k=-1, n=4"),
+        (("enumerate", "--n", "4", "--k", "5", "--count-only"), "k=5, n=4"),
+    )
+    for args, got in cases:
+        code, out, err = run_cli(*args, "--q", "2")
+        assert (code, out, err) == (2, "", f"error: need 0 <= k <= n, got {got}\n")
+
+
 def test_enumerate_count_only():
     code, out, _ = run_cli("enumerate", "--q", "3", "--n", "4", "--k", "2", "--count-only")
     assert code == 0 and out == "130\n"

@@ -164,3 +164,8 @@ def test_capped_binomial_messages():
         with pytest.raises(TooLarge) as info:
             q_binomial_capped(n, k, q, cap)
         assert str(info.value) == f"[{n} {k}]_{q} = {text} exceeds cap {cap}"
+    # extensions of a t-subspace to k-subspaces number [n-t k-t]_q
+    with pytest.raises(TooLarge) as info:
+        extensions(PLANE, 3, max_count=2)
+    assert str(info.value) == "[2 1]_2 = 3 exceeds cap 2"
+    assert len(extensions(PLANE, 3, max_count=3)) == 3

@@ -10,6 +10,7 @@ from qdesign.gf import (
     identity_matrix,
     make_field,
     mat_inverse,
+    rank,
     rank_of_rows,
     random_invertible,
 )
@@ -278,9 +279,10 @@ def test_every_constructor_gives_the_same_value():
 
 
 def test_generated_subspaces_build_no_matrix(monkeypatch):
-    # subspaces the library generates in canonical form skip MatrixGFq and
-    # its range check; rows from outside still pass through both
+    # no subspace the library generates or eliminates builds a MatrixGFq
+    # or runs its range check; subspace_from_rows checks its bare rows once
     V = subspace_from_rows(F2, 7, [(0, 1, 1, 0, 1, 0, 1), (0, 0, 1, 1, 0, 0, 1)])
+    L = random_invertible(F2, 7, seed=3)
     created = []
     original = MatrixGFq.__post_init__
 
@@ -296,5 +298,17 @@ def test_generated_subspaces_build_no_matrix(monkeypatch):
     cert = decode_certificate(V, 3)
     assert created == []
     assert len(cert.coefficients) == q_binomial(5, 3, 2)
-    subspace_from_rows(F2, 7, V.rows())
-    assert created
+    assert subspace_from_rows(F2, 7, V.rows() + [(0,) * 7]) == V
+    assert apply_map(L, V).k == 2
+    assert len(extensions(V, 3)) == q_binomial(5, 1, 2)
+    assert rank(L) == 7
+    assert created == []
+
+
+def test_subspace_from_rows_checks_rows_at_the_boundary():
+    with pytest.raises(DimensionMismatch, match="row length does not match ambient dimension"):
+        subspace_from_rows(F3, 3, [(1, 0, 0), (0, 1)])
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match="^entry out of field range$"):
+            subspace_from_rows(F3, 3, [(1, 0, 0), (0, bad, 1)])
+    assert subspace_from_rows(F3, 3, [(2, 0, 0), (0, 2, 1)]).k == 2
