@@ -10,9 +10,11 @@ for enumerate), or the lines.
 Exit codes: 0 success, 1 mathematical failure (a verification or bound
 check that comes back false), 2 usage error (also an unreadable or
 malformed input file and an unwritable output file), 3 resource cap or
-timeout, 141 stdout closed by its reader before all output was written
-(128 + SIGPIPE, the status a shell reports for a process that a broken
-pipe kills; nothing is printed to stderr). Dimensions must satisfy
+timeout, 4 internal error (any other exception, reported on one line as
+"error: internal error: <Type>: <message>"), 141 stdout closed by its
+reader before all output was written (128 + SIGPIPE, the status a shell
+reports for a process that a broken pipe kills; nothing is printed to
+stderr). Dimensions must satisfy
 0 <= t <= k <= n (1 <= t for decode, lemma2-check and klp-report), and
 search needs --lambda >= 0; a design file's header must satisfy
 0 <= k <= n. Otherwise the run exits 2 with one line naming the values,
@@ -53,7 +55,6 @@ from .localdecode import (
 )
 from .qcount import check_bounds, q_binomial, q_binomial_capped, q_binomial_via_sum
 from .search import NotFound, Timeout, search_design
-from .selftest import format_report_text, report_to_json_obj, run_selftest
 from .verifier import (
     DesignCandidate,
     design_to_json_obj,
@@ -304,6 +305,9 @@ def _cmd_search(args) -> _Result:
 
 
 def _cmd_selftest(args) -> _Result:
+    # imported here so that no other command compiles and runs it
+    from .selftest import format_report_text, report_to_json_obj, run_selftest
+
     report = run_selftest(workers=args.workers, names=args.suite or None)
     code = 0 if report.ok else 1
     return code, report_to_json_obj(report), [format_report_text(report)[:-1]]
@@ -480,6 +484,9 @@ def main(argv=None) -> int:
     except QDesignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

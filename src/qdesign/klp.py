@@ -10,11 +10,14 @@ an upper bound on the base-2 logarithm.  The inequality involves an
 unspecified absolute constant, so feasibility is always reported
 relative to the supplied constant.
 
-Integer roots run Newton's iteration from a start computed at half
-the precision (precision doubling), so a root of a few hundred
-thousand bits takes a few full-size steps rather than one per bit of
-error.  klp_report refuses, before building anything, parameters whose
-largest power would exceed its max_bits cap.
+Integer roots take one truncated Newton step per precision level: the
+start comes from the root of x's top bits at a little over half the
+precision, with 32 guard bits, so one step lands within a unit or two
+of the root, and the step divides operands cut to about the root's
+length.  Every root is then certified by y^r <= x < (y+1)^r, so the
+result is exact whatever the approximation did.  klp_report refuses,
+before building anything, parameters whose largest power would exceed
+its max_bits cap.
 """
 
 from __future__ import annotations
@@ -27,45 +30,60 @@ from .localdecode import solve_coefficients
 from .qcount import q_binomial, validate_q
 
 
-def nth_root_floor(x: int, r: int) -> int:
-    """Largest integer y with y^r <= x (Newton iteration on big ints).
-
-    Precision doubling (Brent & Zimmermann, Modern Computer Arithmetic,
-    1.5): with s about half the root's bits, y0 = nth_root_floor(x >> rs)
-    gives the start g = (y0 + 1) << s.  Since (y0 + 1)^r > x >> rs,
-    g^r > x, so the start is above the true root and agrees with it in
-    about s leading bits; the descent then takes a step or two at full
-    size instead of one per bit of error.
-    """
+def _root_and_power(x: int, r: int) -> tuple[int, int]:
+    """(y, y^r) for the largest integer y with y^r <= x."""
     if x < 0 or r < 1:
         raise ValueError("need x >= 0, r >= 1")
-    if x == 0:
-        return 0
-    if r == 1:
-        return x
+    if x == 0 or r == 1:
+        return x, x
     root_bits = -(-x.bit_length() // r)
-    if root_bits <= 64:
-        g = 1 << root_bits  # >= true root
+    if root_bits <= 128:
+        g = 1 << root_bits  # >= true root; Newton descends to it
+        while True:
+            ng = ((r - 1) * g + x // g ** (r - 1)) // r
+            if ng >= g:
+                break
+            g = ng
     else:
-        s = root_bits // 2
-        g = (nth_root_floor(x >> (r * s), r) + 1) << s
-    while True:
-        ng = ((r - 1) * g + x // g ** (r - 1)) // r
-        if ng >= g:
-            break
-        g = ng
-    while g**r > x:
+        s = root_bits // 2 - 32
+        g = (_root_and_power(x >> (r * s), r)[0] + 1) << s
+        d = g ** (r - 1)
+        sh = max(0, d.bit_length() - root_bits - 64)
+        g = ((r - 1) * g + (x >> sh) // (d >> sh)) // r
+    p = g**r
+    while p > x:
         g -= 1
-    while (g + 1) ** r <= x:
-        g += 1
-    return g
+        p = g**r
+    while True:
+        nxt = (g + 1) ** r
+        if nxt > x:
+            return g, p
+        g, p = g + 1, nxt
+
+
+def nth_root_floor(x: int, r: int) -> int:
+    """Largest integer y with y^r <= x.
+
+    Precision doubling (Brent & Zimmermann, Modern Computer Arithmetic,
+    1.5), one Newton step per level.  For roots of more than 128 bits,
+    s = root_bits // 2 - 32 and y0 = nth_root_floor(x >> rs) give the
+    start g = (y0 + 1) << s, which agrees with the root to 32 guard bits
+    beyond half its length; the quadratic step from there lands within
+    a unit or two of the root.  The step's quotient x // g^(r-1) is taken
+    on both operands shifted right until the divisor is 64 bits longer
+    than the root, which moves the floored quotient by at most one.
+    Smaller roots run the plain Newton descent from a power of two above
+    the root.  Either way the result is certified by y^r <= x < (y+1)^r,
+    adjusting y by ones until both hold, before it is returned.
+    """
+    return _root_and_power(x, r)[0]
 
 
 def pow_frac_ceil(x: int, num: int, den: int) -> int:
     """Smallest integer >= x^(num/den), exactly."""
     p = x**num
-    root = nth_root_floor(p, den)
-    return root if root**den == p else root + 1
+    root, power = _root_and_power(p, den)
+    return root if power == p else root + 1
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from .grassmann import (
     iter_subspaces,
     subspace_dim_from_count,
 )
-from .qcount import q_binomial, q_binomial_capped
+from .qcount import q_binomial, q_binomial_capped, q_binomial_exceeds
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ def verify_certificate(cert: CoefficientCertificate, max_subspaces: int = 10**6)
     """
     V = cert.decoded_column
     field, n, t = V.field, V.n, V.k
-    if q_binomial(n, t, field.q) > max_subspaces:
+    if q_binomial_exceeds(n, t, field.q, max_subspaces):
         raise TooLarge(f"ambient t-subspaces [{n} {t}]_{field.q} exceed cap {max_subspaces}")
     lanes: dict[int, int] = {}
     by_coefficient: dict[int, int] = {}

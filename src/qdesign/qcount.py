@@ -75,6 +75,14 @@ def q_binomial_capped(n: int, k: int, q: int, cap: int) -> int:
     return count
 
 
+def q_binomial_exceeds(n: int, k: int, q: int, bound: int) -> bool:
+    """Whether [n k]_q > bound, without the exact count when the lower
+    bound [n k]_q >= q^(k(n-k)) >= 2^b, b = k(n-k) floor(log2 q), already
+    exceeds it."""
+    b = k * (n - k) * (q.bit_length() - 1)
+    return b >= bound.bit_length() or q_binomial(n, k, q) > bound
+
+
 def q_binomial_via_sum(n: int, k: int, q: int, max_terms: int = 10**6) -> int:
     """Gaussian binomial via the monomial-sum identity.
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .errors import TooLarge, check_chain
 from .gf import FieldSpec, make_field
 from .grassmann import enumerate_subspaces, t_subspace_ranks
-from .qcount import q_binomial
+from .qcount import q_binomial, q_binomial_exceeds
 from .verifier import DesignCandidate, verify_design
 
 
@@ -66,9 +66,9 @@ def build_cover_instance(
     max_candidates: int = 10**5,
 ) -> CoverInstance:
     q = field.q
-    if q_binomial(n, t, q) > max_universe:
+    if q_binomial_exceeds(n, t, q, max_universe):
         raise TooLarge(f"universe [{n} {t}]_{q} exceeds cap {max_universe}")
-    if q_binomial(n, k, q) > max_candidates:
+    if q_binomial_exceeds(n, k, q, max_candidates):
         raise TooLarge(f"candidates [{n} {k}]_{q} exceed cap {max_candidates}")
     candidates = enumerate_subspaces(n, k, field)
     return CoverInstance(
@@ -264,7 +264,7 @@ def search_design(
     if lam_blocks % per_block != 0:
         return NotFound("coverage identity has no integer block count")
     target_n = lam_blocks // per_block
-    if target_n > q_binomial(n, k, q):
+    if not q_binomial_exceeds(n, k, q, target_n - 1):  # target_n > [n k]_q
         return NotFound("required block count exceeds the number of k-subspaces")
 
     inst = build_cover_instance(

@@ -376,6 +376,21 @@ def test_binomial_cap_refuses_from_lower_bound():
     )
 
 
+def test_search_caps_refuse_from_lower_bound():
+    # the exact [2000 1000]_2 takes seconds; the block-count check and the
+    # candidate cap read their answers off q^(k(n-k)) instead
+    args = ("search", "--q", "2", "--n", "2000", "--k", "1000", "--t", "1", "--lambda", "1")
+    cases = {
+        (): "universe [2000 1]_2 exceeds cap 10000",
+        ("--max-universe", str(2**2000)): "candidates [2000 1000]_2 exceed cap 100000",
+    }
+    for extra, message in cases.items():
+        start = time.monotonic()
+        code, out, err = run_cli(*args, *extra)
+        assert time.monotonic() - start < 1.0
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_klp_report_bit_cap_exit_3():
     code, out, err = run_cli(
         "klp-report", "--q", "2", "--n", "100000", "--k", "25000", "--t", "1"
@@ -585,6 +600,25 @@ def test_search_not_found_json():
     obj = json.loads(out)
     assert obj["status"] == "not_found"
     assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == out
+
+
+def test_cli_import_leaves_selftest_unloaded():
+    code = "import sys, qdesign.cli; print('qdesign.selftest' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_internal_error_exit_4(monkeypatch, capsys):
+    from qdesign import cli
+
+    def broken(args):
+        raise RuntimeError("handler fell over")
+
+    monkeypatch.setattr(cli, "_cmd_qbinom", broken)
+    assert cli.main(["qbinom", "--q", "2", "--n", "4", "--k", "2"]) == 4
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: internal error: RuntimeError: handler fell over\n")
 
 
 def test_selftest_subset_and_determinism():

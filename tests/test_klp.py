@@ -61,6 +61,47 @@ def test_pow_frac_ceil():
         assert (y - 1) ** 5 < x**52
 
 
+def test_nth_root_floor_at_large_perfect_powers():
+    # at 100,000 bits the start comes from several levels of recursion,
+    # and for r >= 3 the step divides truncated operands
+    rng = random.Random(10)
+    for r in (2, 3, 5, 7):
+        y = rng.getrandbits(100_000 // r + 64) | 1 << (100_000 // r + 63)
+        p = y**r
+        assert p.bit_length() >= 100_000
+        for x, want in ((p - 1, y - 1), (p, y), (p + 1, y)):
+            got = nth_root_floor(x, r)
+            assert got == want, (r, x - p)
+            assert got**r <= x < (got + 1) ** r
+
+
+def test_pow_frac_ceil_at_a_large_exact_power():
+    rng = random.Random(300)
+    z = rng.getrandbits(1160) | 1 << 1159
+    x = z**5
+    assert (x**52).bit_length() >= 300_000
+    assert pow_frac_ceil(x, 52, 5) == z**52
+    y = pow_frac_ceil(x + 1, 52, 5)
+    assert y**5 >= (x + 1) ** 52 > (y - 1) ** 5
+
+
+@pytest.mark.parametrize("q, n, k, t", [(2, 3000, 75, 1), (5, 1000, 20, 2)])
+def test_klp_report_ceiling_root_by_powering(q, n, k, t):
+    """rhs_final = c1 * log factor * (c2 c3)^(12/5) * r52, where r52 is
+    the ceiling of A_upper^(52/5), checked by powering, not by Newton."""
+    rep = klp_report(q, n, k, t)
+    assert rep.constant == 1 and rep.c2 == 1
+    exp12 = 24 * k * (t + 1) ** 2  # (c2 c3)^12 = q^exp12, an exact fifth power here
+    r12 = q ** (exp12 // 5)
+    assert r12**5 == (rep.c2 * rep.c3_bound) ** 12
+    log_factor = rep.A_upper.bit_length() ** 8
+    r52, rem = divmod(rep.rhs_final, rep.c1_bound * log_factor * r12)
+    assert rem == 0
+    target = rep.A_upper**52
+    assert r52**5 >= target > (r52 - 1) ** 5
+    assert rep.feasible == (rep.rhs_final < rep.B_lower)
+
+
 def test_report_fields():
     rep = klp_report(2, 10, 3, 1)
     assert rep.c2 == 1

@@ -8,6 +8,7 @@ from qdesign.grassmann import iter_subspaces
 from qdesign.qcount import (
     check_bounds,
     q_binomial,
+    q_binomial_exceeds,
     q_binomial_via_sum,
     q_factorial,
     q_int,
@@ -128,3 +129,19 @@ def test_lower_bound_is_largest_sum_term():
 def test_upper_bound_term_count():
     n, k = 9, 4
     assert check_bounds(n, k, 3).upper == math.comb(n, k) * 3 ** (k * (n - k))
+
+
+def test_binomial_exceeds_agrees_with_exact_count():
+    for q in (2, 3, 4, 5):
+        for n in range(7):
+            for k in range(n + 1):
+                value = q_binomial(n, k, q)
+                for bound in (-1, 0, value - 1, value, value + 1, 2 * value):
+                    assert q_binomial_exceeds(n, k, q, bound) == (value > bound)
+
+
+def test_binomial_exceeds_decides_from_lower_bound():
+    q_binomial.cache_clear()
+    assert q_binomial_exceeds(4, 2, 2, 15) and q_binomial_exceeds(2000, 1000, 2, 2**999_999)
+    # 2^(2 * 2) > 15 and 2^(1000 * 1000) > 2^999999: neither needs the exact count
+    assert q_binomial.cache_info().misses == 0
