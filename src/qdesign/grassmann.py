@@ -18,10 +18,14 @@ The rank of a subspace is its position in that order: the count of
 subspaces with a smaller pivot set (prefix sums of q^(free count), a
 q-analogue of the combinatorial number system) plus its free entries
 read as that base-q number (subspace_rank, unrank).  block_echelon_forms
-lists the canonical bases of a block's t-subspaces without elimination;
-t_subspace_ranks reads their ranks off it for the verifier, the
-incidence matrix and the search, and the decoding certificate takes
-its subspaces from it.
+lists the canonical bases of a block's t-subspaces without elimination,
+and the decoding certificate takes its subspaces from it.
+t_subspace_ranks lists their ranks in the same order for the verifier,
+the incidence matrix and the search.  In characteristic 2 an element's
+log2(q) bits are its coefficients over F_2, so F_q addition is XOR:
+rows packed as integers of log2(q) bits per entry add by XOR, and a
+rank is read off runs of free-column bits.  For odd q the ranks are
+read off block_echelon_forms digit by digit.
 """
 
 from __future__ import annotations
@@ -184,14 +188,36 @@ def iter_subspaces(n: int, k: int, field: FieldSpec) -> Iterator[SubspaceBasis]:
 
 
 @lru_cache(maxsize=None)
-def _rank_plan(n: int, k: int, q: int) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
+def _rank_plan(n: int, k: int, q: int) -> dict[tuple[int, ...], tuple]:
     """Pivot columns -> (rank of the first k-subspace with them, free
-    positions), for all C(n, k) pivot sets in canonical order."""
+    positions, free runs), for all C(n, k) pivot sets in canonical order.
+
+    The free runs serve q = 2^b (empty for other q), for basis rows
+    packed as integers of b bits per entry, entry 0 most significant
+    (see t_subspace_ranks).  Each maximal run of consecutive free
+    columns in one row is (row, shift, mask, pos): its entries are
+    (row >> shift) & mask, and they sit at bit pos of the free entries
+    read as one base-q number."""
+    bits = q.bit_length() - 1 if q & (q - 1) == 0 else 0
     plan = {}
     offset = 0
     for pivots in combinations(range(n), k):
         free = _free_positions(n, pivots)
-        plan[pivots] = (offset, free)
+        runs: list[list[int]] = []  # [row, first column, last column, digits below]
+        for d, f in enumerate(reversed(free) if bits else ()):
+            i, j = divmod(f, n)
+            if runs and runs[-1][0] == i and runs[-1][1] == j + 1:
+                runs[-1][1] = j
+            else:
+                runs.append([i, j, j, d])
+        plan[pivots] = (
+            offset,
+            free,
+            tuple([
+                (i, bits * (n - 1 - last), (1 << bits * (last - first + 1)) - 1, bits * d)
+                for i, first, last, d in runs
+            ]),
+        )
         offset += q ** len(free)
     return plan
 
@@ -204,7 +230,7 @@ def _pivots(rows) -> tuple[int, ...]:
 def subspace_rank(S: SubspaceBasis) -> int:
     """Position of S in the canonical order of iter_subspaces(S.n, S.k, .)."""
     q, entries = S.field.q, S.entries
-    offset, free = _rank_plan(S.n, S.k, q)[_pivots(S.rows())]
+    offset, free, _ = _rank_plan(S.n, S.k, q)[_pivots(S.rows())]
     r = 0
     for f in free:
         r = r * q + entries[f]
@@ -215,7 +241,7 @@ def unrank(n: int, k: int, field: FieldSpec, r: int) -> SubspaceBasis:
     """The k-subspace of F_q^n at position r of the canonical order."""
     check_chain(0, k=k, n=n)
     q = field.q
-    for pivots, (offset, free) in _rank_plan(n, k, q).items():
+    for pivots, (offset, free, _) in _rank_plan(n, k, q).items():
         if offset <= r < offset + q ** len(free):
             entries = _pivot_template(n, pivots)
             r -= offset
@@ -282,18 +308,67 @@ def block_echelon_forms(
 
 def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
     """Canonical ranks of the [k t]_q t-subspaces of a k-dimensional
-    block, read off block_echelon_forms with no elimination."""
-    q = block.field.q
-    groups = block_echelon_forms(block, t)
-    plan = _rank_plan(block.n, t, q)
+    block, in the order of block_echelon_forms, with no elimination.
+
+    In characteristic 2 (q = 2^b) an element's b bits are its
+    coefficients over F_2, so F_q addition is XOR.  Each block row and
+    each of its nonzero multiples is packed as an integer with b bits
+    per entry, entry 0 most significant; an image row of P B (see
+    block_echelon_forms) is then the XOR of a few packed rows, and since
+    a base-q digit is a group of b bits, the rank is the offset plus the
+    runs of free columns shifted into place (_rank_plan).  Odd q, whose
+    addition is not bitwise, reads the free entries of each image from
+    block_echelon_forms one digit at a time.
+    """
+    field = block.field
+    q = field.q
     out = []
-    for pivots, images in groups:
-        offset, free = plan[pivots]
-        for image in images:
-            r = 0
-            for f in free:
-                r = r * q + image[f]
-            out.append(offset + r)
+    if field.characteristic != 2:
+        groups = block_echelon_forms(block, t)
+        plan = _rank_plan(block.n, t, q)
+        for pivots, images in groups:
+            offset, free, _ = plan[pivots]
+            for image in images:
+                r = 0
+                for f in free:
+                    r = r * q + image[f]
+                out.append(offset + r)
+        return out
+    n, k, entries = block.n, block.k, block.entries
+    if not 0 <= t <= k:  # inline: this runs once per block
+        check_chain(0, t=t, k=k)
+    bits, mul = field.degree, field.mul_table
+    # packed[m][c] = c * row m, packed, for the coefficients c >= 1
+    packed = []
+    pivots = []
+    for i in range(0, k * n, n):
+        row = entries[i : i + n]
+        pivots.append(row.index(1))  # a canonical row leads with 1
+        v = 0
+        for x in row:
+            v = v << bits | x
+        multiples = [0, v]
+        for c in range(2, q):
+            mc = mul[c]
+            v = 0
+            for x in row:
+                v = v << bits | mc[x]
+            multiples.append(v)
+        packed.append(multiples)
+    plan = _rank_plan(n, t, q)
+    for pat_pivots, bases in _patterns(k, t, q):
+        offset, _, runs = plan[tuple([pivots[p] for p in pat_pivots])]
+        for basis in bases:
+            image = []
+            for lead, terms in basis:
+                acc = packed[lead][1]
+                for m, c in terms:
+                    acc ^= packed[m][c]
+                image.append(acc)
+            r = offset
+            for i, shift, mask, pos in runs:
+                r += (image[i] >> shift & mask) << pos
+            out.append(r)
     return out
 
 

@@ -14,8 +14,9 @@ Integer roots take one truncated Newton step per precision level: the
 start comes from the root of x's top bits at a little over half the
 precision, with 32 guard bits, so one step lands within a unit or two
 of the root, and the step divides operands cut to about the root's
-length.  Every root is then certified by y^r <= x < (y+1)^r, so the
-result is exact whatever the approximation did.  klp_report refuses,
+length.  Only the returned root is certified, by y^r <= x < (y+1)^r,
+so the result is exact whatever the approximation did; the starts of
+the inner levels need only their guard bits.  klp_report refuses,
 before building anything, parameters whose largest power would exceed
 its max_bits cap.
 """
@@ -30,26 +31,30 @@ from .localdecode import solve_coefficients
 from .qcount import q_binomial, validate_q
 
 
-def _root_and_power(x: int, r: int) -> tuple[int, int]:
-    """(y, y^r) for the largest integer y with y^r <= x."""
-    if x < 0 or r < 1:
-        raise ValueError("need x >= 0, r >= 1")
-    if x == 0 or r == 1:
-        return x, x
+def _root_start(x: int, r: int) -> int:
+    """An r-th root of x >= 1 to within a unit or two, not certified."""
     root_bits = -(-x.bit_length() // r)
     if root_bits <= 128:
         g = 1 << root_bits  # >= true root; Newton descends to it
         while True:
             ng = ((r - 1) * g + x // g ** (r - 1)) // r
             if ng >= g:
-                break
+                return g
             g = ng
-    else:
-        s = root_bits // 2 - 32
-        g = (_root_and_power(x >> (r * s), r)[0] + 1) << s
-        d = g ** (r - 1)
-        sh = max(0, d.bit_length() - root_bits - 64)
-        g = ((r - 1) * g + (x >> sh) // (d >> sh)) // r
+    s = root_bits // 2 - 32
+    g = (_root_start(x >> (r * s), r) + 1) << s
+    d = g ** (r - 1)
+    sh = max(0, d.bit_length() - root_bits - 64)
+    return ((r - 1) * g + (x >> sh) // (d >> sh)) // r
+
+
+def _root_and_power(x: int, r: int) -> tuple[int, int]:
+    """(y, y^r) for the largest integer y with y^r <= x."""
+    if x < 0 or r < 1:
+        raise ValueError("need x >= 0, r >= 1")
+    if x == 0 or r == 1:
+        return x, x
+    g = _root_start(x, r)
     p = g**r
     while p > x:
         g -= 1
@@ -66,15 +71,16 @@ def nth_root_floor(x: int, r: int) -> int:
 
     Precision doubling (Brent & Zimmermann, Modern Computer Arithmetic,
     1.5), one Newton step per level.  For roots of more than 128 bits,
-    s = root_bits // 2 - 32 and y0 = nth_root_floor(x >> rs) give the
-    start g = (y0 + 1) << s, which agrees with the root to 32 guard bits
-    beyond half its length; the quadratic step from there lands within
-    a unit or two of the root.  The step's quotient x // g^(r-1) is taken
-    on both operands shifted right until the divisor is 64 bits longer
-    than the root, which moves the floored quotient by at most one.
-    Smaller roots run the plain Newton descent from a power of two above
-    the root.  Either way the result is certified by y^r <= x < (y+1)^r,
-    adjusting y by ones until both hold, before it is returned.
+    s = root_bits // 2 - 32 and y0, the uncertified root of x >> rs from
+    the level below, give the start g = (y0 + 1) << s, which agrees with
+    the root to 32 guard bits beyond half its length; the quadratic step
+    from there lands within a unit or two of the root.  The step's
+    quotient x // g^(r-1) is taken on both operands shifted right until
+    the divisor is 64 bits longer than the root, which moves the floored
+    quotient by at most one.  Smaller roots run the plain Newton descent
+    from a power of two above the root.  Only the top level certifies
+    its result, by y^r <= x < (y+1)^r, adjusting y by ones until both
+    hold; the inner levels need only their guard bits.
     """
     return _root_and_power(x, r)[0]
 

@@ -56,6 +56,15 @@ class Timeout:
     universe_size: int
 
 
+def _check_caps(n: int, k: int, t: int, q: int, max_universe: int, max_candidates: int) -> None:
+    """Refuse a universe or candidate set above its cap, from the lower
+    bound on [n k]_q where it decides, so no exact count is taken."""
+    if q_binomial_exceeds(n, t, q, max_universe):
+        raise TooLarge(f"universe [{n} {t}]_{q} exceeds cap {max_universe}")
+    if q_binomial_exceeds(n, k, q, max_candidates):
+        raise TooLarge(f"candidates [{n} {k}]_{q} exceed cap {max_candidates}")
+
+
 def build_cover_instance(
     n: int,
     k: int,
@@ -65,11 +74,7 @@ def build_cover_instance(
     max_universe: int = 10**4,
     max_candidates: int = 10**5,
 ) -> CoverInstance:
-    q = field.q
-    if q_binomial_exceeds(n, t, q, max_universe):
-        raise TooLarge(f"universe [{n} {t}]_{q} exceeds cap {max_universe}")
-    if q_binomial_exceeds(n, k, q, max_candidates):
-        raise TooLarge(f"candidates [{n} {k}]_{q} exceed cap {max_candidates}")
+    _check_caps(n, k, t, field.q, max_universe, max_candidates)
     candidates = enumerate_subspaces(n, k, field)
     return CoverInstance(
         universe=tuple(enumerate_subspaces(n, t, field)),
@@ -248,13 +253,16 @@ def search_design(
     Returns a verified DesignCandidate, NotFound (for the exhaustive
     method this is a completeness statement), or Timeout with partial
     coverage statistics.  Raises DimensionMismatch, before any count is
-    taken, unless 0 <= t <= k <= n and lam >= 0.
+    taken, unless 0 <= t <= k <= n and lam >= 0, and then TooLarge, before
+    the block-count test, if the universe or the candidates exceed their
+    caps.
     """
     if method not in ("exhaustive", "greedy"):
         raise ValueError(f"unknown method {method!r}")
     check_chain(0, t=t, k=k, n=n)
     check_chain(0, **{"lambda": lam})
     field = make_field(q)
+    _check_caps(n, k, t, q, max_universe, max_candidates)
 
     # the block count N is forced by lam [n t]_q = N [k t]_q; a fractional
     # N rules the design out before any search (same identity as

@@ -379,10 +379,13 @@ def test_binomial_cap_refuses_from_lower_bound():
 def test_search_caps_refuse_from_lower_bound():
     # the exact [2000 1000]_2 takes seconds; the block-count check and the
     # candidate cap read their answers off q^(k(n-k)) instead
-    args = ("search", "--q", "2", "--n", "2000", "--k", "1000", "--t", "1", "--lambda", "1")
+    args = ("search", "--q", "2", "--n", "2000", "--k", "1000", "--lambda", "1")
     cases = {
-        (): "universe [2000 1]_2 exceeds cap 10000",
-        ("--max-universe", str(2**2000)): "candidates [2000 1000]_2 exceed cap 100000",
+        ("--t", "1"): "universe [2000 1]_2 exceeds cap 10000",
+        ("--t", "1", "--max-universe", str(2**2000)): "candidates [2000 1000]_2 exceed cap 100000",
+        # no integer block count either, but the caps come first: the
+        # block-count test would take the exact [2000 500]_2
+        ("--t", "500"): "universe [2000 500]_2 exceeds cap 10000",
     }
     for extra, message in cases.items():
         start = time.monotonic()

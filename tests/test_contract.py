@@ -11,6 +11,7 @@ from qdesign.grassmann import (
     extensions,
     iter_subspaces,
     subspace_from_rows,
+    t_subspace_ranks,
     unrank,
 )
 from qdesign.incidence import build_incidence
@@ -67,6 +68,10 @@ CASES = {
     "block_echelon_forms": (
         lambda: block_echelon_forms(PLANE, 3), "need 0 <= t <= k, got t=3, k=2",
         [lambda: block_echelon_forms(PLANE, 2), lambda: block_echelon_forms(PLANE, 0)],
+    ),
+    "t_subspace_ranks": (
+        lambda: t_subspace_ranks(PLANE, 3), "need 0 <= t <= k, got t=3, k=2",
+        [lambda: t_subspace_ranks(PLANE, 2), lambda: t_subspace_ranks(PLANE, 0)],
     ),
     "extensions": (
         lambda: extensions(PLANE, 1), "need 0 <= t <= k <= n, got t=2, k=1, n=4",

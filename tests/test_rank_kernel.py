@@ -9,7 +9,9 @@ import pytest
 from qdesign.errors import DimensionMismatch, InvalidParameters
 from qdesign.gf import make_field, random_invertible
 from qdesign.grassmann import (
+    SubspaceBasis,
     apply_map,
+    block_echelon_forms,
     enumerate_subspaces,
     extensions,
     iter_subspaces,
@@ -71,6 +73,9 @@ def _check_blocks(blocks, n, t, field):
         ranks = t_subspace_ranks(block, t)
         assert len(ranks) == q_binomial(block.k, t, field.q)
         assert sorted(ranks) == _mask_ranks(block, cols), block
+        # in order, against the images that block_echelon_forms lists
+        images = [e for _, group in block_echelon_forms(block, t) for e in group]
+        assert ranks == [subspace_rank(SubspaceBasis(field, n, t, tuple(e))) for e in images]
 
 
 @pytest.mark.parametrize("q,n,k,t", [(2, 5, 3, 2), (3, 4, 2, 1), (4, 4, 2, 1)])
@@ -79,7 +84,11 @@ def test_kernel_matches_containment_on_every_block(q, n, k, t):
     _check_blocks(iter_subspaces(n, k, field), n, t, field)
 
 
-@pytest.mark.parametrize("q,n,k,t", [(2, 6, 3, 2), (3, 5, 3, 2), (5, 4, 3, 1), (8, 3, 2, 1)])
+@pytest.mark.parametrize(
+    "q,n,k,t",
+    [(2, 6, 3, 2), (3, 5, 3, 2), (5, 4, 3, 1), (8, 3, 2, 1), (8, 4, 3, 2)]
+    + [(q, 3, 2, 1) for q in (7, 9, 11, 13, 16)],
+)
 def test_kernel_on_blocks_from_random_rows(q, n, k, t):
     field = make_field(q)
     rng = random.Random(f"rows:{q}:{n}:{k}")
@@ -115,9 +124,10 @@ def test_kernel_on_extension_blocks(q, n, k, t):
     _check_blocks(blocks, n, t, field)
 
 
-def test_kernel_t_zero_and_t_equal_k():
-    field = make_field(3)
-    for S in enumerate_subspaces(4, 2, field):
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 4), (4, 4), (16, 3)])
+def test_kernel_t_zero_and_t_equal_k(q, n):
+    field = make_field(q)
+    for S in enumerate_subspaces(n, 2, field):
         assert t_subspace_ranks(S, 0) == [0]
         assert t_subspace_ranks(S, 2) == [subspace_rank(S)]
     with pytest.raises(DimensionMismatch):
