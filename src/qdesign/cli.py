@@ -19,12 +19,12 @@ stderr). Dimensions must satisfy
 search needs --lambda >= 0; a design file's header must satisfy
 0 <= k <= n. Otherwise the run exits 2 with one line naming the values,
 such as "error: need 0 <= t <= k <= n, got t=3, k=2, n=4". All integers
-print in full decimal, except that a cap error shows a count of more
-than 200 bits as "more than 2^b", or as "more than q^e" when the lower
-bound q^e = q^(k(n-k)) of [n k]_q already refuses it without the exact
-count; JSON output is a single object with a schema_version field,
-sorted keys, and two-space indentation, so parsing and re-serializing it
-is byte-identical.
+print in full decimal, except that a cap error shows a count past 200
+bits as "more than 2^b", or as "more than q^E" when the cap refused it
+from q^E, E the sum of the k(n-k): every cap on Gaussian binomials
+checks that lower bound before any exact count. JSON output is one
+object with a schema_version field, sorted keys, and two-space
+indentation, so parsing and re-serializing it is byte-identical.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .localdecode import (
     solve_coefficients,
     verify_certificate,
 )
-from .qcount import check_bounds, q_binomial, q_binomial_capped, q_binomial_via_sum
+from .qcount import capped, check_bounds, q_binomial, q_binomial_via_sum
 from .search import NotFound, Timeout, search_design
 from .verifier import (
     DesignCandidate,
@@ -121,7 +121,7 @@ def _cmd_qbinom(args) -> _Result:
 def _cmd_enumerate(args) -> _Result:
     field = make_field(args.q)
     check_chain(0, k=args.k, n=args.n)
-    count = q_binomial_capped(args.n, args.k, args.q, args.max_subspaces)
+    (count,) = capped(args.q, [(args.n, args.k)], args.max_subspaces)
     obj: dict = {"q": args.q, "n": args.n, "k": args.k, "count": count}
     if args.count_only:
         return 0, obj, [str(count)]

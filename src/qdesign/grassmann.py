@@ -37,7 +37,7 @@ from typing import Iterator
 
 from .errors import AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, check_chain
 from .gf import FieldSpec, MatrixGFq, _mul_rows, _rref_rows, mat_inverse, mat_mul, rank_of_rows
-from .qcount import q_binomial_capped
+from .qcount import capped
 
 
 @dataclass(frozen=True)
@@ -376,7 +376,7 @@ def enumerate_subspaces(
     n: int, k: int, field: FieldSpec, max_count: int = 10**7
 ) -> list[SubspaceBasis]:
     """All k-subspaces as a list; raises TooLarge past max_count."""
-    q_binomial_capped(n, k, field.q, max_count)
+    capped(field.q, [(n, k)], max_count)
     return list(iter_subspaces(n, k, field))
 
 
@@ -424,7 +424,7 @@ def extensions(V: SubspaceBasis, k: int, max_count: int = 10**7) -> list[Subspac
     """
     field, n, t = V.field, V.n, V.k
     check_chain(0, t=t, k=k, n=n)
-    q_binomial_capped(n - t, k - t, field.q, max_count)
+    capped(field.q, [(n - t, k - t)], max_count)
     pivset = set(V.pivot_columns)
     nonpiv = [j for j in range(n) if j not in pivset]
     vrows = V.rows()

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import TooLarge, check_chain, number_text
+from .errors import check_chain
 from .gf import FieldSpec
 from .grassmann import (
     SubspaceBasis,
@@ -24,7 +24,7 @@ from .grassmann import (
     subspace_rank,
     t_subspace_ranks,
 )
-from .qcount import q_binomial
+from .qcount import capped, q_binomial
 
 
 @dataclass(frozen=True)
@@ -67,12 +67,9 @@ def build_incidence(
     """
     q = field.q
     check_chain(0, t=t, k=k, n=n)
-    num_rows = q_binomial(n, k, q)
-    num_cols = q_binomial(n, t, q)
-    if num_rows * num_cols > max_bits:
-        raise TooLarge(
-            f"{number_text(num_rows)} x {number_text(num_cols)} bits exceeds cap {max_bits}"
-        )
+    num_rows, num_cols = capped(
+        q, [(n, k), (n, t)], max_bits, f"{{0}} x {{1}} bits exceeds cap {max_bits}"
+    )
 
     rows = enumerate_subspaces(n, k, field)
     cols = enumerate_subspaces(n, t, field)

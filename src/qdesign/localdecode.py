@@ -49,7 +49,7 @@ from .grassmann import (
     iter_subspaces,
     subspace_dim_from_count,
 )
-from .qcount import q_binomial, q_binomial_capped, q_binomial_exceeds
+from .qcount import capped, q_binomial
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def decode_certificate(
         raise DimensionMismatch("decoded column must have dimension >= 1")
     if n < t + k:
         raise DimensionMismatch(f"need ambient n >= t + k = {t + k}, got {n}")
-    count = q_binomial_capped(k + t, k, q, max_subspaces)
+    (count,) = capped(q, [(k + t, k)], max_subspaces)
 
     system = solve_coefficients(q, t, k)
     pivots = V.pivot_columns
@@ -237,8 +237,8 @@ def verify_certificate(cert: CoefficientCertificate, max_subspaces: int = 10**6)
     """
     V = cert.decoded_column
     field, n, t = V.field, V.n, V.k
-    if q_binomial_exceeds(n, t, field.q, max_subspaces):
-        raise TooLarge(f"ambient t-subspaces [{n} {t}]_{field.q} exceed cap {max_subspaces}")
+    message = f"ambient t-subspaces [{n} {t}]_{field.q} exceed cap {max_subspaces}"
+    capped(field.q, [(n, t)], max_subspaces, message)
     lanes: dict[int, int] = {}
     by_coefficient: dict[int, int] = {}
     for u, (U, c) in enumerate(cert.coefficients.items()):
@@ -412,16 +412,12 @@ def lemma2_grid_report(
     """
     check_chain(1, t=t, k=k, n=n)
     field = make_field(q)
-    n_t = q_binomial(n, t, q)
-    if n_t < 2:
+    if t == n:  # [n t]_q < 2 exactly when t = n, for t >= 1
         raise DimensionMismatch("need at least two distinct t-subspaces")
-    n_k = q_binomial(n, k, q)
-    tests = n_t * n_k
-    if tests > max_pairs:
-        raise TooLarge(
-            f"[{n} {t}]_{q} * [{n} {k}]_{q} = {number_text(tests)} "
-            f"containment tests exceed cap {max_pairs}"
-        )
+    n_t, n_k = capped(
+        q, [(n, t), (n, k)], max_pairs,
+        f"[{n} {t}]_{q} * [{n} {k}]_{q} = {{total}} containment tests exceed cap {max_pairs}",
+    )
     for d, count in ((t, n_t), (k, n_k)):
         bits = count * q**n
         if bits > _MAX_LANE_BITS:

@@ -56,31 +56,38 @@ def q_binomial(n: int, k: int, q: int) -> int:
     return out
 
 
-def q_binomial_capped(n: int, k: int, q: int, cap: int) -> int:
-    """[n k]_q, or TooLarge("[n k]_q = X exceeds cap C") when it exceeds cap.
+def capped(
+    q: int, factors: list[tuple[int, int]], cap: int, message: str | None = None
+) -> list[int]:
+    """[n k]_q for each (n, k) in factors, 0 <= k <= n, or TooLarge when
+    their product exceeds cap.
 
-    For 0 < k < n, [n k]_q > q^e >= 2^b with e = k(n-k) and b = e
-    floor(log2 q).  When 2^b alone is past the cap and past the bits a
-    message prints in full, the refusal reads "more than q^e" and the
-    exact count, whose cost grows about as n^4 at k = n/2, is never
-    computed.
+    [n k]_q >= q^e, e = k(n-k), so a cap below q^E, E the sum of the e,
+    refuses with no count, by bit length before q^E is built; otherwise
+    [n k]_q < 4 q^e (Andrews, The Theory of Partitions, ch. 1) and the
+    counts are cheap.  The error is message.format(*texts, total=text),
+    default "[n k]_q = {0} exceeds cap C", a text per count and one for
+    the product: number_text of the value, or "more than q^e" where the
+    refusal skips a count with e floor(log2 q) > SHOWN_BITS.
     """
-    e = k * (n - k)
-    b = e * (q.bit_length() - 1)
-    if b > SHOWN_BITS and b >= cap.bit_length():
-        raise TooLarge(f"[{n} {k}]_{q} = more than {q}^{e} exceeds cap {cap}")
-    count = q_binomial(n, k, q)
-    if count > cap:
-        raise TooLarge(f"[{n} {k}]_{q} = {number_text(count)} exceeds cap {cap}")
-    return count
-
-
-def q_binomial_exceeds(n: int, k: int, q: int, bound: int) -> bool:
-    """Whether [n k]_q > bound, without the exact count when the lower
-    bound [n k]_q >= q^(k(n-k)) >= 2^b, b = k(n-k) floor(log2 q), already
-    exceeds it."""
-    b = k * (n - k) * (q.bit_length() - 1)
-    return b >= bound.bit_length() or q_binomial(n, k, q) > bound
+    log2q = q.bit_length() - 1
+    exps = [k * (n - k) for n, k in factors]
+    by_bound = sum(exps) * log2q >= cap.bit_length() or q ** sum(exps) > cap
+    counts = [
+        None if by_bound and e * log2q > SHOWN_BITS else q_binomial(n, k, q)
+        for (n, k), e in zip(factors, exps)
+    ]
+    total = None if None in counts else math.prod(counts)
+    if not by_bound and total <= cap:
+        return counts
+    if message is None:
+        ((n, k),) = factors
+        message = f"[{n} {k}]_{q} = {{0}} exceeds cap {cap}"
+    texts = [
+        f"more than {q}^{e}" if c is None else number_text(c)
+        for c, e in zip([*counts, total], [*exps, sum(exps)])
+    ]
+    raise TooLarge(message.format(*texts[:-1], total=texts[-1]))
 
 
 def q_binomial_via_sum(n: int, k: int, q: int, max_terms: int = 10**6) -> int:

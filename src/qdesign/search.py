@@ -29,10 +29,10 @@ import random
 import time
 from dataclasses import dataclass
 
-from .errors import TooLarge, check_chain
+from .errors import check_chain
 from .gf import FieldSpec, make_field
 from .grassmann import enumerate_subspaces, t_subspace_ranks
-from .qcount import q_binomial, q_binomial_exceeds
+from .qcount import capped, q_binomial
 from .verifier import DesignCandidate, verify_design
 
 
@@ -56,15 +56,6 @@ class Timeout:
     universe_size: int
 
 
-def _check_caps(n: int, k: int, t: int, q: int, max_universe: int, max_candidates: int) -> None:
-    """Refuse a universe or candidate set above its cap, from the lower
-    bound on [n k]_q where it decides, so no exact count is taken."""
-    if q_binomial_exceeds(n, t, q, max_universe):
-        raise TooLarge(f"universe [{n} {t}]_{q} exceeds cap {max_universe}")
-    if q_binomial_exceeds(n, k, q, max_candidates):
-        raise TooLarge(f"candidates [{n} {k}]_{q} exceed cap {max_candidates}")
-
-
 def build_cover_instance(
     n: int,
     k: int,
@@ -74,13 +65,16 @@ def build_cover_instance(
     max_universe: int = 10**4,
     max_candidates: int = 10**5,
 ) -> CoverInstance:
-    _check_caps(n, k, t, field.q, max_universe, max_candidates)
+    q = field.q
+    capped(q, [(n, t)], max_universe, f"universe [{n} {t}]_{q} exceeds cap {max_universe}")
+    capped(q, [(n, k)], max_candidates, f"candidates [{n} {k}]_{q} exceed cap {max_candidates}")
     candidates = enumerate_subspaces(n, k, field)
     return CoverInstance(
         universe=tuple(enumerate_subspaces(n, t, field)),
         candidates=tuple(candidates),
-        # a universe index is a canonical rank
-        covers=tuple(tuple(sorted(t_subspace_ranks(b, t))) for b in candidates),
+        # a universe index is a canonical rank, and the kernel lists a
+        # block's ranks in increasing order
+        covers=tuple(tuple(t_subspace_ranks(b, t)) for b in candidates),
         multiplicity=lam,
     )
 
@@ -262,17 +256,20 @@ def search_design(
     check_chain(0, t=t, k=k, n=n)
     check_chain(0, **{"lambda": lam})
     field = make_field(q)
-    _check_caps(n, k, t, q, max_universe, max_candidates)
+    (n_t,) = capped(q, [(n, t)], max_universe, f"universe [{n} {t}]_{q} exceeds cap {max_universe}")
+    (n_k,) = capped(
+        q, [(n, k)], max_candidates, f"candidates [{n} {k}]_{q} exceed cap {max_candidates}"
+    )
 
     # the block count N is forced by lam [n t]_q = N [k t]_q; a fractional
     # N rules the design out before any search (same identity as
     # lambda_identity_check, solved for N instead of lambda)
-    lam_blocks = lam * q_binomial(n, t, q)
+    lam_blocks = lam * n_t
     per_block = q_binomial(k, t, q)
     if lam_blocks % per_block != 0:
         return NotFound("coverage identity has no integer block count")
     target_n = lam_blocks // per_block
-    if not q_binomial_exceeds(n, k, q, target_n - 1):  # target_n > [n k]_q
+    if target_n > n_k:
         return NotFound("required block count exceeds the number of k-subspaces")
 
     inst = build_cover_instance(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch, check_chain
 from .gf import FieldSpec, make_field
 from .grassmann import SubspaceBasis, subspace_from_rows, t_subspace_ranks, unrank
-from .qcount import q_binomial, q_binomial_capped
+from .qcount import capped, q_binomial
 
 _DIGITS = "0123456789abcdef"
 _DIGIT_VALUES = {c: int(c, 16) for c in _DIGITS + "ABCDEF"}
@@ -71,7 +71,7 @@ def verify_design(
     field, n, k = candidate.field, candidate.n, candidate.k
     q = field.q
     check_chain(0, t=t, k=k, n=n)
-    num_cols = q_binomial_capped(n, t, q, max_columns)
+    (num_cols,) = capped(q, [(n, t)], max_columns)
 
     counts = [0] * num_cols  # indexed by canonical rank
     for block in candidate.blocks:

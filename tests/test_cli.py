@@ -352,16 +352,39 @@ def test_lemma2_check_lane_cap_exit_3():
 
 def test_cap_errors_abbreviate_huge_counts():
     # [1000000 1]_2 has 301,030 decimal digits; the caps refuse it at once
+    million = ("--q", "2", "--n", "1000000")
     cases = {
-        ("enumerate", "--k", "1"): "[1000000 1]_2 = more than 2^999999 exceeds cap 10000000",
-        ("lemma2-check", "--t", "1", "--k", "1"): (
-            "[1000000 1]_2 * [1000000 1]_2 = more than 2^1999999 "
+        ("enumerate", *million, "--k", "1"): (
+            "[1000000 1]_2 = more than 2^999999 exceeds cap 10000000"
+        ),
+        ("lemma2-check", *million, "--t", "1", "--k", "1"): (
+            "[1000000 1]_2 * [1000000 1]_2 = more than 2^1999998 "
+            "containment tests exceed cap 10000000"
+        ),
+        # the exact [n k]_2 at k = n/2 takes seconds to minutes; the product
+        # caps refuse from 2^(k(n-k)) instead
+        ("incidence", "--q", "2", "--n", "10000", "--k", "5000", "--t", "5000"): (
+            "more than 2^25000000 x more than 2^25000000 bits exceeds cap 1000000000"
+        ),
+        # t < n, so there are two distinct t-subspaces without counting them
+        ("lemma2-check", "--q", "2", "--n", "10000", "--t", "5000", "--k", "5000"): (
+            "[10000 5000]_2 * [10000 5000]_2 = more than 2^50000000 "
             "containment tests exceed cap 10000000"
         ),
     }
+    for n, k in ((2000, 1000), (4000, 2000), (10000, 5000)):
+        e = k * (n - k)
+        sizes = ("--q", "2", "--n", str(n), "--k", str(k), "--t", "1")
+        cases[("incidence", *sizes)] = (
+            f"more than 2^{e} x more than 2^{n - 1} bits exceeds cap 1000000000"
+        )
+        cases[("lemma2-check", *sizes)] = (
+            f"[{n} 1]_2 * [{n} {k}]_2 = more than 2^{e + n - 1} "
+            "containment tests exceed cap 10000000"
+        )
     for args, message in cases.items():
         start = time.monotonic()
-        code, out, err = run_cli(args[0], "--q", "2", "--n", "1000000", *args[1:])
+        code, out, err = run_cli(*args)
         assert time.monotonic() - start < 1.5
         assert (code, out, err) == (3, "", f"error: {message}\n")
 

@@ -4,10 +4,12 @@ DimensionMismatch in one message shape, and accepts the boundary."""
 
 import pytest
 
+import qdesign
 from qdesign.errors import DimensionMismatch, TooLarge
 from qdesign.gf import make_field, random_invertible
 from qdesign.grassmann import (
     block_echelon_forms,
+    enumerate_subspaces,
     extensions,
     iter_subspaces,
     subspace_from_rows,
@@ -16,15 +18,22 @@ from qdesign.grassmann import (
 )
 from qdesign.incidence import build_incidence
 from qdesign.klp import divisibility_witness, klp_report
-from qdesign.localdecode import build_D, lemma2_count, lemma2_grid_report
+from qdesign.localdecode import (
+    CoefficientCertificate,
+    build_D,
+    decode_certificate,
+    lemma2_count,
+    lemma2_grid_report,
+    verify_certificate,
+)
 from qdesign.qcount import (
+    capped,
     check_bounds,
     q_binomial,
-    q_binomial_capped,
     q_binomial_via_sum,
     q_factorial,
 )
-from qdesign.search import search_design
+from qdesign.search import build_cover_instance, search_design
 from qdesign.verifier import (
     DesignCandidate,
     lambda_identity_check,
@@ -155,7 +164,7 @@ def test_divisibility_witness_needs_exact_counts():
 
 
 def test_capped_binomial_messages():
-    assert q_binomial_capped(6, 3, 2, 1395) == q_binomial(6, 3, 2) == 1395
+    assert capped(2, [(6, 3)], 1395) == [q_binomial(6, 3, 2)] == [1395]
     cases = (
         (6, 3, 2, 1394, "1395"),
         # the exact count, abbreviated as in every cap message
@@ -167,10 +176,65 @@ def test_capped_binomial_messages():
     )
     for n, k, q, cap, text in cases:
         with pytest.raises(TooLarge) as info:
-            q_binomial_capped(n, k, q, cap)
+            capped(q, [(n, k)], cap)
         assert str(info.value) == f"[{n} {k}]_{q} = {text} exceeds cap {cap}"
+    # a product prints each factor, and the total, by the same rule
+    products = (
+        ([(6, 3), (6, 1)], 10, "1395 x 63 = 87885"),
+        ([(201, 1), (2000, 0)], 10, "more than 2^200 x 1 = more than 2^200"),
+        ([(2000, 1000), (2000, 0)], 10, "more than 2^1000000 x 1 = more than 2^1000000"),
+        ([(1000000, 1), (1000000, 1)], 10, "more than 2^999999 x more than 2^999999 = "
+         "more than 2^1999998"),
+    )
+    for factors, cap, text in products:
+        with pytest.raises(TooLarge) as info:
+            capped(2, factors, cap, "{0} x {1} = {total}")
+        assert str(info.value) == text
     # extensions of a t-subspace to k-subspaces number [n-t k-t]_q
     with pytest.raises(TooLarge) as info:
         extensions(PLANE, 3, max_count=2)
     assert str(info.value) == "[2 1]_2 = 3 exceeds cap 2"
     assert len(extensions(PLANE, 3, max_count=3)) == 3
+
+
+def test_every_cap_refuses_from_the_lower_bound(monkeypatch):
+    # at (n, k) = (2000, 1000) the exact [n k]_2 takes seconds; every cap
+    # refuses from 2^(k(n-k)) and counts nothing above 4^m cap, m the
+    # number of Gaussian binomials the cap multiplies
+    counts = []
+
+    def recording(n, k, q):
+        counts.append(original(n, k, q))
+        return counts[-1]
+
+    original = q_binomial
+    q_binomial.cache_clear()
+    for name in ("qcount", "incidence", "localdecode", "search", "verifier"):
+        monkeypatch.setattr(getattr(qdesign, name), "q_binomial", recording)
+    line = next(iter_subspaces(2000, 1, F2))
+    cert = CoefficientCertificate(line, line, {}, 1, 0)
+    entries = (
+        (lambda: enumerate_subspaces(2000, 1000, F2), 10**7, 1),
+        (lambda: extensions(line, 1000), 10**7, 1),
+        (lambda: verify_design(DesignCandidate(F2, 2000, 1000, ()), 1000), 10**7, 1),
+        (lambda: decode_certificate(line, 1000), 10**6, 1),
+        (lambda: verify_certificate(cert), 10**6, 1),
+        (lambda: build_incidence(2000, 1000, 1, F2), 10**9, 2),
+        (lambda: lemma2_grid_report(2, 2000, 1, 1000), 10**7, 2),
+        (lambda: build_cover_instance(2000, 1000, 1, 1, F2), 10**4, 1),
+        (lambda: search_design(2, 2000, 1000, 1, 1), 10**4, 1),
+        # the universe [2000 1]_2 passes a cap of 2^2000 and is counted;
+        # the candidate cap then refuses
+        (lambda: build_cover_instance(2000, 1000, 1, 1, F2, max_universe=2**2000), 2**2000, 1),
+        (lambda: search_design(2, 2000, 1000, 1, 1, max_universe=2**2000), 2**2000, 1),
+    )
+    for call, cap, m in entries:
+        counts.clear()
+        with pytest.raises(TooLarge):
+            call()
+        assert all(c < 4**m * cap for c in counts)
+    # [n t]_q < 2 exactly when t = n, so that refusal counts nothing
+    counts.clear()
+    with pytest.raises(DimensionMismatch, match="^need at least two distinct t-subspaces$"):
+        lemma2_grid_report(2, 2000, 2000, 2000)
+    assert counts == []

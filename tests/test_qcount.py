@@ -2,13 +2,13 @@ import math
 
 import pytest
 
-from qdesign.errors import InvalidParameters, TooManyTerms
+from qdesign.errors import InvalidParameters, TooLarge, TooManyTerms
 from qdesign.gf import make_field
 from qdesign.grassmann import iter_subspaces
 from qdesign.qcount import (
+    capped,
     check_bounds,
     q_binomial,
-    q_binomial_exceeds,
     q_binomial_via_sum,
     q_factorial,
     q_int,
@@ -132,16 +132,35 @@ def test_upper_bound_term_count():
 
 
 def test_binomial_exceeds_agrees_with_exact_count():
+    # capped refuses exactly when the count, or a product of two, is past the cap
     for q in (2, 3, 4, 5):
         for n in range(7):
             for k in range(n + 1):
                 value = q_binomial(n, k, q)
                 for bound in (-1, 0, value - 1, value, value + 1, 2 * value):
-                    assert q_binomial_exceeds(n, k, q, bound) == (value > bound)
+                    if value > bound:
+                        with pytest.raises(TooLarge):
+                            capped(q, [(n, k)], bound)
+                    else:
+                        assert capped(q, [(n, k)], bound) == [value]
+                for j in range(n + 1):
+                    other = q_binomial(n, j, q)
+                    product = value * other
+                    assert capped(q, [(n, k), (n, j)], product, "{total}") == [value, other]
+                    with pytest.raises(TooLarge, match=f"^{product}$"):
+                        capped(q, [(n, k), (n, j)], product - 1, "{total}")
 
 
 def test_binomial_exceeds_decides_from_lower_bound():
     q_binomial.cache_clear()
-    assert q_binomial_exceeds(4, 2, 2, 15) and q_binomial_exceeds(2000, 1000, 2, 2**999_999)
-    # 2^(2 * 2) > 15 and 2^(1000 * 1000) > 2^999999: neither needs the exact count
+    # 2^(1000 * 1000) and 2^(1999 + 1000000) are past 10^7: no exact count
+    with pytest.raises(TooLarge, match=r"^\[2000 1000\]_2 = more than 2\^1000000 exceeds"):
+        capped(2, [(2000, 1000)], 10**7)
+    with pytest.raises(TooLarge) as info:
+        capped(2, [(2000, 1), (2000, 1000)], 10**7, "{0}; {1}; {total}")
+    assert str(info.value) == "more than 2^1999; more than 2^1000000; more than 2^1001999"
     assert q_binomial.cache_info().misses == 0
+    # 2^(2 * 2) > 15 decides too; the message then prints [4 2]_2 = 35 in full
+    with pytest.raises(TooLarge, match=r"^\[4 2\]_2 = 35 exceeds cap 15$"):
+        capped(2, [(4, 2)], 15)
+    assert q_binomial.cache_info().misses == 1
