@@ -7,11 +7,12 @@ Each handler returns (exit code, JSON object, text lines) and writes
 nothing; `main` prints either the object, under `--json` (`--format json`
 for enumerate), or the lines.
 
-Exit codes: 0 success, 1 mathematical failure (a verification or bound
-check that comes back false), 2 usage error (also an unreadable or
-malformed input file and an unwritable output file), 3 resource cap or
-timeout, 4 internal error (any other exception, reported on one line as
-"error: internal error: <Type>: <message>"), 141 stdout closed by its
+Exit codes, picked by the exception class alone: 0 success, 1 only as a
+command's verdict (a verification or bound check that comes back false),
+2 InvalidParameters or an argparse usage error (bad arguments, an
+unreadable or malformed input file, an unwritable output file), 3
+ResourceLimitError or a search timeout, 4 any other exception, reported
+as "error: internal error: <Type>: <message>", 141 stdout closed by its
 reader before all output was written (128 + SIGPIPE, the status a shell
 reports for a process that a broken pipe kills; nothing is printed to
 stderr). Dimensions must satisfy
@@ -19,8 +20,8 @@ stderr). Dimensions must satisfy
 search needs --lambda >= 0; a design file's header must satisfy
 0 <= k <= n. Otherwise the run exits 2 with one line naming the values,
 such as "error: need 0 <= t <= k <= n, got t=3, k=2, n=4". All integers
-print in full decimal, except that a cap error shows a count past 200
-bits as "more than 2^b", or as "more than q^E" when the cap refused it
+print in full decimal, except that a cap error shows a count or cap
+past 200 bits as "more than 2^b", or as "more than q^E" when the cap refused it
 from q^E, E the sum of the k(n-k): every cap on Gaussian binomials
 checks that lower bound before any exact count. JSON output is one
 object with a schema_version field, sorted keys, and two-space
@@ -37,7 +38,7 @@ from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict
 
-from .errors import InvalidParameters, QDesignError, ResourceLimitError, check_chain
+from .errors import InvalidParameters, ResourceLimitError, check_chain
 from .gf import make_field
 from .grassmann import intersect_dim, iter_subspaces
 from .incidence import (
@@ -478,12 +479,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidParameters, ValueError) as exc:
+    except InvalidParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except QDesignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -17,8 +17,8 @@ class QDesignError(Exception):
     """Base class for all library errors."""
 
 
-class InvalidParameters(QDesignError):
-    """A precondition on the operation's parameters is violated."""
+class InvalidParameters(QDesignError, ValueError):
+    """The caller's input is wrong (CLI exit 2); also a ValueError."""
 
 
 class UnsupportedOrder(InvalidParameters):
@@ -50,7 +50,7 @@ class SingularMap(InvalidParameters):
 
 
 class DegenerateSystem(QDesignError):
-    """Internal assertion: a linear system that must be solvable is not."""
+    """Internal assertion, a bug (CLI exit 4): a system that must be solvable is not."""
 
 
 def check_chain(low: int, **values: int) -> None:

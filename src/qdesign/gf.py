@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import SingularMap, UnsupportedOrder, check_chain
+from .errors import DimensionMismatch, InvalidParameters, SingularMap, UnsupportedOrder, check_chain
 
 # Monic irreducible polynomial per supported prime power, coefficients by
 # increasing degree over the prime subfield.
@@ -170,17 +170,17 @@ class MatrixGFq:
 
     def __post_init__(self) -> None:
         if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
+            raise DimensionMismatch("entry count does not match shape")
         q = self.field.q
         if any(not (0 <= x < q) for x in self.entries):
-            raise ValueError("entry out of field range")
+            raise InvalidParameters("entry out of field range")
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: list | tuple) -> "MatrixGFq":
         rows = [tuple(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
+            raise DimensionMismatch("ragged rows")
         flat = tuple(x for r in rows for x in r)
         return cls(field=field, rows=len(rows), cols=ncols, entries=flat)
 
@@ -265,7 +265,7 @@ def _mul_rows(field: FieldSpec, arows, brows, ncols: int) -> list[list[int]]:
 
 def mat_mul(A: MatrixGFq, B: MatrixGFq) -> MatrixGFq:
     if A.field != B.field or A.cols != B.rows:
-        raise ValueError("incompatible shapes or fields")
+        raise DimensionMismatch("incompatible shapes or fields")
     out = _mul_rows(A.field, A.row_list(), B.row_list(), B.cols)
     return MatrixGFq(field=A.field, rows=A.rows, cols=B.cols, entries=tuple(x for r in out for x in r))
 

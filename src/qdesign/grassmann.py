@@ -138,7 +138,7 @@ def subspace_from_rows(field: FieldSpec, n: int, rows) -> SubspaceBasis:
         raise DimensionMismatch("row length does not match ambient dimension")
     q = field.q
     if any(not 0 <= x < q for r in rows for x in r):
-        raise ValueError("entry out of field range")
+        raise InvalidParameters("entry out of field range")
     return _span(field, n, rows)
 
 

@@ -67,9 +67,7 @@ def build_incidence(
     """
     q = field.q
     check_chain(0, t=t, k=k, n=n)
-    num_rows, num_cols = capped(
-        q, [(n, k), (n, t)], max_bits, f"{{0}} x {{1}} bits exceeds cap {max_bits}"
-    )
+    num_rows, num_cols = capped(q, [(n, k), (n, t)], max_bits, "{0} x {1} bits exceeds cap {cap}")
 
     rows = enumerate_subspaces(n, k, field)
     cols = enumerate_subspaces(n, t, field)

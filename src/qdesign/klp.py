@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, TooLarge, check_chain
+from .errors import DimensionMismatch, InvalidParameters, TooLarge, check_chain, number_text
 from .localdecode import solve_coefficients
 from .qcount import q_binomial, validate_q
 
@@ -51,7 +51,7 @@ def _root_start(x: int, r: int) -> int:
 def _root_and_power(x: int, r: int) -> tuple[int, int]:
     """(y, y^r) for the largest integer y with y^r <= x."""
     if x < 0 or r < 1:
-        raise ValueError("need x >= 0, r >= 1")
+        raise InvalidParameters("need x >= 0, r >= 1")
     if x == 0 or r == 1:
         return x, x
     g = _root_start(x, r)
@@ -133,7 +133,7 @@ def klp_report(
     """
     check_chain(1, t=t, k=k, n=n)
     if constant < 1:
-        raise ValueError("constant must be >= 1")
+        raise InvalidParameters("constant must be >= 1")
     validate_q(q)
     powers = {
         "B_lower": k * (n - k),
@@ -144,7 +144,7 @@ def klp_report(
     name, exponent = max(powers.items(), key=lambda item: item[1])
     # q^e has floor(e log2 q) + 1 bits; the int-float comparison is exact
     if exponent >= max_bits / math.log2(q):
-        raise TooLarge(f"{name} = {q}^{exponent} exceeds the cap of {max_bits} bits")
+        raise TooLarge(f"{name} = {q}^{exponent} exceeds the cap of {number_text(max_bits)} bits")
     c1_bound = q ** (k * (t + 1) ** 2 + t * (n - t) + n)
     c2 = 1
     c3_bound = q ** (2 * k * (t + 1) ** 2)

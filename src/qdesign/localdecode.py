@@ -237,7 +237,7 @@ def verify_certificate(cert: CoefficientCertificate, max_subspaces: int = 10**6)
     """
     V = cert.decoded_column
     field, n, t = V.field, V.n, V.k
-    message = f"ambient t-subspaces [{n} {t}]_{field.q} exceed cap {max_subspaces}"
+    message = f"ambient t-subspaces [{n} {t}]_{field.q} exceed cap {{cap}}"
     capped(field.q, [(n, t)], max_subspaces, message)
     lanes: dict[int, int] = {}
     by_coefficient: dict[int, int] = {}
@@ -416,7 +416,7 @@ def lemma2_grid_report(
         raise DimensionMismatch("need at least two distinct t-subspaces")
     n_t, n_k = capped(
         q, [(n, t), (n, k)], max_pairs,
-        f"[{n} {t}]_{q} * [{n} {k}]_{q} = {{total}} containment tests exceed cap {max_pairs}",
+        f"[{n} {t}]_{q} * [{n} {k}]_{q} = {{total}} containment tests exceed cap {{cap}}",
     )
     for d, count in ((t, n_t), (k, n_k)):
         bits = count * q**n

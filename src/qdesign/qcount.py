@@ -65,10 +65,11 @@ def capped(
     [n k]_q >= q^e, e = k(n-k), so a cap below q^E, E the sum of the e,
     refuses with no count, by bit length before q^E is built; otherwise
     [n k]_q < 4 q^e (Andrews, The Theory of Partitions, ch. 1) and the
-    counts are cheap.  The error is message.format(*texts, total=text),
-    default "[n k]_q = {0} exceeds cap C", a text per count and one for
-    the product: number_text of the value, or "more than q^e" where the
-    refusal skips a count with e floor(log2 q) > SHOWN_BITS.
+    counts are cheap.  The error is message.format(*texts, total=text,
+    cap=number_text(cap)), default "[n k]_q = {0} exceeds cap {cap}", a
+    text per count and one for the product: number_text of the value, or
+    "more than q^e" where the refusal skips a count with e floor(log2 q)
+    > SHOWN_BITS.  Nothing is formatted unless the cap refuses.
     """
     log2q = q.bit_length() - 1
     exps = [k * (n - k) for n, k in factors]
@@ -82,12 +83,12 @@ def capped(
         return counts
     if message is None:
         ((n, k),) = factors
-        message = f"[{n} {k}]_{q} = {{0}} exceeds cap {cap}"
+        message = f"[{n} {k}]_{q} = {{0}} exceeds cap {{cap}}"
     texts = [
         f"more than {q}^{e}" if c is None else number_text(c)
         for c, e in zip([*counts, total], [*exps, sum(exps)])
     ]
-    raise TooLarge(message.format(*texts[:-1], total=texts[-1]))
+    raise TooLarge(message.format(*texts[:-1], total=texts[-1], cap=number_text(cap)))
 
 
 def q_binomial_via_sum(n: int, k: int, q: int, max_terms: int = 10**6) -> int:
@@ -100,7 +101,7 @@ def q_binomial_via_sum(n: int, k: int, q: int, max_terms: int = 10**6) -> int:
     check_chain(0, k=k, n=n)
     nterms = math.comb(n, k)
     if nterms > max_terms:
-        raise TooManyTerms(f"C({n},{k}) = {number_text(nterms)} exceeds cap {max_terms}")
+        raise TooManyTerms(f"C({n},{k}) = {number_text(nterms)} exceeds cap {number_text(max_terms)}")
     shift = k * (k + 1) // 2
     total = 0
     for s in combinations(range(1, n + 1), k):

@@ -25,11 +25,12 @@ makes no completeness claim.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 
-from .errors import check_chain
+from .errors import InvalidParameters, check_chain
 from .gf import FieldSpec, make_field
 from .grassmann import enumerate_subspaces, t_subspace_ranks
 from .qcount import capped, q_binomial
@@ -56,6 +57,15 @@ class Timeout:
     universe_size: int
 
 
+def _capped_counts(
+    q: int, n: int, k: int, t: int, max_universe: int, max_candidates: int
+) -> tuple[int, int]:
+    """[n t]_q and [n k]_q, or TooLarge past the universe or candidate cap."""
+    (n_t,) = capped(q, [(n, t)], max_universe, f"universe [{n} {t}]_{q} exceeds cap {{cap}}")
+    (n_k,) = capped(q, [(n, k)], max_candidates, f"candidates [{n} {k}]_{q} exceed cap {{cap}}")
+    return n_t, n_k
+
+
 def build_cover_instance(
     n: int,
     k: int,
@@ -65,9 +75,7 @@ def build_cover_instance(
     max_universe: int = 10**4,
     max_candidates: int = 10**5,
 ) -> CoverInstance:
-    q = field.q
-    capped(q, [(n, t)], max_universe, f"universe [{n} {t}]_{q} exceeds cap {max_universe}")
-    capped(q, [(n, k)], max_candidates, f"candidates [{n} {k}]_{q} exceed cap {max_candidates}")
+    _capped_counts(field.q, n, k, t, max_universe, max_candidates)
     candidates = enumerate_subspaces(n, k, field)
     return CoverInstance(
         universe=tuple(enumerate_subspaces(n, t, field)),
@@ -246,20 +254,20 @@ def search_design(
 
     Returns a verified DesignCandidate, NotFound (for the exhaustive
     method this is a completeness statement), or Timeout with partial
-    coverage statistics.  Raises DimensionMismatch, before any count is
+    coverage statistics.  Raises InvalidParameters for an unknown method
+    or a limit that is not finite, DimensionMismatch, before any count is
     taken, unless 0 <= t <= k <= n and lam >= 0, and then TooLarge, before
     the block-count test, if the universe or the candidates exceed their
     caps.
     """
     if method not in ("exhaustive", "greedy"):
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidParameters(f"unknown method {method!r}")
+    if limit is not None and not math.isfinite(limit):
+        raise InvalidParameters(f"timeout must be finite, got {limit}")
     check_chain(0, t=t, k=k, n=n)
     check_chain(0, **{"lambda": lam})
     field = make_field(q)
-    (n_t,) = capped(q, [(n, t)], max_universe, f"universe [{n} {t}]_{q} exceeds cap {max_universe}")
-    (n_k,) = capped(
-        q, [(n, k)], max_candidates, f"candidates [{n} {k}]_{q} exceed cap {max_candidates}"
-    )
+    n_t, n_k = _capped_counts(q, n, k, t, max_universe, max_candidates)
 
     # the block count N is forced by lam [n t]_q = N [k t]_q; a fractional
     # N rules the design out before any search (same identity as

@@ -22,7 +22,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, check_chain
+from .errors import DimensionMismatch, InvalidParameters, check_chain
 from .gf import FieldSpec, make_field
 from .grassmann import SubspaceBasis, subspace_from_rows, t_subspace_ranks, unrank
 from .qcount import capped, q_binomial
@@ -91,7 +91,9 @@ def verify_design(
     else:
         mode = min(histogram, key=lambda c: (-histogram[c], c))
         failing = unrank(n, t, field, next(r for r, c in enumerate(counts) if c != mode))
-    is_trivial = is_simple and N == q_binomial(n, k, q)
+    # N < 2^b <= q^(k(n-k)) <= [n k]_q when N has at most b bits: no count
+    b = k * (n - k) * (q.bit_length() - 1)
+    is_trivial = is_simple and N.bit_length() > b and N == q_binomial(n, k, q)
     return VerificationReport(
         is_design=is_design,
         t=t,
@@ -144,22 +146,22 @@ def _block_from_digit_rows(
     field: FieldSpec, n: int, k: int, rows: list[str], index: int
 ) -> SubspaceBasis:
     if len(rows) != k:
-        raise ValueError(f"block has {len(rows)} rows, expected {k}")
+        raise InvalidParameters(f"block has {len(rows)} rows, expected {k}")
     q = field.q
     parsed = []
     for line in rows:
         if len(line) != n:
-            raise ValueError(f"row '{line}' has {len(line)} digits, expected {n}")
+            raise InvalidParameters(f"row '{line}' has {len(line)} digits, expected {n}")
         row = tuple([_DIGIT_VALUES.get(c, q) for c in line])
         if max(row, default=0) >= q:
-            raise ValueError(
+            raise InvalidParameters(
                 f"design block {index} row '{line}' has a digit outside "
                 f"0..{_DIGITS[q - 1]} (q = {q})"
             )
         parsed.append(row)
     block = subspace_from_rows(field, n, parsed)
     if block.k != k:
-        raise ValueError("block rows are not linearly independent")
+        raise InvalidParameters("block rows are not linearly independent")
     return block
 
 
@@ -183,16 +185,16 @@ def _int_field(value, key: str, part: str) -> int:
             pass
     elif type(value) is int:
         return value
-    raise ValueError(f"design {part} field {key!r} must be an integer")
+    raise InvalidParameters(f"design {part} field {key!r} must be an integer")
 
 
 def parse_design_text(text: str) -> DesignCandidate:
     lines = [ln.strip() for ln in text.splitlines()]
     if not lines:
-        raise ValueError("empty design file")
+        raise InvalidParameters("empty design file")
     header = lines[0].split()
     if len(header) != 3:
-        raise ValueError("header must be 'q n k'")
+        raise InvalidParameters("header must be 'q n k'")
     q, n, k = (_int_field(word, key, "header") for key, word in zip(("q", "n", "k"), header))
     block_rows: list[list[str]] = [[]]
     for ln in lines[1:]:
@@ -206,23 +208,25 @@ def parse_design_text(text: str) -> DesignCandidate:
 def design_from_json_obj(obj: dict) -> DesignCandidate:
     missing = [key for key in ("q", "n", "k", "blocks") if key not in obj]
     if missing:
-        raise ValueError(f"design JSON is missing field {missing[0]!r}")
+        raise InvalidParameters(f"design JSON is missing field {missing[0]!r}")
     q, n, k = (_int_field(obj[key], key, "JSON") for key in ("q", "n", "k"))
     block_rows = obj["blocks"]
     if not isinstance(block_rows, list) or not all(
         isinstance(rows, list) and all(isinstance(row, str) for row in rows)
         for rows in block_rows
     ):
-        raise ValueError("design JSON field 'blocks' must be a list of lists of digit strings")
+        raise InvalidParameters("design JSON field 'blocks' must be a list of lists of digit strings")
     return _design_from_fields(q, n, k, block_rows)
 
 
 def load_design(path: str) -> DesignCandidate:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return design_from_json_obj(json.loads(text))
-    return parse_design_text(text)
+        try:  # undecodable bytes, malformed or too deeply nested JSON
+            text = fh.read()
+            obj = json.loads(text) if text.lstrip().startswith("{") else None
+        except (ValueError, RecursionError) as exc:
+            raise InvalidParameters(str(exc)) from exc
+    return parse_design_text(text) if obj is None else design_from_json_obj(obj)
 
 
 def save_design(candidate: DesignCandidate, path: str, fmt: str = "text") -> None:
@@ -231,6 +235,6 @@ def save_design(candidate: DesignCandidate, path: str, fmt: str = "text") -> Non
     elif fmt == "json":
         payload = json.dumps(design_to_json_obj(candidate), indent=2, sort_keys=True) + "\n"
     else:
-        raise ValueError(f"unknown design format {fmt!r}")
+        raise InvalidParameters(f"unknown design format {fmt!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)

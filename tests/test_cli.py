@@ -6,6 +6,8 @@ import time
 
 from conftest import SRC, run_cli
 
+from qdesign.errors import DegenerateSystem
+
 
 def test_qbinom_value():
     code, out, _ = run_cli("qbinom", "--q", "2", "--n", "4", "--k", "2")
@@ -55,6 +57,10 @@ def test_usage_error_exit_2():
     assert code == 2
     code, _, _ = run_cli("frobnicate")
     assert code == 2
+    code, out, err = run_cli(
+        "klp-report", "--q", "2", "--n", "20", "--k", "5", "--t", "1", "--constant", "0"
+    )
+    assert (code, out, err) == (2, "", "error: constant must be >= 1\n")
 
 
 def test_qbinom_and_enumerate_count_refuse_k_out_of_range():
@@ -242,9 +248,17 @@ def test_verify_design_file_digit_and_header_errors_exit_2(tmp_path):
          "error: need 0 <= k <= n, got k=4, n=3\n"),
         ("e.json", '{"q": 2, "n": -3, "k": 1, "blocks": []}\n',
          "error: need 0 <= k <= n, got k=1, n=-3\n"),
+        # unreadable as UTF-8 or as JSON, however deep
+        ("e.txt", b"\xff2 3 1\n",
+         "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"),
+        ("e.json", '{"q": 2,',
+         "error: Expecting property name enclosed in double quotes: line 1 column 9 (char 8)\n"),
+        ("e.json", '{"q": ' + "[" * 200_000 + "]" * 200_000 + "}",
+         "error: maximum recursion depth exceeded while decoding a JSON array"
+         " from a unicode string\n"),
     )
     for name, text, expected in cases:
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         for extra in ((), ("--json",)):
             code, out, err = run_cli("verify", "--design", str(tmp_path / name), "--t", "1", *extra)
             assert (code, out, err) == (2, "", expected)
@@ -525,6 +539,11 @@ def test_search_out_of_range_exit_2():
         "search", "--q", "2", "--n", "4", "--k", "2", "--t", "1", "--lambda", "-1"
     )
     assert (code, out, err) == (2, "", "error: need 0 <= lambda, got lambda=-1\n")
+    # a deadline that never passes, or always has, is refused too
+    sizes = ("--q", "2", "--n", "6", "--k", "3", "--t", "2", "--lambda", "3")
+    for limit, method in (("nan", "exhaustive"), ("inf", "greedy"), ("-inf", "exhaustive")):
+        code, out, err = run_cli("search", *sizes, "--method", method, f"--timeout={limit}")
+        assert (code, out, err) == (2, "", f"error: timeout must be finite, got {limit}\n")
 
 
 def test_search_not_found_exit_1():
@@ -636,15 +655,20 @@ def test_cli_import_leaves_selftest_unloaded():
 
 
 def test_internal_error_exit_4(monkeypatch, capsys):
+    # only InvalidParameters is the caller's fault; a bare ValueError is
+    # an internal invariant, and a solver's assertion is a bug, not a "no"
     from qdesign import cli
 
-    def broken(args):
-        raise RuntimeError("handler fell over")
+    for exc_type in (RuntimeError, ValueError, DegenerateSystem):
 
-    monkeypatch.setattr(cli, "_cmd_qbinom", broken)
-    assert cli.main(["qbinom", "--q", "2", "--n", "4", "--k", "2"]) == 4
-    out, err = capsys.readouterr()
-    assert (out, err) == ("", "error: internal error: RuntimeError: handler fell over\n")
+        def broken(args, exc_type=exc_type):
+            raise exc_type("handler fell over")
+
+        monkeypatch.setattr(cli, "_cmd_qbinom", broken)
+        assert cli.main(["qbinom", "--q", "2", "--n", "4", "--k", "2"]) == 4
+        out, err = capsys.readouterr()
+        name = exc_type.__name__
+        assert (out, err) == ("", f"error: internal error: {name}: handler fell over\n")
 
 
 def test_selftest_subset_and_determinism():

@@ -1,6 +1,13 @@
 """The (t, k, n) contract: every function that takes dimensions checks
 them through errors.check_chain, refuses an out-of-range call with
-DimensionMismatch in one message shape, and accepts the boundary."""
+DimensionMismatch in one message shape, and accepts the boundary.  The
+error contract: the caller's input is refused as InvalidParameters, so
+the exception class alone picks the CLI exit code, and caps format
+nothing until they refuse."""
+
+import ast
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +245,56 @@ def test_every_cap_refuses_from_the_lower_bound(monkeypatch):
     with pytest.raises(DimensionMismatch, match="^need at least two distinct t-subspaces$"):
         lemma2_grid_report(2, 2000, 2000, 2000)
     assert counts == []
+    # one block is fewer than 2^(k(n-k)) <= [n k]_q, so it is not the
+    # trivial design, and only [2000 0]_2 and [1000 0]_2 are counted
+    block = next(iter_subspaces(2000, 1000, F2))
+    assert verify_design(DesignCandidate(F2, 2000, 1000, (block,)), 0).is_trivial is False
+    assert counts == [1, 1]
+
+
+def test_huge_caps_need_no_decimal_string():
+    # CPython refuses int-to-decimal conversions past 4,300 digits by
+    # default; a cap that passes is never printed, and one that refuses
+    # prints as number_text
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert len(search_design(2, 4, 2, 1, 1, max_universe=2**20000).blocks) == 5
+        assert build_incidence(4, 2, 1, F2, max_bits=2**20000).num_rows == 35
+        with pytest.raises(TooLarge) as info:
+            capped(2, [(2000, 1000)], 2**999_999)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert str(info.value) == (
+        "[2000 1000]_2 = more than 2^1000000 exceeds cap more than 2^999998"
+    )
+
+
+def _value_error_raises(path: Path) -> list[str]:
+    """module.function for each `raise ValueError` in a source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    sites = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name) and exc.id == "ValueError":
+            owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+            owner = max(owners, key=lambda f: f.lineno).name if owners else "<module>"
+            sites.append(f"{path.stem}.{owner}")
+    return sites
+
+
+def test_only_internal_sites_raise_bare_value_error():
+    # input is refused as InvalidParameters (exit 2); a bare ValueError
+    # is an internal invariant and exits 4
+    src = Path(qdesign.__file__).parent
+    sites = [s for path in sorted(src.glob("*.py")) for s in _value_error_raises(path)]
+    assert sites == ["grassmann.subspace_dim_from_count"]
+    main = next(
+        f for f in ast.walk(ast.parse((src / "cli.py").read_text(encoding="utf-8")))
+        if isinstance(f, ast.FunctionDef) and f.name == "main"
+    )
+    handlers = [ast.unparse(h.type) for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)]
+    assert handlers == ["BrokenPipeError", "ResourceLimitError", "InvalidParameters", "Exception"]
