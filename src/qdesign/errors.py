@@ -53,6 +53,12 @@ class DegenerateSystem(QDesignError):
     """Internal assertion, a bug (CLI exit 4): a system that must be solvable is not."""
 
 
+def validate_q(q: int) -> None:
+    """Raise UnsupportedOrder unless q >= 2: the one message for an order below 2."""
+    if q < 2:
+        raise UnsupportedOrder(f"need q >= 2, got q={q}")
+
+
 def check_chain(low: int, **values: int) -> None:
     """Raise DimensionMismatch unless low <= v1 <= v2 <= ... for the
     named values in the order given, e.g. check_chain(0, t=t, k=k, n=n)

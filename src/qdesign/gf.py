@@ -26,7 +26,9 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionMismatch, InvalidParameters, SingularMap, UnsupportedOrder, check_chain
+from .errors import (
+    DimensionMismatch, InvalidParameters, SingularMap, UnsupportedOrder, check_chain, validate_q
+)
 
 # Monic irreducible polynomial per supported prime power, coefficients by
 # increasing degree over the prime subfield.
@@ -116,6 +118,7 @@ def make_field(q: int) -> FieldSpec:
 
     Raises UnsupportedOrder unless q is one of SUPPORTED_ORDERS.
     """
+    validate_q(q)
     if q in _PRIME_ORDERS:
         p, e, red = q, 1, None
     elif q in _REDUCTION_POLYS:

@@ -17,7 +17,9 @@ position.  Enumeration generates matrices directly in echelon shape
 The rank of a subspace is its position in that order: the count of
 subspaces with a smaller pivot set (prefix sums of q^(free count), a
 q-analogue of the combinatorial number system) plus its free entries
-read as that base-q number (subspace_rank, unrank).  block_echelon_forms
+read as that base-q number (subspace_rank, unrank).  subspace_rank is
+the library's one order key: code that puts k-subspaces of one space
+into canonical order sorts them by it.  block_echelon_forms
 lists the canonical bases of a block's t-subspaces without elimination,
 and the decoding certificate takes its subspaces from it.
 t_subspace_ranks lists their ranks in the same order for the verifier,
@@ -59,13 +61,6 @@ class SubspaceBasis:
     @cached_property
     def pivot_columns(self) -> tuple[int, ...]:
         return _pivots(self.rows())
-
-    @cached_property
-    def sort_key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(pivot columns, row-major free entries): the enumeration order."""
-        piv = self.pivot_columns
-        entries = self.entries
-        return (piv, tuple(entries[f] for f in _free_positions(self.n, piv)))
 
     def nonzero_vectors(self) -> list[int]:
         """Indices of the q^k - 1 nonzero vectors of the subspace.
@@ -148,14 +143,10 @@ def _span(field: FieldSpec, n: int, rows: list[list[int]]) -> SubspaceBasis:
     return SubspaceBasis(field, n, rk, tuple([x for r in rows[:rk] for x in r]))
 
 
-@lru_cache(maxsize=4096)
 def _free_positions(n: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
     """Row-major flat indices of the free entries of an n-column RREF basis
     with these pivot columns: right of the row's pivot, in no pivot column.
-
-    Cached, so that sort_key allocates no same-sized temporary beside each
-    long-lived key: freed, those left holes that raised the peak memory of
-    the lemma-2 and extension oracles by about 2%."""
+    Every other entry is fixed by the pivots (1 at the pivot, else 0)."""
     pivset = set(pivots)
     return tuple(
         i * n + j for i, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivset
@@ -320,6 +311,8 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
     addition is not bitwise, reads the free entries of each image from
     block_echelon_forms one digit at a time.
     """
+    if t == 0:  # every block has exactly one 0-subspace; its rows are not read
+        return [0]
     field = block.field
     q = field.q
     out = []
@@ -437,7 +430,7 @@ def extensions(V: SubspaceBasis, k: int, max_count: int = 10**7) -> list[Subspac
                 full[pos] = x
             rows.append(full)
         out.append(_span(field, n, rows))
-    out.sort(key=lambda S: S.sort_key)
+    out.sort(key=subspace_rank)
     return out
 
 
@@ -456,18 +449,13 @@ def apply_map(L: MatrixGFq, V: SubspaceBasis) -> SubspaceBasis:
 
 
 def complete_basis(V: SubspaceBasis) -> MatrixGFq:
-    """Extend V's basis to a basis of F_q^n (greedy over standard vectors)."""
-    field, n = V.field, V.n
-    rows = V.rows()
-    rk = len(rows)
-    for j in range(n):
-        if rk == n:
-            break
-        e = tuple(1 if i == j else 0 for i in range(n))
-        if rank_of_rows(field, rows + [e], n) > rk:
-            rows.append(e)
-            rk += 1
-    return MatrixGFq.from_rows(field, rows)
+    """Extend V's basis to a basis of F_q^n: V's rows, then the unit
+    vectors at V's non-pivot columns.  With the pivot columns moved
+    first the rows form a unit upper block-triangular matrix, so they are
+    a basis by construction, with no elimination."""
+    n, pivots = V.n, set(V.pivot_columns)
+    units = [tuple([int(i == j) for i in range(n)]) for j in range(n) if j not in pivots]
+    return MatrixGFq.from_rows(V.field, V.rows() + units)
 
 
 def gl_map_between(U1: SubspaceBasis, U2: SubspaceBasis) -> MatrixGFq:

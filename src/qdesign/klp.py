@@ -23,12 +23,13 @@ its max_bits cap.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InvalidParameters, TooLarge, check_chain, number_text
+from .errors import (
+    DimensionMismatch, InvalidParameters, TooLarge, check_chain, number_text, validate_q
+)
 from .localdecode import solve_coefficients
-from .qcount import q_binomial, validate_q
+from .qcount import q_binomial
 
 
 def _root_start(x: int, r: int) -> int:
@@ -127,9 +128,9 @@ def klp_report(
     inequality.
 
     The largest powers built are B_lower, block_budget, A_upper^52 and
-    (c2 c3)^12; their bit lengths follow from the exponents alone, and
-    if one exceeds max_bits the report raises TooLarge before building
-    any of them.
+    (c2 c3)^12; if one has more than max_bits bits the report raises
+    TooLarge before building them (near the cap it builds the largest
+    alone, under 2 max_bits bits, to read its length).
     """
     check_chain(1, t=t, k=k, n=n)
     if constant < 1:
@@ -142,8 +143,10 @@ def klp_report(
         "(c2*c3)**12": 24 * k * (t + 1) ** 2,
     }
     name, exponent = max(powers.items(), key=lambda item: item[1])
-    # q^e has floor(e log2 q) + 1 bits; the int-float comparison is exact
-    if exponent >= max_bits / math.log2(q):
+    # 2^(e (b - 1)) <= q^e < 2^(e b) for q of b bits, so the exponent
+    # decides unless max_bits falls between; then q^e has under 2 max_bits bits
+    low, high = exponent * (q.bit_length() - 1), exponent * q.bit_length()
+    if low >= max_bits or (high > max_bits and (q**exponent).bit_length() > max_bits):
         raise TooLarge(f"{name} = {q}^{exponent} exceeds the cap of {number_text(max_bits)} bits")
     c1_bound = q ** (k * (t + 1) ** 2 + t * (n - t) + n)
     c2 = 1

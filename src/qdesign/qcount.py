@@ -11,13 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import SHOWN_BITS, InvalidParameters, TooLarge, TooManyTerms, check_chain, number_text
-
-
-def validate_q(q: int) -> None:
-    """Raise InvalidParameters unless q >= 2 (the q-analogues need q > 1)."""
-    if q < 2:
-        raise InvalidParameters(f"need q >= 2, got q={q}")
+from .errors import SHOWN_BITS, TooLarge, TooManyTerms, check_chain, number_text, validate_q
 
 
 def q_int(i: int, q: int) -> int:

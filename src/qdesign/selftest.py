@@ -33,6 +33,7 @@ from .grassmann import (
     intersect_dim,
     iter_subspaces,
     subspace_dim_from_count,
+    subspace_rank,
 )
 from .incidence import (
     average_row,
@@ -208,7 +209,9 @@ def grassmann_canonical_order() -> int:
         f = make_field(q)
         for n in range(nmax + 1):
             for k in range(n + 1):
-                keys = [s.sort_key for s in iter_subspaces(n, k, f)]
+                # the documented order apart from subspace_rank: within one
+                # pivot set only the free entries vary
+                keys = [(s.pivot_columns, s.entries) for s in iter_subspaces(n, k, f)]
                 if keys != sorted(keys):
                     _fail(f"enumeration not increasing at ({n},{k},{q})")
                 if len(set(keys)) != len(keys):
@@ -264,7 +267,7 @@ def grassmann_gl_action() -> int:
         subs = enumerate_subspaces(n, k, f)
         L = random_invertible(f, n, seed=5)
         images = [apply_map(L, s) for s in subs]
-        if sorted(im.sort_key for im in images) != [s.sort_key for s in subs]:
+        if sorted(subspace_rank(im) for im in images) != list(range(len(subs))):
             _fail(f"GL image is not a permutation at (q={q},n={n},k={k})")
         checks += 1
         rng = random.Random(9 * q + n)

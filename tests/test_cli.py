@@ -278,6 +278,21 @@ def test_klp_report_q_below_2_exit_2():
         assert err == "error: need q >= 2, got q=1\n"
 
 
+def test_field_order_below_2_one_message(tmp_path):
+    # make_field gives the same message as the q-counting commands above
+    (tmp_path / "d.txt").write_text("1 3 1\n\n100\n")
+    (tmp_path / "d.json").write_text('{"q": 1, "n": 3, "k": 1, "blocks": [["100"]]}')
+    for args in (
+        ("enumerate", "--q", "1", "--n", "3", "--k", "1"),
+        ("incidence", "--q", "1", "--n", "3", "--k", "1", "--t", "1"),
+        ("search", "--q", "1", "--n", "3", "--k", "1", "--t", "1", "--lambda", "1"),
+        ("lemma2-check", "--q", "1", "--n", "3", "--t", "1", "--k", "2"),
+        ("verify", "--design", str(tmp_path / "d.txt"), "--t", "1"),
+        ("verify", "--design", str(tmp_path / "d.json"), "--t", "1"),
+    ):
+        assert run_cli(*args) == (2, "", "error: need q >= 2, got q=1\n"), args
+
+
 def test_decode_text():
     code, out, _ = run_cli("decode", "--q", "2", "--t", "1", "--k", "2")
     assert code == 0
@@ -439,7 +454,11 @@ def test_klp_report_bit_cap_exit_3():
     assert err == "error: B_lower = 2^1875000000 exceeds the cap of 1000000 bits\n"
     args = ("klp-report", "--q", "2", "--n", "20", "--k", "5", "--t", "1", "--max-bits")
     assert run_cli(*args, "2028")[0] == 3
-    assert run_cli(*args, "2029")[0] == 0
+    default = run_cli(*args[:-1])
+    assert default[0] == 0
+    # a cap past the float range (about 10^308) is compared in integers
+    for cap in ("2029", "1" + "0" * 400):
+        assert run_cli(*args, cap) == default
 
 
 def test_klp_report_feasible_point():

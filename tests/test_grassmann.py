@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from qdesign import gf, grassmann
 from qdesign.errors import AmbientMismatch, DimensionMismatch, SingularMap, TooLarge
 from qdesign.gf import (
     SUPPORTED_ORDERS,
@@ -45,14 +46,24 @@ def test_enumeration_counts():
     assert len(enumerate_subspaces(4, 2, F3)) == 130
 
 
+def _order_key(s):
+    # the documented order, stated apart from subspace_rank: within one
+    # pivot set only the free entries vary, so the entries compare as they do
+    return s.pivot_columns, s.entries
+
+
 def test_enumeration_canonical_and_distinct():
-    for q, f in ((2, F2), (3, F3)):
+    rng = random.Random(14)
+    for q in (2, 3, 4, 9):
+        f = make_field(q)
         for n in range(5):
             for k in range(n + 1):
                 subs = enumerate_subspaces(n, k, f)
-                keys = [s.sort_key for s in subs]
+                keys = [_order_key(s) for s in subs]
                 assert keys == sorted(keys)
                 assert len(set(subs)) == len(subs)
+                shuffled = rng.sample(subs, len(subs))
+                assert sorted(shuffled, key=subspace_rank) == sorted(shuffled, key=_order_key)
                 for s in subs:
                     assert s.k == k and s.n == n
                     # basis is in RREF: canonicalizing is a no-op
@@ -150,7 +161,7 @@ def test_extensions_line_in_f2_3():
         ext = extensions(V, 2)
         assert len(ext) == 3  # [2 1]_2
         filtered = [U for U in planes if contains(U, V)]
-        assert ext == sorted(filtered, key=lambda s: s.sort_key)
+        assert ext == filtered
 
 
 def test_extensions_line_in_f2_4():
@@ -227,21 +238,32 @@ def test_apply_map_rejects_singular():
 
 
 def test_gl_map_between_all_pairs_small():
-    for n in range(1, 5):
-        for k in range(n + 1):
-            subs = enumerate_subspaces(n, k, F2)
-            for U1 in subs:
-                for U2 in subs:
-                    L = gl_map_between(U1, U2)
-                    assert apply_map(L, U1) == U2
+    for f, nmax in ((F2, 4), (F3, 3)):
+        for n in range(1, nmax + 1):
+            for k in range(n + 1):
+                subs = enumerate_subspaces(n, k, f)
+                for U1 in subs:
+                    for U2 in subs:
+                        L = gl_map_between(U1, U2)
+                        assert apply_map(L, U1) == U2
 
 
-def test_complete_basis_full_rank():
-    for V in enumerate_subspaces(4, 2, F3)[:20]:
-        B = complete_basis(V)
+def test_complete_basis_full_rank(monkeypatch):
+    # V's rows, then the unit rows at V's non-pivot columns, with no elimination
+    def eliminate(*args):
+        raise AssertionError("complete_basis ran an elimination")
+
+    cases = [V for k in (0, 2, 4) for V in enumerate_subspaces(4, k, F3)[:20]]
+    with monkeypatch.context() as m:
+        for module in (gf, grassmann):
+            m.setattr(module, "rank_of_rows", eliminate)
+            m.setattr(module, "_rref_rows", eliminate)
+        completed = [complete_basis(V) for V in cases]
+    for V, B in zip(cases, completed):
+        units = [tuple(int(i == j) for i in range(4)) for j in range(4) if j not in V.pivot_columns]
         assert B.rows == B.cols == 4
+        assert B.row_list() == V.rows() + units
         assert rank_of_rows(F3, B.row_list(), 4) == 4
-        assert B.row_list()[:2] == V.rows()
 
 
 def test_subspace_hash_consistency():

@@ -173,6 +173,10 @@ def test_klp_report_caps_largest_power():
     assert klp_report(2, 20, 5, 1, max_bits=2029).feasible is False
     with pytest.raises(TooLarge, match=r"A_upper\*\*52 = 2\^2028 exceeds the cap of 2028 bits"):
         klp_report(2, 20, 5, 1, max_bits=2028)
+    # 3^2028 has 3215 bits, between the bounds its exponent gives (2028, 4056)
+    assert klp_report(3, 20, 5, 1, max_bits=3215).feasible is False
+    with pytest.raises(TooLarge, match=r"A_upper\*\*52 = 3\^2028 exceeds the cap of 3214 bits"):
+        klp_report(3, 20, 5, 1, max_bits=3214)
     # B_lower alone would be 2^1875000000; refused before any power is built
     start = time.monotonic()
     with pytest.raises(TooLarge, match=r"B_lower = 2\^1875000000"):

@@ -2,6 +2,7 @@
 enumeration order and against vector-set (vector_mask) containment."""
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -132,6 +133,17 @@ def _check_t_zero_and_t_equal_k(q, n):
         assert t_subspace_ranks(S, 2) == [subspace_rank(S)]
     with pytest.raises(DimensionMismatch):
         t_subspace_ranks(S, 3)
+    # a block's one 0-subspace needs none of its rows, so a 1000-dimensional
+    # block of F_q^2000 is answered without packing or scaling them
+    big_n, big_k = 2000, 1000
+    entries = [0] * (big_k * big_n)
+    for i in range(big_k):
+        entries[i * big_n + i] = 1
+        entries[i * big_n + big_k + i] = q - 1
+    big = SubspaceBasis(field, big_n, big_k, tuple(entries))
+    start = time.monotonic()
+    assert t_subspace_ranks(big, 0) == [0]
+    assert time.monotonic() - start < 0.1
 
 
 def test_kernel_t_zero_and_t_equal_k():
