@@ -17,9 +17,10 @@ position.  Enumeration generates matrices directly in echelon shape
 The rank of a subspace is its position in that order: the count of
 subspaces with a smaller pivot set (prefix sums of q^(free count), a
 q-analogue of the combinatorial number system) plus its free entries
-read as that base-q number (subspace_rank, unrank).  subspace_rank is
-the library's one order key: code that puts k-subspaces of one space
-into canonical order sorts them by it.  block_echelon_forms
+read as that base-q number (subspace_rank, unrank).  Within one pivot
+set only the free entries vary, so (pivot columns, entries) sorts in
+the same order; extensions sorts by it, since a rank has k(n-k) digits
+and needs the plan of all C(n, k) pivot sets.  block_echelon_forms
 lists the canonical bases of a block's t-subspaces without elimination,
 and the decoding certificate takes its subspaces from it.
 t_subspace_ranks lists their ranks in the same order for the verifier,
@@ -430,7 +431,7 @@ def extensions(V: SubspaceBasis, k: int, max_count: int = 10**7) -> list[Subspac
                 full[pos] = x
             rows.append(full)
         out.append(_span(field, n, rows))
-    out.sort(key=subspace_rank)
+    out.sort(key=lambda U: (U.pivot_columns, U.entries))
     return out
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -172,6 +173,22 @@ def test_extensions_line_in_f2_4():
 def test_extensions_full_space():
     V = enumerate_subspaces(3, 3, F2)[0]
     assert extensions(V, 3) == [V]
+
+
+def test_extensions_in_a_large_space_build_no_rank_plan():
+    # V spans e_2i + e_2i+1: its pivots skip every other column.  A rank
+    # plan would list all C(20, 10) or C(30, 15) pivot sets of the results.
+    for n, t, k, count in ((20, 9, 10, 2047), (30, 15, 15, 1)):
+        V = subspace_from_rows(F2, n, [[int(j // 2 == i) for j in range(n)] for i in range(t)])
+        misses = grassmann._rank_plan.cache_info().misses
+        start = time.perf_counter()
+        ext = extensions(V, k)
+        assert time.perf_counter() - start < 1.0
+        assert grassmann._rank_plan.cache_info().misses == misses
+        assert len(ext) == count and all(contains(U, V) for U in ext)
+        keys = [(U.pivot_columns, U.entries) for U in ext]
+        assert keys == sorted(set(keys))
+    assert ext == [V]
 
 
 def test_extensions_counts_grid():
