@@ -14,21 +14,21 @@ base-q number whose least significant digit sits at the last free
 position.  Enumeration generates matrices directly in echelon shape
 (choose pivot columns, fill free entries), so no dedup pass is needed.
 
-The rank of a subspace is its position in that order: the count of
-subspaces with a smaller pivot set (prefix sums of q^(free count), a
-q-analogue of the combinatorial number system) plus its free entries
-read as that base-q number (subspace_rank, unrank).  Within one pivot
-set only the free entries vary, so (pivot columns, entries) sorts in
-the same order; extensions sorts by it, since a rank has k(n-k) digits
-and needs the plan of all C(n, k) pivot sets.  block_echelon_forms
-lists the canonical bases of a block's t-subspaces without elimination,
-and the decoding certificate takes its subspaces from it.
-t_subspace_ranks lists their ranks in the same order for the verifier,
-the incidence matrix and the search.  In characteristic 2 an element's
-log2(q) bits are its coefficients over F_2, so F_q addition is XOR:
-rows packed as integers of log2(q) bits per entry add by XOR, and a
-rank is read off runs of free-column bits.  For odd q the ranks are
-read off block_echelon_forms digit by digit.
+The rank of a subspace is its position in that order (subspace_rank,
+unrank; extensions sorts by it): the offset of its pivot set, the count
+of subspaces with a smaller one, plus its free entries read as that
+base-q number.  Row i of a basis with pivot p has n - k + i - p free
+entries, so the subspaces whose pivots agree with P = (p_0 < ...) before
+row i and whose row-i pivot sits at a column c < p_i number
+q^(e + n - k + i - c) [n-c-1 k-i-1]_q, e the free entries of rows
+0..i-1.  The offset of P sums these at most n - k terms, and unrank
+picks each pivot greedily from them.
+
+block_echelon_forms lists the canonical bases of a block's t-subspaces
+without elimination, and the decoding certificate takes its subspaces
+from it.  t_subspace_ranks lists their ranks in the same order for the
+verifier, the incidence matrix and the search; in characteristic 2 it
+reads them off rows packed as integers, whose addition is XOR.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Iterator
 
 from .errors import AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, check_chain
 from .gf import FieldSpec, MatrixGFq, _mul_rows, _rref_rows, mat_inverse, mat_mul, rank_of_rows
-from .qcount import capped
+from .qcount import capped, q_binomial
 
 
 @dataclass(frozen=True)
@@ -179,39 +179,35 @@ def iter_subspaces(n: int, k: int, field: FieldSpec) -> Iterator[SubspaceBasis]:
         yield SubspaceBasis(field, n, k, entries)
 
 
-@lru_cache(maxsize=None)
-def _rank_plan(n: int, k: int, q: int) -> dict[tuple[int, ...], tuple]:
-    """Pivot columns -> (rank of the first k-subspace with them, free
-    positions, free runs), for all C(n, k) pivot sets in canonical order.
+def _with_pivot(n: int, k: int, q: int, i: int, e: int, c: int) -> int:
+    # the offset term for a row-i pivot at column c (see the module doc)
+    return q ** (e + n - k + i - c) * q_binomial(n - c - 1, k - i - 1, q)
 
-    The free runs serve q = 2^b (empty for other q), for basis rows
-    packed as integers of b bits per entry, entry 0 most significant
-    (see t_subspace_ranks).  Each maximal run of consecutive free
-    columns in one row is (row, shift, mask, pos): its entries are
-    (row >> shift) & mask, and they sit at bit pos of the free entries
-    read as one base-q number."""
+
+@lru_cache(maxsize=None)
+def _pivot_plan(n: int, q: int, pivots: tuple[int, ...]) -> tuple:
+    """(offset, free positions, free runs) of n-column bases with these pivots.
+
+    The free runs serve q = 2^b (empty for other q) and rows packed as
+    in t_subspace_ranks.  Each maximal run of consecutive free columns
+    in one row is (row, shift, mask, pos): its entries are (row >> shift)
+    & mask, and they sit at bit pos of the free entries as one number."""
+    k = len(pivots)
+    offset = e = 0
+    for i, (prev, p) in enumerate(zip((-1,) + pivots, pivots)):
+        offset += sum(_with_pivot(n, k, q, i, e, c) for c in range(prev + 1, p))
+        e += n - k + i - p
+    free = _free_positions(n, pivots)
     bits = q.bit_length() - 1 if q & (q - 1) == 0 else 0
-    plan = {}
-    offset = 0
-    for pivots in combinations(range(n), k):
-        free = _free_positions(n, pivots)
-        runs: list[list[int]] = []  # [row, first column, last column, digits below]
-        for d, f in enumerate(reversed(free) if bits else ()):
-            i, j = divmod(f, n)
-            if runs and runs[-1][0] == i and runs[-1][1] == j + 1:
-                runs[-1][1] = j
-            else:
-                runs.append([i, j, j, d])
-        plan[pivots] = (
-            offset,
-            free,
-            tuple([
-                (i, bits * (n - 1 - last), (1 << bits * (last - first + 1)) - 1, bits * d)
-                for i, first, last, d in runs
-            ]),
-        )
-        offset += q ** len(free)
-    return plan
+    runs: list[list[int]] = []  # [row, first column, last column, digits below]
+    for d, f in enumerate(reversed(free) if bits else ()):
+        i, j = divmod(f, n)
+        if runs and runs[-1][0] == i and runs[-1][1] == j + 1:
+            runs[-1][1] = j
+        else:
+            runs.append([i, j, j, d])
+    return offset, free, tuple([(i, bits * (n - 1 - last), (1 << bits * (last - first + 1)) - 1,
+                                 bits * d) for i, first, last, d in runs])
 
 
 def _pivots(rows) -> tuple[int, ...]:
@@ -222,7 +218,7 @@ def _pivots(rows) -> tuple[int, ...]:
 def subspace_rank(S: SubspaceBasis) -> int:
     """Position of S in the canonical order of iter_subspaces(S.n, S.k, .)."""
     q, entries = S.field.q, S.entries
-    offset, free, _ = _rank_plan(S.n, S.k, q)[_pivots(S.rows())]
+    offset, free, _ = _pivot_plan(S.n, q, S.pivot_columns)
     r = 0
     for f in free:
         r = r * q + entries[f]
@@ -233,14 +229,21 @@ def unrank(n: int, k: int, field: FieldSpec, r: int) -> SubspaceBasis:
     """The k-subspace of F_q^n at position r of the canonical order."""
     check_chain(0, k=k, n=n)
     q = field.q
-    for pivots, (offset, free, _) in _rank_plan(n, k, q).items():
-        if offset <= r < offset + q ** len(free):
-            entries = _pivot_template(n, pivots)
-            r -= offset
-            for pos in reversed(free):
-                r, entries[pos] = divmod(r, q)
-            return SubspaceBasis(field, n, k, tuple(entries))
-    raise InvalidParameters(f"rank {r} is outside 0 .. [{n} {k}]_{q} - 1")
+    if not 0 <= r < q_binomial(n, k, q):
+        raise InvalidParameters(f"rank {r} is outside 0 .. [{n} {k}]_{q} - 1")
+    pivots: list[int] = []
+    e = c = 0
+    for i in range(k):
+        while r >= (count := _with_pivot(n, k, q, i, e, c)):
+            r -= count
+            c += 1
+        pivots.append(c)
+        e += n - k + i - c
+        c += 1
+    entries = _pivot_template(n, pivots)
+    for pos in reversed(_pivot_plan(n, q, tuple(pivots))[1]):
+        r, entries[pos] = divmod(r, q)
+    return SubspaceBasis(field, n, k, tuple(entries))
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +311,7 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
     per entry, entry 0 most significant; an image row of P B (see
     block_echelon_forms) is then the XOR of a few packed rows, and since
     a base-q digit is a group of b bits, the rank is the offset plus the
-    runs of free columns shifted into place (_rank_plan).  Odd q, whose
+    runs of free columns shifted into place (_pivot_plan).  Odd q, whose
     addition is not bitwise, reads the free entries of each image from
     block_echelon_forms one digit at a time.
     """
@@ -318,10 +321,8 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
     q = field.q
     out = []
     if field.characteristic != 2:
-        groups = block_echelon_forms(block, t)
-        plan = _rank_plan(block.n, t, q)
-        for pivots, images in groups:
-            offset, free, _ = plan[pivots]
+        for pivots, images in block_echelon_forms(block, t):
+            offset, free, _ = _pivot_plan(block.n, q, pivots)
             for image in images:
                 r = 0
                 for f in free:
@@ -349,9 +350,8 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
                 v = v << bits | mc[x]
             multiples.append(v)
         packed.append(multiples)
-    plan = _rank_plan(n, t, q)
     for pat_pivots, bases in _patterns(k, t, q):
-        offset, _, runs = plan[tuple([pivots[p] for p in pat_pivots])]
+        offset, _, runs = _pivot_plan(n, q, tuple([pivots[p] for p in pat_pivots]))
         for basis in bases:
             image = []
             for lead, terms in basis:
@@ -431,7 +431,7 @@ def extensions(V: SubspaceBasis, k: int, max_count: int = 10**7) -> list[Subspac
                 full[pos] = x
             rows.append(full)
         out.append(_span(field, n, rows))
-    out.sort(key=lambda U: (U.pivot_columns, U.entries))
+    out.sort(key=subspace_rank)
     return out
 
 

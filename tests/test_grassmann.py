@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -176,18 +178,30 @@ def test_extensions_full_space():
 
 
 def test_extensions_in_a_large_space_build_no_rank_plan():
-    # V spans e_2i + e_2i+1: its pivots skip every other column.  A rank
-    # plan would list all C(20, 10) or C(30, 15) pivot sets of the results.
+    # V spans e_2i + e_2i+1: its pivots skip every other column.  A table
+    # over all C(20, 10) or C(30, 15) pivot sets of the results would take
+    # seconds and hundreds of MiB, so the first call is measured cold.
     for n, t, k, count in ((20, 9, 10, 2047), (30, 15, 15, 1)):
         V = subspace_from_rows(F2, n, [[int(j // 2 == i) for j in range(n)] for i in range(t)])
-        misses = grassmann._rank_plan.cache_info().misses
+        tracemalloc.start()
+        try:
+            ext = extensions(V, k)
+            held, peak = tracemalloc.get_traced_memory()
+            del ext
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # past the result it returns, the call keeps and peaks at under 1 MiB
+        assert peak - held < 2**20 and left < 2**20
         start = time.perf_counter()
         ext = extensions(V, k)
         assert time.perf_counter() - start < 1.0
-        assert grassmann._rank_plan.cache_info().misses == misses
         assert len(ext) == count and all(contains(U, V) for U in ext)
         keys = [(U.pivot_columns, U.entries) for U in ext]
         assert keys == sorted(set(keys))
+        ranks = [subspace_rank(U) for U in ext]
+        assert ranks == sorted(set(ranks))
     assert ext == [V]
 
 

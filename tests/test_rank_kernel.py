@@ -2,7 +2,9 @@
 enumeration order and against vector-set (vector_mask) containment."""
 
 import random
+import re
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -60,6 +62,61 @@ def test_unrank_rejects_out_of_range():
             unrank(4, 2, f, r)
     with pytest.raises(DimensionMismatch):
         unrank(3, 4, f, 0)
+    # C(20, 10) = 184,756 pivot sets, none of them looked at
+    for r in (-1, q_binomial(20, 10, 2)):
+        text = f"rank {r} is outside 0 .. [20 10]_2 - 1"
+        with pytest.raises(InvalidParameters, match=re.escape(text)):
+            unrank(20, 10, make_field(2), r)
+
+
+@pytest.mark.parametrize("q,k", [(2, 10), (2, 15), (3, 10), (16, 10)])
+def test_rank_in_a_large_space_reads_one_pivot_set(q, k):
+    # pivots at every other column of F_q^2k, seeded free entries: a table
+    # over all C(2k, k) pivot sets would take seconds and hundreds of MiB
+    n, field = 2 * k, make_field(q)
+    rng = random.Random(f"large:{q}:{k}")
+    rows = []
+    for i in range(k):
+        row = [0] * n
+        row[2 * i] = 1
+        for j in range(2 * i + 1, n, 2):  # the free columns of row i
+            row[j] = rng.randrange(q)
+        rows.append(row)
+    S = subspace_from_rows(field, n, rows)
+    assert S.entries == tuple(x for r in rows for x in r)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        r = subspace_rank(S)
+        assert unrank(n, k, field, r) == S
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 2**20
+    # the last pivot set has no free entries: its one subspace is the last
+    first, last = (
+        SubspaceBasis(field, n, k, tuple(int(j == s + i) for i in range(k) for j in range(n)))
+        for s in (0, k)
+    )
+    assert subspace_rank(last) == q_binomial(n, k, q) - 1
+    assert unrank(n, k, field, q_binomial(n, k, q) - 1) == last
+    assert subspace_rank(first) == 0 and unrank(n, k, field, 0) == first
+
+
+def test_rank_orders_random_subspaces_of_a_large_space():
+    # [9 4]_3 is about 6.2e9: too many to enumerate, so the rank order is
+    # checked against the documented (pivot columns, entries) order
+    field = make_field(3)
+    rng = random.Random("order:3:9:4")
+    subs = set()
+    while len(subs) < 300:
+        S = subspace_from_rows(field, 9, [[rng.randrange(3) for _ in range(9)] for _ in range(4)])
+        if S.k == 4:
+            subs.add(S)
+    by_rank = sorted(subs, key=subspace_rank)
+    assert by_rank == sorted(subs, key=lambda s: (s.pivot_columns, s.entries))
+    assert all(unrank(9, 4, field, subspace_rank(S)) == S for S in by_rank)
 
 
 def _mask_ranks(block, cols):
