@@ -241,7 +241,7 @@ def unrank(n: int, k: int, field: FieldSpec, r: int) -> SubspaceBasis:
         e += n - k + i - c
         c += 1
     entries = _pivot_template(n, pivots)
-    for pos in reversed(_pivot_plan(n, q, tuple(pivots))[1]):
+    for pos in reversed(_free_positions(n, pivots)):
         r, entries[pos] = divmod(r, q)
     return SubspaceBasis(field, n, k, tuple(entries))
 

@@ -180,20 +180,14 @@ def test_extensions_full_space():
 def test_extensions_in_a_large_space_build_no_rank_plan():
     # V spans e_2i + e_2i+1: its pivots skip every other column.  A table
     # over all C(20, 10) or C(30, 15) pivot sets of the results would take
-    # seconds and hundreds of MiB, so the first call is measured cold.
+    # seconds and hundreds of MiB.  The first call is timed cold; memory is
+    # measured on W, V shifted one column right (cyclically), whose results
+    # have other pivot sets, so that call is cold too.
     for n, t, k, count in ((20, 9, 10, 2047), (30, 15, 15, 1)):
-        V = subspace_from_rows(F2, n, [[int(j // 2 == i) for j in range(n)] for i in range(t)])
-        tracemalloc.start()
-        try:
-            ext = extensions(V, k)
-            held, peak = tracemalloc.get_traced_memory()
-            del ext
-            gc.collect()
-            left = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        # past the result it returns, the call keeps and peaks at under 1 MiB
-        assert peak - held < 2**20 and left < 2**20
+        V, W = (
+            subspace_from_rows(F2, n, [[int((j - s) % n // 2 == i) for j in range(n)] for i in range(t)])
+            for s in (0, 1)
+        )
         start = time.perf_counter()
         ext = extensions(V, k)
         assert time.perf_counter() - start < 1.0
@@ -202,6 +196,19 @@ def test_extensions_in_a_large_space_build_no_rank_plan():
         assert keys == sorted(set(keys))
         ranks = [subspace_rank(U) for U in ext]
         assert ranks == sorted(set(ranks))
+        assert W.pivot_columns != V.pivot_columns
+        tracemalloc.start()
+        try:
+            ext_w = extensions(W, k)
+            held, peak = tracemalloc.get_traced_memory()
+            assert len(ext_w) == count
+            del ext_w
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # past the result it returns, the call keeps and peaks at under 1 MiB
+        assert peak - held < 2**20 and left < 2**20
     assert ext == [V]
 
 
