@@ -38,7 +38,7 @@ from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict
 
-from .errors import InvalidParameters, ResourceLimitError, check_chain
+from .errors import InvalidParameters, ResourceLimitError, check_chain, validate_q
 from .gf import make_field
 from .grassmann import intersect_dim, iter_subspaces
 from .incidence import (
@@ -54,7 +54,7 @@ from .localdecode import (
     solve_coefficients,
     verify_certificate,
 )
-from .qcount import capped, check_bounds, q_binomial, q_binomial_via_sum
+from .qcount import capped, check_bounds, q_binomial_via_sum
 from .search import NotFound, Timeout, search_design
 from .verifier import (
     DesignCandidate,
@@ -101,9 +101,18 @@ def _user_file(action: str, path: str):
 _Result = tuple[int, "dict | None", Iterable[str]]
 
 
+# qbinom refuses larger counts; computing and printing one of 2^18 bits
+# (about 79,000 digits) takes a few tenths of a second
+_QBINOM_MAX_BITS = 2**18
+
+
 def _cmd_qbinom(args) -> _Result:
-    value = q_binomial(args.n, args.k, args.q)  # checks q first
+    validate_q(args.q)
     check_chain(0, k=args.k, n=args.n)
+    (value,) = capped(
+        args.q, [(args.n, args.k)], 2**_QBINOM_MAX_BITS - 1,
+        f"[{args.n} {args.k}]_{args.q} = {{0}} exceeds the cap of {_QBINOM_MAX_BITS} bits",
+    )
     obj: dict = {"q": args.q, "n": args.n, "k": args.k, "value": value}
     code = 0
     if args.via_sum:
@@ -246,7 +255,7 @@ def _cmd_klp_report(args) -> _Result:
         args.q, args.n, args.k, args.t, constant=args.constant, max_bits=args.max_bits
     )
     witness = (
-        divisibility_witness(args.q, args.n, args.k, args.t) if args.n <= 64 else None
+        divisibility_witness(args.q, args.n, args.k, args.t) if rep.A_exact is not None else None
     )
     obj = {**asdict(rep), "divisibility_witness": witness}
     lines = _kv(

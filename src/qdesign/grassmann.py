@@ -3,10 +3,10 @@
 A subspace is identified with its reduced-row-echelon basis (no zero
 rows), which is unique, so two SubspaceBasis values are equal exactly
 when they represent the same subspace.  Rows are checked only where
-they enter from outside (subspace_from_rows); subspaces the library
-generates itself are built from their canonical entries directly, and
-those it eliminates (subspace_from_rows, apply_map, extensions) from
-bare rows by gf._rref_rows, with no MatrixGFq and no second check.
+they enter from outside (subspace_from_rows, verifier's design files);
+subspaces the library generates itself are built from their canonical
+entries directly, and those it eliminates (outside rows, apply_map,
+extensions) from bare rows by _span, with no MatrixGFq or second check.
 
 Canonical enumeration order: by pivot-column set (lexicographically
 increasing), then by the free entries read in row-major order as a

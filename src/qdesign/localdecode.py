@@ -1,11 +1,10 @@
 """The local-decoding coefficient system and its brute-force oracles.
 
 For parameters (q, t, k) the library builds the (t+1) x (t+1)
-upper-triangular integer matrix D whose entry at (l, j) is
-
-    d(l, j) = [t-l choose t-j]_q * [k-t+l choose j]_q * q^((k-t-j+l)(t-j))
-
-and solves D f = (0, ..., 0, m)^T with m = det D, so that the
+upper-triangular integer matrix D whose entry d(l, j) is the lemma-2
+count in F_q^(t+k): the number of k-subspaces U containing a
+t-subspace V1 with dim(U intersect V2) = j, where dim(V1 intersect
+V2) = l.  D solves D f = (0, ..., 0, m)^T with m = det D, so that the
 coefficient vector f is integral (by Cramer's rule, f_j is the
 determinant of D with column j replaced by (0, ..., 0, 1)^T).
 
@@ -24,14 +23,15 @@ for D itself, are cross-checked against the diagonal product; the
 coefficient vector is additionally recomputed by rational
 back-substitution.
 
-lemma2_count's closed-form intersection counts are paired with
-enumeration over exhaustive vector sets: lemma2_count_bruteforce walks
-extensions(V1, k) for one pair, and lemma2_grid_report checks every
-ordered pair of t-subspaces at once, reading the k-subspaces above each
-V1 off per-vector lanes (one bit per k-subspace) and counting their
-intersections with every V2 together in bit-sliced lanes, one bit per
-t-subspace.  Both oracles work on the vector indices of
-SubspaceBasis.nonzero_vectors and never call the RREF or rank routes.
+lemma2_count's closed-form intersection counts, D's entries among them,
+are paired with enumeration over exhaustive vector sets:
+lemma2_count_bruteforce walks extensions(V1, k) for one pair, and
+lemma2_grid_report checks every ordered pair of t-subspaces at once,
+reading the k-subspaces above each V1 off per-vector lanes (one bit per
+k-subspace) and counting their intersections with every V2 together in
+bit-sliced lanes, one bit per t-subspace.  Both oracles work on the
+vector indices of SubspaceBasis.nonzero_vectors and never call the RREF
+or rank routes.
 """
 
 from __future__ import annotations
@@ -71,21 +71,14 @@ class CoefficientCertificate:
     l1_norm: int
 
 
-def _entry(q: int, t: int, k: int, l: int, j: int) -> int:
-    b1 = q_binomial(t - l, t - j, q)
-    if b1 == 0:
-        return 0
-    b2 = q_binomial(k - t + l, j, q)
-    if b2 == 0:
-        return 0
-    return b1 * b2 * q ** ((k - t - j + l) * (t - j))
-
-
 def build_D(q: int, t: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """The (t+1) x (t+1) coefficient matrix; upper triangular with a
-    positive diagonal whenever 1 <= t <= k."""
+    """The (t+1) x (t+1) coefficient matrix, d(l, j) the lemma-2 count
+    in F_q^(t+k); upper triangular with a positive diagonal whenever
+    1 <= t <= k."""
     check_chain(1, t=t, k=k)
-    D = tuple(tuple(_entry(q, t, k, l, j) for j in range(t + 1)) for l in range(t + 1))
+    D = tuple(
+        tuple(_lemma2_formula(q, t + k, t, k, l, j) for j in range(t + 1)) for l in range(t + 1)
+    )
     for l in range(t + 1):
         for j in range(l):
             assert D[l][j] == 0, "matrix must be upper triangular"
@@ -120,9 +113,12 @@ def det_bareiss(rows: list[list[int]]) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def _replace_column(D: tuple[tuple[int, ...], ...], j: int, col: list[int]) -> list[list[int]]:
+def _cramer_matrices(D: tuple[tuple[int, ...], ...]) -> list[list[list[int]]]:
+    """D with column j replaced by (0, ..., 0, 1)^T, for each j."""
+    size = len(D)
     return [
-        [col[l] if c == j else D[l][c] for c in range(len(D))] for l in range(len(D))
+        [[int(l == size - 1) if c == j else D[l][c] for c in range(size)] for l in range(size)]
+        for j in range(size)
     ]
 
 
@@ -142,9 +138,7 @@ def solve_coefficients(q: int, t: int, k: int) -> DecodeSystem:
     if m != m_diag:
         raise DegenerateSystem(f"determinant routes disagree: {m} != {m_diag}")
 
-    unit = [0] * size
-    unit[-1] = 1
-    f = tuple(det_bareiss(_replace_column(D, j, unit)) for j in range(size))
+    f = tuple(det_bareiss(Dj) for Dj in _cramer_matrices(D))
 
     target = [0] * (size - 1) + [m]
     for l in range(size):
@@ -168,15 +162,12 @@ def solve_coefficients(q: int, t: int, k: int) -> DecodeSystem:
 
 def check_cond2(q: int, t: int, k: int) -> bool:
     """The t homogeneous rows of the system vanish at f, re-evaluated
-    directly from the entry formula rather than from the stored D."""
+    directly from the lemma-2 formula rather than from the stored D."""
     f = solve_coefficients(q, t, k).f
-    for l in range(t):
-        total = 0
-        for j in range(l, t + 1):
-            total += f[j] * _entry(q, t, k, l, j)
-        if total != 0:
-            return False
-    return True
+    return all(
+        sum(f[j] * _lemma2_formula(q, t + k, t, k, l, j) for j in range(l, t + 1)) == 0
+        for l in range(t)
+    )
 
 
 def decode_certificate(
@@ -276,7 +267,8 @@ def lemma2_count(V1: SubspaceBasis, V2: SubspaceBasis, k: int, j: int) -> int:
 
 def _lemma2_formula(q: int, n: int, t: int, k: int, l: int, j: int) -> int:
     """q^((k-t-j+l)(t-j)) [t-l j-l]_q [n-2t+l k-t-j+l]_q, the lemma-2
-    closed form, and 0 where either binomial vanishes."""
+    closed form, and 0 where either binomial vanishes; build_D is its
+    n = t + k case."""
     b1 = q_binomial(t - l, j - l, q)
     b2 = q_binomial(n - 2 * t + l, k - t - j + l, q)
     if b1 == 0 or b2 == 0:
@@ -572,11 +564,8 @@ def check_det_bounds(q: int, t: int, k: int) -> DetBoundsReport:
     cap6 = 2 ** (k * (t + 1) + 1) * q ** ((k - t) * t * (t + 1))
     checks.append(BoundCheck("row_maxima_product", prod, cap6, prod <= cap6))
 
-    unit = [0] * size
-    unit[-1] = 1
     diag_cap = 2**t
-    for j in range(size):
-        Dj = _replace_column(D, j, unit)
+    for j, Dj in enumerate(_cramer_matrices(D)):
         cnt = 0
         for perm in permutations(range(size)):
             if all(Dj[i][perm[i]] != 0 for i in range(size)):

@@ -43,6 +43,7 @@ from .incidence import (
 )
 from .klp import divisibility_witness, klp_report
 from .localdecode import (
+    build_D,
     c3_bound,
     check_cond2,
     check_det_bounds,
@@ -438,6 +439,11 @@ def _lemma2_suite(q: int, n_values, t_max: int, k_max: int) -> int:
                         f"intersection count mismatch at (q={q},n={n},t={t},k={k}): "
                         f"{rep.mismatch}"
                     )
+                # in F_q^(t+k) the checked cells are D's rows l < t
+                if n == t + k:
+                    D = build_D(q, t, k)
+                    if any(D[c.l][c.j] != c.formula for c in rep.cells):
+                        _fail(f"decoding matrix is not the lemma-2 count at (q={q},t={t},k={k})")
                 checks += rep.pair_count
     return checks
 

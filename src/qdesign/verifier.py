@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, InvalidParameters, check_chain
 from .gf import FieldSpec, make_field
-from .grassmann import SubspaceBasis, subspace_from_rows, t_subspace_ranks, unrank
+from .grassmann import SubspaceBasis, _span, t_subspace_ranks, unrank
 from .qcount import capped, q_binomial
 
 _DIGITS = "0123456789abcdef"
@@ -152,14 +152,14 @@ def _block_from_digit_rows(
     for line in rows:
         if len(line) != n:
             raise InvalidParameters(f"row '{line}' has {len(line)} digits, expected {n}")
-        row = tuple([_DIGIT_VALUES.get(c, q) for c in line])
+        row = [_DIGIT_VALUES.get(c, q) for c in line]
         if max(row, default=0) >= q:
             raise InvalidParameters(
                 f"design block {index} row '{line}' has a digit outside "
                 f"0..{_DIGITS[q - 1]} (q = {q})"
             )
         parsed.append(row)
-    block = subspace_from_rows(field, n, parsed)
+    block = _span(field, n, parsed)
     if block.k != k:
         raise InvalidParameters("block rows are not linearly independent")
     return block

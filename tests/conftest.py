@@ -8,7 +8,10 @@ if SRC not in sys.path:
 
 
 def run_cli(*args, cwd=None):
-    """Run the CLI in a subprocess; returns (exit_code, stdout, stderr)."""
+    """Run the CLI in a subprocess; returns (exit_code, stdout, stderr).
+
+    A run past the timeout raises subprocess.TimeoutExpired, so a command
+    without a bound fails its test instead of hanging the suite."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -17,5 +20,6 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
         env=env,
+        timeout=300,
     )
     return proc.returncode, proc.stdout, proc.stderr

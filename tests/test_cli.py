@@ -52,6 +52,23 @@ def test_qbinom_term_cap_exit_3():
     assert "exceeds cap" in err
 
 
+def test_qbinom_refuses_counts_past_its_bit_cap():
+    # [n k]_q >= q^(k(n-k)), so these refuse before any exact count; the
+    # exact [2000 1000]_2 alone took seconds
+    for n, k in ((2000, 1000), (4000, 2000)):
+        start = time.monotonic()
+        code, out, err = run_cli("qbinom", "--q", "2", "--n", str(n), "--k", str(k))
+        assert time.monotonic() - start < 1.0
+        e = k * (n - k)
+        assert (code, out, err) == (
+            3, "", f"error: [{n} {k}]_2 = more than 2^{e} exceeds the cap of 262144 bits\n"
+        )
+    # a count just under the cap (about 78,900 digits) is printed in full
+    code, out, _ = run_cli("qbinom", "--q", "2", "--n", "1023", "--k", "511")
+    assert code == 0 and out.rstrip().isdigit() and len(out) > 78_000
+    assert run_cli("qbinom", "--q", "2", "--n", "1024", "--k", "512")[0] == 3
+
+
 def test_usage_error_exit_2():
     code, _, _ = run_cli("qbinom", "--q", "2", "--n", "4")
     assert code == 2

@@ -64,6 +64,22 @@ def test_build_D_matches_direct_reevaluation():
                 assert D[l][j] == expect
 
 
+def test_build_D_is_lemma2_count():
+    # row l < t counts the k-subspaces of F_q^(t+k) above V1 by their
+    # intersection with V2, where dim(V1 int V2) = l
+    for q, f in ((2, F2), (3, F3)):
+        for t in (1, 2):
+            for k in range(t, 4):
+                n = t + k
+                unit = [[int(i == c) for i in range(n)] for c in range(n)]
+                V1 = subspace_from_rows(f, n, unit[:t])
+                for l in range(t):
+                    V2 = subspace_from_rows(f, n, unit[:l] + unit[t : 2 * t - l])
+                    assert intersect_dim(V1, V2) == l
+                    row = [lemma2_count_bruteforce(V1, V2, k, j) for j in range(t + 1)]
+                    assert list(build_D(q, t, k)[l]) == row
+
+
 def test_build_D_requires_t_le_k():
     with pytest.raises(DimensionMismatch):
         build_D(2, 3, 2)
