@@ -31,12 +31,10 @@ indentation, so parsing and re-serializing it is byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import asdict
 
 from .errors import InvalidParameters, ResourceLimitError, check_chain, validate_q
 from .gf import make_field
@@ -198,7 +196,7 @@ def _cmd_verify(args) -> _Result:
 
 def _cmd_decode(args) -> _Result:
     system = solve_coefficients(args.q, args.t, args.k)
-    obj = {**asdict(system), "Dj_dets": system.f}
+    obj = {**vars(system), "Dj_dets": system.f}
     lines = _kv(obj, "q", "t", "k")
     lines += [f"D row {i} = {' '.join(str(x) for x in row)}" for i, row in enumerate(system.D)]
     lines += _kv(obj, "m")
@@ -240,7 +238,7 @@ def _cmd_lemma2_check(args) -> _Result:
         "k": args.k,
         "pairs": report.pair_count,
         "extension_count": report.extension_count,
-        "cells": [asdict(c) for c in report.cells],
+        "cells": [vars(c) for c in report.cells],
         "ok": report.ok,
         "mismatch": report.mismatch,
     }
@@ -257,7 +255,7 @@ def _cmd_klp_report(args) -> _Result:
     witness = (
         divisibility_witness(args.q, args.n, args.k, args.t) if rep.A_exact is not None else None
     )
-    obj = {**asdict(rep), "divisibility_witness": witness}
+    obj = {**vars(rep), "divisibility_witness": witness}
     lines = _kv(
         obj, "q", "n", "k", "t", "constant", "c1_bound", "c2", "c3_bound", "A_upper",
         "B_lower", "A_exact", "B_exact", "rhs_final", "block_budget",
@@ -474,6 +472,8 @@ def main(argv=None) -> int:
     try:
         code, obj, lines = args.func(args)
         if args.json and obj is not None:
+            import json
+
             obj = {**obj, "schema_version": 1, "command": args.subcommand}
             lines = [json.dumps(obj, indent=2, sort_keys=True)]
         for line in lines:

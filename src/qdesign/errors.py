@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all qdesign modules."""
+"""Exception hierarchy and small helpers shared by all qdesign modules:
+the message helpers, the parameter checks and the frozen value-class
+decorator that every result record uses."""
 
 # counts up to this many bits are printed in full in error messages
 SHOWN_BITS = 200
@@ -69,3 +71,49 @@ def check_chain(low: int, **values: int) -> None:
     if any(a > b for a, b in zip(chain, chain[1:])):
         got = ", ".join(f"{name}={v}" for name, v in values.items())
         raise DimensionMismatch(f"need {' <= '.join([str(low), *values])}, got {got}")
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+
+def _value_class(cls):
+    """Make cls a frozen value class over its annotated fields, in order.
+
+    Adds what the class does not define itself: an __init__ taking the
+    fields positionally or by name and then calling self.__post_init__()
+    when the class has one, the repr "Name(a=1, b=2)", equality with
+    instances of the same class only, a hash over the fields, and a
+    __setattr__/__delattr__ that raise AttributeError.  __init__, __eq__
+    and __hash__ are compiled once per class, as collections.namedtuple
+    does, so they cost what dataclass's do.  Instances keep a __dict__,
+    so cached_property works and they pickle.
+    """
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    fields = "".join(f"self.{name}, " for name in names)
+    source = (
+        f"def __init__(self, {', '.join(names)}):\n"
+        + "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
+        + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
+        + "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({fields}) == ({fields.replace('self.', 'other.')})\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({fields}))\n"
+    )
+    methods: dict = {}
+    exec(source, {"_set": object.__setattr__}, methods)
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({values})"
+
+    methods.update(__repr__=__repr__, __setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls

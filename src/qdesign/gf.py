@@ -23,11 +23,11 @@ row products (_rref_rows, _mul_rows) read the tables and check nothing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
-    DimensionMismatch, InvalidParameters, SingularMap, UnsupportedOrder, check_chain, validate_q
+    DimensionMismatch, InvalidParameters, SingularMap, UnsupportedOrder, _value_class,
+    check_chain, validate_q,
 )
 
 # Monic irreducible polynomial per supported prime power, coefficients by
@@ -44,7 +44,7 @@ _PRIME_ORDERS = (2, 3, 5, 7, 11, 13)
 SUPPORTED_ORDERS = tuple(sorted(_PRIME_ORDERS + tuple(_REDUCTION_POLYS)))
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class
 class FieldSpec:
     """The finite field F_q with precomputed arithmetic tables."""
 
@@ -162,7 +162,7 @@ def make_field(q: int) -> FieldSpec:
     )
 
 
-@dataclass(frozen=True)
+@_value_class
 class MatrixGFq:
     """A dense rows x cols matrix over F_q, entries stored row-major."""
 

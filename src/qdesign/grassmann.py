@@ -33,21 +33,22 @@ reads them off rows packed as integers, whose addition is XOR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from typing import Iterator
 
-from .errors import AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, check_chain
+from .errors import (
+    AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, _value_class, check_chain,
+)
 from .gf import FieldSpec, MatrixGFq, _mul_rows, _rref_rows, mat_inverse, mat_mul, rank_of_rows
 from .qcount import capped, q_binomial
 
 
-@dataclass(frozen=True)
+@_value_class
 class SubspaceBasis:
     """A k-subspace of F_q^n as the row-major entries of its canonical
-    (RREF, no zero rows) k x n basis, so the generated equality and hash
-    hold exactly between equal subspaces."""
+    (RREF, no zero rows) k x n basis, so equality and hash, which compare
+    the fields, hold exactly between equal subspaces."""
 
     field: FieldSpec
     n: int

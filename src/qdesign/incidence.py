@@ -11,10 +11,8 @@ reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import check_chain
+from .errors import _value_class, check_chain
 from .gf import FieldSpec
 from .grassmann import (
     SubspaceBasis,
@@ -27,7 +25,7 @@ from .grassmann import (
 from .qcount import capped, q_binomial
 
 
-@dataclass(frozen=True)
+@_value_class
 class IncidenceStructure:
     field: FieldSpec
     n: int
@@ -108,6 +106,8 @@ def average_row(M: IncidenceStructure) -> Fraction:
     column count) and [n-t k-t]_q / [n k]_q (column weight over row
     count).
     """
+    from fractions import Fraction
+
     q = M.field.q
     a = Fraction(q_binomial(M.k, M.t, q), q_binomial(M.n, M.t, q))
     b = Fraction(q_binomial(M.n - M.t, M.k - M.t, q), q_binomial(M.n, M.k, q))

@@ -23,10 +23,9 @@ its max_bits cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
-    DimensionMismatch, InvalidParameters, TooLarge, check_chain, number_text, validate_q
+    DimensionMismatch, InvalidParameters, TooLarge, _value_class, check_chain, number_text,
+    validate_q,
 )
 from .localdecode import solve_coefficients
 from .qcount import q_binomial
@@ -93,7 +92,7 @@ def pow_frac_ceil(x: int, num: int, den: int) -> int:
     return root if power == p else root + 1
 
 
-@dataclass(frozen=True)
+@_value_class
 class KLPReport:
     q: int
     n: int

@@ -36,10 +36,10 @@ or rank routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import DegenerateSystem, DimensionMismatch, TooLarge, check_chain, number_text
+from .errors import (
+    DegenerateSystem, DimensionMismatch, TooLarge, _value_class, check_chain, number_text,
+    validate_q,
+)
 from .gf import make_field
 from .grassmann import (
     SubspaceBasis,
@@ -52,7 +52,7 @@ from .grassmann import (
 from .qcount import capped, q_binomial
 
 
-@dataclass(frozen=True)
+@_value_class
 class DecodeSystem:
     q: int
     t: int
@@ -62,7 +62,7 @@ class DecodeSystem:
     f: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@_value_class
 class CoefficientCertificate:
     decoded_column: SubspaceBasis
     envelope: SubspaceBasis
@@ -122,13 +122,38 @@ def _cramer_matrices(D: tuple[tuple[int, ...], ...]) -> list[list[list[int]]]:
     ]
 
 
+# cap on solve_coefficients' work estimate; at t = 1 it admits an m of
+# about 2^18 bits, the size cli._QBINOM_MAX_BITS admits
+_MAX_SOLVE_WORK = 2**20
+
+
 def solve_coefficients(q: int, t: int, k: int) -> DecodeSystem:
     """Solve D f = (0, ..., 0, m)^T exactly, with m = det D.
 
     The determinant is computed twice (diagonal product and Bareiss
     elimination) and f twice (column-replacement determinants and
     rational back-substitution); all routes must agree.
+
+    Before D is built, TooLarge is raised when (t+1)^2 * (2048 + b)
+    exceeds _MAX_SOLVE_WORK, where b = floor(E floor(64 log2 q) / 64)
+    is a lower bound on log2 m: m >= q^E, E = (k-t) t (t+1), since each
+    d(l, l) >= q^((k-t) t).  The t+1 Bareiss runs take about (t+1)^4
+    steps on operands of up to m's size, each costing about the square
+    of its operand length plus interpreter overhead worth some 2048
+    bits, so the estimate is about the square root of the work.
     """
+    from fractions import Fraction
+
+    check_chain(1, t=t, k=k)
+    validate_q(q)
+    bits = (k - t) * t * (t + 1) * ((q**64).bit_length() - 1) // 64
+    work = (t + 1) ** 2 * (2048 + bits)
+    if work > _MAX_SOLVE_WORK:
+        raise TooLarge(
+            f"decoding system for q={q}, t={t}, k={k}: m = det D has at least "
+            f"{number_text(bits)} bits; work (t+1)^2 * (2048 + {number_text(bits)}) = "
+            f"{number_text(work)} exceeds cap {_MAX_SOLVE_WORK}"
+        )
     D = build_D(q, t, k)
     size = t + 1
     m_diag = 1
@@ -323,7 +348,7 @@ def _ordered_basis_products_check(q: int, n: int, t: int, k: int, l: int, j: int
     return None
 
 
-@dataclass(frozen=True)
+@_value_class
 class Lemma2Cell:
     l: int
     j: int
@@ -331,7 +356,7 @@ class Lemma2Cell:
     pairs: int
 
 
-@dataclass(frozen=True)
+@_value_class
 class Lemma2GridReport:
     q: int
     n: int
@@ -521,7 +546,7 @@ def lemma2_grid_report(
     return report(pair_count, "", cells)
 
 
-@dataclass(frozen=True)
+@_value_class
 class BoundCheck:
     label: str
     lhs: int
@@ -529,7 +554,7 @@ class BoundCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
+@_value_class
 class DetBoundsReport:
     q: int
     t: int
@@ -575,7 +600,7 @@ def check_det_bounds(q: int, t: int, k: int) -> DetBoundsReport:
     return DetBoundsReport(q=q, t=t, k=k, checks=tuple(checks))
 
 
-@dataclass(frozen=True)
+@_value_class
 class C3Report:
     q: int
     t: int

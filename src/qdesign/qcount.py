@@ -7,11 +7,12 @@ so no count in the library can ever overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import SHOWN_BITS, TooLarge, TooManyTerms, check_chain, number_text, validate_q
+from .errors import (
+    SHOWN_BITS, TooLarge, TooManyTerms, _value_class, check_chain, number_text, validate_q,
+)
 
 
 def q_int(i: int, q: int) -> int:
@@ -103,7 +104,7 @@ def q_binomial_via_sum(n: int, k: int, q: int, max_terms: int = 10**6) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@_value_class
 class BinomialBounds:
     lower: int
     value: int

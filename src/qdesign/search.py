@@ -28,16 +28,15 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 
-from .errors import InvalidParameters, check_chain
+from .errors import InvalidParameters, _value_class, check_chain
 from .gf import FieldSpec, make_field
 from .grassmann import enumerate_subspaces, t_subspace_ranks
 from .qcount import capped, q_binomial
 from .verifier import DesignCandidate, verify_design
 
 
-@dataclass(frozen=True)
+@_value_class
 class CoverInstance:
     universe: tuple
     candidates: tuple
@@ -45,12 +44,12 @@ class CoverInstance:
     multiplicity: int
 
 
-@dataclass(frozen=True)
+@_value_class
 class NotFound:
     reason: str
 
 
-@dataclass(frozen=True)
+@_value_class
 class Timeout:
     elapsed: float
     best_satisfied: int

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, _value_class
 from .gf import (
     SUPPORTED_ORDERS,
     MatrixGFq,
@@ -608,7 +607,7 @@ SUITES = {
 }
 
 
-@dataclass(frozen=True)
+@_value_class
 class SuiteResult:
     name: str
     ok: bool
@@ -616,7 +615,7 @@ class SuiteResult:
     detail: str
 
 
-@dataclass(frozen=True)
+@_value_class
 class SelftestReport:
     results: tuple[SuiteResult, ...]
 

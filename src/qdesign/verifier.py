@@ -18,11 +18,9 @@ The JSON form carries the same fields plus a schema_version.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass
 
-from .errors import DimensionMismatch, InvalidParameters, check_chain
+from .errors import DimensionMismatch, InvalidParameters, _value_class, check_chain
 from .gf import FieldSpec, make_field
 from .grassmann import SubspaceBasis, _span, t_subspace_ranks, unrank
 from .qcount import capped, q_binomial
@@ -31,7 +29,7 @@ _DIGITS = "0123456789abcdef"
 _DIGIT_VALUES = {c: int(c, 16) for c in _DIGITS + "ABCDEF"}
 
 
-@dataclass(frozen=True)
+@_value_class
 class DesignCandidate:
     field: FieldSpec
     n: int
@@ -46,7 +44,7 @@ class DesignCandidate:
                 raise DimensionMismatch(f"block of dimension {b.k}, expected {self.k}")
 
 
-@dataclass(frozen=True)
+@_value_class
 class VerificationReport:
     is_design: bool
     t: int
@@ -220,6 +218,8 @@ def design_from_json_obj(obj: dict) -> DesignCandidate:
 
 
 def load_design(path: str) -> DesignCandidate:
+    import json
+
     with open(path, "r", encoding="utf-8") as fh:
         try:  # undecodable bytes, malformed or too deeply nested JSON
             text = fh.read()
@@ -230,6 +230,8 @@ def load_design(path: str) -> DesignCandidate:
 
 
 def save_design(candidate: DesignCandidate, path: str, fmt: str = "text") -> None:
+    import json
+
     if fmt == "text":
         payload = format_design_text(candidate)
     elif fmt == "json":

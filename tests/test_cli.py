@@ -417,6 +417,16 @@ def test_cap_errors_abbreviate_huge_counts():
             "[10000 5000]_2 * [10000 5000]_2 = more than 2^50000000 "
             "containment tests exceed cap 10000000"
         ),
+        # the decoding system refuses from m >= q^((k-t) t (t+1)) before any
+        # elimination; uncapped, decode took 9 s and the klp-report witness 5 s
+        ("decode", "--q", "2", "--t", "10", "--k", "1000"): (
+            "decoding system for q=2, t=10, k=1000: m = det D has at least 108900 bits; "
+            "work (t+1)^2 * (2048 + 108900) = 13424708 exceeds cap 1048576"
+        ),
+        ("klp-report", "--q", "2", "--n", "64", "--k", "40", "--t", "30"): (
+            "decoding system for q=2, t=30, k=40: m = det D has at least 9300 bits; "
+            "work (t+1)^2 * (2048 + 9300) = 10905428 exceeds cap 1048576"
+        ),
     }
     for n, k in ((2000, 1000), (4000, 2000), (10000, 5000)):
         e = k * (n - k)
@@ -688,6 +698,26 @@ def test_cli_import_leaves_selftest_unloaded():
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def test_import_adds_no_heavy_stdlib_modules():
+    # compared with what the bare interpreter has loaded before the import,
+    # so a module that site already imports does not count
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    cases = {
+        "qdesign.cli": {"dataclasses", "inspect", "fractions", "decimal", "json", "typing"},
+        "qdesign.selftest": {"dataclasses", "inspect"},
+    }
+    for module, heavy in cases.items():
+        code = (
+            f"import sys; before = set(sys.modules); import {module}; "
+            "print(*set(sys.modules) - before)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        added = set(proc.stdout.split())
+        assert module in added
+        assert not added & heavy, f"import {module} loads {sorted(added & heavy)}"
 
 
 def test_internal_error_exit_4(monkeypatch, capsys):

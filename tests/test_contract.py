@@ -31,6 +31,7 @@ from qdesign.localdecode import (
     decode_certificate,
     lemma2_count,
     lemma2_grid_report,
+    solve_coefficients,
     verify_certificate,
 )
 from qdesign.qcount import (
@@ -240,6 +241,15 @@ def test_every_cap_refuses_from_the_lower_bound(monkeypatch):
         with pytest.raises(TooLarge):
             call()
         assert all(c < 4**m * cap for c in counts)
+    # the decoding-system cap decides from q^((k-t) t (t+1)) <= m before D
+    # is built, so it counts nothing
+    for call in (
+        lambda: solve_coefficients(2, 10, 1000), lambda: divisibility_witness(2, 64, 40, 30)
+    ):
+        counts.clear()
+        with pytest.raises(TooLarge, match="^decoding system for q=2, t="):
+            call()
+        assert counts == []
     # [n t]_q < 2 exactly when t = n, so that refusal counts nothing
     counts.clear()
     with pytest.raises(DimensionMismatch, match="^need at least two distinct t-subspaces$"):

@@ -6,6 +6,7 @@ from qdesign.errors import TooLarge
 from qdesign.gf import make_field
 from qdesign.grassmann import contains
 from qdesign.incidence import (
+    IncidenceStructure,
     average_row,
     build_incidence,
     check_constant_vector_property,
@@ -81,12 +82,12 @@ def test_symmetry_transitivity_spot():
 
 
 def test_symmetry_check_catches_corruption():
-    import dataclasses
-
     M = build_incidence(3, 2, 1, F2)
     bits = list(M.bits)
     bits[0] ^= 1 << 5  # flip one entry
-    bad = dataclasses.replace(M, bits=tuple(bits))
+    bad = IncidenceStructure(
+        M.field, M.n, M.k, M.t, M.row_index, M.col_index, tuple(bits), M.row_weight, M.col_weight
+    )
     assert not check_symmetry_transitivity(bad, trials=20, seed=1234)
 
 

@@ -2,7 +2,6 @@ import hashlib
 import random
 import re
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +16,7 @@ from qdesign.grassmann import (
     unrank,
 )
 from qdesign.localdecode import (
+    CoefficientCertificate,
     build_D,
     c3_bound,
     check_cond2,
@@ -208,7 +208,9 @@ def test_verify_certificate_rejects_tampered_coefficients(q, n, t, k):
     subs = list(cert.coefficients)
 
     def verdict(coefficients):
-        return verify_certificate(replace(cert, coefficients=coefficients))
+        return verify_certificate(CoefficientCertificate(
+            cert.decoded_column, cert.envelope, coefficients, cert.m, cert.l1_norm
+        ))
 
     for U in rng.sample(subs, 4):
         assert not verdict({**cert.coefficients, U: cert.coefficients[U] + 1})
