@@ -38,7 +38,7 @@ from contextlib import contextmanager
 
 from .errors import InvalidParameters, ResourceLimitError, check_chain, validate_q
 from .gf import make_field
-from .grassmann import intersect_dim, iter_subspaces
+from .grassmann import iter_subspaces
 from .incidence import (
     average_row,
     build_incidence,
@@ -47,6 +47,7 @@ from .incidence import (
 )
 from .klp import divisibility_witness, klp_report
 from .localdecode import (
+    certificate_composition,
     decode_certificate,
     lemma2_grid_report,
     solve_coefficients,
@@ -208,23 +209,20 @@ def _cmd_decode(args) -> _Result:
     V = next(iter_subspaces(args.n, args.t, make_field(args.q)))
     cert = decode_certificate(V, args.k, max_subspaces=args.max_certificate)
     ok = verify_certificate(cert, max_subspaces=args.max_certificate)
-    by_dim: dict[int, int] = {}
-    for U in cert.coefficients:
-        j = intersect_dim(U, V)
-        by_dim[j] = by_dim.get(j, 0) + 1
+    composition = certificate_composition(args.q, args.t, args.k)
     obj["certificate"] = cert_obj = {
         "n": args.n,
         "V": digit_rows(V),
         "W": digit_rows(cert.envelope),
         "l1_norm": cert.l1_norm,
-        "subspaces_by_dim": {str(j): by_dim[j] for j in sorted(by_dim)},
+        "subspaces_by_dim": {str(j): N for j, N in enumerate(composition)},
         "certified": ok,
     }
     lines.append(f"certify n = {args.n}")
     lines.append(f"V = {','.join(cert_obj['V'])}")
     lines.append(f"W = {','.join(cert_obj['W'])}")
-    for j in sorted(by_dim):
-        lines.append(f"coefficient[dim={j}] = {system.f[j]} on {by_dim[j]} subspaces")
+    for j, N in enumerate(composition):
+        lines.append(f"coefficient[dim={j}] = {system.f[j]} on {N} subspaces")
     lines += _kv(cert_obj, "l1_norm", "certified")
     return (0 if ok else 1), obj, lines
 

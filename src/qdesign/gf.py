@@ -68,13 +68,12 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no inverse")
         return self.inv_table[a]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldSpec):
-            return NotImplemented
-        return self.q == other.q
+    # make_field is cached: one FieldSpec per order, compared by identity and unpickled by it
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __hash__(self) -> int:
-        return hash(("FieldSpec", self.q))
+    def __reduce__(self):
+        return make_field, (self.q,)
 
     def __repr__(self) -> str:
         return f"FieldSpec(q={self.q})"

@@ -23,11 +23,13 @@ its max_bits cap.
 
 from __future__ import annotations
 
+from math import prod
+
 from .errors import (
     DimensionMismatch, InvalidParameters, TooLarge, _value_class, check_chain, number_text,
     validate_q,
 )
-from .localdecode import solve_coefficients
+from .localdecode import build_D
 from .qcount import q_binomial
 
 
@@ -189,21 +191,14 @@ def klp_report(
 
 
 def divisibility_witness(q: int, n: int, k: int, t: int) -> int:
-    """The witness bound m [n t]_q on the divisibility parameter.
+    """The witness bound m [n t]_q on the divisibility parameter, where
+    m = det D is the product of build_D's diagonal (no system is solved).
 
-    m [n t]_q times the constant average row [k t]_q / [n t]_q collapses
-    to m [k t]_q, an integer vector, which is what makes the witness
-    valid; that integrality is re-checked here with exact rationals.
+    m [n t]_q times the constant average row [k t]_q / [n t]_q is
+    m [k t]_q, an integer vector, which is what makes the witness valid.
     """
     check_chain(1, t=t, k=k, n=n)
     if n > 64:
         raise DimensionMismatch(f"need n <= 64 for the exact witness, got n={n}")
-    from fractions import Fraction
-
-    m = solve_coefficients(q, t, k).m
-    witness = m * q_binomial(n, t, q)
-    avg = Fraction(q_binomial(k, t, q), q_binomial(n, t, q))
-    scaled = witness * avg
-    if scaled.denominator != 1 or scaled != m * q_binomial(k, t, q):
-        raise AssertionError("witness times average row must be integral")
-    return witness
+    D = build_D(q, t, k)
+    return prod(D[l][l] for l in range(t + 1)) * q_binomial(n, t, q)

@@ -186,12 +186,25 @@ def solve_coefficients(q: int, t: int, k: int) -> DecodeSystem:
 
 
 def check_cond2(q: int, t: int, k: int) -> bool:
-    """The t homogeneous rows of the system vanish at f, re-evaluated
-    directly from the lemma-2 formula rather than from the stored D."""
+    """The t homogeneous rows of the system vanish at f, with D's entries
+    re-read from the lemma-2 formula.  build_D reads the same formula, so
+    this guards how build_D assembles D (the (l, j) indexing, n = t + k),
+    not the formula, which lemma2_grid_report checks by enumeration."""
     f = solve_coefficients(q, t, k).f
     return all(
         sum(f[j] * _lemma2_formula(q, t + k, t, k, l, j) for j in range(l, t + 1)) == 0
         for l in range(t)
+    )
+
+
+def certificate_composition(q: int, t: int, k: int) -> tuple[int, ...]:
+    """(N_0, ..., N_t): N_j = q^((t-j)(k-j)) [t j]_q [k j]_q k-subspaces U of
+    F_q^(t+k) meet a fixed t-subspace V in dimension j ([t j]_q choices of
+    U intersect V, [k j]_q of U + V, then q^((t-j)(k-j)) of U).  They sum
+    to [t+k k]_q (q-Vandermonde; Andrews, The Theory of Partitions, ch. 3)."""
+    return tuple(
+        q ** ((t - j) * (k - j)) * q_binomial(t, j, q) * q_binomial(k, j, q)
+        for j in range(t + 1)
     )
 
 
@@ -205,6 +218,8 @@ def decode_certificate(
     V's pivot columns; the coefficient of U is f(dim(U intersect V)).
     Those unit rows and V's rows cleared at their columns are already
     W's canonical basis; the U come from grassmann.block_echelon_forms.
+    The U must meet V in dimension j exactly N_j times (see
+    certificate_composition), else DegenerateSystem; l1_norm is sum_j |f_j| N_j.
     """
     field, n, t = V.field, V.n, V.k
     q = field.q
@@ -212,7 +227,7 @@ def decode_certificate(
         raise DimensionMismatch("decoded column must have dimension >= 1")
     if n < t + k:
         raise DimensionMismatch(f"need ambient n >= t + k = {t + k}, got {n}")
-    (count,) = capped(q, [(k + t, k)], max_subspaces)
+    capped(q, [(k + t, k)], max_subspaces)
 
     system = solve_coefficients(q, t, k)
     pivots = V.pivot_columns
@@ -224,20 +239,24 @@ def decode_certificate(
     W = SubspaceBasis(field, n, t + k, tuple([x for p in sorted(by_pivot) for x in by_pivot[p]]))
 
     coefficients: dict[SubspaceBasis, int] = {}
-    l1 = 0
+    counts = [0] * (t + 1)
     for _, images in block_echelon_forms(W, k):
         for entries in images:
             U = SubspaceBasis(field, n, k, tuple(entries))
-            c = system.f[intersect_dim(U, V)]
-            coefficients[U] = c
-            l1 += abs(c)
-    assert l1 <= count * max(abs(v) for v in system.f)
+            j = intersect_dim(U, V)
+            coefficients[U] = system.f[j]
+            counts[j] += 1
+    composition = certificate_composition(q, t, k)
+    if tuple(counts) != composition:
+        raise DegenerateSystem(
+            f"certificate subspaces by dim(U intersect V): {counts} != {list(composition)}"
+        )
     return CoefficientCertificate(
         decoded_column=V,
         envelope=W,
         coefficients=coefficients,
         m=system.m,
-        l1_norm=l1,
+        l1_norm=sum(abs(c) * N for c, N in zip(system.f, composition)),
     )
 
 
@@ -606,39 +625,24 @@ class C3Report:
     t: int
     k: int
     m: int
-    l1_norm: int | None
-    exact_c3: int | None
+    l1_norm: int
+    exact_c3: int
     cap: int
-    ok: bool | None
-    capped: bool
+    ok: bool
 
 
-def c3_bound(q: int, t: int, k: int, max_subspaces: int = 10**6) -> C3Report:
+def c3_bound(q: int, t: int, k: int) -> C3Report:
     """Exact local-decodability parameter max(m, ||coefficients||_1)
     versus its q^(2k(t+1)^2) cap.
 
-    The l1 norm is computed inside a minimal ambient space of dimension
-    t + k (the envelope is the whole space there); if the subspace count
-    exceeds max_subspaces only the cap is reported.
+    The l1 norm is the certificate's, sum_j |f_j| N_j with N_j from
+    certificate_composition; decode_certificate checks those N_j
+    against its enumerated subspaces, so nothing is enumerated here.
     """
     system = solve_coefficients(q, t, k)
-    bound = q ** (2 * k * (t + 1) ** 2)
-    count = q_binomial(k + t, k, q)
-    if count > max_subspaces:
-        return C3Report(
-            q=q, t=t, k=k, m=system.m, l1_norm=None, exact_c3=None,
-            cap=bound, ok=None, capped=True,
-        )
-    field = make_field(q)
-    n0 = t + k
-    V = next(iter_subspaces(n0, t, field))  # spanned by the first t unit vectors
-    vmask = V.vector_mask
-    l1 = 0
-    for U in iter_subspaces(n0, k, field):
-        j = subspace_dim_from_count(q, (U.vector_mask & vmask).bit_count())
-        l1 += abs(system.f[j])
+    l1 = sum(abs(c) * N for c, N in zip(system.f, certificate_composition(q, t, k)))
     exact = max(system.m, l1)
+    bound = q ** (2 * k * (t + 1) ** 2)
     return C3Report(
-        q=q, t=t, k=k, m=system.m, l1_norm=l1, exact_c3=exact,
-        cap=bound, ok=exact <= bound, capped=False,
+        q=q, t=t, k=k, m=system.m, l1_norm=l1, exact_c3=exact, cap=bound, ok=exact <= bound
     )

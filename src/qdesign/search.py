@@ -38,7 +38,7 @@ from .verifier import DesignCandidate, verify_design
 
 @_value_class
 class CoverInstance:
-    universe: tuple
+    universe_size: int
     candidates: tuple
     covers: tuple[tuple[int, ...], ...]
     multiplicity: int
@@ -74,13 +74,14 @@ def build_cover_instance(
     max_universe: int = 10**4,
     max_candidates: int = 10**5,
 ) -> CoverInstance:
-    _capped_counts(field.q, n, k, t, max_universe, max_candidates)
+    check_chain(0, t=t, k=k, n=n)
+    n_t, _ = _capped_counts(field.q, n, k, t, max_universe, max_candidates)
     candidates = enumerate_subspaces(n, k, field)
     return CoverInstance(
-        universe=tuple(enumerate_subspaces(n, t, field)),
+        universe_size=n_t,
         candidates=tuple(candidates),
-        # a universe index is a canonical rank, and the kernel lists a
-        # block's ranks in increasing order
+        # a column index is a t-subspace's canonical rank, and the kernel
+        # lists a block's ranks in increasing order
         covers=tuple(tuple(t_subspace_ranks(b, t)) for b in candidates),
         multiplicity=lam,
     )
@@ -113,7 +114,7 @@ class _ExactCover:
     def __init__(self, inst: CoverInstance, deadline: float | None):
         self.covers = inst.covers
         self.deadline = deadline
-        ncols = len(inst.universe)
+        ncols = inst.universe_size
         self.need = [inst.multiplicity] * ncols
         self.col_cands = [[] for _ in range(ncols)]
         for r, cov in enumerate(inst.covers):
@@ -220,7 +221,7 @@ def _greedy_once(inst: CoverInstance, rng: random.Random) -> tuple[list[int] | N
     Takes, in shuffled order, every candidate that covers no satisfied
     column.  need only decreases, so a candidate passed over can never
     become takeable later and one pass over the order suffices."""
-    ncols = len(inst.universe)
+    ncols = inst.universe_size
     need = [inst.multiplicity] * ncols
     order = list(range(len(inst.candidates)))
     rng.shuffle(order)
@@ -293,7 +294,7 @@ def search_design(
             return Timeout(
                 elapsed=time.monotonic() - start,
                 best_satisfied=solver.best_satisfied,
-                universe_size=len(inst.universe),
+                universe_size=inst.universe_size,
             )
         if rows is None:
             return NotFound("exhaustive search completed without a solution")
@@ -310,7 +311,7 @@ def search_design(
                 return Timeout(
                     elapsed=time.monotonic() - start,
                     best_satisfied=best,
-                    universe_size=len(inst.universe),
+                    universe_size=inst.universe_size,
                 )
             if max_restarts is not None and restarts >= max_restarts:
                 return NotFound(f"greedy search stalled after {max_restarts} restarts")

@@ -177,7 +177,7 @@ def test_criterion_11_klp_report():
             assert klp_report(q, n, k, t).c2 == 1
         assert klp_report(2, 1000, 25, 1, constant=1).feasible
         assert not klp_report(2, 1000, 12, 1, constant=1).feasible
-        # witness integrality is asserted inside divisibility_witness
+        # the witness is m [n t]_q, m = det D
         assert divisibility_witness(2, 4, 2, 1) == 90
         assert divisibility_witness(3, 6, 2, 1) == solve_coefficients(3, 1, 2).m * q_binomial(6, 1, 3)
 

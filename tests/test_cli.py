@@ -4,9 +4,11 @@ import subprocess
 import sys
 import time
 
+import pytest
 from conftest import SRC, run_cli
 
 from qdesign.errors import DegenerateSystem
+from qdesign.qcount import q_binomial
 
 
 def test_qbinom_value():
@@ -343,6 +345,62 @@ def test_decode_certify_json():
     assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == out
 
 
+# decode --certify at q = 3 and 4, one with n > t + k; the per-dimension
+# subspace counts are the closed-form N_j of certificate_composition
+DECODE_CERTIFY_PINNED = {
+    ("3", "2", "3", "5"): (
+        [
+            "q = 3", "t = 2", "k = 3",
+            "D row 0 = 9 4 0", "D row 1 = 0 12 1", "D row 2 = 0 0 13",
+            "m = 1404", "f = 4 -9 108",
+            "certify n = 5", "V = 10000,01000", "W = 10000,01000,00100,00010,00001",
+            "coefficient[dim=0] = 4 on 729 subspaces",
+            "coefficient[dim=1] = -9 on 468 subspaces",
+            "coefficient[dim=2] = 108 on 13 subspaces",
+            "l1_norm = 8532", "certified = true", "",
+        ],
+        {
+            "D": [[9, 4, 0], [0, 12, 1], [0, 0, 13]], "Dj_dets": [4, -9, 108],
+            "certificate": {
+                "V": ["10000", "01000"], "W": ["10000", "01000", "00100", "00010", "00001"],
+                "certified": True, "l1_norm": 8532, "n": 5,
+                "subspaces_by_dim": {"0": 729, "1": 468, "2": 13},
+            },
+            "f": [4, -9, 108], "k": 3, "m": 1404, "q": 3, "t": 2,
+        },
+    ),
+    ("4", "1", "2", "4"): (
+        [
+            "q = 4", "t = 1", "k = 2",
+            "D row 0 = 4 1", "D row 1 = 0 5",
+            "m = 20", "f = -1 4",
+            "certify n = 4", "V = 1000", "W = 1000,0100,0010",
+            "coefficient[dim=0] = -1 on 16 subspaces",
+            "coefficient[dim=1] = 4 on 5 subspaces",
+            "l1_norm = 36", "certified = true", "",
+        ],
+        {
+            "D": [[4, 1], [0, 5]], "Dj_dets": [-1, 4],
+            "certificate": {
+                "V": ["1000"], "W": ["1000", "0100", "0010"],
+                "certified": True, "l1_norm": 36, "n": 4,
+                "subspaces_by_dim": {"0": 16, "1": 5},
+            },
+            "f": [-1, 4], "k": 2, "m": 20, "q": 4, "t": 1,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("q, t, k, n", DECODE_CERTIFY_PINNED)
+def test_decode_certify_pinned(q, t, k, n):
+    text, obj = DECODE_CERTIFY_PINNED[q, t, k, n]
+    args = ("decode", "--q", q, "--t", t, "--k", k, "--certify", "--n", n)
+    assert run_cli(*args) == (0, "\n".join(text), "")
+    obj = {**obj, "command": "decode", "schema_version": 1}
+    assert run_cli(*args, "--json") == (0, json.dumps(obj, indent=2, sort_keys=True) + "\n", "")
+
+
 def test_decode_certify_requires_n():
     code, _, err = run_cli("decode", "--q", "2", "--t", "1", "--k", "2", "--certify")
     assert code == 2
@@ -418,14 +476,10 @@ def test_cap_errors_abbreviate_huge_counts():
             "containment tests exceed cap 10000000"
         ),
         # the decoding system refuses from m >= q^((k-t) t (t+1)) before any
-        # elimination; uncapped, decode took 9 s and the klp-report witness 5 s
+        # elimination; uncapped, decode took 9 s
         ("decode", "--q", "2", "--t", "10", "--k", "1000"): (
             "decoding system for q=2, t=10, k=1000: m = det D has at least 108900 bits; "
             "work (t+1)^2 * (2048 + 108900) = 13424708 exceeds cap 1048576"
-        ),
-        ("klp-report", "--q", "2", "--n", "64", "--k", "40", "--t", "30"): (
-            "decoding system for q=2, t=30, k=40: m = det D has at least 9300 bits; "
-            "work (t+1)^2 * (2048 + 9300) = 10905428 exceeds cap 1048576"
         ),
     }
     for n, k in ((2000, 1000), (4000, 2000), (10000, 5000)):
@@ -559,6 +613,20 @@ def test_klp_report_json_pinned():
         '51497324972896105267200000000,\n  "schema_version": 1,\n  "t": 1\n}\n'
     )
 
+
+def test_klp_report_witness_past_the_old_solver_cap():
+    # the witness reads m = det D off D's diagonal, d(l, l) =
+    # [k-t+l l]_q q^((k-t)(t-l)), instead of solving the system, whose cap
+    # refuses (q, t, k) = (2, 30, 40)
+    q, n, k, t = 2, 64, 40, 30
+    m = 1
+    for l in range(t + 1):
+        m *= q_binomial(k - t + l, l, q) * q ** ((k - t) * (t - l))
+    start = time.monotonic()
+    code, out, err = run_cli("klp-report", "--q", "2", "--n", "64", "--k", "40", "--t", "30")
+    assert time.monotonic() - start < 1.5
+    assert (code, err) == (0, "")
+    assert f"divisibility_witness = {m * q_binomial(n, t, q)}\n" in out
 
 def test_klp_report_json_round_trip():
     code, out, _ = run_cli(

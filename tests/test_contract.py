@@ -144,6 +144,10 @@ CASES = {
         lambda: random_invertible(F2, 0, seed=1), "need 1 <= n, got n=0",
         [lambda: random_invertible(F2, 1, seed=1)],
     ),
+    "build_cover_instance": (
+        lambda: build_cover_instance(3, 2, 4, 1, F2), "need 0 <= t <= k <= n, got t=4, k=2, n=3",
+        [lambda: build_cover_instance(2, 2, 2, 1, F2), lambda: build_cover_instance(2, 1, 0, 1, F2)],
+    ),
     "search_design": (
         lambda: search_design(2, 4, 2, 3, 1), "need 0 <= t <= k <= n, got t=3, k=2, n=4",
         [lambda: search_design(2, 3, 2, 2, 1), lambda: search_design(2, 3, 3, 1, 1),
@@ -243,13 +247,10 @@ def test_every_cap_refuses_from_the_lower_bound(monkeypatch):
         assert all(c < 4**m * cap for c in counts)
     # the decoding-system cap decides from q^((k-t) t (t+1)) <= m before D
     # is built, so it counts nothing
-    for call in (
-        lambda: solve_coefficients(2, 10, 1000), lambda: divisibility_witness(2, 64, 40, 30)
-    ):
-        counts.clear()
-        with pytest.raises(TooLarge, match="^decoding system for q=2, t="):
-            call()
-        assert counts == []
+    counts.clear()
+    with pytest.raises(TooLarge, match="^decoding system for q=2, t="):
+        solve_coefficients(2, 10, 1000)
+    assert counts == []
     # [n t]_q < 2 exactly when t = n, so that refusal counts nothing
     counts.clear()
     with pytest.raises(DimensionMismatch, match="^need at least two distinct t-subspaces$"):

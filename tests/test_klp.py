@@ -5,6 +5,7 @@ import pytest
 
 from qdesign.errors import DimensionMismatch, TooLarge
 from qdesign.klp import divisibility_witness, klp_report, nth_root_floor, pow_frac_ceil
+from qdesign.localdecode import solve_coefficients
 from qdesign.qcount import q_binomial
 
 
@@ -161,11 +162,16 @@ def test_divisibility_witness_worked():
 
 
 def test_witness_below_c1_bound_grid():
+    # the witness reads m = det D off D's diagonal; solve_coefficients
+    # takes it by Bareiss elimination
     for q in (2, 3):
         for t in (1, 2):
             for k in range(t, 6):
+                m = solve_coefficients(q, t, k).m
                 for n in range(k, 11):
-                    assert divisibility_witness(q, n, k, t) <= klp_report(q, n, k, t).c1_bound
+                    witness = divisibility_witness(q, n, k, t)
+                    assert witness == m * q_binomial(n, t, q)
+                    assert witness <= klp_report(q, n, k, t).c1_bound
 
 
 def test_klp_report_caps_largest_power():

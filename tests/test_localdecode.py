@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qdesign.errors import DimensionMismatch, TooLarge
+from qdesign.errors import DegenerateSystem, DimensionMismatch, TooLarge
 from qdesign.gf import make_field
 from qdesign.grassmann import (
     enumerate_subspaces,
@@ -19,6 +19,7 @@ from qdesign.localdecode import (
     CoefficientCertificate,
     build_D,
     c3_bound,
+    certificate_composition,
     check_cond2,
     check_det_bounds,
     decode_certificate,
@@ -569,13 +570,13 @@ def test_c3_worked_values():
     assert rep.l1_norm == 10  # 3*2 + 4*1
     assert rep.exact_c3 == 10
     assert rep.cap == 2 ** (2 * 2 * 4) == 65536
-    assert rep.ok and not rep.capped
+    assert rep.ok
 
 
 def test_c3_grid_and_monotone_bound():
     prev = 0
     for k in range(1, 6):
-        bound = c3_bound(2, 1, k, max_subspaces=10**4).cap
+        bound = c3_bound(2, 1, k).cap
         assert bound > prev
         prev = bound
     for q, t, k in ((2, 2, 3), (3, 1, 3)):
@@ -583,7 +584,42 @@ def test_c3_grid_and_monotone_bound():
         assert rep.ok and rep.exact_c3 <= rep.cap
 
 
-def test_c3_cap_degrades_gracefully():
-    rep = c3_bound(2, 3, 8, max_subspaces=10)
-    assert rep.capped and rep.exact_c3 is None and rep.ok is None
+def test_c3_exact_past_the_old_enumeration_cap():
+    # [11 8]_2 = 50955971 certificate subspaces; c3_bound counts none of them
+    rep = c3_bound(2, 3, 8)
+    system = solve_coefficients(2, 3, 8)
+    composition = certificate_composition(2, 3, 8)
+    assert sum(composition) == q_binomial(11, 8, 2) == 50955971
+    assert rep.m == system.m
+    assert rep.l1_norm == sum(abs(c) * N for c, N in zip(system.f, composition))
+    assert rep.exact_c3 == max(rep.m, rep.l1_norm) and rep.ok
     assert rep.cap == 2 ** (2 * 8 * 16)
+
+
+# (q, t, k) with 1 <= t <= 3 and t <= k <= 4, the certificates enumerated
+# where there are at most 12,000 subspaces of the envelope
+COMPOSITION_GRID = [(q, t, k) for q in (2, 3, 4) for t in (1, 2, 3) for k in range(t, 5)]
+
+
+@pytest.mark.parametrize("q, t, k", COMPOSITION_GRID)
+def test_certificate_composition_matches_enumeration(q, t, k):
+    composition = certificate_composition(q, t, k)
+    assert sum(composition) == q_binomial(t + k, k, q)
+    if sum(composition) > 12000:
+        return
+    for n in (t + k, t + k + 1):
+        V = _seeded_subspace(q, n, t, k)
+        cert = decode_certificate(V, k)
+        counts = [0] * (t + 1)
+        for U in cert.coefficients:
+            counts[intersect_dim(U, V)] += 1
+        assert tuple(counts) == composition
+        assert c3_bound(q, t, k).exact_c3 == max(cert.m, cert.l1_norm)
+
+
+def test_certificate_refuses_a_wrong_composition(monkeypatch):
+    import qdesign.localdecode as localdecode
+
+    monkeypatch.setattr(localdecode, "intersect_dim", lambda U, V: 0)
+    with pytest.raises(DegenerateSystem, match="^certificate subspaces by dim"):
+        decode_certificate(next(iter_subspaces(3, 1, F2)), 2)

@@ -23,7 +23,7 @@ F4 = make_field(4)
 
 def test_cover_instance_shapes():
     inst = build_cover_instance(4, 2, 1, 1, F2)
-    assert len(inst.universe) == 15
+    assert inst.universe_size == 15
     assert len(inst.candidates) == 35
     assert all(len(c) == q_binomial(2, 1, 2) == 3 for c in inst.covers)
     assert inst.multiplicity == 1
@@ -138,7 +138,7 @@ class _RecountingCover(_ExactCover):
         taken = [options[i] for options, i in self.stack]
         assert self.chosen == taken
         excluded = [r for options, i in self.stack for r in options[:i]]
-        need = [inst.multiplicity] * len(inst.universe)
+        need = [inst.multiplicity] * inst.universe_size
         for r in taken:
             for c in inst.covers[r]:
                 need[c] -= 1
@@ -146,7 +146,7 @@ class _RecountingCover(_ExactCover):
             taken.count(r) + excluded.count(r) + sum(1 for c in cov if need[c] == 0)
             for r, cov in enumerate(inst.covers)
         ]
-        avail = [0] * len(inst.universe)
+        avail = [0] * inst.universe_size
         for r, cov in enumerate(inst.covers):
             if not blocked[r]:
                 for c in cov:
@@ -163,7 +163,7 @@ def _shuffled(inst, rng):
     perm = list(range(len(inst.candidates)))
     rng.shuffle(perm)
     return CoverInstance(
-        universe=inst.universe,
+        universe_size=inst.universe_size,
         candidates=tuple(inst.candidates[r] for r in perm),
         covers=tuple(inst.covers[r] for r in perm),
         multiplicity=inst.multiplicity,
@@ -212,7 +212,7 @@ def test_solver_tree_and_solution_pinned(n, k, t, lam, nodes, digest):
     solver = _ExactCover(inst, None)
     rows = solver.solve()
     assert solver.nodes == nodes
-    assert solver.best_satisfied == len(inst.universe)
+    assert solver.best_satisfied == inst.universe_size
     blocks = tuple(inst.candidates[r] for r in sorted(rows))
     text = format_design_text(DesignCandidate(field=F2, n=n, k=k, blocks=blocks))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -222,7 +222,7 @@ def test_solver_tree_and_solution_pinned(n, k, t, lam, nodes, digest):
 def _greedy_rescan(inst, rng):
     """Reference greedy pass: rescan the order from the start after every
     pick."""
-    need = [inst.multiplicity] * len(inst.universe)
+    need = [inst.multiplicity] * inst.universe_size
     order = list(range(len(inst.candidates)))
     rng.shuffle(order)
     chosen = []

@@ -1,7 +1,8 @@
 """Every result record is a frozen value class (errors._value_class): the
 dataclass repr, field-wise equality with its own class only, a hash over
 the fields, no assignment or deletion, the __post_init__ checks, and
-pickling."""
+pickling.  FieldSpec alone compares by identity: make_field is cached, so
+there is one per order."""
 
 import ast
 import pickle
@@ -11,7 +12,7 @@ import pytest
 
 import qdesign
 from qdesign.errors import DimensionMismatch, InvalidParameters
-from qdesign.gf import MatrixGFq, make_field
+from qdesign.gf import SUPPORTED_ORDERS, FieldSpec, MatrixGFq, make_field
 from qdesign.grassmann import iter_subspaces, subspace_from_rows
 from qdesign.incidence import build_incidence
 from qdesign.klp import klp_report
@@ -92,14 +93,14 @@ CASES = {
     ),
     "C3Report": (
         lambda: c3_bound(2, 1, 2),
-        "C3Report(q=2, t=1, k=2, m=6, l1_norm=10, exact_c3=10, cap=65536, ok=True, capped=False)",
+        "C3Report(q=2, t=1, k=2, m=6, l1_norm=10, exact_c3=10, cap=65536, ok=True)",
     ),
     "BinomialBounds": (
         lambda: check_bounds(4, 2, 2), "BinomialBounds(lower=16, value=35, upper=96, ok=True)"
     ),
     "CoverInstance": (
         lambda: build_cover_instance(2, 1, 1, 1, F2),
-        f"CoverInstance(universe={POINTS}, candidates={POINTS}, covers=((0,), (1,), (2,)), "
+        f"CoverInstance(universe_size=3, candidates={POINTS}, covers=((0,), (1,), (2,)), "
         "multiplicity=1)",
     ),
     "NotFound": (
@@ -153,8 +154,13 @@ def test_value_class(name):
     fields = list(cls.__annotations__)
     values = [getattr(a, f) for f in fields]
     b = cls(*values)
-    assert b is not a and a == b and not a != b
-    assert cls(**dict(zip(fields, values))) == a
+    by_name = cls(**dict(zip(fields, values)))
+    assert b is not a
+    if cls is FieldSpec:
+        assert a != b and a != by_name and a == make_field(a.q)
+        b = by_name = a
+    assert a == b and not a != b
+    assert by_name == a
     # equal to its own class only, never to the tuple of its fields
     assert a != tuple(values) and tuple(values) != a
     try:
@@ -171,6 +177,12 @@ def test_value_class(name):
     assert [getattr(a, f) for f in fields] == values
     c = pickle.loads(pickle.dumps(a))
     assert type(c) is cls and c == a and repr(c) == text
+
+
+def test_field_spec_pickles_to_the_same_object():
+    for q in SUPPORTED_ORDERS:
+        field = make_field(q)
+        assert pickle.loads(pickle.dumps(field)) is field
 
 
 def test_post_init_checks_still_raise():
