@@ -25,7 +25,9 @@ past 200 bits as "more than 2^b", or as "more than q^E" when the cap refused it
 from q^E, E the sum of the k(n-k): every cap on Gaussian binomials
 checks that lower bound before any exact count. JSON output is one
 object with a schema_version field, sorted keys, and two-space
-indentation, so parsing and re-serializing it is byte-identical.
+indentation, so parsing and re-serializing it is byte-identical. A Python
+reader must call sys.set_int_max_str_digits(0) before json.load, since
+klp-report's bounds can run past its default limit of 4,300 digits.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .incidence import (
 )
 from .klp import divisibility_witness, klp_report
 from .localdecode import (
+    _check_ambient,
     certificate_composition,
     decode_certificate,
     lemma2_grid_report,
@@ -207,6 +210,8 @@ def _cmd_decode(args) -> _Result:
     if args.n is None:
         raise InvalidParameters("--certify requires --n")
     V = next(iter_subspaces(args.n, args.t, make_field(args.q)))
+    if args.n >= args.t + args.k:  # else decode_certificate names the bad n
+        _check_ambient(args.q, args.n, args.t, args.max_certificate)
     cert = decode_certificate(V, args.k, max_subspaces=args.max_certificate)
     ok = verify_certificate(cert, max_subspaces=args.max_certificate)
     composition = certificate_composition(args.q, args.t, args.k)

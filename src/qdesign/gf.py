@@ -295,6 +295,5 @@ def random_invertible(field: FieldSpec, n: int, seed: int) -> MatrixGFq:
     q = field.q
     while True:
         entries = tuple(rng.randrange(q) for _ in range(n * n))
-        M = MatrixGFq(field=field, rows=n, cols=n, entries=entries)
-        if rank(M) == n:
-            return M
+        if rank_of_rows(field, [entries[i : i + n] for i in range(0, n * n, n)], n) == n:
+            return MatrixGFq(field=field, rows=n, cols=n, entries=entries)

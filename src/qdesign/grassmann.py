@@ -6,7 +6,8 @@ when they represent the same subspace.  Rows are checked only where
 they enter from outside (subspace_from_rows, verifier's design files);
 subspaces the library generates itself are built from their canonical
 entries directly, and those it eliminates (outside rows, apply_map,
-extensions) from bare rows by _span, with no MatrixGFq or second check.
+extensions, the decoding certificate's envelope) from bare rows by
+_span, with no MatrixGFq or second check.
 
 Canonical enumeration order: by pivot-column set (lexicographically
 increasing), then by the free entries read in row-major order as a
@@ -384,10 +385,7 @@ def _check_same_space(U: SubspaceBasis, V: SubspaceBasis) -> None:
 
 def contains(U: SubspaceBasis, V: SubspaceBasis) -> bool:
     """True iff V is a subspace of U."""
-    _check_same_space(U, V)
-    if V.k > U.k:
-        return False
-    return rank_of_rows(U.field, U.rows() + V.rows(), U.n) == U.k
+    return intersect_dim(U, V) == V.k
 
 
 def intersect_dim(U: SubspaceBasis, V: SubspaceBasis) -> int:

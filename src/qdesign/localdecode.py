@@ -43,6 +43,7 @@ from .errors import (
 from .gf import make_field
 from .grassmann import (
     SubspaceBasis,
+    _span,
     block_echelon_forms,
     extensions,
     intersect_dim,
@@ -214,10 +215,9 @@ def decode_certificate(
     """Signed integer coefficients on the k-subspaces of a canonical
     envelope W >= V with dim W = dim V + k.
 
-    W extends V's basis by the k lowest-index standard vectors outside
-    V's pivot columns; the coefficient of U is f(dim(U intersect V)).
-    Those unit rows and V's rows cleared at their columns are already
-    W's canonical basis; the U come from grassmann.block_echelon_forms.
+    W is grassmann._span of V's rows and the k lowest-index standard
+    vectors outside V's pivot columns; the coefficient of U is
+    f(dim(U intersect V)), and the U come from grassmann.block_echelon_forms.
     The U must meet V in dimension j exactly N_j times (see
     certificate_composition), else DegenerateSystem; l1_norm is sum_j |f_j| N_j.
     """
@@ -230,13 +230,9 @@ def decode_certificate(
     capped(q, [(k + t, k)], max_subspaces)
 
     system = solve_coefficients(q, t, k)
-    pivots = V.pivot_columns
-    extra = [j for j in range(n) if j not in pivots][:k]
-    cleared = set(extra)
-    by_pivot = {j: [int(i == j) for i in range(n)] for j in extra}
-    for p, row in zip(pivots, V.rows()):
-        by_pivot[p] = [0 if i in cleared else x for i, x in enumerate(row)]
-    W = SubspaceBasis(field, n, t + k, tuple([x for p in sorted(by_pivot) for x in by_pivot[p]]))
+    extra = [j for j in range(n) if j not in V.pivot_columns][:k]
+    units = [[int(i == j) for i in range(n)] for j in extra]
+    W = _span(field, n, [list(r) for r in V.rows()] + units)
 
     coefficients: dict[SubspaceBasis, int] = {}
     counts = [0] * (t + 1)
@@ -260,6 +256,12 @@ def decode_certificate(
     )
 
 
+def _check_ambient(q: int, n: int, t: int, max_subspaces: int) -> None:
+    """TooLarge when verify_certificate would check more than max_subspaces
+    t-subspaces of F_q^n; decode --certify asks before it builds anything."""
+    capped(q, [(n, t)], max_subspaces, f"ambient t-subspaces [{n} {t}]_{q} exceed cap {{cap}}")
+
+
 def verify_certificate(cert: CoefficientCertificate, max_subspaces: int = 10**6) -> bool:
     """Exhaustively check sum_U coeff(U) 1[a <= U] = m [a == V] over
     every t-subspace a of the ambient space, refusing with TooLarge when
@@ -272,8 +274,7 @@ def verify_certificate(cert: CoefficientCertificate, max_subspaces: int = 10**6)
     """
     V = cert.decoded_column
     field, n, t = V.field, V.n, V.k
-    message = f"ambient t-subspaces [{n} {t}]_{field.q} exceed cap {{cap}}"
-    capped(field.q, [(n, t)], max_subspaces, message)
+    _check_ambient(field.q, n, t, max_subspaces)
     lanes: dict[int, int] = {}
     by_coefficient: dict[int, int] = {}
     for u, (U, c) in enumerate(cert.coefficients.items()):

@@ -21,6 +21,7 @@ from .gf import (
     make_field,
     random_invertible,
     rank,
+    rank_of_rows,
     rref,
 )
 from .grassmann import (
@@ -111,8 +112,6 @@ def gf_rref_properties() -> int:
             if R2 != R or rk2 != rk:
                 _fail(f"rref not idempotent for q={q} trial {trial}")
             # row space preserved both ways
-            from .gf import rank_of_rows
-
             for row in M.row_list():
                 if rank_of_rows(f, R.row_list()[:rk] + [row], cols) != rk:
                     _fail(f"row space not preserved for q={q} trial {trial}")
@@ -238,8 +237,6 @@ def grassmann_extension_counts() -> int:
 
 
 def grassmann_dimension_formula() -> int:
-    from .gf import rank_of_rows
-
     checks = 0
     for q, n in ((2, 4), (2, 5), (3, 4)):
         f = make_field(q)

@@ -407,12 +407,18 @@ def test_decode_certify_requires_n():
 
 
 def test_decode_certify_ambient_cap_exit_3():
-    # 7 coefficient subspaces, but [1000 1]_2 ambient lines to check
-    code, out, err = run_cli(
-        "decode", "--q", "2", "--t", "1", "--k", "2", "--certify", "--n", "1000"
-    )
-    assert code == 3 and out == ""
-    assert err == "error: ambient t-subspaces [1000 1]_2 exceed cap 1000000\n"
+    # 7 coefficient subspaces, but [n 1]_2 ambient lines to check; the
+    # ambient cap refuses before a certificate is built, so a huge n costs
+    # nothing, and it refuses first also where the [21 20]_2 certificate
+    # subspaces exceed the cap, since [t+k k]_q <= [n t]_q
+    for k, n in ((2, 1000), (2, 10**6), (20, 21)):
+        start = time.monotonic()
+        code, out, err = run_cli(
+            "decode", "--q", "2", "--t", "1", "--k", str(k), "--certify", "--n", str(n)
+        )
+        assert time.monotonic() - start < 1.0
+        assert code == 3 and out == ""
+        assert err == f"error: ambient t-subspaces [{n} 1]_2 exceed cap 1000000\n"
 
 
 def test_lemma2_check():
@@ -627,6 +633,26 @@ def test_klp_report_witness_past_the_old_solver_cap():
     assert time.monotonic() - start < 1.5
     assert (code, err) == (0, "")
     assert f"divisibility_witness = {m * q_binomial(n, t, q)}\n" in out
+
+
+def test_klp_report_json_past_the_default_digit_limit():
+    # these bounds run past the 4,300 digits that json.load accepts by
+    # default, so a Python reader lifts the limit first
+    args = ("klp-report", "--q", "2", "--n", "64", "--k", "40", "--t", "30")
+    _, text, _ = run_cli(*args)
+    code, out, err = run_cli(*args, "--json")
+    assert (code, err) == (0, "")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        obj = json.loads(out)
+        values = dict(line.split(" = ", 1) for line in text.splitlines())
+        keys = ("c1_bound", "c3_bound", "rhs_final", "block_budget")
+        assert {key: str(obj[key]) for key in keys} == {key: values[key] for key in keys}
+        assert len(str(obj["block_budget"])) > 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
+
 
 def test_klp_report_json_round_trip():
     code, out, _ = run_cli(

@@ -7,6 +7,7 @@ nothing until they refuse."""
 
 import ast
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -309,3 +310,97 @@ def test_only_internal_sites_raise_bare_value_error():
     )
     handlers = [ast.unparse(h.type) for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)]
     assert handlers == ["BrokenPipeError", "ResourceLimitError", "InvalidParameters", "Exception"]
+
+
+# every subcommand under hostile values, through cli.main in one process;
+# {q}, {n}, {k} take each of DIMENSIONS, {cap} each of CAPS, {file} each
+# design file of _design_files.  Every search passes --timeout; exhaustive
+# search without a node budget has no other bound.
+DIMENSION_COMMANDS = (
+    "qbinom --q {q} --n {n} --k {k}",
+    "qbinom --q {q} --n {n} --k {k} --bounds",
+    "qbinom --q {q} --n {n} --k {k} --via-sum --json",
+    "enumerate --q {q} --n {n} --k {k}",
+    "enumerate --q {q} --n {n} --k {k} --count-only --format json",
+    "incidence --q {q} --n {n} --k {k} --t 1 --weights-only",
+    "decode --q {q} --t 1 --k {k}",
+    "decode --q {q} --t 1 --k {k} --certify --n {n} --json",
+    "lemma2-check --q {q} --n {n} --t 1 --k {k}",
+    "klp-report --q {q} --n {n} --k {k} --t 1 --json",
+    "search --q {q} --n {n} --k {k} --t 1 --lambda 1 --timeout 0.5",
+    "search --q {q} --n {n} --k {k} --t 1 --lambda 1 --method greedy --timeout 0.5 --json",
+)
+DIMENSIONS = (
+    (1, 4, 2), (0, 4, 2), (-2, 4, 2), (6, 4, 2),  # q below 2 or unsupported
+    (2, 4, 5),  # k > n
+    (2, -1, 1), (2, 10**6, 2),
+)
+CAP_COMMANDS = (
+    "qbinom --q 2 --n 6 --k 3 --via-sum --max-terms {cap}",
+    "enumerate --q 2 --n 4 --k 2 --max-subspaces {cap}",
+    "incidence --q 2 --n 4 --k 2 --t 1 --max-bits {cap}",
+    "verify --design {points} --t 1 --max-columns {cap}",
+    "decode --q 2 --t 1 --k 2 --certify --n 4 --max-certificate {cap}",
+    "lemma2-check --q 2 --n 4 --t 1 --k 2 --max-pairs {cap}",
+    "klp-report --q 2 --n 20 --k 5 --t 1 --max-bits {cap}",
+    "search --q 2 --n 4 --k 2 --t 1 --lambda 1 --timeout 0.5 --max-universe {cap}",
+    "search --q 2 --n 4 --k 2 --t 1 --lambda 1 --timeout 0.5 --max-candidates {cap}",
+)
+CAPS = ("0", "-1", "1" + "0" * 399)
+DESIGN_COMMANDS = ("verify --design {file} --t 1", "verify --design {file} --t 1 --json")
+SELFTEST_COMMANDS = (
+    "selftest --suite nope",
+    "selftest --workers 0 --suite qcount_pascal",
+    "selftest --workers -1",
+    "selftest --suite qcount_pascal --json",
+)
+
+
+def _design_files(tmp_path: Path) -> list[Path]:
+    contents = {
+        "empty.txt": b"",
+        "short_header.txt": b"2 3\n",
+        "float_q.json": b'{"q": 2.0, "n": 3, "k": 1, "blocks": [["100"]]}\n',
+        "digit.txt": b"2 3 1\n\n102\n",
+        "dependent.txt": b"2 3 2\n\n110\n110\n",
+        "nested.json": b'{"q": ' * 5000 + b"2" + b"}" * 5000,
+        "undecodable.txt": b"\xff\xfe2 3 1\n",
+    }
+    files = []
+    for name, data in contents.items():
+        (tmp_path / name).write_bytes(data)
+        files.append(tmp_path / name)
+    (tmp_path / "a_directory").mkdir()
+    return files + [tmp_path / "a_directory"]
+
+
+def test_every_command_ends_in_a_documented_exit(tmp_path, capsys):
+    from qdesign import cli
+
+    points = tmp_path / "points.txt"
+    points.write_text("2 3 1\n\n" + "\n\n".join(f"{v:03b}" for v in range(1, 8)) + "\n")
+    argvs = [c.format(q=q, n=n, k=k) for c in DIMENSION_COMMANDS for q, n, k in DIMENSIONS]
+    argvs += [c.format(cap=cap, points=points) for c in CAP_COMMANDS for cap in CAPS]
+    files = _design_files(tmp_path)
+    argvs += [c.format(file=f) for c in DESIGN_COMMANDS for f in files]
+    argvs += SELFTEST_COMMANDS
+    problems = []
+    saved = sys.get_int_max_str_digits()
+    table_start = time.monotonic()
+    try:
+        for argv in argvs:
+            start = time.monotonic()
+            code = cli.main(argv.split())
+            elapsed = time.monotonic() - start
+            _, err = capsys.readouterr()
+            if code not in (0, 1, 2, 3):
+                problems.append(f"exit {code}: {argv}: {err!r}")
+            elif code in (2, 3) and (err.count("\n") != 1 or not err.endswith("\n")):
+                problems.append(f"exit {code} without one stderr line: {argv}: {err!r}")
+            if elapsed > 2.0:
+                problems.append(f"{elapsed:.1f} s: {argv}")
+        total = time.monotonic() - table_start
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert problems == []
+    assert total < 10.0

@@ -1,5 +1,5 @@
 """Re-execute every transcript in docs/worked_examples.md and require
-byte-identical stdout."""
+byte-identical stdout, exit 0 or 1 and empty stderr."""
 
 import os
 
@@ -59,6 +59,7 @@ def test_doc_has_transcripts():
 def test_transcript_block(idx, pairs, tmp_path):
     # commands in one block share a scratch directory, in order
     for cmd, expected in pairs:
-        _, out, _ = run_cli(*cmd.split(), cwd=tmp_path)
+        code, out, err = run_cli(*cmd.split(), cwd=tmp_path)
         got = out.splitlines()
         assert got == expected, f"output drift for: qdesign {cmd}"
+        assert code in (0, 1) and err == "", f"exit {code}, stderr {err!r} for: qdesign {cmd}"

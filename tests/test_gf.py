@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from qdesign.errors import SingularMap, UnsupportedOrder
@@ -156,6 +158,35 @@ def test_random_invertible_full_rank_100_seeds():
 def test_random_invertible_deterministic():
     f3 = make_field(3)
     assert random_invertible(f3, 3, 17) == random_invertible(f3, 3, 17)
+
+
+def test_random_invertible_pinned_digest():
+    # the matrix each seed returns; how a sample is tested must not
+    # change the RNG draws
+    h = hashlib.sha256()
+    for q in (2, 3, 4):
+        f = make_field(q)
+        for n in range(1, 6):
+            for seed in range(100):
+                h.update(repr((q, n, seed, random_invertible(f, n, seed).entries)).encode())
+    assert h.hexdigest() == "2d28498825aabad02c1bbaf88ba750ef69b564f9c844a9155b3d664a954321c2"
+
+
+def test_random_invertible_builds_one_matrix(monkeypatch):
+    # rejected samples are ranked as bare rows; only the result is built
+    created = []
+    original = MatrixGFq.__post_init__
+
+    def counting(self):
+        created.append(self.entries)
+        original(self)
+
+    monkeypatch.setattr(MatrixGFq, "__post_init__", counting)
+    f2 = make_field(2)
+    for seed in range(20):
+        created.clear()
+        M = random_invertible(f2, 4, seed)
+        assert created == [M.entries]
 
 
 def test_rref_of_invertible_is_identity():

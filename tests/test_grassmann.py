@@ -104,6 +104,28 @@ def test_contains_ambient_mismatch():
         contains(enumerate_subspaces(3, 1, F2)[0], enumerate_subspaces(4, 1, F2)[0])
     with pytest.raises(AmbientMismatch):
         contains(enumerate_subspaces(3, 1, F2)[0], enumerate_subspaces(3, 1, F3)[0])
+    # the ambient check comes before any dimension shortcut
+    with pytest.raises(AmbientMismatch):
+        contains(enumerate_subspaces(3, 1, F2)[0], enumerate_subspaces(4, 2, F2)[0])
+    with pytest.raises(AmbientMismatch):
+        contains(enumerate_subspaces(3, 1, F2)[0], enumerate_subspaces(3, 2, F3)[0])
+
+
+def test_contains_matches_vector_sets():
+    # V <= U exactly when every vector of V lies in U, whatever the
+    # dimensions, V.k > U.k included
+    rng = random.Random(19)
+    for q, n in ((2, 4), (3, 3), (4, 3), (2, 5)):
+        f = make_field(q)
+        subs = [S for k in range(n + 1) for S in iter_subspaces(n, k, f)]
+        pairs = [(rng.choice(subs), rng.choice(subs)) for _ in range(300)]
+        # pairs that do contain are rare among random ones
+        pairs += [(U, V) for U in subs[:: max(1, len(subs) // 20)] for V in subs if V.k <= 1]
+        assert any(V.k > U.k for U, V in pairs)
+        for U, V in pairs:
+            expected = V.vector_mask & ~U.vector_mask == 0
+            assert contains(U, V) == expected, (U, V)
+        assert any(contains(U, V) for U, V in pairs if U != V)
 
 
 def test_intersect_dim_self_and_hyperplanes():

@@ -262,14 +262,35 @@ def test_certificate_coefficients_pinned():
 
 @pytest.mark.parametrize("q, n, t, k", [(2, 5, 2, 2), (3, 4, 1, 2), (4, 4, 1, 2)])
 def test_certificate_envelope_is_rref_of_v_and_unit_rows(q, n, t, k):
-    # W is built without elimination; RREF of V's rows plus the unit rows
-    # outside V's pivots must give the same subspace
+    # W is the RREF of V's rows plus the unit rows outside V's pivots,
+    # here taken through the checked public constructor
     field = make_field(q)
     for V in iter_subspaces(n, t, field):
         extra = [j for j in range(n) if j not in V.pivot_columns][:k]
         units = [[int(i == j) for i in range(n)] for j in extra]
         W = subspace_from_rows(field, n, V.rows() + units)
         assert decode_certificate(V, k).envelope == W and W.k == t + k
+
+
+@pytest.mark.parametrize(
+    "q, t, k, n", [(2, 1, 2, 4), (2, 2, 2, 5), (2, 2, 3, 7), (3, 1, 2, 4), (3, 2, 2, 5),
+                   (4, 1, 2, 4), (4, 2, 2, 5), (16, 1, 1, 3)],
+)
+def test_certificate_envelope_properties(q, t, k, n):
+    # for seeded V with n >= t + k + 1, read from vector sets: W contains V
+    # and e_j at the k lowest non-pivot columns j of V, has dimension
+    # t + k, and is its own canonical basis
+    field = make_field(q)
+    rng = random.Random(f"envelope {q},{t},{k},{n}")
+    count = q_binomial(n, t, q)
+    for r in sorted({0, count - 1, *(rng.randrange(count) for _ in range(6))}):
+        V = unrank(n, t, field, r)
+        W = decode_certificate(V, k).envelope
+        assert W.k == t + k
+        assert V.vector_mask & ~W.vector_mask == 0
+        lowest = [j for j in range(n) if j not in V.pivot_columns][:k]
+        assert all(W.vector_mask >> q ** (n - 1 - j) & 1 for j in lowest), (V, W)
+        assert subspace_from_rows(field, n, W.rows()) == W
 
 
 def test_lemma2_worked_values():
