@@ -209,9 +209,9 @@ def _cmd_decode(args) -> _Result:
         return 0, obj, lines
     if args.n is None:
         raise InvalidParameters("--certify requires --n")
-    V = next(iter_subspaces(args.n, args.t, make_field(args.q)))
-    if args.n >= args.t + args.k:  # else decode_certificate names the bad n
-        _check_ambient(args.q, args.n, args.t, args.max_certificate)
+    field = make_field(args.q)  # an unsupported q is refused before any cap
+    _check_ambient(args.q, args.n, args.t, args.k, args.max_certificate)
+    V = next(iter_subspaces(args.n, args.t, field))
     cert = decode_certificate(V, args.k, max_subspaces=args.max_certificate)
     ok = verify_certificate(cert, max_subspaces=args.max_certificate)
     composition = certificate_composition(args.q, args.t, args.k)
@@ -317,11 +317,17 @@ def _cmd_search(args) -> _Result:
 
 def _cmd_selftest(args) -> _Result:
     # imported here so that no other command compiles and runs it
-    from .selftest import format_report_text, report_to_json_obj, run_selftest
+    from .selftest import run_selftest
 
     report = run_selftest(workers=args.workers, names=args.suite or None)
-    code = 0 if report.ok else 1
-    return code, report_to_json_obj(report), [format_report_text(report)[:-1]]
+    obj = {"ok": report.ok, "suites": [vars(r) for r in report.results]}
+    lines = [
+        f"ok {r.name} ({r.checks} checks)" if r.ok else f"FAIL {r.name}: {r.detail}"
+        for r in report.results
+    ]
+    good = sum(r.ok for r in report.results)
+    lines.append(f"selftest: {good}/{len(report.results)} suites ok")
+    return (0 if report.ok else 1), obj, lines
 
 
 # ---------------------------------------------------------------------------

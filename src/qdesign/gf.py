@@ -1,10 +1,12 @@
 """Arithmetic in F_q (q <= 16) and exact linear algebra over F_q.
 
-Elements of F_q are the integers 0..q-1.  For prime q they are residues
-mod q.  For a prime power q = p^e an element x encodes the polynomial
-whose base-p digits are its coefficients (x = c0 + c1*p + ... with ci the
-coefficient of X^i), and multiplication reduces modulo a fixed monic
-irreducible polynomial.
+Elements of F_q are the integers 0..q-1.  Every order q = p^e, a prime
+being the case e = 1, builds its tables on one route: an element x
+encodes the polynomial whose base-p digits are its coefficients (x = c0 +
+c1*p + ... with ci the coefficient of X^i), addition adds digits mod p,
+and multiplication reduces modulo a fixed monic irreducible polynomial of
+degree e.  A prime order has one digit and a product of degree 0, which
+needs no reduction, so its elements are the residues mod q.
 
 Irreducible polynomials used (coefficients by increasing degree, over F_p):
     q = 4  : X^2 + X + 1        -> (1, 1, 1)
@@ -94,7 +96,7 @@ def _undigits(ds: list[int], p: int) -> int:
     return x
 
 
-def _poly_mul_mod(a: int, b: int, p: int, e: int, red: tuple[int, ...]) -> int:
+def _poly_mul_mod(a: int, b: int, p: int, e: int, red: tuple[int, ...] | None) -> int:
     da, db = _digits(a, p, e), _digits(b, p, e)
     prod = [0] * (2 * e - 1)
     for i, ca in enumerate(da):
@@ -127,22 +129,16 @@ def make_field(q: int) -> FieldSpec:
     else:
         raise UnsupportedOrder(f"q={q} not supported; choose one of {SUPPORTED_ORDERS}")
 
-    if e == 1:
-        add = tuple(tuple((a + b) % q for b in range(q)) for a in range(q))
-        mul = tuple(tuple((a * b) % q for b in range(q)) for a in range(q))
-    else:
-        add_rows = []
-        for a in range(q):
-            da = _digits(a, p, e)
-            row = []
-            for b in range(q):
-                db = _digits(b, p, e)
-                row.append(_undigits([(x + y) % p for x, y in zip(da, db)], p))
-            add_rows.append(tuple(row))
-        add = tuple(add_rows)
-        mul = tuple(
-            tuple(_poly_mul_mod(a, b, p, e, red) for b in range(q)) for a in range(q)
-        )
+    add_rows = []
+    for a in range(q):
+        da = _digits(a, p, e)
+        row = []
+        for b in range(q):
+            db = _digits(b, p, e)
+            row.append(_undigits([(x + y) % p for x, y in zip(da, db)], p))
+        add_rows.append(tuple(row))
+    add = tuple(add_rows)
+    mul = tuple(tuple(_poly_mul_mod(a, b, p, e, red) for b in range(q)) for a in range(q))
 
     neg = tuple(add[a].index(0) for a in range(q))
     inv = [0] * q

@@ -12,11 +12,13 @@ Assigning coefficient f(dim(U intersect V)) to every k-subspace U of a
 fixed (t+k)-dimensional envelope W containing V yields an integer row
 combination that sums to m at column V and 0 at every other t-subspace;
 decode_certificate materializes that combination, taking the U from the
-block kernel grassmann.block_echelon_forms with no elimination, and
-verify_certificate checks the identity against every column on
-exhaustive vector sets, sharing no code with that kernel: the
-k-subspaces above each t-subspace are read off per-vector bit lanes, one
-bit per k-subspace, and summed per coefficient value by popcount.
+block kernel grassmann.block_echelon_forms with no elimination and each
+dim(U intersect V) from a rank over W's t + k pivot columns, where U and
+V have their coordinates in W.  verify_certificate checks the identity
+against every column on exhaustive vector sets, sharing no code with
+that kernel: the k-subspaces above each t-subspace are read off
+per-vector bit lanes, one bit per k-subspace, and summed per coefficient
+value by popcount.
 
 All determinants run through fraction-free (Bareiss) elimination and,
 for D itself, are cross-checked against the diagonal product; the
@@ -29,9 +31,11 @@ lemma2_count_bruteforce walks extensions(V1, k) for one pair, and
 lemma2_grid_report checks every ordered pair of t-subspaces at once,
 reading the k-subspaces above each V1 off per-vector lanes (one bit per
 k-subspace) and counting their intersections with every V2 together in
-bit-sliced lanes, one bit per t-subspace.  Both oracles work on the
-vector indices of SubspaceBasis.nonzero_vectors and never call the RREF
-or rank routes.
+bit-sliced lanes, one bit per t-subspace.  lemma2_grid_report works on
+the vector indices of SubspaceBasis.nonzero_vectors alone and never calls
+the RREF or rank routes; lemma2_count_bruteforce gets its U from
+extensions, which eliminates with grassmann._span and sorts by
+subspace_rank, and only its intersections come from vector sets.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .errors import (
     DegenerateSystem, DimensionMismatch, TooLarge, _value_class, check_chain, number_text,
     validate_q,
 )
-from .gf import make_field
+from .gf import make_field, rank_of_rows
 from .grassmann import (
     SubspaceBasis,
     _span,
@@ -209,6 +213,19 @@ def certificate_composition(q: int, t: int, k: int) -> tuple[int, ...]:
     )
 
 
+def _check_ambient(q: int, n: int, t: int, k: int, max_subspaces: int | None = None) -> None:
+    """The certificate's preconditions on F_q^n: DimensionMismatch unless
+    n >= t + k, then, given a cap, TooLarge when verify_certificate would
+    check more than max_subspaces t-subspaces.  decode --certify asks
+    before it builds anything."""
+    if n < t + k:
+        raise DimensionMismatch(f"need ambient n >= t + k = {t + k}, got {n}")
+    if max_subspaces is not None:
+        capped(
+            q, [(n, t)], max_subspaces, f"ambient t-subspaces [{n} {t}]_{q} exceed cap {{cap}}"
+        )
+
+
 def decode_certificate(
     V: SubspaceBasis, k: int, max_subspaces: int = 10**6
 ) -> CoefficientCertificate:
@@ -218,6 +235,9 @@ def decode_certificate(
     W is grassmann._span of V's rows and the k lowest-index standard
     vectors outside V's pivot columns; the coefficient of U is
     f(dim(U intersect V)), and the U come from grassmann.block_echelon_forms.
+    W is in RREF, so the rows of U and V read at W's t + k pivot columns
+    are their coordinates in W, and dim(U intersect V) is t + k minus
+    their rank: past building W, no elimination runs over all n columns.
     The U must meet V in dimension j exactly N_j times (see
     certificate_composition), else DegenerateSystem; l1_norm is sum_j |f_j| N_j.
     """
@@ -225,8 +245,7 @@ def decode_certificate(
     q = field.q
     if t < 1:
         raise DimensionMismatch("decoded column must have dimension >= 1")
-    if n < t + k:
-        raise DimensionMismatch(f"need ambient n >= t + k = {t + k}, got {n}")
+    _check_ambient(q, n, t, k)
     capped(q, [(k + t, k)], max_subspaces)
 
     system = solve_coefficients(q, t, k)
@@ -234,12 +253,15 @@ def decode_certificate(
     units = [[int(i == j) for i in range(n)] for j in extra]
     W = _span(field, n, [list(r) for r in V.rows()] + units)
 
+    pivots = W.pivot_columns
+    v_coords = [[row[p] for p in pivots] for row in V.rows()]
     coefficients: dict[SubspaceBasis, int] = {}
     counts = [0] * (t + 1)
     for _, images in block_echelon_forms(W, k):
         for entries in images:
             U = SubspaceBasis(field, n, k, tuple(entries))
-            j = intersect_dim(U, V)
+            u_coords = [[entries[i * n + p] for p in pivots] for i in range(k)]
+            j = t + k - rank_of_rows(field, u_coords + v_coords, t + k)
             coefficients[U] = system.f[j]
             counts[j] += 1
     composition = certificate_composition(q, t, k)
@@ -256,12 +278,6 @@ def decode_certificate(
     )
 
 
-def _check_ambient(q: int, n: int, t: int, max_subspaces: int) -> None:
-    """TooLarge when verify_certificate would check more than max_subspaces
-    t-subspaces of F_q^n; decode --certify asks before it builds anything."""
-    capped(q, [(n, t)], max_subspaces, f"ambient t-subspaces [{n} {t}]_{q} exceed cap {{cap}}")
-
-
 def verify_certificate(cert: CoefficientCertificate, max_subspaces: int = 10**6) -> bool:
     """Exhaustively check sum_U coeff(U) 1[a <= U] = m [a == V] over
     every t-subspace a of the ambient space, refusing with TooLarge when
@@ -274,7 +290,7 @@ def verify_certificate(cert: CoefficientCertificate, max_subspaces: int = 10**6)
     """
     V = cert.decoded_column
     field, n, t = V.field, V.n, V.k
-    _check_ambient(field.q, n, t, max_subspaces)
+    _check_ambient(field.q, n, t, 0, max_subspaces)  # V <= F_q^n: only the cap can refuse
     lanes: dict[int, int] = {}
     by_coefficient: dict[int, int] = {}
     for u, (U, c) in enumerate(cert.coefficients.items()):

@@ -657,25 +657,3 @@ def run_selftest(workers: int = 1, names=None) -> SelftestReport:
     else:
         results = tuple(_run_suite(n) for n in names)
     return SelftestReport(results=results)
-
-
-def format_report_text(report: SelftestReport) -> str:
-    lines = []
-    for r in report.results:
-        if r.ok:
-            lines.append(f"ok {r.name} ({r.checks} checks)")
-        else:
-            lines.append(f"FAIL {r.name}: {r.detail}")
-    good = sum(1 for r in report.results if r.ok)
-    lines.append(f"selftest: {good}/{len(report.results)} suites ok")
-    return "\n".join(lines) + "\n"
-
-
-def report_to_json_obj(report: SelftestReport) -> dict:
-    return {
-        "ok": report.ok,
-        "suites": [
-            {"name": r.name, "ok": r.ok, "checks": r.checks, "detail": r.detail}
-            for r in report.results
-        ],
-    }

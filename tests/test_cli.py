@@ -406,6 +406,16 @@ def test_decode_certify_requires_n():
     assert code == 2
 
 
+def test_decode_certify_small_n_names_n(capsys):
+    # n < t is refused by the certificate's own check, not by building V
+    from qdesign import cli
+
+    for t, k, n in ((2, 5, 1), (2, 5, 5), (1, 2, 0), (1, 2, -1)):
+        argv = ["decode", "--q", "2", "--t", str(t), "--k", str(k), "--certify", "--n", str(n)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: need ambient n >= t + k = {t + k}, got {n}\n")
+
+
 def test_decode_certify_ambient_cap_exit_3():
     # 7 coefficient subspaces, but [n 1]_2 ambient lines to check; the
     # ambient cap refuses before a certificate is built, so a huge n costs
@@ -930,3 +940,47 @@ def test_selftest_json():
     assert obj["suites"][0]["name"] == "qcount_pascal"
     assert obj["schema_version"] == 1 and obj["command"] == "selftest"
     assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == out
+
+
+SELFTEST_PAIR = ("selftest", "--suite", "qcount_pascal", "--suite", "decode_systems")
+
+
+def test_selftest_output_pinned():
+    assert run_cli(*SELFTEST_PAIR) == (
+        0,
+        "ok qcount_pascal (312 checks)\nok decode_systems (48 checks)\n"
+        "selftest: 2/2 suites ok\n",
+        "",
+    )
+    obj = {
+        "command": "selftest", "ok": True, "schema_version": 1,
+        "suites": [
+            {"checks": 312, "detail": "", "name": "qcount_pascal", "ok": True},
+            {"checks": 48, "detail": "", "name": "decode_systems", "ok": True},
+        ],
+    }
+    assert run_cli(*SELFTEST_PAIR, "--json") == (
+        0, json.dumps(obj, indent=2, sort_keys=True) + "\n", ""
+    )
+
+
+def test_selftest_failing_suite(monkeypatch, capsys):
+    from qdesign import cli, selftest
+
+    def failing():
+        raise selftest.SelfTestFailure("boom at 3")
+
+    monkeypatch.setitem(selftest.SUITES, "qcount_pascal", failing)
+    assert cli.main(list(SELFTEST_PAIR)) == 1
+    assert capsys.readouterr() == (
+        "FAIL qcount_pascal: boom at 3\nok decode_systems (48 checks)\n"
+        "selftest: 1/2 suites ok\n",
+        "",
+    )
+    assert cli.main([*SELFTEST_PAIR, "--json"]) == 1
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["ok"] is False
+    assert obj["suites"] == [
+        {"checks": 0, "detail": "boom at 3", "name": "qcount_pascal", "ok": False},
+        {"checks": 48, "detail": "", "name": "decode_systems", "ok": True},
+    ]

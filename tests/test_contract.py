@@ -6,6 +6,7 @@ the exception class alone picks the CLI exit code, and caps format
 nothing until they refuse."""
 
 import ast
+import re
 import sys
 import time
 from pathlib import Path
@@ -333,7 +334,7 @@ DIMENSION_COMMANDS = (
 DIMENSIONS = (
     (1, 4, 2), (0, 4, 2), (-2, 4, 2), (6, 4, 2),  # q below 2 or unsupported
     (2, 4, 5),  # k > n
-    (2, -1, 1), (2, 10**6, 2),
+    (2, -1, 1), (2, 0, 2), (2, 10**6, 2),
 )
 CAP_COMMANDS = (
     "qbinom --q 2 --n 6 --k 3 --via-sum --max-terms {cap}",
@@ -397,6 +398,11 @@ def test_every_command_ends_in_a_documented_exit(tmp_path, capsys):
                 problems.append(f"exit {code}: {argv}: {err!r}")
             elif code in (2, 3) and (err.count("\n") != 1 or not err.endswith("\n")):
                 problems.append(f"exit {code} without one stderr line: {argv}: {err!r}")
+            elif code == 2 and (got := re.search(r"\bgot (.*)", err)):
+                # a refusal names the caller's values by the flags that set them
+                for name, value in re.findall(r"(\w+)=(\S+?)(?=,|$)", got.group(1)):
+                    if f" --{name} {value} " not in f" {argv} ":
+                        problems.append(f"{name}={value} is no flag of: {argv}: {err!r}")
             if elapsed > 2.0:
                 problems.append(f"{elapsed:.1f} s: {argv}")
         total = time.monotonic() - table_start

@@ -46,6 +46,20 @@ def test_f4_reduction():
     assert f4.mul(2, 3) == 1  # X * (X+1) = X^2+X = 1
 
 
+def test_field_tables_pinned_digest():
+    # prime orders take the prime-power route with one digit; the digest,
+    # taken when they had a residue route of their own, pins every table
+    text = repr([
+        (q, f.add_table, f.mul_table, f.inv_table, f.neg_table, f.characteristic, f.degree,
+         f.reduction_polynomial)
+        for q in SUPPORTED_ORDERS
+        for f in [make_field(q)]
+    ])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0e85faedb297823d30fe1a699203f7a6e8a63b648794124f2ae72f4df8af6225"
+    )
+
+
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_field_axioms_exhaustive(q):
     f = make_field(q)

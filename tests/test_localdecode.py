@@ -641,6 +641,46 @@ def test_certificate_composition_matches_enumeration(q, t, k):
 def test_certificate_refuses_a_wrong_composition(monkeypatch):
     import qdesign.localdecode as localdecode
 
-    monkeypatch.setattr(localdecode, "intersect_dim", lambda U, V: 0)
+    # a full rank of U's and V's coordinates reads as dim(U intersect V) = 0
+    monkeypatch.setattr(localdecode, "rank_of_rows", lambda field, rows, ncols: ncols)
     with pytest.raises(DegenerateSystem, match="^certificate subspaces by dim"):
         decode_certificate(next(iter_subspaces(3, 1, F2)), 2)
+
+
+@pytest.mark.parametrize("q, t, k, n", [(2, 2, 3, 7), (3, 1, 2, 5), (4, 1, 2, 5), (16, 1, 1, 4)])
+def test_certificate_coefficient_is_f_at_full_length_intersection(q, t, k, n):
+    # dim(U intersect V) read in W's coordinates agrees with the
+    # elimination over all n columns; the first and last ranks put W's
+    # pivots at the first columns and away from them
+    field = make_field(q)
+    f = solve_coefficients(q, t, k).f
+    rng = random.Random(f"coordinates {q},{t},{k},{n}")
+    count = q_binomial(n, t, q)
+    for r in sorted({0, count - 1, *(rng.randrange(count) for _ in range(4))}):
+        V = unrank(n, t, field, r)
+        cert = decode_certificate(V, k)
+        assert len(cert.coefficients) == q_binomial(t + k, k, q)
+        for U, c in cert.coefficients.items():
+            assert c == f[intersect_dim(U, V)], (V, U)
+
+
+def test_certificate_eliminates_over_envelope_coordinates(monkeypatch):
+    # apart from building W over all n columns, every elimination of the
+    # certificate runs over W's t + k pivot columns
+    import qdesign.gf as gf
+    import qdesign.grassmann as grassmann
+
+    widths = []
+    original = gf._rref_rows
+
+    def recording(field, rows, ncols):
+        widths.append(ncols)
+        return original(field, rows, ncols)
+
+    n, t, k = 50, 1, 2
+    V = _seeded_subspace(2, n, t, k)
+    monkeypatch.setattr(gf, "_rref_rows", recording)
+    monkeypatch.setattr(grassmann, "_rref_rows", recording)
+    decode_certificate(V, k)
+    assert widths[0] == n
+    assert widths[1:] and all(w == t + k for w in widths[1:])
