@@ -30,6 +30,19 @@ without elimination, and the decoding certificate takes its subspaces
 from it.  t_subspace_ranks lists their ranks in the same order for the
 verifier, the incidence matrix and the search; in characteristic 2 it
 reads them off rows packed as integers, whose addition is XOR.
+
+The incidence matrix and the search rank every k-subspace, and
+_rank_groups serves them one pivot group at a time.  For q = 2^b the
+ranks within a group are an affine table: every image row of P B is the
+XOR of packed multiples of the block's rows, scaling by c is F_2-linear
+on an entry's b bits, and cutting out the free runs is F_2-linear; the
+image's pivots, and so its offset, are fixed by the group.  So each
+t-subspace rank minus its offset is F_2-affine in the block's free bits,
+and t_subspace_ranks on the group's all-zero block and on each block
+with one free bit set gives the whole table by XOR doubling.  Odd q has
+no bitwise addition, so there each block is ranked on its own, as are
+the verifier's blocks, which are arbitrary.  A table lasts one group,
+never the whole Grassmannian.
 """
 
 from __future__ import annotations
@@ -163,15 +176,23 @@ def _pivot_template(n: int, pivots: tuple[int, ...]) -> list[int]:
     return entries
 
 
+def _group_forms(n: int, pivots: tuple[int, ...], q: int) -> Iterator[tuple[int, ...]]:
+    """Entries of every n-column canonical basis with these pivot columns,
+    in canonical order: the product over the row-major entries, each
+    free one ranging over F_q and the others fixed, varies the last free
+    entry fastest."""
+    pivset, digits, zero = set(pivots), range(q), (0,)
+    entries = []
+    for p in pivots:
+        entries += [zero] * p + [(1,)] + [zero if j in pivset else digits for j in range(p + 1, n)]
+    return product(*entries)
+
+
 def _echelon_forms(n: int, k: int, q: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(pivot columns, entries) of every k x n canonical basis, in canonical order."""
     for pivots in combinations(range(n), k):
-        entries = _pivot_template(n, pivots)
-        free = _free_positions(n, pivots)
-        for digits in product(range(q), repeat=len(free)):
-            for pos, d in zip(free, digits):
-                entries[pos] = d
-            yield pivots, tuple(entries)
+        for entries in _group_forms(n, pivots, q):
+            yield pivots, entries
 
 
 def iter_subspaces(n: int, k: int, field: FieldSpec) -> Iterator[SubspaceBasis]:
@@ -366,6 +387,44 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
                 r += (image[i] >> shift & mask) << pos
             out.append(r)
     return out
+
+
+def _rank_groups(
+    n: int, k: int, t: int, field: FieldSpec
+) -> Iterator[tuple[list[SubspaceBasis], list[tuple[int, ...]]]]:
+    """The k-subspaces of F_q^n in canonical order, one pivot group at a
+    time, as (blocks, covers) with covers[j] == tuple(t_subspace_ranks(
+    blocks[j], t)); raises TooLarge past enumerate_subspaces' default cap.
+
+    For q = 2^b and t > 0 each rank minus its offset is F_2-affine in
+    the block's free bits (see the module doc), and blocks[2^j] is the
+    group's block with only free bit j set (its base-q index is 2^j).  So
+    the group is ranked by 1 + (free bits) calls on blocks[0] and those
+    unit blocks, then filled in by XOR doubling.  Other q, and t = 0,
+    call t_subspace_ranks once per block.
+    """
+    q = field.q
+    capped(q, [(n, k)], 10**7)
+    affine = field.characteristic == 2 and t > 0
+    for pivots in combinations(range(n), k):
+        blocks = [SubspaceBasis(field, n, k, e) for e in _group_forms(n, pivots, q)]
+        if not affine:
+            yield blocks, [tuple(t_subspace_ranks(b, t)) for b in blocks]
+            continue
+        probes = [0] + [1 << j for j in range(len(blocks).bit_length() - 1)]
+        base, *units = [t_subspace_ranks(blocks[i], t) for i in probes]
+        offsets = []
+        for pat, bases in _patterns(k, t, q):
+            offsets += [_pivot_plan(n, q, tuple([pivots[p] for p in pat]))[0]] * len(bases)
+        columns = []
+        for i, offset in enumerate(offsets):
+            c = base[i] - offset
+            values = [c]
+            for unit in units:
+                d = (unit[i] - offset) ^ c
+                values += [v ^ d for v in values]
+            columns.append([v + offset for v in values])
+        yield blocks, list(zip(*columns))
 
 
 def enumerate_subspaces(

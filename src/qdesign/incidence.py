@@ -16,11 +16,11 @@ from .errors import _value_class, check_chain
 from .gf import FieldSpec
 from .grassmann import (
     SubspaceBasis,
+    _rank_groups,
     apply_map,
     enumerate_subspaces,
     gl_map_between,
     subspace_rank,
-    t_subspace_ranks,
 )
 from .qcount import capped, q_binomial
 
@@ -58,8 +58,9 @@ def build_incidence(
     """Build the full structure for parameters t <= k <= n.
 
     Each row's ones sit at the canonical ranks of the t-subspaces *of the
-    row subspace* (grassmann.t_subspace_ranks), which costs [k t]_q per
-    row instead of a containment test per (row, column) pair.  Entries
+    row subspace* (grassmann.t_subspace_ranks, one pivot group of rows at
+    a time by grassmann._rank_groups), which costs [k t]_q per row
+    instead of a containment test per (row, column) pair.  Entries
     are only ever 0 or 1 by construction, so the boundedness parameter
     of the structure is 1.
     """
@@ -67,21 +68,22 @@ def build_incidence(
     check_chain(0, t=t, k=k, n=n)
     num_rows, num_cols = capped(q, [(n, k), (n, t)], max_bits, "{0} x {1} bits exceeds cap {cap}")
 
-    rows = enumerate_subspaces(n, k, field)
-    cols = enumerate_subspaces(n, t, field)
     row_weight = q_binomial(k, t, q)
     col_weight = q_binomial(n - t, k - t, q)
 
+    rows = []
     bits = []
     col_counts = [0] * num_cols
-    for B in rows:
-        mask = 0
-        for pos in t_subspace_ranks(B, t):
-            mask |= 1 << pos
-            col_counts[pos] += 1
-        if mask.bit_count() != row_weight:
-            raise AssertionError(f"row weight {mask.bit_count()} != [k t]_q = {row_weight}")
-        bits.append(mask)
+    for blocks, covers in _rank_groups(n, k, t, field):
+        rows += blocks
+        for ranks in covers:
+            mask = 0
+            for pos in ranks:
+                mask |= 1 << pos
+                col_counts[pos] += 1
+            if mask.bit_count() != row_weight:
+                raise AssertionError(f"row weight {mask.bit_count()} != [k t]_q = {row_weight}")
+            bits.append(mask)
     bad = [j for j, c in enumerate(col_counts) if c != col_weight]
     if bad:
         raise AssertionError(f"column {bad[0]} weight {col_counts[bad[0]]} != {col_weight}")
@@ -92,7 +94,7 @@ def build_incidence(
         k=k,
         t=t,
         row_index=tuple(rows),
-        col_index=tuple(cols),
+        col_index=tuple(enumerate_subspaces(n, t, field)),
         bits=tuple(bits),
         row_weight=row_weight,
         col_weight=col_weight,

@@ -5,7 +5,9 @@ A t-(n, k, lambda) design is a selection of candidate k-subspaces
 covering every t-subspace exactly lambda times, so the search reduces to
 exact multi-cover over the canonical enumerations; a candidate covers
 the columns at the canonical ranks of its own t-subspaces
-(grassmann.t_subspace_ranks).
+(grassmann.t_subspace_ranks), which build_cover_instance takes one pivot
+group of candidates at a time (grassmann._rank_groups), checking the
+search's deadline between groups.
 
 The exhaustive method branches on the deficient column with the fewest
 usable candidates, lowest index first; at each node the candidates
@@ -31,7 +33,7 @@ import time
 
 from .errors import InvalidParameters, _value_class, check_chain
 from .gf import FieldSpec, make_field
-from .grassmann import enumerate_subspaces, t_subspace_ranks
+from .grassmann import _rank_groups
 from .qcount import capped, q_binomial
 from .verifier import DesignCandidate, verify_design
 
@@ -73,17 +75,27 @@ def build_cover_instance(
     field: FieldSpec,
     max_universe: int = 10**4,
     max_candidates: int = 10**5,
+    *,
+    deadline: float | None = None,
 ) -> CoverInstance:
+    """The candidates in canonical order and the columns each covers.
+
+    Raises _Expired if time.monotonic() reaches deadline between two
+    pivot groups of the candidates.
+    """
     check_chain(0, t=t, k=k, n=n)
     n_t, _ = _capped_counts(field.q, n, k, t, max_universe, max_candidates)
-    candidates = enumerate_subspaces(n, k, field)
+    candidates: list = []
+    covers: list = []
+    # a column index is a t-subspace's canonical rank, and the kernel
+    # lists a block's ranks in increasing order
+    for blocks, group_covers in _rank_groups(n, k, t, field):
+        candidates += blocks
+        covers += group_covers
+        if deadline is not None and time.monotonic() >= deadline:
+            raise _Expired
     return CoverInstance(
-        universe_size=n_t,
-        candidates=tuple(candidates),
-        # a column index is a t-subspace's canonical rank, and the kernel
-        # lists a block's ranks in increasing order
-        covers=tuple(tuple(t_subspace_ranks(b, t)) for b in candidates),
-        multiplicity=lam,
+        universe_size=n_t, candidates=tuple(candidates), covers=tuple(covers), multiplicity=lam
     )
 
 
@@ -258,9 +270,9 @@ def search_design(
     or a limit that is not finite, DimensionMismatch, before any count is
     taken, unless 0 <= t <= k <= n and lam >= 0, and then TooLarge, before
     the block-count test, if the universe or the candidates exceed their
-    caps.  The limit's clock starts only after build_cover_instance
-    returns, so a run lasts the build plus the limit; at (q, n, k, t) =
-    (16, 4, 2, 1) the build enumerates 70,161 candidates first.
+    caps.  The limit's clock starts before build_cover_instance, which
+    checks it between pivot groups, so a limit that runs out during the
+    build returns Timeout with no column satisfied.
     """
     if method not in ("exhaustive", "greedy"):
         raise InvalidParameters(f"unknown method {method!r}")
@@ -282,14 +294,19 @@ def search_design(
     if target_n > n_k:
         return NotFound("required block count exceeds the number of k-subspaces")
 
-    inst = build_cover_instance(
-        n, k, t, lam, field, max_universe=max_universe, max_candidates=max_candidates
-    )
-    deadline = None if limit is None else time.monotonic() + limit
     start = time.monotonic()
+    deadline = None if limit is None else start + limit
 
     def timeout(best_satisfied: int) -> Timeout:
-        return Timeout(time.monotonic() - start, best_satisfied, inst.universe_size)
+        return Timeout(time.monotonic() - start, best_satisfied, n_t)
+
+    try:
+        inst = build_cover_instance(
+            n, k, t, lam, field, max_universe=max_universe, max_candidates=max_candidates,
+            deadline=deadline,
+        )
+    except _Expired:
+        return timeout(0)
 
     if method == "exhaustive":
         solver = _ExactCover(inst, deadline)

@@ -13,6 +13,7 @@ from qdesign.errors import DimensionMismatch, InvalidParameters
 from qdesign.gf import make_field, random_invertible
 from qdesign.grassmann import (
     SubspaceBasis,
+    _rank_groups,
     apply_map,
     block_echelon_forms,
     enumerate_subspaces,
@@ -181,6 +182,39 @@ def test_kernel_on_extension_blocks(q, n, k, t):
     for V in rng.sample(enumerate_subspaces(n, 1, field), 3):
         blocks += extensions(V, k)
     _check_blocks(blocks, n, t, field)
+
+
+GROUP_CAP = 10**4
+
+
+def _group_cases():
+    """Every (q, n, k, t), q in {2, 3, 4, 8, 16} and n <= 5 (n <= 7 for
+    q = 2), whose [n k]_q blocks of [k t]_q ranks hold at most GROUP_CAP
+    ranks in all: k = 0, k = n, t = 0 and t = k among them."""
+    for q in (2, 3, 4, 8, 16):
+        for n in range(8 if q == 2 else 6):
+            for k in range(n + 1):
+                for t in range(k + 1):
+                    if q_binomial(n, k, q) * q_binomial(k, t, q) <= GROUP_CAP:
+                        yield q, n, k, t
+
+
+def test_rank_groups_match_the_per_block_route():
+    # the affine tables (q = 2^b, t > 0) and the per-block calls (odd q,
+    # t = 0) against iter_subspaces and one t_subspace_ranks per block
+    cases = 0
+    for q, n, k, t in _group_cases():
+        field = make_field(q)
+        blocks, covers = [], []
+        for group, group_covers in _rank_groups(n, k, t, field):
+            assert len({b.pivot_columns for b in group}) == 1
+            assert len(group_covers) == len(group)
+            blocks += group
+            covers += group_covers
+        assert blocks == list(iter_subspaces(n, k, field)), (q, n, k, t)
+        assert covers == [tuple(t_subspace_ranks(b, t)) for b in blocks], (q, n, k, t)
+        cases += 1
+    assert cases == 277
 
 
 def _check_t_zero_and_t_equal_k(q, n):

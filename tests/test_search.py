@@ -1,8 +1,10 @@
 import hashlib
 import random
+import re
 
 import pytest
 
+from qdesign import grassmann
 from qdesign.errors import TooLarge
 from qdesign.gf import make_field
 from qdesign.qcount import q_binomial
@@ -34,6 +36,18 @@ def test_cover_instance_caps():
         build_cover_instance(4, 2, 1, 1, F2, max_universe=5)
     with pytest.raises(TooLarge):
         build_cover_instance(4, 2, 1, 1, F2, max_candidates=5)
+
+
+def test_cover_instance_inner_cap_refuses_before_enumerating(monkeypatch):
+    # the candidate enumeration keeps its own cap of 10^7 behind
+    # max_candidates, and refuses before building any block
+    def no_block(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(grassmann, "SubspaceBasis", no_block)
+    text = "[10 5]_2 = 109221651 exceeds cap 10000000"
+    with pytest.raises(TooLarge, match=f"^{re.escape(text)}$"):
+        build_cover_instance(10, 5, 1, 1, F2, max_universe=10**4, max_candidates=10**9)
 
 
 def test_spread_f2_4():
@@ -107,6 +121,15 @@ def test_exhaustive_timeout():
     assert isinstance(result, (Timeout, NotFound))
     # with such a small budget the solver cannot complete the proof
     assert isinstance(result, Timeout)
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "greedy"])
+def test_timeout_during_the_build(method):
+    # the clock starts before the cover instance is built, and a limit of
+    # 0 has passed by the first check, after the first pivot group
+    result = search_design(2, 6, 3, 2, 1, method=method, limit=0)
+    assert isinstance(result, Timeout)
+    assert result.best_satisfied == 0 and result.universe_size == 651
 
 
 def test_unknown_method():
