@@ -47,9 +47,9 @@ never the whole Grassmannian.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from functools import cached_property, lru_cache
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .errors import (
     AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, _value_class, check_chain,
@@ -390,7 +390,7 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
 
 
 def _rank_groups(
-    n: int, k: int, t: int, field: FieldSpec
+    n: int, k: int, t: int, field: FieldSpec, tick: Callable[[], None] | None = None
 ) -> Iterator[tuple[list[SubspaceBasis], list[tuple[int, ...]]]]:
     """The k-subspaces of F_q^n in canonical order, one pivot group at a
     time, as (blocks, covers) with covers[j] == tuple(t_subspace_ranks(
@@ -402,14 +402,26 @@ def _rank_groups(
     the group is ranked by 1 + (free bits) calls on blocks[0] and those
     unit blocks, then filled in by XOR doubling.  Other q, and t = 0,
     call t_subspace_ranks once per block.
+
+    tick, if given, is called after every 4096 blocks of a group fill and
+    before each XOR-doubled column, so a caller can stop a long group
+    by raising from it.
     """
     q = field.q
     capped(q, [(n, k)], 10**7)
     affine = field.characteristic == 2 and t > 0
     for pivots in combinations(range(n), k):
-        blocks = [SubspaceBasis(field, n, k, e) for e in _group_forms(n, pivots, q)]
+        forms = _group_forms(n, pivots, q)
+        blocks: list[SubspaceBasis] = []
+        covers: list[tuple[int, ...]] = []
+        while chunk := [SubspaceBasis(field, n, k, e) for e in islice(forms, 4096)]:
+            blocks += chunk
+            if not affine:
+                covers += [tuple(t_subspace_ranks(b, t)) for b in chunk]
+            if tick is not None:
+                tick()
         if not affine:
-            yield blocks, [tuple(t_subspace_ranks(b, t)) for b in blocks]
+            yield blocks, covers
             continue
         probes = [0] + [1 << j for j in range(len(blocks).bit_length() - 1)]
         base, *units = [t_subspace_ranks(blocks[i], t) for i in probes]
@@ -418,6 +430,8 @@ def _rank_groups(
             offsets += [_pivot_plan(n, q, tuple([pivots[p] for p in pat]))[0]] * len(bases)
         columns = []
         for i, offset in enumerate(offsets):
+            if tick is not None:
+                tick()
             c = base[i] - offset
             values = [c]
             for unit in units:

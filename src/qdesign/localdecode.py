@@ -28,10 +28,11 @@ back-substitution.
 lemma2_count's closed-form intersection counts, D's entries among them,
 are paired with enumeration over exhaustive vector sets:
 lemma2_count_bruteforce walks extensions(V1, k) for one pair, and
-lemma2_grid_report checks every ordered pair of t-subspaces at once,
-reading the k-subspaces above each V1 off per-vector lanes (one bit per
-k-subspace) and counting their intersections with every V2 together in
-bit-sliced lanes, one bit per t-subspace.  lemma2_grid_report works on
+lemma2_grid_report checks every ordered pair of t-subspaces at once:
+it counts each k-subspace's intersections with every V2 once, in
+bit-sliced lanes (one bit per t-subspace), reads the k-subspaces above
+each V1 off per-vector lanes (one bit per k-subspace), and sums those
+hit words in one bit-sliced tally.  lemma2_grid_report works on
 the vector indices of SubspaceBasis.nonzero_vectors alone and never calls
 the RREF or rank routes; lemma2_count_bruteforce gets its U from
 extensions, which eliminates with grassmann._span and sorts by
@@ -432,7 +433,7 @@ def _lane_value(planes: list[int], lane: int) -> int:
     return sum((p >> lane & 1) << b for b, p in enumerate(planes))
 
 
-# bits in either lane family of lemma2_grid_report: 32 MiB of lane ints
+# bits in any lane family of lemma2_grid_report: 32 MiB of lane ints
 _MAX_LANE_BITS = 2**28
 
 
@@ -452,16 +453,20 @@ def lemma2_grid_report(
     Enumeration is exhaustive vector-set intersection, so it shares no
     code path with the formula.  The t-subspaces are numbered as lanes:
     tlanes[v] has bit i set when vector v lies in the i-th t-subspace,
-    and klanes[v] likewise for the k-subspaces.  The U >= V1 are the
-    AND of the k-lanes of V1's nonzero vectors, taken in canonical
-    order.  Adding the t-lanes of U's nonzero vectors into bit-sliced
-    counters gives |U int V2| - 1 for every V2 at once, and a second
-    set of bit-sliced counters tallies, per j, how many U >= V1 meet
-    each V2 in q^j vectors.  Before anything is enumerated, TooLarge
-    is raised when the [n t]_q [n k]_q (V1, U) containments exceed
-    max_pairs, or when either lane family, [n t]_q q^n or [n k]_q q^n
-    bits, exceeds 2^28 bits.  The first failing pair, in the order V1
-    then V2 by canonical index, is reported.
+    and klanes[v] likewise for the k-subspaces.  Once per k-subspace U,
+    adding the t-lanes of U's nonzero vectors into bit-sliced counters
+    gives |U int V2| - 1 for every V2 at once, and U's hit word holds,
+    in segment j at bits j [n t]_q onward, the V2 that U meets in q^j
+    vectors.  The U >= V1 are the AND of the k-lanes of V1's nonzero
+    vectors; adding their hit words into one bit-sliced tally counter
+    counts, per j and V2, how many U >= V1 meet V2 in dimension j.  The
+    tallies are compared with the formula rows, held as bit planes in
+    the same segments.  Before anything is enumerated, TooLarge is
+    raised when the [n t]_q [n k]_q (V1, U) containments exceed
+    max_pairs, or when a lane family exceeds 2^28 bits: the t-lanes and
+    the k-lanes, [n t]_q q^n and [n k]_q q^n bits, checked first, then
+    the hit words, (t+1) [n t]_q [n k]_q bits.  The first failing pair,
+    in the order V1 then V2 by canonical index, is reported.
     """
     check_chain(1, t=t, k=k, n=n)
     field = make_field(q)
@@ -471,12 +476,14 @@ def lemma2_grid_report(
         q, [(n, t), (n, k)], max_pairs,
         f"[{n} {t}]_{q} * [{n} {k}]_{q} = {{total}} containment tests exceed cap {{cap}}",
     )
-    for d, count in ((t, n_t), (k, n_k)):
-        bits = count * q**n
+    for family, bits in (
+        (f"[{n} {t}]_{q} * {q}^{n}", n_t * q**n),
+        (f"[{n} {k}]_{q} * {q}^{n}", n_k * q**n),
+        (f"{t + 1} * [{n} {t}]_{q} * [{n} {k}]_{q}", (t + 1) * n_t * n_k),
+    ):
         if bits > _MAX_LANE_BITS:
             raise TooLarge(
-                f"[{n} {d}]_{q} * {q}^{n} = {number_text(bits)} "
-                f"lane bits exceed cap {_MAX_LANE_BITS}"
+                f"{family} = {number_text(bits)} lane bits exceed cap {_MAX_LANE_BITS}"
             )
     ext_total = q_binomial(n - t, k - t, q)
 
@@ -508,21 +515,33 @@ def lemma2_grid_report(
         bit = 1 << i
         for v in vecs:
             tlanes[v] |= bit
-    # the k-lanes, and each k-subspace as the t-lanes of its nonzero vectors
-    klanes = [0] * q**n
-    kvec_lanes = []
-    for u, U in enumerate(iter_subspaces(n, k, field)):
-        bit = 1 << u
-        vecs = U.nonzero_vectors()
-        for v in vecs:
-            klanes[v] |= bit
-        kvec_lanes.append([tlanes[v] for v in vecs])
     all_t = (1 << n_t) - 1
-    all_k = (1 << len(kvec_lanes)) - 1
     count_bits = (q**t - 1).bit_length()
-    tally_bits = ext_total.bit_length()
     # a subspace meeting V2 in dimension j shares q^j - 1 nonzero vectors with it
     nonzero = [q**j - 1 for j in range(t + 1)]
+    # the k-lanes, and each k-subspace U's hit word: segment j, at bit
+    # j * n_t, holds the V2 that meet U in dimension j
+    klanes = [0] * q**n
+    hit_words = []
+    for u, U in enumerate(iter_subspaces(n, k, field)):
+        bit = 1 << u
+        counts = [0] * count_bits
+        for v in U.nonzero_vectors():
+            klanes[v] |= bit
+            _add_lanes(counts, tlanes[v])
+        hit_words.append(
+            sum(_lanes_equal(counts, c, all_t) << j * n_t for j, c in enumerate(nonzero))
+        )
+    all_k = (1 << len(hit_words)) - 1
+    tally_bits = ext_total.bit_length()
+    # expected[l] as bit planes over the t + 1 segments
+    expected_planes = {
+        l: [
+            sum(all_t << j * n_t for j in range(t + 1) if row[j] >> b & 1)
+            for b in range(tally_bits)
+        ]
+        for l, row in expected.items()
+    }
 
     pair_count = 0
     l_pairs = [0] * t
@@ -534,17 +553,11 @@ def lemma2_grid_report(
             return report(
                 pair_count, f"extension count {above.bit_count()} != {ext_total} at V1 index {i}"
             )
-        tallies = [[0] * tally_bits for _ in range(t + 1)]
+        tally = [0] * tally_bits
         while above:
             low = above & -above
             above ^= low
-            counts = [0] * count_bits
-            for lane in kvec_lanes[low.bit_length() - 1]:
-                _add_lanes(counts, lane)
-            for j, c in enumerate(nonzero):
-                hit = _lanes_equal(counts, c, all_t)
-                if hit:
-                    _add_lanes(tallies[j], hit)
+            _add_lanes(tally, hit_words[low.bit_length() - 1])
 
         shared = [0] * count_bits
         for v in vecs:
@@ -552,20 +565,23 @@ def lemma2_grid_report(
         # V1's own lane counts q^t - 1 and so falls in no l < t
         at_l = {l: _lanes_equal(shared, nonzero[l], all_t) for l in expected}
         failing = 0
-        for l, row in expected.items():
+        for l, planes in expected_planes.items():
+            same = -1  # the lanes, over all segments, whose tally matches
+            for p, e in zip(tally, planes):
+                same &= ~(p ^ e)
             agree = at_l[l]
             for j in range(t + 1):
-                agree = _lanes_equal(tallies[j], row[j], agree)
+                agree &= same >> j * n_t
             failing |= at_l[l] ^ agree
         if failing:
             mi = (failing & -failing).bit_length() - 1
             l = next(l for l, lm in at_l.items() if lm >> mi & 1)
-            tally = [_lane_value(tallies[j], mi) for j in range(t + 1)]
+            counted = [_lane_value(tally, j * n_t + mi) for j in range(t + 1)]
             # the pairs of this V1 before V2, V1 itself not among them
             return report(
                 pair_count + mi - (mi > i),
                 f"pair (V1 index {i}, V2 index {mi}, l={l}): "
-                f"counted {tally}, formula {expected[l]}",
+                f"counted {counted}, formula {expected[l]}",
             )
         for l, lm in at_l.items():
             l_pairs[l] += lm.bit_count()

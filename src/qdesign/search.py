@@ -7,7 +7,8 @@ exact multi-cover over the canonical enumerations; a candidate covers
 the columns at the canonical ranks of its own t-subspaces
 (grassmann.t_subspace_ranks), which build_cover_instance takes one pivot
 group of candidates at a time (grassmann._rank_groups), checking the
-search's deadline between groups.
+search's deadline every 4096 candidates and every column of a group's
+ranks.
 
 The exhaustive method branches on the deficient column with the fewest
 usable candidates, lowest index first; at each node the candidates
@@ -80,20 +81,24 @@ def build_cover_instance(
 ) -> CoverInstance:
     """The candidates in canonical order and the columns each covers.
 
-    Raises _Expired if time.monotonic() reaches deadline between two
-    pivot groups of the candidates.
+    Raises _Expired if time.monotonic() reaches deadline at one of
+    _rank_groups' ticks: every 4096 candidates of a pivot group and
+    every column of its ranks.
     """
     check_chain(0, t=t, k=k, n=n)
     n_t, _ = _capped_counts(field.q, n, k, t, max_universe, max_candidates)
+
+    def tick() -> None:
+        if time.monotonic() >= deadline:
+            raise _Expired
+
     candidates: list = []
     covers: list = []
     # a column index is a t-subspace's canonical rank, and the kernel
     # lists a block's ranks in increasing order
-    for blocks, group_covers in _rank_groups(n, k, t, field):
+    for blocks, group_covers in _rank_groups(n, k, t, field, None if deadline is None else tick):
         candidates += blocks
         covers += group_covers
-        if deadline is not None and time.monotonic() >= deadline:
-            raise _Expired
     return CoverInstance(
         universe_size=n_t, candidates=tuple(candidates), covers=tuple(covers), multiplicity=lam
     )
@@ -271,8 +276,9 @@ def search_design(
     taken, unless 0 <= t <= k <= n and lam >= 0, and then TooLarge, before
     the block-count test, if the universe or the candidates exceed their
     caps.  The limit's clock starts before build_cover_instance, which
-    checks it between pivot groups, so a limit that runs out during the
-    build returns Timeout with no column satisfied.
+    checks it every 4096 candidates and every column of a pivot group's
+    ranks, so a limit that runs out during the build returns Timeout with
+    no column satisfied.
     """
     if method not in ("exhaustive", "greedy"):
         raise InvalidParameters(f"unknown method {method!r}")

@@ -470,6 +470,19 @@ def test_lemma2_check_lane_cap_exit_3():
     assert err == "error: [17 1]_2 * 2^17 = 17179738112 lane bits exceed cap 268435456\n"
 
 
+def test_lemma2_check_hit_word_cap_exit_3():
+    # both lane families and the raised pair cap pass; the (t+1) segments
+    # of [10 2]_2 bits per 8-subspace do not
+    args = ("--q", "2", "--n", "10", "--t", "2", "--k", "8", "--max-pairs", "100000000000")
+    start = time.monotonic()
+    code, out, err = run_cli("lemma2-check", *args)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: 3 * [10 2]_2 * [10 8]_2 = 91090233003 lane bits exceed cap 268435456\n"
+    )
+
+
 def test_cap_errors_abbreviate_huge_counts():
     # [1000000 1]_2 has 301,030 decimal digits; the caps refuse it at once
     million = ("--q", "2", "--n", "1000000")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import re
 import time
@@ -427,6 +428,12 @@ def test_lemma2_grid_report_caps_lane_bits():
     # with the pair cap lifted, the k-lanes are capped too
     with pytest.raises(TooLarge, match=r"\[12 2\]_2 \* 2\^12 = 11444858880 lane bits"):
         lemma2_grid_report(2, 12, 1, 2, max_pairs=10**12)
+    # both lane families pass; the hit words, t + 1 segments of [n t]_q
+    # bits per k-subspace, do not
+    start = time.monotonic()
+    with pytest.raises(TooLarge, match=r"^3 \* \[10 2\]_2 \* \[10 8\]_2 = 91090233003 lane"):
+        lemma2_grid_report(2, 10, 2, 8, max_pairs=10**11)
+    assert time.monotonic() - start < 1.0
 
 
 def _first_failure(q, t, tmasks, kmasks, formula, ext_total):
@@ -454,13 +461,12 @@ def _first_failure(q, t, tmasks, kmasks, formula, ext_total):
     return pairs, ""
 
 
-@pytest.mark.parametrize("q, n", [(2, 5), (3, 4)])
-def test_lemma2_grid_report_failures_match_pair_recount(monkeypatch, q, n):
+@pytest.mark.parametrize("q, n, t, k", [(3, 4, 1, 2), (2, 5, 2, 3), (3, 4, 2, 3), (2, 5, 3, 4)])
+def test_lemma2_grid_report_failures_match_pair_recount(monkeypatch, q, n, t, k):
     """Tamper with the k-subspace vector sets the check enumerates and
     compare both failure branches with the pair-by-pair recount."""
     import qdesign.localdecode as localdecode
 
-    t, k = 2, 3
     field = make_field(q)
     good = lemma2_grid_report(q, n, t, k)
     formula = {l: [0] * (t + 1) for l in range(t)}
@@ -497,29 +503,26 @@ def test_lemma2_grid_report_failures_match_pair_recount(monkeypatch, q, n):
         assert check(kmasks[:d] + kmasks[d + 1:]).startswith(f"extension count {ext - 1} ")
         assert check(kmasks + [kmasks[d]]).startswith(f"extension count {ext + 1} ")
     # tally branch: vectors added to a k-subspace U's set break intersection
-    # sizes but no extension count.  A plane not inside U has at least two
-    # nonzero vectors outside it, so one added vector completes none; at
-    # q = 2 the two added vectors v, w have v + w outside U, so they do not
-    # complete a plane either, and a V2 = <v, w> missing U then has only
-    # its j = 0 tally off.
-    v2_before_v1 = False
+    # sizes but no extension count, as long as they complete no t-subspace
+    # outside U (two at q = 2, one at q = 3).  Some U' then meets a V2 in a
+    # count that is no q^j - 1, lands in no j, and the tally falls short.
+    v2_before_v1 = short = False
     for d in tampered:
         um = kmasks[d]
         outside = [v for v in range(q**n) if not um >> v & 1]
         for _ in range(2):
-            if q == 2:
-                v, w = rng.sample(outside, 2)
-                while um >> (v ^ w) & 1:
-                    v, w = rng.sample(outside, 2)
-                added = 1 << v | 1 << w
-            else:
-                added = 1 << rng.choice(outside)
+            while True:
+                added = sum(1 << v for v in rng.sample(outside, 2 if q == 2 else 1))
+                if all(m & ~(um | added) for m in tmasks if m & ~um):
+                    break
             mismatch = check(kmasks[:d] + [um | added] + kmasks[d + 1:])
-            found = re.match(r"pair \(V1 index (\d+), V2 index (\d+)", mismatch)
-            i, mi = map(int, found.groups())
-            v2_before_v1 |= mi < i
+            found = re.match(r"pair \(V1 index (\d+), V2 index (\d+), l=\d+\): counted (\[.*?\])",
+                             mismatch)
+            v2_before_v1 |= int(found[2]) < int(found[1])
+            short |= sum(json.loads(found[3])) < ext
     assert v2_before_v1
-    if q == 2:
+    assert short
+    if (q, t) == (2, 2):
         # V2 = <e0, e1>, the first plane in canonical order, misses the
         # 3-space <e2, e3, e4> of the vectors below 8; with e0 (16) and e1 (8)
         # added there, V2 is the lowest failing lane and only its j = 0

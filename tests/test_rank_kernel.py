@@ -217,6 +217,34 @@ def test_rank_groups_match_the_per_block_route():
     assert cases == 277
 
 
+def test_rank_groups_tick_every_4096_blocks_and_column():
+    # the first group of the 2-subspaces of F_16^4 holds 16^4 blocks, 16
+    # fills of 4096, and its affine table [2 1]_16 = 17 columns
+    ticks = []
+
+    def tick():
+        ticks.append(None)
+
+    next(_rank_groups(4, 2, 1, make_field(16), tick))
+    assert len(ticks) == 16 + 17
+
+    # odd q ranks each 4096-block fill as it goes; [4 2]_3 has a first
+    # group of 81 blocks, and the last of its six groups has one
+    ticks.clear()
+    sizes = [len(blocks) for blocks, _ in _rank_groups(4, 2, 1, make_field(3), tick)]
+    assert sizes == [81, 27, 9, 9, 3, 1] and len(ticks) == 6
+
+    # a tick that raises stops the group fill at once
+    class Stop(Exception):
+        pass
+
+    def stop():
+        raise Stop
+
+    with pytest.raises(Stop):
+        next(_rank_groups(4, 2, 1, make_field(16), stop))
+
+
 def _check_t_zero_and_t_equal_k(q, n):
     field = make_field(q)
     for S in enumerate_subspaces(n, 2, field):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import time
 
 import pytest
 
@@ -126,10 +127,19 @@ def test_exhaustive_timeout():
 @pytest.mark.parametrize("method", ["exhaustive", "greedy"])
 def test_timeout_during_the_build(method):
     # the clock starts before the cover instance is built, and a limit of
-    # 0 has passed by the first check, after the first pivot group
+    # 0 has passed by the first check, within the first pivot group
     result = search_design(2, 6, 3, 2, 1, method=method, limit=0)
     assert isinstance(result, Timeout)
     assert result.best_satisfied == 0 and result.universe_size == 651
+
+
+def test_timeout_within_the_first_pivot_group():
+    # the first pivot group of the 2-subspaces of F_16^4 holds 65,536 of
+    # the 70,161 candidates; the deadline is checked every 4096 of them
+    start = time.monotonic()
+    result = search_design(16, 4, 2, 1, 1, limit=0)
+    assert time.monotonic() - start < 0.1
+    assert result == Timeout(result.elapsed, 0, 4369)
 
 
 def test_unknown_method():
