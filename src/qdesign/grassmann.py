@@ -394,7 +394,7 @@ def _rank_groups(
 ) -> Iterator[tuple[list[SubspaceBasis], list[tuple[int, ...]]]]:
     """The k-subspaces of F_q^n in canonical order, one pivot group at a
     time, as (blocks, covers) with covers[j] == tuple(t_subspace_ranks(
-    blocks[j], t)); raises TooLarge past enumerate_subspaces' default cap.
+    blocks[j], t)).  It takes no cap: each caller bounds [n k]_q first.
 
     For q = 2^b and t > 0 each rank minus its offset is F_2-affine in
     the block's free bits (see the module doc), and blocks[2^j] is the
@@ -408,7 +408,6 @@ def _rank_groups(
     by raising from it.
     """
     q = field.q
-    capped(q, [(n, k)], 10**7)
     affine = field.characteristic == 2 and t > 0
     for pivots in combinations(range(n), k):
         forms = _group_forms(n, pivots, q)

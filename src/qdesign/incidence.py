@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import random
 
-from .errors import _value_class, check_chain
+from .errors import TooLarge, _value_class, check_chain, number_text
 from .gf import FieldSpec
 from .grassmann import (
     SubspaceBasis,
     _rank_groups,
     apply_map,
-    enumerate_subspaces,
     gl_map_between,
+    iter_subspaces,
     subspace_rank,
 )
 from .qcount import capped, q_binomial
@@ -62,11 +62,15 @@ def build_incidence(
     a time by grassmann._rank_groups), which costs [k t]_q per row
     instead of a containment test per (row, column) pair.  Entries
     are only ever 0 or 1 by construction, so the boundedness parameter
-    of the structure is 1.
+    of the structure is 1.  max_bits bounds rows x cols + 100 (rows +
+    cols): each row and column index entry is charged 100 bits.
     """
     q = field.q
     check_chain(0, t=t, k=k, n=n)
     num_rows, num_cols = capped(q, [(n, k), (n, t)], max_bits, "{0} x {1} bits exceeds cap {cap}")
+    if num_rows * num_cols + 100 * (num_rows + num_cols) > max_bits:
+        r, c, cap = map(number_text, (num_rows, num_cols, max_bits))
+        raise TooLarge(f"{r} x {c} bits + 100 x ({r} + {c}) index bits exceeds cap {cap}")
 
     row_weight = q_binomial(k, t, q)
     col_weight = q_binomial(n - t, k - t, q)
@@ -94,7 +98,7 @@ def build_incidence(
         k=k,
         t=t,
         row_index=tuple(rows),
-        col_index=tuple(enumerate_subspaces(n, t, field)),
+        col_index=tuple(iter_subspaces(n, t, field)),
         bits=tuple(bits),
         row_weight=row_weight,
         col_weight=col_weight,

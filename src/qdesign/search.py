@@ -6,9 +6,10 @@ covering every t-subspace exactly lambda times, so the search reduces to
 exact multi-cover over the canonical enumerations; a candidate covers
 the columns at the canonical ranks of its own t-subspaces
 (grassmann.t_subspace_ranks), which build_cover_instance takes one pivot
-group of candidates at a time (grassmann._rank_groups), checking the
-search's deadline every 4096 candidates and every column of a group's
-ranks.
+group of candidates at a time (grassmann._rank_groups).  One clock,
+search_design's tick, bounds the build, the solver and the greedy
+restarts; the build and the solver's set-up call it every 4096
+candidates.
 
 The exhaustive method branches on the deficient column with the fewest
 usable candidates, lowest index first; at each node the candidates
@@ -31,6 +32,8 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections.abc import Callable
+from itertools import count
 
 from .errors import InvalidParameters, _value_class, check_chain
 from .gf import FieldSpec, make_field
@@ -77,26 +80,18 @@ def build_cover_instance(
     max_universe: int = 10**4,
     max_candidates: int = 10**5,
     *,
-    deadline: float | None = None,
+    tick: Callable[[], None] | None = None,
 ) -> CoverInstance:
-    """The candidates in canonical order and the columns each covers.
-
-    Raises _Expired if time.monotonic() reaches deadline at one of
-    _rank_groups' ticks: every 4096 candidates of a pivot group and
-    every column of its ranks.
-    """
+    """The candidates in canonical order and the columns each covers;
+    tick, if given, is called at _rank_groups' ticks."""
     check_chain(0, t=t, k=k, n=n)
     n_t, _ = _capped_counts(field.q, n, k, t, max_universe, max_candidates)
-
-    def tick() -> None:
-        if time.monotonic() >= deadline:
-            raise _Expired
 
     candidates: list = []
     covers: list = []
     # a column index is a t-subspace's canonical rank, and the kernel
     # lists a block's ranks in increasing order
-    for blocks, group_covers in _rank_groups(n, k, t, field, None if deadline is None else tick):
+    for blocks, group_covers in _rank_groups(n, k, t, field, tick):
         candidates += blocks
         covers += group_covers
     return CoverInstance(
@@ -126,15 +121,20 @@ class _ExactCover:
     runs on an explicit stack of [options, index of the option taken]
     frames, one per level, so its depth (the block count) is not bounded
     by the interpreter's recursion limit.
+
+    tick, if given, is called during the set-up and at every node, and
+    may stop the search by raising.
     """
 
-    def __init__(self, inst: CoverInstance, deadline: float | None):
+    def __init__(self, inst: CoverInstance, tick: Callable[[], None] | None = None):
         self.covers = inst.covers
-        self.deadline = deadline
+        self.tick = tick or (lambda: None)
         ncols = inst.universe_size
         self.need = [inst.multiplicity] * ncols
         self.col_cands = [[] for _ in range(ncols)]
         for r, cov in enumerate(inst.covers):
+            if not r & 4095:
+                self.tick()
             for c in cov:
                 self.col_cands[c].append(r)
         self.avail = [len(rows) for rows in self.col_cands]
@@ -197,13 +197,11 @@ class _ExactCover:
         return best
 
     def solve(self) -> list[int] | None:
-        stack = self.stack
+        stack, tick = self.stack, self.tick
         while True:
             # enter a node
             self.nodes += 1
-            if self.deadline is not None and self.nodes % 64 == 0:
-                if time.monotonic() > self.deadline:
-                    raise _Expired
+            tick()
             self.best_satisfied = max(self.best_satisfied, self.satisfied)
             col = self._pick_column()
             if col is None:
@@ -275,10 +273,9 @@ def search_design(
     or a limit that is not finite, DimensionMismatch, before any count is
     taken, unless 0 <= t <= k <= n and lam >= 0, and then TooLarge, before
     the block-count test, if the universe or the candidates exceed their
-    caps.  The limit's clock starts before build_cover_instance, which
-    checks it every 4096 candidates and every column of a pivot group's
-    ranks, so a limit that runs out during the build returns Timeout with
-    no column satisfied.
+    caps.  The limit covers the build, the solver's set-up, every node
+    and every greedy restart; run out during the build or the set-up, it
+    returns Timeout with no column satisfied.
     """
     if method not in ("exhaustive", "greedy"):
         raise InvalidParameters(f"unknown method {method!r}")
@@ -303,48 +300,42 @@ def search_design(
     start = time.monotonic()
     deadline = None if limit is None else start + limit
 
-    def timeout(best_satisfied: int) -> Timeout:
-        return Timeout(time.monotonic() - start, best_satisfied, n_t)
+    def tick() -> None:
+        if deadline is not None and time.monotonic() >= deadline:
+            raise _Expired
 
+    solver = None
+    best = 0
     try:
         inst = build_cover_instance(
             n, k, t, lam, field, max_universe=max_universe, max_candidates=max_candidates,
-            deadline=deadline,
+            tick=tick,
         )
-    except _Expired:
-        return timeout(0)
-
-    if method == "exhaustive":
-        solver = _ExactCover(inst, deadline)
-        try:
+        if method == "exhaustive":
+            solver = _ExactCover(inst, tick)
             rows = solver.solve()
-        except _Expired:
-            return timeout(solver.best_satisfied)
-        if rows is None:
-            return NotFound("exhaustive search completed without a solution")
-    else:
-        rng = random.Random(seed)
-        rows = None
-        best = 0
-        restarts = 0
-        # a fixed restart budget keeps the no-deadline outcome
-        # deterministic per seed; a deadline overrides it
-        max_restarts = 1000 if limit is None else None
-        while rows is None:
-            if deadline is not None and time.monotonic() > deadline:
-                return timeout(best)
-            if max_restarts is not None and restarts >= max_restarts:
-                return NotFound(f"greedy search stalled after {max_restarts} restarts")
-            attempt, satisfied = _greedy_once(inst, rng)
-            restarts += 1
-            best = max(best, satisfied)
-            if attempt is not None:
-                rows = attempt
+            if rows is None:
+                return NotFound("exhaustive search completed without a solution")
+        else:
+            rng = random.Random(seed)
+            # a fixed restart budget keeps the no-deadline outcome
+            # deterministic per seed; a deadline overrides it
+            for _ in range(1000) if limit is None else count():
+                tick()
+                rows, satisfied = _greedy_once(inst, rng)
+                best = max(best, satisfied)
+                if rows is not None:
+                    break
+            else:
+                return NotFound("greedy search stalled after 1000 restarts")
+    except _Expired:
+        best = solver.best_satisfied if solver else best
+        return Timeout(time.monotonic() - start, best, n_t)
 
     chosen = tuple(inst.candidates[r] for r in sorted(rows))
     assert len(chosen) == target_n
     candidate = DesignCandidate(field=field, n=n, k=k, blocks=chosen)
-    report = verify_design(candidate, t)
+    report = verify_design(candidate, t, max_columns=n_t)
     if not (report.is_design and report.is_simple and report.lambda_ == lam):
         raise AssertionError("search produced a non-design; solver bug")
     return candidate

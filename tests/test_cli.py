@@ -556,6 +556,21 @@ def test_search_caps_refuse_from_lower_bound():
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
+def test_builds_are_refused_only_by_the_callers_caps():
+    # [10 5]_2 = 109,221,651 rows: their index entries, charged 100 bits
+    # each, pass the default --max-bits, and the refusal names that cap
+    code, out, err = run_cli("incidence", "--q", "2", "--n", "10", "--k", "5", "--t", "0")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.endswith(" exceeds cap 1000000000\n")
+    # the same candidates pass --max-candidates 10^9, and the build runs
+    # until the user's --timeout stops it
+    code, out, err = run_cli(
+        "search", "--q", "2", "--n", "10", "--k", "5", "--t", "1", "--lambda", "1",
+        "--max-candidates", "1000000000", "--timeout", "1",
+    )
+    assert (code, out, err) == (3, "timeout: best 0/1023 columns satisfied\n", "")
+
+
 def test_klp_report_bit_cap_exit_3():
     code, out, err = run_cli(
         "klp-report", "--q", "2", "--n", "100000", "--k", "25000", "--t", "1"

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,14 @@ def test_symmetry_check_catches_corruption():
 def test_size_cap():
     with pytest.raises(TooLarge):
         build_incidence(4, 2, 1, F2, max_bits=100)
+
+
+def test_size_cap_charges_100_bits_per_index_entry():
+    # 35 x 15 = 525 matrix bits, and 35 + 15 = 50 index entries
+    assert build_incidence(4, 2, 1, F2, max_bits=525 + 100 * 50).num_rows == 35
+    message = "35 x 15 bits + 100 x (35 + 15) index bits exceeds cap 5524"
+    with pytest.raises(TooLarge, match=f"^{re.escape(message)}$"):
+        build_incidence(4, 2, 1, F2, max_bits=525 + 100 * 50 - 1)
 
 
 def test_export_bits():

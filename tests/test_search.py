@@ -1,11 +1,9 @@
 import hashlib
 import random
-import re
 import time
 
 import pytest
 
-from qdesign import grassmann
 from qdesign.errors import TooLarge
 from qdesign.gf import make_field
 from qdesign.qcount import q_binomial
@@ -39,16 +37,45 @@ def test_cover_instance_caps():
         build_cover_instance(4, 2, 1, 1, F2, max_candidates=5)
 
 
-def test_cover_instance_inner_cap_refuses_before_enumerating(monkeypatch):
-    # the candidate enumeration keeps its own cap of 10^7 behind
-    # max_candidates, and refuses before building any block
-    def no_block(*args):
-        raise AssertionError("a block was built")
+def test_cover_instance_is_bounded_by_max_candidates_alone():
+    # [10 5]_2 = 109,221,651 candidates pass a cap of 10^9, and no cap
+    # that the caller did not set refuses them: the build starts, and the
+    # caller's tick is the first thing to stop it
+    class Stop(Exception):
+        pass
 
-    monkeypatch.setattr(grassmann, "SubspaceBasis", no_block)
-    text = "[10 5]_2 = 109221651 exceeds cap 10000000"
-    with pytest.raises(TooLarge, match=f"^{re.escape(text)}$"):
-        build_cover_instance(10, 5, 1, 1, F2, max_universe=10**4, max_candidates=10**9)
+    def stop():
+        raise Stop
+
+    with pytest.raises(Stop):
+        build_cover_instance(10, 5, 1, 1, F2, max_candidates=10**9, tick=stop)
+
+
+def test_solver_ticks_every_4096_candidates_of_set_up_and_every_node():
+    # [4 2]_16 = 70,161 candidates take at least ceil(70161 / 4096) = 18
+    # set-up ticks
+    inst = build_cover_instance(4, 2, 1, 1, make_field(16))
+    ticks = []
+    _ExactCover(inst, lambda: ticks.append(None))
+    assert len(inst.candidates) == 70161 and len(ticks) >= 18
+
+    # then one tick per node
+    inst = build_cover_instance(4, 2, 1, 1, F4)
+    ticks.clear()
+    solver = _ExactCover(inst, lambda: ticks.append(None))
+    set_up = len(ticks)
+    assert set_up >= 1
+    assert solver.solve() is not None
+    assert len(ticks) - set_up == solver.nodes > 1
+
+
+def test_timeout_bounds_the_solver_set_up_and_nodes():
+    # the 0.5 s run out in the solver's set-up or first nodes, and the
+    # limit is overrun by no more than one tick's grain
+    start = time.monotonic()
+    result = search_design(16, 4, 2, 1, 1, limit=0.5)
+    assert isinstance(result, Timeout)
+    assert time.monotonic() - start < 0.8
 
 
 def test_spread_f2_4():
