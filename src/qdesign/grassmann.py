@@ -32,17 +32,18 @@ verifier, the incidence matrix and the search; in characteristic 2 it
 reads them off rows packed as integers, whose addition is XOR.
 
 The incidence matrix and the search rank every k-subspace, and
-_rank_groups serves them one pivot group at a time.  For q = 2^b the
+_rank_groups serves them one pivot group at a time, as covers only: a
+block is its canonical rank, its position in the output.  For q = 2^b the
 ranks within a group are an affine table: every image row of P B is the
 XOR of packed multiples of the block's rows, scaling by c is F_2-linear
 on an entry's b bits, and cutting out the free runs is F_2-linear; the
 image's pivots, and so its offset, are fixed by the group.  So each
 t-subspace rank minus its offset is F_2-affine in the block's free bits,
-and t_subspace_ranks on the group's all-zero block and on each block
-with one free bit set gives the whole table by XOR doubling.  Odd q has
-no bitwise addition, so there each block is ranked on its own, as are
-the verifier's blocks, which are arbitrary.  A table lasts one group,
-never the whole Grassmannian.
+and t_subspace_ranks on the only blocks built, the all-zero one and each
+with one free bit set, gives the whole table by XOR doubling.  Odd q has
+no bitwise addition, so there each block is built and ranked on its own,
+as are the verifier's blocks, which are arbitrary.  A table lasts one
+group, never the whole Grassmannian.
 """
 
 from __future__ import annotations
@@ -263,9 +264,32 @@ def unrank(n: int, k: int, field: FieldSpec, r: int) -> SubspaceBasis:
         pivots.append(c)
         e += n - k + i - c
         c += 1
-    entries = _pivot_template(n, pivots)
-    for pos in reversed(_free_positions(n, pivots)):
-        r, entries[pos] = divmod(r, q)
+    return _group_block(field, n, k, _pivot_template(n, pivots), _free_positions(n, pivots), r)
+
+
+def _unrank_sorted(n: int, k: int, field: FieldSpec, ranks: list[int]) -> list[SubspaceBasis]:
+    """unrank of each of these increasing ranks, by one walk over the
+    pivot groups in place of a pivot search per rank."""
+    out: list[SubspaceBasis] = []
+    groups, end = combinations(range(n), k), 0
+    for r in ranks:
+        while r >= end:
+            pivots = next(groups)
+            template, free = _pivot_template(n, pivots), _free_positions(n, pivots)
+            offset, end = end, end + field.q ** len(free)
+        out.append(_group_block(field, n, k, template, free, r - offset))
+    return out
+
+
+def _group_block(
+    field: FieldSpec, n: int, k: int, template: list[int], free: tuple[int, ...], i: int
+) -> SubspaceBasis:
+    """The block at index i of the pivot group with this _pivot_template
+    and these free positions: i's base-q digits fill the free entries,
+    the last digit least significant."""
+    entries = list(template)
+    for pos in reversed(free):
+        i, entries[pos] = divmod(i, field.q)
     return SubspaceBasis(field, n, k, tuple(entries))
 
 
@@ -391,53 +415,52 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
 
 def _rank_groups(
     n: int, k: int, t: int, field: FieldSpec, tick: Callable[[], None] | None = None
-) -> Iterator[tuple[list[SubspaceBasis], list[tuple[int, ...]]]]:
-    """The k-subspaces of F_q^n in canonical order, one pivot group at a
-    time, as (blocks, covers) with covers[j] == tuple(t_subspace_ranks(
-    blocks[j], t)).  It takes no cap: each caller bounds [n k]_q first.
+) -> Iterator[list[tuple[int, ...]]]:
+    """The covers of the k-subspaces of F_q^n in canonical order, one
+    pivot group at a time: covers[j] == tuple(t_subspace_ranks(S, t)) for
+    S the group's j-th block, which is not kept.  It takes no cap: each
+    caller bounds [n k]_q first.
 
     For q = 2^b and t > 0 each rank minus its offset is F_2-affine in
-    the block's free bits (see the module doc), and blocks[2^j] is the
-    group's block with only free bit j set (its base-q index is 2^j).  So
-    the group is ranked by 1 + (free bits) calls on blocks[0] and those
-    unit blocks, then filled in by XOR doubling.  Other q, and t = 0,
-    call t_subspace_ranks once per block.
+    the block's free bits (see the module doc), so t_subspace_ranks runs
+    only on the group's probe blocks, those of index 0 and 2^j for each
+    free bit j, and XOR doubling fills in the table.  Other q, and t = 0,
+    build and rank each block in turn.
 
-    tick, if given, is called after every 4096 blocks of a group fill and
-    before each XOR-doubled column, so a caller can stop a long group
-    by raising from it.
+    tick, if given, is called after every 4096 blocks ranked one at a
+    time and before each run of at most 4096 values that XOR doubling
+    adds to a column, so a caller can stop a long group by raising.
     """
-    q = field.q
+    q, tick = field.q, tick or (lambda: None)
     affine = field.characteristic == 2 and t > 0
     for pivots in combinations(range(n), k):
-        forms = _group_forms(n, pivots, q)
-        blocks: list[SubspaceBasis] = []
-        covers: list[tuple[int, ...]] = []
-        while chunk := [SubspaceBasis(field, n, k, e) for e in islice(forms, 4096)]:
-            blocks += chunk
-            if not affine:
-                covers += [tuple(t_subspace_ranks(b, t)) for b in chunk]
-            if tick is not None:
-                tick()
         if not affine:
-            yield blocks, covers
+            forms = _group_forms(n, pivots, q)
+            covers: list[tuple[int, ...]] = []
+            while chunk := [tuple(t_subspace_ranks(SubspaceBasis(field, n, k, e), t))
+                            for e in islice(forms, 4096)]:
+                covers += chunk
+                tick()
+            yield covers
             continue
-        probes = [0] + [1 << j for j in range(len(blocks).bit_length() - 1)]
-        base, *units = [t_subspace_ranks(blocks[i], t) for i in probes]
+        template, free = _pivot_template(n, pivots), _free_positions(n, pivots)
+        probes = [0] + [1 << j for j in range(field.degree * len(free))]
+        base, *units = [t_subspace_ranks(_group_block(field, n, k, template, free, i), t)
+                        for i in probes]
         offsets = []
         for pat, bases in _patterns(k, t, q):
             offsets += [_pivot_plan(n, q, tuple([pivots[p] for p in pat]))[0]] * len(bases)
         columns = []
         for i, offset in enumerate(offsets):
-            if tick is not None:
-                tick()
             c = base[i] - offset
             values = [c]
             for unit in units:
                 d = (unit[i] - offset) ^ c
-                values += [v ^ d for v in values]
+                for s in range(0, len(values), 4096):
+                    tick()
+                    values += [v ^ d for v in values[s : s + 4096]]
             columns.append([v + offset for v in values])
-        yield blocks, list(zip(*columns))
+        yield list(zip(*columns))
 
 
 def enumerate_subspaces(

@@ -11,6 +11,7 @@ reproducible.
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .errors import TooLarge, _value_class, check_chain, number_text
 from .gf import FieldSpec
@@ -60,7 +61,8 @@ def build_incidence(
     Each row's ones sit at the canonical ranks of the t-subspaces *of the
     row subspace* (grassmann.t_subspace_ranks, one pivot group of rows at
     a time by grassmann._rank_groups), which costs [k t]_q per row
-    instead of a containment test per (row, column) pair.  Entries
+    instead of a containment test per (row, column) pair; both indexes
+    list the subspaces in canonical order, by iter_subspaces.  Entries
     are only ever 0 or 1 by construction, so the boundedness parameter
     of the structure is 1.  max_bits bounds rows x cols + 100 (rows +
     cols): each row and column index entry is charged 100 bits.
@@ -75,19 +77,16 @@ def build_incidence(
     row_weight = q_binomial(k, t, q)
     col_weight = q_binomial(n - t, k - t, q)
 
-    rows = []
     bits = []
     col_counts = [0] * num_cols
-    for blocks, covers in _rank_groups(n, k, t, field):
-        rows += blocks
-        for ranks in covers:
-            mask = 0
-            for pos in ranks:
-                mask |= 1 << pos
-                col_counts[pos] += 1
-            if mask.bit_count() != row_weight:
-                raise AssertionError(f"row weight {mask.bit_count()} != [k t]_q = {row_weight}")
-            bits.append(mask)
+    for ranks in chain.from_iterable(_rank_groups(n, k, t, field)):
+        mask = 0
+        for pos in ranks:
+            mask |= 1 << pos
+            col_counts[pos] += 1
+        if mask.bit_count() != row_weight:
+            raise AssertionError(f"row weight {mask.bit_count()} != [k t]_q = {row_weight}")
+        bits.append(mask)
     bad = [j for j, c in enumerate(col_counts) if c != col_weight]
     if bad:
         raise AssertionError(f"column {bad[0]} weight {col_counts[bad[0]]} != {col_weight}")
@@ -97,7 +96,7 @@ def build_incidence(
         n=n,
         k=k,
         t=t,
-        row_index=tuple(rows),
+        row_index=tuple(iter_subspaces(n, k, field)),
         col_index=tuple(iter_subspaces(n, t, field)),
         bits=tuple(bits),
         row_weight=row_weight,

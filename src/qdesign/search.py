@@ -3,13 +3,13 @@ greedy.
 
 A t-(n, k, lambda) design is a selection of candidate k-subspaces
 covering every t-subspace exactly lambda times, so the search reduces to
-exact multi-cover over the canonical enumerations; a candidate covers
-the columns at the canonical ranks of its own t-subspaces
-(grassmann.t_subspace_ranks), which build_cover_instance takes one pivot
-group of candidates at a time (grassmann._rank_groups).  One clock,
-search_design's tick, bounds the build, the solver and the greedy
-restarts; the build and the solver's set-up call it every 4096
-candidates.
+exact multi-cover over the canonical enumerations.  Candidate r is the
+k-subspace of canonical rank r, kept only as the columns it covers, the
+ranks of its own t-subspaces, taken one pivot group at a time
+(grassmann._rank_groups); search_design unranks the blocks it chose.
+One clock, search_design's tick, bounds the build, the solver and the
+greedy restarts; the build, the solver's set-up and each greedy pass
+call it every 4096 candidates (the build's affine tables: 4096 values).
 
 The exhaustive method branches on the deficient column with the fewest
 usable candidates, lowest index first; at each node the candidates
@@ -33,11 +33,11 @@ import math
 import random
 import time
 from collections.abc import Callable
-from itertools import count
+from itertools import chain, count
 
 from .errors import InvalidParameters, _value_class, check_chain
 from .gf import FieldSpec, make_field
-from .grassmann import _rank_groups
+from .grassmann import _rank_groups, _unrank_sorted
 from .qcount import capped, q_binomial
 from .verifier import DesignCandidate, verify_design
 
@@ -45,7 +45,6 @@ from .verifier import DesignCandidate, verify_design
 @_value_class
 class CoverInstance:
     universe_size: int
-    candidates: tuple
     covers: tuple[tuple[int, ...], ...]
     multiplicity: int
 
@@ -82,21 +81,16 @@ def build_cover_instance(
     *,
     tick: Callable[[], None] | None = None,
 ) -> CoverInstance:
-    """The candidates in canonical order and the columns each covers;
-    tick, if given, is called at _rank_groups' ticks."""
+    """The columns each candidate covers, candidate r being the
+    k-subspace of canonical rank r; tick, if given, is called at
+    _rank_groups' ticks."""
     check_chain(0, t=t, k=k, n=n)
     n_t, _ = _capped_counts(field.q, n, k, t, max_universe, max_candidates)
 
-    candidates: list = []
-    covers: list = []
     # a column index is a t-subspace's canonical rank, and the kernel
     # lists a block's ranks in increasing order
-    for blocks, group_covers in _rank_groups(n, k, t, field, tick):
-        candidates += blocks
-        covers += group_covers
-    return CoverInstance(
-        universe_size=n_t, candidates=tuple(candidates), covers=tuple(covers), multiplicity=lam
-    )
+    covers = tuple(chain.from_iterable(_rank_groups(n, k, t, field, tick)))
+    return CoverInstance(universe_size=n_t, covers=covers, multiplicity=lam)
 
 
 class _Expired(Exception):
@@ -138,7 +132,7 @@ class _ExactCover:
             for c in cov:
                 self.col_cands[c].append(r)
         self.avail = [len(rows) for rows in self.col_cands]
-        self.blocked = [0] * len(inst.candidates)
+        self.blocked = [0] * len(inst.covers)
         self.satisfied = 0
         self.chosen: list[int] = []
         self.stack: list[list] = []
@@ -230,19 +224,24 @@ class _ExactCover:
                 return None
 
 
-def _greedy_once(inst: CoverInstance, rng: random.Random) -> tuple[list[int] | None, int]:
+def _greedy_once(
+    inst: CoverInstance, rng: random.Random, tick: Callable[[], None] | None = None
+) -> tuple[list[int] | None, int]:
     """One greedy pass; returns (solution or None, columns fully satisfied).
 
     Takes, in shuffled order, every candidate that covers no satisfied
     column.  need only decreases, so a candidate passed over can never
-    become takeable later and one pass over the order suffices."""
+    become takeable later and one pass over the order suffices.  tick,
+    if given, is called every 4096 candidates of the pass."""
     ncols = inst.universe_size
     need = [inst.multiplicity] * ncols
-    order = list(range(len(inst.candidates)))
+    order = list(range(len(inst.covers)))
     rng.shuffle(order)
     chosen = []
     remaining = inst.multiplicity * ncols
-    for r in order:
+    for i, r in enumerate(order):
+        if tick is not None and not i & 4095:
+            tick()
         cov = inst.covers[r]
         if all(need[c] > 0 for c in cov):
             chosen.append(r)
@@ -321,8 +320,7 @@ def search_design(
             # a fixed restart budget keeps the no-deadline outcome
             # deterministic per seed; a deadline overrides it
             for _ in range(1000) if limit is None else count():
-                tick()
-                rows, satisfied = _greedy_once(inst, rng)
+                rows, satisfied = _greedy_once(inst, rng, tick)
                 best = max(best, satisfied)
                 if rows is not None:
                     break
@@ -332,7 +330,7 @@ def search_design(
         best = solver.best_satisfied if solver else best
         return Timeout(time.monotonic() - start, best, n_t)
 
-    chosen = tuple(inst.candidates[r] for r in sorted(rows))
+    chosen = tuple(_unrank_sorted(n, k, field, sorted(rows)))
     assert len(chosen) == target_n
     candidate = DesignCandidate(field=field, n=n, k=k, blocks=chosen)
     report = verify_design(candidate, t, max_columns=n_t)

@@ -6,14 +6,18 @@ import re
 import time
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from qdesign.errors import DimensionMismatch, InvalidParameters
+from qdesign import grassmann
 from qdesign.gf import make_field, random_invertible
 from qdesign.grassmann import (
     SubspaceBasis,
+    _free_positions,
     _rank_groups,
+    _unrank_sorted,
     apply_map,
     block_echelon_forms,
     enumerate_subspaces,
@@ -25,6 +29,7 @@ from qdesign.grassmann import (
     unrank,
 )
 from qdesign.qcount import q_binomial
+from qdesign.search import build_cover_instance
 from qdesign.verifier import DesignCandidate, verify_design
 
 RANK_CAP = 5000
@@ -54,6 +59,17 @@ def test_rank_matches_enumeration_order_and_unrank_inverts():
         assert count == q_binomial(n, k, q)
         cases += 1
     assert cases > 100
+
+
+def test_unrank_sorted_matches_unrank():
+    # every rank, and seeded increasing subsets that skip whole pivot groups
+    rng = random.Random(5)
+    for q, n, k in _rank_cases():
+        field = make_field(q)
+        blocks = list(iter_subspaces(n, k, field))
+        assert _unrank_sorted(n, k, field, list(range(len(blocks)))) == blocks
+        ranks = sorted(rng.sample(range(len(blocks)), min(len(blocks), 7)))
+        assert _unrank_sorted(n, k, field, ranks) == [unrank(n, k, field, r) for r in ranks]
 
 
 def test_unrank_rejects_out_of_range():
@@ -205,36 +221,37 @@ def test_rank_groups_match_the_per_block_route():
     cases = 0
     for q, n, k, t in _group_cases():
         field = make_field(q)
-        blocks, covers = [], []
-        for group, group_covers in _rank_groups(n, k, t, field):
-            assert len({b.pivot_columns for b in group}) == 1
-            assert len(group_covers) == len(group)
-            blocks += group
+        covers = []
+        groups = list(_rank_groups(n, k, t, field))
+        for pivots, group_covers in zip(combinations(range(n), k), groups, strict=True):
+            assert len(group_covers) == q ** len(_free_positions(n, pivots)), (q, n, k, t)
             covers += group_covers
-        assert blocks == list(iter_subspaces(n, k, field)), (q, n, k, t)
+        blocks = iter_subspaces(n, k, field)
         assert covers == [tuple(t_subspace_ranks(b, t)) for b in blocks], (q, n, k, t)
         cases += 1
     assert cases == 277
 
 
 def test_rank_groups_tick_every_4096_blocks_and_column():
-    # the first group of the 2-subspaces of F_16^4 holds 16^4 blocks, 16
-    # fills of 4096, and its affine table [2 1]_16 = 17 columns
+    # the first group of the 2-subspaces of F_16^4 holds 16^4 = 2^16
+    # blocks, and its affine table has [2 1]_16 = 17 columns; doubling
+    # step s of a column adds 2^s values in ceil(2^s / 4096) ticked runs,
+    # so the 16 steps tick 12 + (1 + 2 + 4 + 8) = 27 times per column
     ticks = []
 
     def tick():
         ticks.append(None)
 
     next(_rank_groups(4, 2, 1, make_field(16), tick))
-    assert len(ticks) == 16 + 17
+    assert len(ticks) == 17 * 27
 
     # odd q ranks each 4096-block fill as it goes; [4 2]_3 has a first
     # group of 81 blocks, and the last of its six groups has one
     ticks.clear()
-    sizes = [len(blocks) for blocks, _ in _rank_groups(4, 2, 1, make_field(3), tick)]
+    sizes = [len(covers) for covers in _rank_groups(4, 2, 1, make_field(3), tick)]
     assert sizes == [81, 27, 9, 9, 3, 1] and len(ticks) == 6
 
-    # a tick that raises stops the group fill at once
+    # a tick that raises stops the group at once
     class Stop(Exception):
         pass
 
@@ -243,6 +260,23 @@ def test_rank_groups_tick_every_4096_blocks_and_column():
 
     with pytest.raises(Stop):
         next(_rank_groups(4, 2, 1, make_field(16), stop))
+
+
+def test_affine_route_builds_only_probe_blocks(monkeypatch):
+    # q = 2, t > 0: each of the 20 pivot groups of [6 3]_2 builds its
+    # all-zero block and one block per free bit, and nothing else
+    built = []
+    real = grassmann.SubspaceBasis
+
+    def counting(*args):
+        built.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(grassmann, "SubspaceBasis", counting)
+    inst = build_cover_instance(6, 3, 1, 1, make_field(2))
+    groups = list(combinations(range(6), 3))
+    assert len(groups) == 20 and len(inst.covers) == 1395
+    assert len(built) == sum(1 + len(_free_positions(6, pivots)) for pivots in groups)
 
 
 def _check_t_zero_and_t_equal_k(q, n):

@@ -6,6 +6,7 @@ import pytest
 
 from qdesign.errors import TooLarge
 from qdesign.gf import make_field
+from qdesign.grassmann import unrank
 from qdesign.qcount import q_binomial
 from qdesign.search import (
     CoverInstance,
@@ -25,7 +26,7 @@ F4 = make_field(4)
 def test_cover_instance_shapes():
     inst = build_cover_instance(4, 2, 1, 1, F2)
     assert inst.universe_size == 15
-    assert len(inst.candidates) == 35
+    assert len(inst.covers) == 35
     assert all(len(c) == q_binomial(2, 1, 2) == 3 for c in inst.covers)
     assert inst.multiplicity == 1
 
@@ -57,7 +58,7 @@ def test_solver_ticks_every_4096_candidates_of_set_up_and_every_node():
     inst = build_cover_instance(4, 2, 1, 1, make_field(16))
     ticks = []
     _ExactCover(inst, lambda: ticks.append(None))
-    assert len(inst.candidates) == 70161 and len(ticks) >= 18
+    assert len(inst.covers) == 70161 and len(ticks) >= 18
 
     # then one tick per node
     inst = build_cover_instance(4, 2, 1, 1, F4)
@@ -76,6 +77,25 @@ def test_timeout_bounds_the_solver_set_up_and_nodes():
     result = search_design(16, 4, 2, 1, 1, limit=0.5)
     assert isinstance(result, Timeout)
     assert time.monotonic() - start < 0.8
+
+
+def test_greedy_pass_ticks_every_4096_candidates():
+    # one pass over the 70,161 candidates of [4 2]_16 ticks at candidates
+    # 0, 4096, ..., 69632: ceil(70161 / 4096) = 18 times
+    inst = build_cover_instance(4, 2, 1, 1, make_field(16))
+    ticks = []
+    _greedy_once(inst, random.Random(0), lambda: ticks.append(None))
+    assert len(ticks) >= 18
+
+
+def test_timeout_within_a_2_25_block_pivot_group():
+    # the first pivot group of [10 5]_2 holds 2^25 blocks; its affine
+    # table is filled by XOR doubling, which ticks once per 4096 values
+    # added, so the 0.3 s limit is not overrun by a whole column
+    start = time.monotonic()
+    result = search_design(2, 10, 5, 1, 1, limit=0.3, max_candidates=10**9)
+    assert isinstance(result, Timeout)
+    assert time.monotonic() - start < 0.6
 
 
 def test_spread_f2_4():
@@ -220,11 +240,10 @@ class _RecountingCover(_ExactCover):
 
 
 def _shuffled(inst, rng):
-    perm = list(range(len(inst.candidates)))
+    perm = list(range(len(inst.covers)))
     rng.shuffle(perm)
     return CoverInstance(
         universe_size=inst.universe_size,
-        candidates=tuple(inst.candidates[r] for r in perm),
         covers=tuple(inst.covers[r] for r in perm),
         multiplicity=inst.multiplicity,
     )
@@ -273,7 +292,7 @@ def test_solver_tree_and_solution_pinned(n, k, t, lam, nodes, digest):
     rows = solver.solve()
     assert solver.nodes == nodes
     assert solver.best_satisfied == inst.universe_size
-    blocks = tuple(inst.candidates[r] for r in sorted(rows))
+    blocks = tuple(unrank(n, k, F2, r) for r in sorted(rows))
     text = format_design_text(DesignCandidate(field=F2, n=n, k=k, blocks=blocks))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert search_design(2, n, k, t, lam).blocks == blocks
@@ -283,7 +302,7 @@ def _greedy_rescan(inst, rng):
     """Reference greedy pass: rescan the order from the start after every
     pick."""
     need = [inst.multiplicity] * inst.universe_size
-    order = list(range(len(inst.candidates)))
+    order = list(range(len(inst.covers)))
     rng.shuffle(order)
     chosen = []
     progress = True

@@ -100,8 +100,7 @@ CASES = {
     ),
     "CoverInstance": (
         lambda: build_cover_instance(2, 1, 1, 1, F2),
-        f"CoverInstance(universe_size=3, candidates={POINTS}, covers=((0,), (1,), (2,)), "
-        "multiplicity=1)",
+        "CoverInstance(universe_size=3, covers=((0,), (1,), (2,)), multiplicity=1)",
     ),
     "NotFound": (
         lambda: search_design(2, 3, 2, 1, 1),
