@@ -27,23 +27,29 @@ picks each pivot greedily from them.
 
 block_echelon_forms lists the canonical bases of a block's t-subspaces
 without elimination, and the decoding certificate takes its subspaces
-from it.  t_subspace_ranks lists their ranks in the same order for the
-verifier, the incidence matrix and the search; in characteristic 2 it
-reads them off rows packed as integers, whose addition is XOR.
+from it.  _group_t_ranks lists their ranks in the same order for many
+blocks with one pivot set: the verifier's, grouped by pivots, a pivot
+group of the incidence matrix or the search, or t_subspace_ranks' one.
+The images P B of the patterns P with one pivot set share their offset,
+and a rank is that offset plus one contribution per row of P B, its free
+entries in place.  Row i is B's row p_i plus c_m times B's row m over
+P's free columns m in row i, so its contributions are a table over those
+c_m alone (_t_plans), and the ranks are the sums over the product of the
+rows' tables.  For q = 2^b addition is XOR and scaling is F_2-linear on
+an entry's b bits, so a contribution is F_2-affine in the c_m's bits: it
+is read off the packed blocks (_packed) for row p_i and 2^j times each
+row m, and XOR doubling fills in the table.  Odd q expands each free
+entry over the c_m through the field's tables.  Each list comprehension
+runs over the blocks, about one per t-subspace however many blocks.
 
 The incidence matrix and the search rank every k-subspace, and
 _rank_groups serves them one pivot group at a time, as covers only: a
-block is its canonical rank, its position in the output.  For q = 2^b the
-ranks within a group are an affine table: every image row of P B is the
-XOR of packed multiples of the block's rows, scaling by c is F_2-linear
-on an entry's b bits, and cutting out the free runs is F_2-linear; the
-image's pivots, and so its offset, are fixed by the group.  So each
-t-subspace rank minus its offset is F_2-affine in the block's free bits,
-and t_subspace_ranks on the only blocks built, the all-zero one and each
-with one free bit set, gives the whole table by XOR doubling.  Odd q has
-no bitwise addition, so there each block is built and ranked on its own,
-as are the verifier's blocks, which are arbitrary.  A table lasts one
-group, never the whole Grassmannian.
+block is its canonical rank, its position in the output.  For q = 2^b
+the ranks within a group are F_2-affine in the block's free bits, by the
+same argument, so _group_t_ranks ranks only the blocks of index 0 and
+2^j, one per free bit, and XOR doubling across blocks fills in the
+table.  Odd q passes the group to _group_t_ranks 4096 blocks at a time.
+No SubspaceBasis is built, and a table lasts one group.
 """
 
 from __future__ import annotations
@@ -209,29 +215,14 @@ def _with_pivot(n: int, k: int, q: int, i: int, e: int, c: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _pivot_plan(n: int, q: int, pivots: tuple[int, ...]) -> tuple:
-    """(offset, free positions, free runs) of n-column bases with these pivots.
-
-    The free runs serve q = 2^b (empty for other q) and rows packed as
-    in t_subspace_ranks.  Each maximal run of consecutive free columns
-    in one row is (row, shift, mask, pos): its entries are (row >> shift)
-    & mask, and they sit at bit pos of the free entries as one number."""
+def _pivot_plan(n: int, q: int, pivots: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(offset, free positions) of n-column bases with these pivots."""
     k = len(pivots)
     offset = e = 0
     for i, (prev, p) in enumerate(zip((-1,) + pivots, pivots)):
         offset += sum(_with_pivot(n, k, q, i, e, c) for c in range(prev + 1, p))
         e += n - k + i - p
-    free = _free_positions(n, pivots)
-    bits = q.bit_length() - 1 if q & (q - 1) == 0 else 0
-    runs: list[list[int]] = []  # [row, first column, last column, digits below]
-    for d, f in enumerate(reversed(free) if bits else ()):
-        i, j = divmod(f, n)
-        if runs and runs[-1][0] == i and runs[-1][1] == j + 1:
-            runs[-1][1] = j
-        else:
-            runs.append([i, j, j, d])
-    return offset, free, tuple([(i, bits * (n - 1 - last), (1 << bits * (last - first + 1)) - 1,
-                                 bits * d) for i, first, last, d in runs])
+    return offset, _free_positions(n, pivots)
 
 
 def _pivots(rows) -> tuple[int, ...]:
@@ -242,7 +233,7 @@ def _pivots(rows) -> tuple[int, ...]:
 def subspace_rank(S: SubspaceBasis) -> int:
     """Position of S in the canonical order of iter_subspaces(S.n, S.k, .)."""
     q, entries = S.field.q, S.entries
-    offset, free, _ = _pivot_plan(S.n, q, S.pivot_columns)
+    offset, free = _pivot_plan(S.n, q, S.pivot_columns)
     r = 0
     for f in free:
         r = r * q + entries[f]
@@ -264,7 +255,8 @@ def unrank(n: int, k: int, field: FieldSpec, r: int) -> SubspaceBasis:
         pivots.append(c)
         e += n - k + i - c
         c += 1
-    return _group_block(field, n, k, _pivot_template(n, pivots), _free_positions(n, pivots), r)
+    entries = _group_entries(q, _pivot_template(n, pivots), _free_positions(n, pivots), r)
+    return SubspaceBasis(field, n, k, entries)
 
 
 def _unrank_sorted(n: int, k: int, field: FieldSpec, ranks: list[int]) -> list[SubspaceBasis]:
@@ -277,20 +269,18 @@ def _unrank_sorted(n: int, k: int, field: FieldSpec, ranks: list[int]) -> list[S
             pivots = next(groups)
             template, free = _pivot_template(n, pivots), _free_positions(n, pivots)
             offset, end = end, end + field.q ** len(free)
-        out.append(_group_block(field, n, k, template, free, r - offset))
+        out.append(SubspaceBasis(field, n, k, _group_entries(field.q, template, free, r - offset)))
     return out
 
 
-def _group_block(
-    field: FieldSpec, n: int, k: int, template: list[int], free: tuple[int, ...], i: int
-) -> SubspaceBasis:
-    """The block at index i of the pivot group with this _pivot_template
-    and these free positions: i's base-q digits fill the free entries,
-    the last digit least significant."""
+def _group_entries(q: int, template: list[int], free: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The entries of the block at index i of the pivot group with this
+    _pivot_template and these free positions: i's base-q digits fill the
+    free entries, the last digit least significant."""
     entries = list(template)
     for pos in reversed(free):
-        i, entries[pos] = divmod(i, field.q)
-    return SubspaceBasis(field, n, k, tuple(entries))
+        i, entries[pos] = divmod(i, q)
+    return tuple(entries)
 
 
 @lru_cache(maxsize=None)
@@ -350,66 +340,109 @@ def block_echelon_forms(
 
 def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
     """Canonical ranks of the [k t]_q t-subspaces of a k-dimensional
-    block, in the order of block_echelon_forms, with no elimination.
+    block, in the order of block_echelon_forms, with no elimination: the
+    one-block call of _group_t_ranks."""
+    check_chain(0, t=t, k=block.k)
+    ranks = _group_t_ranks(block.field, block.n, t, block.pivot_columns, [block.entries])
+    return [r for r, in ranks]
 
-    In characteristic 2 (q = 2^b) an element's b bits are its
-    coefficients over F_2, so F_q addition is XOR.  Each block row and
-    each of its nonzero multiples is packed as an integer with b bits
-    per entry, entry 0 most significant; an image row of P B (see
-    block_echelon_forms) is then the XOR of a few packed rows, and since
-    a base-q digit is a group of b bits, the rank is the offset plus the
-    runs of free columns shifted into place (_pivot_plan).  Odd q, whose
-    addition is not bitwise, reads the free entries of each image from
-    block_echelon_forms one digit at a time.
-    """
+
+def _packed(field: FieldSpec, forms, c: int) -> list[int]:
+    """Each entries tuple of forms, scaled by c, as one integer with b
+    bits per entry, entry 0 most significant, for q = 2^b.  The work is
+    in C: an entry below 16 is the second digit of its hex byte, and int
+    reads those digits in base q."""
+    table = bytes(field.mul_table[c]).ljust(256, b"\0")  # for bytes.translate: x -> c x
+    return [int(bytes(e).translate(table).hex()[1::2], field.q) for e in forms]
+
+
+@lru_cache(maxsize=1024)  # a plan is reused only across calls
+def _t_plans(n: int, q: int, t: int, pivots: tuple[int, ...]) -> tuple:
+    """Per pattern pivot set of the t-subspaces of blocks with these
+    pivots, in order: the images' offset and, per image row with free
+    columns, its table's recipe.  For q = 2^b that is its probes (j, runs)
+    in doubling order, 2^j times row p_i, then each row m, the last first
+    and low bits first; a run (shift, mask, pos) moves (w >> shift) & mask
+    of a packed block w to bit pos.  For odd q it is the table size and,
+    per free column, (f, place value, fs): the column's flat index in row
+    p_i and in each row m."""
+    k = len(pivots)
+    bits = q.bit_length() - 1 if q & (q - 1) == 0 else 0
+    plans = []
+    for pat in combinations(range(k), t):
+        offset, free = _pivot_plan(n, q, tuple([pivots[p] for p in pat]))
+        rows = []
+        for i, lead in enumerate(pat):
+            terms = [m for m in range(lead + 1, k) if m not in pat]
+            # the free columns of image row i, with their base-q digit in the rank
+            cols = [(f - i * n, len(free) - 1 - d) for d, f in enumerate(free) if f // n == i]
+            if not cols:
+                continue
+            if not bits:
+                rows.append((q ** len(terms), tuple([
+                    (lead * n + j, q**e, tuple([m * n + j for m in terms])) for j, e in cols])))
+                continue
+            runs: list[list[int]] = []  # [first column, last column, its digit]
+            for j, e in cols:
+                if runs and runs[-1][1] == j - 1:
+                    runs[-1][1:] = [j, e]
+                else:
+                    runs.append([j, j, e])
+            rows.append(tuple([(j, tuple([(bits * (n * (k - m) - 1 - last),
+                                           (1 << bits * (last - first + 1)) - 1, bits * e)
+                                          for first, last, e in runs]))
+                               for j, m in [(0, lead)] + [(j, m) for m in reversed(terms)
+                                                          for j in range(bits)]]))
+        plans.append((offset, tuple(rows)))
+    return tuple(plans)
+
+
+def _group_t_ranks(
+    field: FieldSpec, n: int, t: int, pivots: tuple[int, ...], forms
+) -> list[list[int]]:
+    """The canonical ranks of the t-subspaces of canonical blocks that
+    share these pivot columns, given by their entries: one list per
+    t-subspace, in the order of block_echelon_forms, of one rank per
+    block.  The module doc describes the method."""
+    count = len(forms)
     if t == 0:  # every block has exactly one 0-subspace; its rows are not read
-        return [0]
-    field = block.field
-    q = field.q
+        return [[0] * count]
+    q, binary = field.q, field.characteristic == 2
+    if binary:
+        scaled = [_packed(field, forms, 1 << j) for j in range(field.degree)]
+    else:
+        add, mul, columns = field.add_table, field.mul_table, list(zip(*forms))
+
+    def part(j, runs):  # the entries of 2^j times the blocks at these runs
+        words = scaled[j]
+        (shift, mask, pos), *rest = runs
+        values = [(w >> shift & mask) << pos for w in words]
+        for shift, mask, pos in rest:
+            values = [v | (w >> shift & mask) << pos for v, w in zip(values, words)]
+        return values
+
     out = []
-    if field.characteristic != 2:
-        for pivots, images in block_echelon_forms(block, t):
-            offset, free, _ = _pivot_plan(block.n, q, pivots)
-            for image in images:
-                r = 0
-                for f in free:
-                    r = r * q + image[f]
-                out.append(offset + r)
-        return out
-    n, k, entries = block.n, block.k, block.entries
-    if not 0 <= t <= k:  # inline: this runs once per block
-        check_chain(0, t=t, k=k)
-    bits, mul = field.degree, field.mul_table
-    # packed[m][c] = c * row m, packed, for the coefficients c >= 1
-    packed = []
-    pivots = []
-    for i in range(0, k * n, n):
-        row = entries[i : i + n]
-        pivots.append(row.index(1))  # a canonical row leads with 1
-        v = 0
-        for x in row:
-            v = v << bits | x
-        multiples = [0, v]
-        for c in range(2, q):
-            mc = mul[c]
-            v = 0
-            for x in row:
-                v = v << bits | mc[x]
-            multiples.append(v)
-        packed.append(multiples)
-    for pat_pivots, bases in _patterns(k, t, q):
-        offset, _, runs = _pivot_plan(n, q, tuple([pivots[p] for p in pat_pivots]))
-        for basis in bases:
-            image = []
-            for lead, terms in basis:
-                acc = packed[lead][1]
-                for m, c in terms:
-                    acc ^= packed[m][c]
-                image.append(acc)
-            r = offset
-            for i, shift, mask, pos in runs:
-                r += (image[i] >> shift & mask) << pos
-            out.append(r)
+    for offset, rows in _t_plans(n, q, t, pivots):
+        ranks = [[offset] * count]
+        for row in rows:
+            if binary:
+                base, *units = [part(j, runs) for j, runs in row]
+                table = [base]
+                for unit in units:
+                    table += [[x ^ y for x, y in zip(v, unit)] for v in table]
+            else:
+                size, cols = row
+                table = [[0] * count] * size
+                for f, weight, fs in cols:
+                    digits = [columns[f]]
+                    for g in fs:
+                        multiples = [[mc[x] for x in columns[g]] for mc in mul]
+                        digits = [[add[x][y] for x, y in zip(a, b)]
+                                  for a in digits for b in multiples]
+                    table = [[x + weight * y for x, y in zip(a, b)]
+                             for a, b in zip(table, digits)]
+            ranks = [[x + y for x, y in zip(a, b)] for a in ranks for b in table]
+        out += ranks
     return out
 
 
@@ -418,18 +451,18 @@ def _rank_groups(
 ) -> Iterator[list[tuple[int, ...]]]:
     """The covers of the k-subspaces of F_q^n in canonical order, one
     pivot group at a time: covers[j] == tuple(t_subspace_ranks(S, t)) for
-    S the group's j-th block, which is not kept.  It takes no cap: each
-    caller bounds [n k]_q first.
+    S the group's j-th block, which is never built.  It takes no cap:
+    each caller bounds [n k]_q first.
 
-    For q = 2^b and t > 0 each rank minus its offset is F_2-affine in
-    the block's free bits (see the module doc), so t_subspace_ranks runs
-    only on the group's probe blocks, those of index 0 and 2^j for each
-    free bit j, and XOR doubling fills in the table.  Other q, and t = 0,
-    build and rank each block in turn.
+    For q = 2^b and t > 0 one _group_t_ranks call ranks the group's probe
+    blocks, of index 0 and 2^j for each free bit j, and XOR doubling
+    fills in the table (see the module doc).  Other q, and t = 0, pass
+    the group's entries to _group_t_ranks 4096 at a time.
 
-    tick, if given, is called after every 4096 blocks ranked one at a
-    time and before each run of at most 4096 values that XOR doubling
-    adds to a column, so a caller can stop a long group by raising.
+    tick, if given, is called after every 4096 blocks passed to
+    _group_t_ranks and before each run of at most 4096 values that XOR
+    doubling adds to a column, so a caller can stop a long group by
+    raising.
     """
     q, tick = field.q, tick or (lambda: None)
     affine = field.characteristic == 2 and t > 0
@@ -437,25 +470,23 @@ def _rank_groups(
         if not affine:
             forms = _group_forms(n, pivots, q)
             covers: list[tuple[int, ...]] = []
-            while chunk := [tuple(t_subspace_ranks(SubspaceBasis(field, n, k, e), t))
-                            for e in islice(forms, 4096)]:
-                covers += chunk
+            while chunk := list(islice(forms, 4096)):
+                covers += zip(*_group_t_ranks(field, n, t, pivots, chunk))
                 tick()
             yield covers
             continue
         template, free = _pivot_template(n, pivots), _free_positions(n, pivots)
-        probes = [0] + [1 << j for j in range(field.degree * len(free))]
-        base, *units = [t_subspace_ranks(_group_block(field, n, k, template, free, i), t)
-                        for i in probes]
+        probes = [_group_entries(q, template, free, i)
+                  for i in [0] + [1 << j for j in range(field.degree * len(free))]]
         offsets = []
         for pat, bases in _patterns(k, t, q):
             offsets += [_pivot_plan(n, q, tuple([pivots[p] for p in pat]))[0]] * len(bases)
         columns = []
-        for i, offset in enumerate(offsets):
-            c = base[i] - offset
+        for offset, (base, *units) in zip(offsets, _group_t_ranks(field, n, t, pivots, probes)):
+            c = base - offset
             values = [c]
             for unit in units:
-                d = (unit[i] - offset) ^ c
+                d = (unit - offset) ^ c
                 for s in range(0, len(values), 4096):
                     tick()
                     values += [v ^ d for v in values[s : s + 4096]]

@@ -59,8 +59,8 @@ def build_incidence(
     """Build the full structure for parameters t <= k <= n.
 
     Each row's ones sit at the canonical ranks of the t-subspaces *of the
-    row subspace* (grassmann.t_subspace_ranks, one pivot group of rows at
-    a time by grassmann._rank_groups), which costs [k t]_q per row
+    row subspace* (one pivot group of rows at a time, by
+    grassmann._rank_groups), which costs [k t]_q per row
     instead of a containment test per (row, column) pair; both indexes
     list the subspaces in canonical order, by iter_subspaces.  Entries
     are only ever 0 or 1 by construction, so the boundedness parameter

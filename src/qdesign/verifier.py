@@ -5,9 +5,10 @@ A collection of k-subspaces is a t-design iff every t-subspace of the
 ambient space is contained in the same number lambda of blocks.
 Verification counts coverage per t-subspace directly from the blocks:
 each block contributes the canonical ranks of its own [k t]_q
-t-subspaces (grassmann.t_subspace_ranks) to a flat list of counts, so
-neither the incidence matrix nor the t-subspaces themselves are
-materialized and the only size cap is the number of t-subspaces.
+t-subspaces to a flat list of counts, so neither the incidence matrix
+nor the t-subspaces themselves are materialized and the only size cap is
+the number of t-subspaces.  The blocks are grouped by pivot columns, and
+grassmann._group_t_ranks ranks up to 4096 blocks of a group in one call.
 
 Design file format (text):
     line 1: "q n k"
@@ -22,7 +23,7 @@ from collections import Counter
 
 from .errors import DimensionMismatch, InvalidParameters, _value_class, check_chain
 from .gf import FieldSpec, make_field
-from .grassmann import SubspaceBasis, _span, t_subspace_ranks, unrank
+from .grassmann import SubspaceBasis, _group_t_ranks, _span, unrank
 from .qcount import capped, q_binomial
 
 _DIGITS = "0123456789abcdef"
@@ -71,14 +72,21 @@ def verify_design(
     check_chain(0, t=t, k=k, n=n)
     (num_cols,) = capped(q, [(n, t)], max_columns)
 
-    counts = [0] * num_cols  # indexed by canonical rank
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # blocks' entries by pivots
     for block in candidate.blocks:
-        for r in t_subspace_ranks(block, t):
-            counts[r] += 1
+        e = block.entries  # canonical: row i leads with a 1
+        groups.setdefault(tuple([e.index(1, i * n) - i * n for i in range(k)]), []).append(e)
+    counts = [0] * num_cols  # indexed by canonical rank
+    for pivots, forms in groups.items():
+        for s in range(0, len(forms), 4096):  # bounds the kernel's tables
+            for ranks in _group_t_ranks(field, n, t, pivots, forms[s : s + 4096]):
+                for r in ranks:
+                    counts[r] += 1
 
     histogram = dict(sorted(Counter(counts).items()))
     N = len(candidate.blocks)
-    is_simple = len(set(candidate.blocks)) == N
+    # blocks share field, n and k, so equal entries are equal blocks
+    is_simple = len({block.entries for block in candidate.blocks}) == N
     is_design = len(histogram) == 1
     lambda_: int | None = None
     failing: SubspaceBasis | None = None

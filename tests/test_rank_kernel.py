@@ -1,21 +1,25 @@
 """Canonical ranks and the t-subspaces-of-a-block kernel, checked against
 enumeration order and against vector-set (vector_mask) containment."""
 
+import hashlib
 import random
 import re
 import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from qdesign.errors import DimensionMismatch, InvalidParameters
-from qdesign import grassmann
-from qdesign.gf import make_field, random_invertible
+from qdesign import grassmann, verifier
+from qdesign.gf import SUPPORTED_ORDERS, make_field, random_invertible
 from qdesign.grassmann import (
     SubspaceBasis,
     _free_positions,
+    _group_forms,
+    _group_t_ranks,
     _rank_groups,
     _unrank_sorted,
     apply_map,
@@ -28,6 +32,7 @@ from qdesign.grassmann import (
     t_subspace_ranks,
     unrank,
 )
+from qdesign.incidence import build_incidence
 from qdesign.qcount import q_binomial
 from qdesign.search import build_cover_instance
 from qdesign.verifier import DesignCandidate, verify_design
@@ -150,8 +155,7 @@ def _check_blocks(blocks, n, t, field):
         # in increasing order, which search.build_cover_instance relies on
         assert ranks == _mask_ranks(block, cols), block
         # in order, against the images that block_echelon_forms lists
-        images = [e for _, group in block_echelon_forms(block, t) for e in group]
-        assert ranks == [subspace_rank(SubspaceBasis(field, n, t, tuple(e))) for e in images]
+        assert tuple(ranks) == _echelon_ranks(block, t)
 
 
 @pytest.mark.parametrize("q,n,k,t", [(2, 5, 3, 2), (3, 4, 2, 1), (4, 4, 2, 1)])
@@ -215,9 +219,17 @@ def _group_cases():
                         yield q, n, k, t
 
 
+def _echelon_ranks(block, t):
+    # the ranks of block's t-subspaces by subspace_rank of their echelon
+    # forms: an oracle that shares no code with _group_t_ranks
+    n, field = block.n, block.field
+    images = [e for _, group in block_echelon_forms(block, t) for e in group]
+    return tuple(subspace_rank(SubspaceBasis(field, n, t, tuple(e))) for e in images)
+
+
 def test_rank_groups_match_the_per_block_route():
-    # the affine tables (q = 2^b, t > 0) and the per-block calls (odd q,
-    # t = 0) against iter_subspaces and one t_subspace_ranks per block
+    # the affine tables (q = 2^b, t > 0) and the 4096-block runs (odd q,
+    # t = 0) against iter_subspaces and the echelon forms of each block
     cases = 0
     for q, n, k, t in _group_cases():
         field = make_field(q)
@@ -227,7 +239,7 @@ def test_rank_groups_match_the_per_block_route():
             assert len(group_covers) == q ** len(_free_positions(n, pivots)), (q, n, k, t)
             covers += group_covers
         blocks = iter_subspaces(n, k, field)
-        assert covers == [tuple(t_subspace_ranks(b, t)) for b in blocks], (q, n, k, t)
+        assert covers == [_echelon_ranks(b, t) for b in blocks], (q, n, k, t)
         cases += 1
     assert cases == 277
 
@@ -263,8 +275,25 @@ def test_rank_groups_tick_every_4096_blocks_and_column():
 
 
 def test_affine_route_builds_only_probe_blocks(monkeypatch):
-    # q = 2, t > 0: each of the 20 pivot groups of [6 3]_2 builds its
+    # q = 2, t > 0: each of the 20 pivot groups of [6 3]_2 ranks its
     # all-zero block and one block per free bit, and nothing else
+    ranked = []
+    real = grassmann._group_t_ranks
+
+    def counting(field, n, t, pivots, forms):
+        ranked.extend(forms)
+        return real(field, n, t, pivots, forms)
+
+    monkeypatch.setattr(grassmann, "_group_t_ranks", counting)
+    inst = build_cover_instance(6, 3, 1, 1, make_field(2))
+    groups = list(combinations(range(6), 3))
+    assert len(groups) == 20 and len(inst.covers) == 1395
+    assert len(ranked) == sum(1 + len(_free_positions(6, pivots)) for pivots in groups)
+
+
+def test_incidence_builds_only_its_indexes(monkeypatch):
+    # odd q: ranking a row block builds no SubspaceBasis, so the
+    # [5 2]_3 = 1210 rows and [5 1]_3 = 121 columns are the only ones built
     built = []
     real = grassmann.SubspaceBasis
 
@@ -273,10 +302,9 @@ def test_affine_route_builds_only_probe_blocks(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(grassmann, "SubspaceBasis", counting)
-    inst = build_cover_instance(6, 3, 1, 1, make_field(2))
-    groups = list(combinations(range(6), 3))
-    assert len(groups) == 20 and len(inst.covers) == 1395
-    assert len(built) == sum(1 + len(_free_positions(6, pivots)) for pivots in groups)
+    M = build_incidence(5, 2, 1, make_field(3))
+    assert (M.num_rows, M.num_cols) == (1210, 121)
+    assert len(built) == 1210 + 121
 
 
 def _check_t_zero_and_t_equal_k(q, n):
@@ -328,3 +356,96 @@ def test_verify_histogram_and_witness_match_mask_oracle(q, n, k, t, size):
         histogram, witness = _mask_histogram_and_witness(blocks, n, t, field)
         assert report.counts_histogram == histogram
         assert report.failing_t_subspace == witness
+
+
+# the _group_t_ranks grid: n per q, so that a vector mask has at most q^n
+# <= 4096 bits; every pivot group whole, and seeded random sub-groups
+KERNEL_N = {2: 5, 3: 4, 4: 4}
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_group_kernel_matches_containment(q):
+    field, n = make_field(q), KERNEL_N.get(q, 3)
+    rng = random.Random(f"group-kernel:{q}")
+    cases = 0
+    for k in range(n + 1):
+        for t in range(k + 1):
+            cols = [a.vector_mask for a in iter_subspaces(n, t, field)]
+            for pivots in combinations(range(n), k):
+                group = [SubspaceBasis(field, n, k, e) for e in _group_forms(n, pivots, q)]
+                for blocks in [group, rng.sample(group, 1)] + [
+                    rng.sample(group, rng.randint(1, len(group))) for _ in range(2)
+                ]:
+                    ranks = _group_t_ranks(field, n, t, pivots, [b.entries for b in blocks])
+                    assert len(ranks) == q_binomial(k, t, q)
+                    assert all(len(r) == len(blocks) for r in ranks)
+                    expected = [_mask_ranks(b, cols) for b in blocks]
+                    assert [list(r) for r in zip(*ranks)] == expected, (q, n, k, t, pivots)
+                    cases += 1
+    assert cases == 4 * sum((k + 1) * comb(n, k) for k in range(n + 1))
+
+
+def test_verify_runs_a_large_group_in_several_calls(monkeypatch):
+    # the first pivot group of the 2-subspaces of F_2^9 holds 2^14 blocks,
+    # ranked in four calls of 4096; the trivial 1-design has lambda = [8 1]_2
+    calls = []
+    real = verifier._group_t_ranks
+
+    def counting(field, n, t, pivots, forms):
+        calls.append((pivots, len(forms)))
+        return real(field, n, t, pivots, forms)
+
+    monkeypatch.setattr(verifier, "_group_t_ranks", counting)
+    field = make_field(2)
+    blocks = tuple(iter_subspaces(9, 2, field))
+    assert len(blocks) == 43435 == q_binomial(9, 2, 2)
+    report = verify_design(DesignCandidate(field=field, n=9, k=2, blocks=blocks), 1)
+    assert calls[:7] == [((0, 1), 4096)] * 4 + [((0, 2), 4096)] * 2 + [((0, 3), 2**12)]
+    assert report.is_design and report.lambda_ == 255 == q_binomial(8, 1, 2)
+    assert report.is_simple and report.is_trivial
+    assert report.counts_histogram == {255: q_binomial(9, 1, 2)}
+
+
+# (q, n, k, t) of the covers under the digest below
+DIGEST_COVERS = (
+    (2, 6, 3, 0), (2, 6, 3, 1), (2, 6, 3, 2), (2, 7, 3, 2),
+    (3, 5, 2, 1), (3, 5, 3, 2), (3, 4, 2, 0),
+    (4, 4, 2, 1), (4, 5, 2, 2),
+    (8, 4, 2, 1), (9, 4, 2, 1), (16, 3, 2, 1),
+)
+
+
+def _report_key(report):
+    failing = report.failing_t_subspace
+    return (report.is_design, report.t, report.lambda_, report.is_simple, report.is_trivial,
+            tuple(report.counts_histogram.items()), None if failing is None else failing.entries)
+
+
+def test_rank_outputs_are_byte_identical_to_the_pinned_digests():
+    # sha256 over the _rank_groups covers of DIGEST_COVERS, and over the
+    # verify_design reports of the bench's coverage designs (the trivial
+    # ones and the four seed-11 random 279-subsets of [6 3]_2 at t = 2);
+    # the digests were taken before the batched kernel replaced the
+    # per-block routes, and a later kernel must reproduce them
+    covers = hashlib.sha256()
+    for q, n, k, t in DIGEST_COVERS:
+        covers.update(repr((q, n, k, t)).encode())
+        for group in _rank_groups(n, k, t, make_field(q)):
+            covers.update(repr(group).encode())
+    assert covers.hexdigest() == (
+        "f9919b837815b5471fab324be58647b0cab6b6f9017c0fe5dd0ce1d0c04cb6d9"
+    )
+    reports = hashlib.sha256()
+    for q, n, k, t in ((2, 6, 3, 2), (3, 5, 3, 2), (2, 8, 2, 1)):
+        field = make_field(q)
+        cand = DesignCandidate(field=field, n=n, k=k, blocks=tuple(iter_subspaces(n, k, field)))
+        reports.update(repr(_report_key(verify_design(cand, t))).encode())
+    f2 = make_field(2)
+    planes = tuple(iter_subspaces(6, 3, f2))
+    rng = random.Random("coverage:11")
+    for _ in range(4):
+        cand = DesignCandidate(field=f2, n=6, k=3, blocks=tuple(rng.sample(planes, 279)))
+        reports.update(repr(_report_key(verify_design(cand, 2))).encode())
+    assert reports.hexdigest() == (
+        "1e749b12dc80fa6b68482e9731b321d91c684c408eb0d61159d1eb1ee163f01c"
+    )
