@@ -27,9 +27,10 @@ picks each pivot greedily from them.
 
 block_echelon_forms lists the canonical bases of a block's t-subspaces
 without elimination, and the decoding certificate takes its subspaces
-from it.  _group_t_ranks lists their ranks in the same order for many
-blocks with one pivot set: the verifier's, grouped by pivots, a pivot
-group of the incidence matrix or the search, or t_subspace_ranks' one.
+from it; it reads none of the kernel's tables, and the tests hold the
+kernel to it.  _group_t_ranks lists their ranks in the same order for
+many blocks with one pivot set: the verifier's, grouped by pivots, a
+pivot group of the incidence matrix or the search, or t_subspace_ranks'.
 The images P B of the patterns P with one pivot set share their offset,
 and a rank is that offset plus one contribution per row of P B, its free
 entries in place.  Row i is B's row p_i plus c_m times B's row m over
@@ -44,12 +45,13 @@ runs over the blocks, about one per t-subspace however many blocks.
 
 The incidence matrix and the search rank every k-subspace, and
 _rank_groups serves them one pivot group at a time, as covers only: a
-block is its canonical rank, its position in the output.  For q = 2^b
-the ranks within a group are F_2-affine in the block's free bits, by the
-same argument, so _group_t_ranks ranks only the blocks of index 0 and
-2^j, one per free bit, and XOR doubling across blocks fills in the
-table.  Odd q passes the group to _group_t_ranks 4096 blocks at a time.
-No SubspaceBasis is built, and a table lasts one group.
+block is its canonical rank, its position in the output.  The route
+depends on the characteristic alone.  For q = 2^b the ranks within a
+group are F_2-affine in the block's free bits, by the same argument, so
+_group_t_ranks ranks only the blocks of index 0 and 2^j, one per free
+bit, and XOR doubling across blocks, from _t_plans' offsets, fills in
+the table.  Odd q passes the group to _group_t_ranks 4096 blocks at a
+time.  No SubspaceBasis is built, and a table lasts one group.
 """
 
 from __future__ import annotations
@@ -195,18 +197,12 @@ def _group_forms(n: int, pivots: tuple[int, ...], q: int) -> Iterator[tuple[int,
     return product(*entries)
 
 
-def _echelon_forms(n: int, k: int, q: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(pivot columns, entries) of every k x n canonical basis, in canonical order."""
-    for pivots in combinations(range(n), k):
-        for entries in _group_forms(n, pivots, q):
-            yield pivots, entries
-
-
 def iter_subspaces(n: int, k: int, field: FieldSpec) -> Iterator[SubspaceBasis]:
     """All k-subspaces of F_q^n in canonical order, lazily."""
     check_chain(0, k=k, n=n)
-    for _, entries in _echelon_forms(n, k, field.q):
-        yield SubspaceBasis(field, n, k, entries)
+    for pivots in combinations(range(n), k):
+        for entries in _group_forms(n, pivots, field.q):
+            yield SubspaceBasis(field, n, k, entries)
 
 
 def _with_pivot(n: int, k: int, q: int, i: int, e: int, c: int) -> int:
@@ -283,21 +279,6 @@ def _group_entries(q: int, template: list[int], free: tuple[int, ...], i: int) -
     return tuple(entries)
 
 
-@lru_cache(maxsize=None)
-def _patterns(k: int, t: int, q: int) -> tuple:
-    """The canonical t x k bases of F_q^k in canonical order, grouped by
-    pivot columns: (pivots, bases), where a basis lists per row its pivot
-    and the (column, entry) pairs of the row's other nonzero entries."""
-    groups: dict[tuple[int, ...], list] = {}
-    for pivots, entries in _echelon_forms(k, t, q):
-        rows = []
-        for i, p in enumerate(pivots):
-            row = entries[i * k : (i + 1) * k]
-            rows.append((p, tuple((m, c) for m, c in enumerate(row) if c and m != p)))
-        groups.setdefault(pivots, []).append(tuple(rows))
-    return tuple((pivots, tuple(bases)) for pivots, bases in groups.items())
-
-
 def block_echelon_forms(
     block: SubspaceBasis, t: int
 ) -> list[tuple[tuple[int, ...], list[list[int]]]]:
@@ -309,6 +290,8 @@ def block_echelon_forms(
     and B the block's basis.  With B in RREF, P B is in RREF too: its row
     i has its pivot where B's row p_i has, p_i being P's pivot in row i.
     So the canonical basis is the product itself, with no elimination.
+    P comes from combinations and _group_forms, with none of the rank
+    kernel's tables, so the tests hold _group_t_ranks to this function.
 
     Precondition: `block.entries` is canonical (RREF, no zero rows), the
     SubspaceBasis invariant that every library constructor guarantees;
@@ -324,17 +307,19 @@ def block_echelon_forms(
     # scaled[m][c] = c * row m, for the coefficients c >= 1 that occur
     scaled = [[None, row] + [tuple([mul[c][x] for x in row]) for c in range(2, q)] for row in rows]
     groups = []
-    for pat_pivots, bases in _patterns(k, t, q):
+    for pat in combinations(range(k), t):
         images = []
-        for basis in bases:
+        for entries in _group_forms(k, pat, q):
             image: list[int] = []
-            for lead, terms in basis:
+            for i, lead in enumerate(pat):
+                # P's row i is 0 left of its pivot and at the other pivots
                 acc = rows[lead]
-                for m, c in terms:
-                    acc = [add[x][y] for x, y in zip(acc, scaled[m][c])]
+                for m, c in enumerate(entries[i * k + lead + 1 : (i + 1) * k], lead + 1):
+                    if c:
+                        acc = [add[x][y] for x, y in zip(acc, scaled[m][c])]
                 image += acc
             images.append(image)
-        groups.append((tuple([pivots[p] for p in pat_pivots]), images))
+        groups.append((tuple([pivots[p] for p in pat]), images))
     return groups
 
 
@@ -359,21 +344,23 @@ def _packed(field: FieldSpec, forms, c: int) -> list[int]:
 @lru_cache(maxsize=1024)  # a plan is reused only across calls
 def _t_plans(n: int, q: int, t: int, pivots: tuple[int, ...]) -> tuple:
     """Per pattern pivot set of the t-subspaces of blocks with these
-    pivots, in order: the images' offset and, per image row with free
-    columns, its table's recipe.  For q = 2^b that is its probes (j, runs)
-    in doubling order, 2^j times row p_i, then each row m, the last first
-    and low bits first; a run (shift, mask, pos) moves (w >> shift) & mask
-    of a packed block w to bit pos.  For odd q it is the table size and,
-    per free column, (f, place value, fs): the column's flat index in row
-    p_i and in each row m."""
+    pivots, in order: the images' offset, the patterns' count (the product
+    over the rows of q^|terms|) and, per image row with free columns, its
+    table's recipe.  For q = 2^b that is its probes (j, runs) in doubling
+    order, 2^j times row p_i, then each row m, the last first and low bits
+    first; a run (shift, mask, pos) moves (w >> shift) & mask of a packed
+    block w to bit pos.  For odd q it is the table size and, per free
+    column, (f, place value, fs): the column's flat index in row p_i and
+    in each row m."""
     k = len(pivots)
     bits = q.bit_length() - 1 if q & (q - 1) == 0 else 0
     plans = []
     for pat in combinations(range(k), t):
         offset, free = _pivot_plan(n, q, tuple([pivots[p] for p in pat]))
-        rows = []
+        size, rows = 1, []
         for i, lead in enumerate(pat):
             terms = [m for m in range(lead + 1, k) if m not in pat]
+            size *= q ** len(terms)
             # the free columns of image row i, with their base-q digit in the rank
             cols = [(f - i * n, len(free) - 1 - d) for d, f in enumerate(free) if f // n == i]
             if not cols:
@@ -393,7 +380,7 @@ def _t_plans(n: int, q: int, t: int, pivots: tuple[int, ...]) -> tuple:
                                           for first, last, e in runs]))
                                for j, m in [(0, lead)] + [(j, m) for m in reversed(terms)
                                                           for j in range(bits)]]))
-        plans.append((offset, tuple(rows)))
+        plans.append((offset, size, tuple(rows)))
     return tuple(plans)
 
 
@@ -422,7 +409,7 @@ def _group_t_ranks(
         return values
 
     out = []
-    for offset, rows in _t_plans(n, q, t, pivots):
+    for offset, _, rows in _t_plans(n, q, t, pivots):
         ranks = [[offset] * count]
         for row in rows:
             if binary:
@@ -454,10 +441,11 @@ def _rank_groups(
     S the group's j-th block, which is never built.  It takes no cap:
     each caller bounds [n k]_q first.
 
-    For q = 2^b and t > 0 one _group_t_ranks call ranks the group's probe
-    blocks, of index 0 and 2^j for each free bit j, and XOR doubling
-    fills in the table (see the module doc).  Other q, and t = 0, pass
-    the group's entries to _group_t_ranks 4096 at a time.
+    The route is picked by the field's characteristic.  For q = 2^b one
+    _group_t_ranks call ranks the group's probe blocks, of index 0 and
+    2^j for each free bit j, and XOR doubling fills in the table (see the
+    module doc), whose columns start at the offsets of _t_plans.  Odd q
+    passes the group's entries to _group_t_ranks 4096 at a time.
 
     tick, if given, is called after every 4096 blocks passed to
     _group_t_ranks and before each run of at most 4096 values that XOR
@@ -465,9 +453,8 @@ def _rank_groups(
     raising.
     """
     q, tick = field.q, tick or (lambda: None)
-    affine = field.characteristic == 2 and t > 0
     for pivots in combinations(range(n), k):
-        if not affine:
+        if field.characteristic != 2:
             forms = _group_forms(n, pivots, q)
             covers: list[tuple[int, ...]] = []
             while chunk := list(islice(forms, 4096)):
@@ -478,9 +465,7 @@ def _rank_groups(
         template, free = _pivot_template(n, pivots), _free_positions(n, pivots)
         probes = [_group_entries(q, template, free, i)
                   for i in [0] + [1 << j for j in range(field.degree * len(free))]]
-        offsets = []
-        for pat, bases in _patterns(k, t, q):
-            offsets += [_pivot_plan(n, q, tuple([pivots[p] for p in pat]))[0]] * len(bases)
+        offsets = [offset for offset, size, _ in _t_plans(n, q, t, pivots) for _ in range(size)]
         columns = []
         for offset, (base, *units) in zip(offsets, _group_t_ranks(field, n, t, pivots, probes)):
             c = base - offset

@@ -161,7 +161,5 @@ def check_symmetry_transitivity(M: IncidenceStructure, trials: int, seed: int) -
 
 def export_bits_text(M: IncidenceStructure) -> str:
     """Rows of 0/1 characters (column 0 leftmost), one row per line."""
-    lines = []
-    for mask in M.bits:
-        lines.append("".join("1" if (mask >> j) & 1 else "0" for j in range(M.num_cols)))
-    return "\n".join(lines) + "\n"
+    spec = f"0{M.num_cols}b"  # bit j, column j, is the j-th digit from the right
+    return "\n".join([format(mask, spec)[::-1] for mask in M.bits]) + "\n"

@@ -27,7 +27,8 @@ from .grassmann import SubspaceBasis, _group_t_ranks, _span, unrank
 from .qcount import capped, q_binomial
 
 _DIGITS = "0123456789abcdef"
-_DIGIT_VALUES = {c: int(c, 16) for c in _DIGITS + "ABCDEF"}
+# for bytes.translate: a digit's byte to its value, every other byte to 255
+_DIGIT_VALUES = bytes(int(chr(b), 16) if chr(b) in _DIGITS + "ABCDEF" else 255 for b in range(256))
 
 
 @_value_class
@@ -151,23 +152,24 @@ def design_to_json_obj(candidate: DesignCandidate) -> dict:
 def _block_from_digit_rows(
     field: FieldSpec, n: int, k: int, rows: list[str], index: int
 ) -> SubspaceBasis:
+    at = f"design block {index}"
     if len(rows) != k:
-        raise InvalidParameters(f"block has {len(rows)} rows, expected {k}")
+        raise InvalidParameters(f"{at} has {len(rows)} rows, expected {k}")
     q = field.q
     parsed = []
     for line in rows:
         if len(line) != n:
-            raise InvalidParameters(f"row '{line}' has {len(line)} digits, expected {n}")
-        row = [_DIGIT_VALUES.get(c, q) for c in line]
+            raise InvalidParameters(f"{at} row {line!r} has {len(line)} digits, expected {n}")
+        # one byte per character: a non-ASCII one (a lone surrogate too) reads as 255
+        row = line.encode("ascii", "replace").translate(_DIGIT_VALUES)
         if max(row, default=0) >= q:
             raise InvalidParameters(
-                f"design block {index} row '{line}' has a digit outside "
-                f"0..{_DIGITS[q - 1]} (q = {q})"
+                f"{at} row {line!r} has a digit outside 0..{_DIGITS[q - 1]} (q = {q})"
             )
         parsed.append(row)
     block = _span(field, n, parsed)
     if block.k != k:
-        raise InvalidParameters("block rows are not linearly independent")
+        raise InvalidParameters(f"{at} rows are not linearly independent")
     return block
 
 

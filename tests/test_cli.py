@@ -259,6 +259,17 @@ def test_verify_design_file_digit_and_header_errors_exit_2(tmp_path):
          "error: design block 0 row '102' has a digit outside 0..1 (q = 2)\n"),
         ("e.txt", "2 3 1\n\n1g0\n",
          "error: design block 0 row '1g0' has a digit outside 0..1 (q = 2)\n"),
+        # a row is printed escaped, and a lone surrogate is a digit outside
+        ("e.txt", "2 3 1\n\n1\x000\n",
+         "error: design block 0 row '1\\x000' has a digit outside 0..1 (q = 2)\n"),
+        ("e.json", '{"q": 2, "n": 3, "k": 1, "blocks": [["\\ud80001"]]}\n',
+         "error: design block 0 row '\\ud80001' has a digit outside 0..1 (q = 2)\n"),
+        ("e.txt", "2 3 2\n\n100\n010\n\n100\n",
+         "error: design block 1 has 1 rows, expected 2\n"),
+        ("e.json", '{"q": 2, "n": 3, "k": 1, "blocks": [["100"], ["10\\u001b[31m"]]}\n',
+         "error: design block 1 row '10\\x1b[31m' has 7 digits, expected 3\n"),
+        ("e.txt", "2 3 2\n\n100\n010\n\n110\n110\n",
+         "error: design block 1 rows are not linearly independent\n"),
         ("e.txt", "2 3 x\n\n100\n", "error: design header field 'k' must be an integer\n"),
         # the header must satisfy 0 <= k <= n, with or without blocks
         ("e.txt", "2 3 4\n", "error: need 0 <= k <= n, got k=4, n=3\n"),

@@ -108,3 +108,10 @@ def test_size_cap_charges_100_bits_per_index_entry():
 def test_export_bits():
     M = build_incidence(2, 1, 1, F2)
     assert export_bits_text(M) == "100\n010\n001\n"
+    # not square and not symmetric: row b, character a is entry (b, a)
+    M = build_incidence(4, 2, 1, F2)
+    lines = export_bits_text(M).split("\n")
+    assert (len(lines), lines[-1]) == (36, "")
+    assert [[int(c) for c in line] for line in lines[:-1]] == [
+        [M.entry(b, a) for a in range(15)] for b in range(35)
+    ]

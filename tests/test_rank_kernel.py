@@ -221,15 +221,17 @@ def _group_cases():
 
 def _echelon_ranks(block, t):
     # the ranks of block's t-subspaces by subspace_rank of their echelon
-    # forms: an oracle that shares no code with _group_t_ranks
+    # forms: an oracle that shares with the kernel only _pivot_plan, through
+    # subspace_rank, and _group_forms, the enumeration, which
+    # test_rank_matches_enumeration_order_and_unrank_inverts pins together
     n, field = block.n, block.field
     images = [e for _, group in block_echelon_forms(block, t) for e in group]
     return tuple(subspace_rank(SubspaceBasis(field, n, t, tuple(e))) for e in images)
 
 
 def test_rank_groups_match_the_per_block_route():
-    # the affine tables (q = 2^b, t > 0) and the 4096-block runs (odd q,
-    # t = 0) against iter_subspaces and the echelon forms of each block
+    # the affine tables (q = 2^b) and the 4096-block runs (odd q), t = 0
+    # too, against iter_subspaces and the echelon forms of each block
     cases = 0
     for q, n, k, t in _group_cases():
         field = make_field(q)
@@ -274,9 +276,29 @@ def test_rank_groups_tick_every_4096_blocks_and_column():
         next(_rank_groups(4, 2, 1, make_field(16), stop))
 
 
+# a few _group_cases, each q's route among them, t = 0 too
+ORACLE_CASES = ((2, 5, 3, 2), (2, 4, 2, 0), (3, 4, 2, 1), (4, 3, 2, 1), (8, 3, 3, 2), (16, 3, 2, 1))
+
+
+def test_echelon_oracle_reads_nothing_of_the_kernel(monkeypatch):
+    # _echelon_ranks, which the _rank_groups and kernel tests trust, gives
+    # the containment ranks with every kernel entry point disabled
+    def disabled(*args, **kwargs):
+        raise AssertionError("the oracle called the kernel")
+
+    for name in ("_t_plans", "_group_t_ranks", "_rank_groups", "_packed"):
+        monkeypatch.setattr(grassmann, name, disabled)
+    assert set(ORACLE_CASES) <= set(_group_cases())
+    for q, n, k, t in ORACLE_CASES:
+        field = make_field(q)
+        cols = [a.vector_mask for a in iter_subspaces(n, t, field)]
+        for block in iter_subspaces(n, k, field):
+            assert list(_echelon_ranks(block, t)) == _mask_ranks(block, cols), (q, n, k, t)
+
+
 def test_affine_route_builds_only_probe_blocks(monkeypatch):
-    # q = 2, t > 0: each of the 20 pivot groups of [6 3]_2 ranks its
-    # all-zero block and one block per free bit, and nothing else
+    # q = 2, t = 1 and t = 0: each of the 20 pivot groups of [6 3]_2 ranks
+    # its all-zero block and one block per free bit, and nothing else
     ranked = []
     real = grassmann._group_t_ranks
 
@@ -285,10 +307,13 @@ def test_affine_route_builds_only_probe_blocks(monkeypatch):
         return real(field, n, t, pivots, forms)
 
     monkeypatch.setattr(grassmann, "_group_t_ranks", counting)
-    inst = build_cover_instance(6, 3, 1, 1, make_field(2))
     groups = list(combinations(range(6), 3))
-    assert len(groups) == 20 and len(inst.covers) == 1395
-    assert len(ranked) == sum(1 + len(_free_positions(6, pivots)) for pivots in groups)
+    assert len(groups) == 20
+    for t in (1, 0):
+        ranked.clear()
+        inst = build_cover_instance(6, 3, t, 1, make_field(2))
+        assert len(inst.covers) == 1395
+        assert len(ranked) == 110 == sum(1 + len(_free_positions(6, p)) for p in groups)
 
 
 def test_incidence_builds_only_its_indexes(monkeypatch):
