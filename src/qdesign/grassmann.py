@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from functools import cached_property, lru_cache
-from itertools import combinations, islice, product
+from itertools import combinations, islice, product, repeat
 
 from .errors import (
     AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, _value_class, check_chain,
@@ -332,13 +332,14 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
     return [r for r, in ranks]
 
 
-def _packed(field: FieldSpec, forms, c: int) -> list[int]:
-    """Each entries tuple of forms, scaled by c, as one integer with b
-    bits per entry, entry 0 most significant, for q = 2^b.  The work is
-    in C: an entry below 16 is the second digit of its hex byte, and int
-    reads those digits in base q."""
-    table = bytes(field.mul_table[c]).ljust(256, b"\0")  # for bytes.translate: x -> c x
-    return [int(bytes(e).translate(table).hex()[1::2], field.q) for e in forms]
+def _packed(field: FieldSpec, rows: list[bytes], c: int) -> list[int]:
+    """Each block's entries, one byte each, scaled by c, as one integer
+    with b bits per entry, entry 0 most significant, for q = 2^b.  The
+    work is in C: bytes.translate writes each entry x as the base-q digit
+    of c x, and int reads the digits in base q."""
+    digits = bytes([ord("0123456789abcdef"[y]) for y in field.mul_table[c]])
+    table = digits.ljust(256, b"0")  # for bytes.translate: x -> the digit of c x
+    return list(map(int, map(bytes.translate, rows, repeat(table)), repeat(field.q)))
 
 
 @lru_cache(maxsize=1024)  # a plan is reused only across calls
@@ -396,7 +397,8 @@ def _group_t_ranks(
         return [[0] * count]
     q, binary = field.q, field.characteristic == 2
     if binary:
-        scaled = [_packed(field, forms, 1 << j) for j in range(field.degree)]
+        raw = list(map(bytes, forms))  # converted once for every scale
+        scaled = [_packed(field, raw, 1 << j) for j in range(field.degree)]
     else:
         add, mul, columns = field.add_table, field.mul_table, list(zip(*forms))
 

@@ -7,23 +7,34 @@ Verification counts coverage per t-subspace directly from the blocks:
 each block contributes the canonical ranks of its own [k t]_q
 t-subspaces to a flat list of counts, so neither the incidence matrix
 nor the t-subspaces themselves are materialized and the only size cap is
-the number of t-subspaces.  The blocks are grouped by pivot columns, and
-grassmann._group_t_ranks ranks up to 4096 blocks of a group in one call.
+the number of t-subspaces.  The blocks are grouped by pivot columns,
+read for all blocks at once by tuple.index, and grassmann._group_t_ranks
+ranks up to 4096 blocks of a group in one call.
 
 Design file format (text):
     line 1: "q n k"
     then blocks separated by blank lines, each block k lines of n
     digits (field element indices; 0-9a-f covers q <= 16).
 The JSON form carries the same fields plus a schema_version.
+
+A file is read in one pass: its rows are joined and translated to
+digit values once, and their counts, lengths and digits are checked
+over the whole file.  A block whose rows are canonical, as save_design
+writes them, is taken as it is; any other basis is eliminated and must
+be linearly independent.  If a whole-file check fails, the blocks are
+read one at a time, so the first fault in file order is reported.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from functools import lru_cache
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidParameters, _value_class, check_chain
 from .gf import FieldSpec, make_field
-from .grassmann import SubspaceBasis, _group_t_ranks, _span, unrank
+from .grassmann import SubspaceBasis, _group_t_ranks, _pivot_template, _span, unrank
 from .qcount import capped, q_binomial
 
 _DIGITS = "0123456789abcdef"
@@ -73,21 +84,25 @@ def verify_design(
     check_chain(0, t=t, k=k, n=n)
     (num_cols,) = capped(q, [(n, t)], max_columns)
 
-    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}  # blocks' entries by pivots
-    for block in candidate.blocks:
-        e = block.entries  # canonical: row i leads with a 1
-        groups.setdefault(tuple([e.index(1, i * n) - i * n for i in range(k)]), []).append(e)
+    forms = [block.entries for block in candidate.blocks]
+    # canonical: row i leads with a 1, so its first 1 from flat index i n is at i n + its pivot
+    firsts = [map(tuple.index, forms, repeat(1), repeat(i * n)) for i in range(k)]
+    keys = zip(*firsts) if k else repeat((), len(forms))  # zip() would yield no key
+    groups: defaultdict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
+    for key, entries in zip(keys, forms):
+        groups[key].append(entries)
     counts = [0] * num_cols  # indexed by canonical rank
-    for pivots, forms in groups.items():
-        for s in range(0, len(forms), 4096):  # bounds the kernel's tables
-            for ranks in _group_t_ranks(field, n, t, pivots, forms[s : s + 4096]):
+    for key, group in groups.items():
+        pivots = tuple([c - i * n for i, c in enumerate(key)])
+        for s in range(0, len(group), 4096):  # bounds the kernel's tables
+            for ranks in _group_t_ranks(field, n, t, pivots, group[s : s + 4096]):
                 for r in ranks:
                     counts[r] += 1
 
     histogram = dict(sorted(Counter(counts).items()))
     N = len(candidate.blocks)
     # blocks share field, n and k, so equal entries are equal blocks
-    is_simple = len({block.entries for block in candidate.blocks}) == N
+    is_simple = len(set(forms)) == N
     is_design = len(histogram) == 1
     lambda_: int | None = None
     failing: SubspaceBasis | None = None
@@ -173,13 +188,44 @@ def _block_from_digit_rows(
     return block
 
 
+@lru_cache(maxsize=1024)
+def _pivot_columns_check(n: int, pivots: tuple[int, ...]):
+    """(get, unit) with get(entries) == unit iff the k x n entries whose
+    rows' first nonzero entries sit at these columns are canonical: the
+    pivots increase, and each pivot column is a unit vector with its 1
+    in the pivot's row.  None if the pivots do not increase below n."""
+    if pivots[-1] >= n or any(a >= b for a, b in zip(pivots, pivots[1:])):
+        return None
+    get = itemgetter(*[i * n + p for i in range(len(pivots)) for p in pivots])
+    return get, get(_pivot_template(n, pivots))
+
+
 def _design_from_fields(q: int, n: int, k: int, block_rows: list) -> DesignCandidate:
-    """The candidate of a design file, text or JSON, once q, n and k are read."""
+    """The candidate of a design file, text or JSON, once q, n and k are
+    read.  Only _block_from_digit_rows words a fault (see the module doc)."""
     field = make_field(q)
     check_chain(0, k=k, n=n)
-    blocks = tuple(
-        _block_from_digit_rows(field, n, k, rows, i) for i, rows in enumerate(block_rows)
+    rows = list(chain.from_iterable(block_rows))
+    # one byte per character: a non-ASCII one (a lone surrogate too) reads as 255
+    digits = "".join(rows).encode("ascii", "replace").translate(_DIGIT_VALUES)
+    well_formed = (
+        all(map(k.__eq__, map(len, block_rows)))
+        and all(map(n.__eq__, map(len, rows)))
+        and not digits.translate(None, bytes(range(q)))  # only digits below q
     )
+    forms = checks = repeat(None)  # a file at fault, or k = 0 (no rows to slice): block by block
+    if k and well_formed:
+        size = k * n
+        forms = map(digits.__getitem__, map(slice, range(0, len(digits), size),
+                                            range(size, len(digits) + 1, size)))
+        # a row's first nonzero entry sits at n minus the length of the row without its leading 0s
+        leads = map(n.__sub__, map(len, map(str.lstrip, rows, repeat("0"))))
+        checks = map(_pivot_columns_check, repeat(n), zip(*[leads] * k))
+    blocks = tuple([
+        SubspaceBasis(field, n, k, tuple(form)) if check and check[0](form) == check[1]
+        else _block_from_digit_rows(field, n, k, block, i)
+        for i, (block, form, check) in enumerate(zip(block_rows, forms, checks))
+    ])
     return DesignCandidate(field=field, n=n, k=k, blocks=blocks)
 
 
@@ -197,20 +243,16 @@ def _int_field(value, key: str, part: str) -> int:
 
 
 def parse_design_text(text: str) -> DesignCandidate:
-    lines = [ln.strip() for ln in text.splitlines()]
+    lines = list(map(str.strip, text.splitlines()))
     if not lines:
         raise InvalidParameters("empty design file")
     header = lines[0].split()
     if len(header) != 3:
         raise InvalidParameters("header must be 'q n k'")
     q, n, k = (_int_field(word, key, "header") for key, word in zip(("q", "n", "k"), header))
-    block_rows: list[list[str]] = [[]]
-    for ln in lines[1:]:
-        if ln:
-            block_rows[-1].append(ln)
-        elif block_rows[-1]:
-            block_rows.append([])
-    return _design_from_fields(q, n, k, [rows for rows in block_rows if rows])
+    # blocks are the runs of nonblank lines
+    block_rows = [list(rows) for nonblank, rows in groupby(lines[1:], bool) if nonblank]
+    return _design_from_fields(q, n, k, block_rows)
 
 
 def design_from_json_obj(obj: dict) -> DesignCandidate:

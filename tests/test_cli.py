@@ -270,6 +270,15 @@ def test_verify_design_file_digit_and_header_errors_exit_2(tmp_path):
          "error: design block 1 row '10\\x1b[31m' has 7 digits, expected 3\n"),
         ("e.txt", "2 3 2\n\n100\n010\n\n110\n110\n",
          "error: design block 1 rows are not linearly independent\n"),
+        # faults are reported in file order, the first one of a block first
+        ("e.txt", "2 3 2\n\n110\n110\n\n100\n012\n",
+         "error: design block 0 rows are not linearly independent\n"),
+        ("e.json", '{"q": 2, "n": 3, "k": 2, "blocks": [["110", "110"], ["100", "012"]]}\n',
+         "error: design block 0 rows are not linearly independent\n"),
+        ("e.txt", "2 3 2\n\n1000\n012\n",
+         "error: design block 0 row '1000' has 4 digits, expected 3\n"),
+        ("e.txt", "2 3 2\n\n100\n000\n",
+         "error: design block 0 rows are not linearly independent\n"),
         ("e.txt", "2 3 x\n\n100\n", "error: design header field 'k' must be an integer\n"),
         # the header must satisfy 0 <= k <= n, with or without blocks
         ("e.txt", "2 3 4\n", "error: need 0 <= k <= n, got k=4, n=3\n"),
@@ -292,6 +301,18 @@ def test_verify_design_file_digit_and_header_errors_exit_2(tmp_path):
         for extra in ((), ("--json",)):
             code, out, err = run_cli("verify", "--design", str(tmp_path / name), "--t", "1", *extra)
             assert (code, out, err) == (2, "", expected)
+
+
+def test_verify_k0_design_files(tmp_path):
+    # every block of a k = 0 design is the zero subspace, given by no rows
+    path = tmp_path / "k0.json"
+    for blocks, N, lam, simple in (("[[], []]", 2, 2, "false"), ("[[]]", 1, 1, "true")):
+        path.write_text('{"q": 2, "n": 3, "k": 0, "blocks": %s}\n' % blocks)
+        code, out, err = run_cli("verify", "--design", str(path), "--t", "0")
+        assert (code, err) == (0, "")
+        assert out == (f"q = 2\nn = 3\nk = 0\nN = {N}\nt = 0\nis_design = true\n"
+                       f"lambda = {lam}\nsimple = {simple}\ntrivial = {simple}\n"
+                       f"histogram = {lam}:1\n")
 
 
 def test_qbinom_q_below_2_exit_2():

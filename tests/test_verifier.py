@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from qdesign import verifier
 from qdesign.errors import DimensionMismatch
 from qdesign.gf import make_field, random_invertible
-from qdesign.grassmann import apply_map, enumerate_subspaces
+from qdesign.grassmann import apply_map, enumerate_subspaces, subspace_from_rows
 from qdesign.qcount import q_binomial
 from qdesign.search import search_design
 from qdesign.verifier import (
@@ -156,3 +157,29 @@ def test_noncanonical_rows_are_canonicalized():
     text = "2 3 2\n\n111\n011\n"
     cand = parse_design_text(text)
     assert cand.blocks[0].rows() == [(1, 0, 0), (0, 1, 1)]
+    # rows that only look canonical are eliminated too
+    for q, rows in (
+        (2, ["010", "100"]),  # swapped rows
+        (2, ["110", "010"]),  # a nonzero entry above a pivot
+        (3, ["200", "010"]),  # a leading 2
+    ):
+        field, n = make_field(q), len(rows[0])
+        cand = parse_design_text(f"{q} {n} {len(rows)}\n\n" + "\n".join(rows) + "\n")
+        assert cand.blocks == (subspace_from_rows(field, n, [list(map(int, r)) for r in rows]),)
+
+
+def test_canonical_files_are_not_eliminated(tmp_path, monkeypatch):
+    # save_design writes canonical rows, which load_design takes as they are
+    cases = [(F2, 5, 2), (F3, 4, 2), (make_field(16), 3, 2)]
+    designs = [DesignCandidate(field=f, n=n, k=k, blocks=tuple(enumerate_subspaces(n, k, f)))
+               for f, n, k in cases]
+
+    def no_span(*args):
+        raise AssertionError("a canonical block was eliminated")
+
+    monkeypatch.setattr(verifier, "_span", no_span)
+    for cand in designs:
+        for fmt in ("text", "json"):
+            path = tmp_path / f"d.{fmt}"
+            save_design(cand, str(path), fmt=fmt)
+            assert load_design(str(path)) == cand
