@@ -88,17 +88,23 @@ def _value_class(cls):
     fields positionally or by name and then calling self.__post_init__()
     when the class has one, the repr "Name(a=1, b=2)", equality with
     instances of the same class only, a hash over the fields, and a
-    __setattr__/__delattr__ that raise AttributeError.  __init__, __eq__
-    and __hash__ are compiled once per class, as collections.namedtuple
-    does, so they cost what dataclass's do.  Instances keep a __dict__,
-    so cached_property works and they pickle.
+    __setattr__/__delattr__ that raise AttributeError.  A class with a
+    __post_init__ also gets _trusted, a static builder that skips it, for
+    values the library made valid itself.  The builders, __eq__ and
+    __hash__ are compiled once per class, as collections.namedtuple does,
+    so they cost what dataclass's do; setting each field in turn keeps
+    the __dict__ in 3.11's compact form.  Instances keep a __dict__, so
+    cached_property works and they pickle.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     fields = "".join(f"self.{name}, " for name in names)
+    args, checked = ", ".join(names), hasattr(cls, "__post_init__")
+    sets = "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
     source = (
-        f"def __init__(self, {', '.join(names)}):\n"
-        + "".join(f"    _set(self, {name!r}, {name})\n" for name in names)
-        + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
+        f"def __init__(self, {args}):\n" + sets
+        + ("    self.__post_init__()\n" if checked else "")
+        + (f"def _trusted({args}):\n    self = _new(_cls)\n{sets}    return self\n"
+           if checked else "")
         + "def __eq__(self, other):\n"
         "    if other.__class__ is self.__class__:\n"
         f"        return ({fields}) == ({fields.replace('self.', 'other.')})\n"
@@ -106,7 +112,9 @@ def _value_class(cls):
         f"def __hash__(self):\n    return hash(({fields}))\n"
     )
     methods: dict = {}
-    exec(source, {"_set": object.__setattr__}, methods)
+    exec(source, {"_set": object.__setattr__, "_new": object.__new__, "_cls": cls}, methods)
+    if checked:
+        methods["_trusted"] = staticmethod(methods["_trusted"])
 
     def __repr__(self):
         values = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)

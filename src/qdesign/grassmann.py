@@ -2,12 +2,15 @@
 
 A subspace is identified with its reduced-row-echelon basis (no zero
 rows), which is unique, so two SubspaceBasis values are equal exactly
-when they represent the same subspace.  Rows are checked only where
-they enter from outside (subspace_from_rows, verifier's design files);
-subspaces the library generates itself are built from their canonical
-entries directly, and those it eliminates (outside rows, apply_map,
-extensions, the decoding certificate's envelope) from bare rows by
-_span, with no MatrixGFq or second check.
+when they represent the same subspace.  This module alone knows that
+shape.  Checks run where values enter from outside: SubspaceBasis(...)
+refuses entries that differ from the _span of their own rows, and
+subspace_from_rows and verifier's design files check their rows.  The
+library builds the bases it made canonical itself through _trusted,
+which skips the check: the enumerations, unrank, the design files'
+canonical blocks, the decoding certificate's subspaces, and _span, the
+one elimination from bare rows (outside rows, apply_map, extensions,
+the certificate's envelope), with no MatrixGFq.
 
 Canonical enumeration order: by pivot-column set (lexicographically
 increasing), then by the free entries read in row-major order as a
@@ -23,14 +26,19 @@ entries, so the subspaces whose pivots agree with P = (p_0 < ...) before
 row i and whose row-i pivot sits at a column c < p_i number
 q^(e + n - k + i - c) [n-c-1 k-i-1]_q, e the free entries of rows
 0..i-1.  The offset of P sums these at most n - k terms, and unrank
-picks each pivot greedily from them.
+picks each pivot greedily from them.  _pivot_plan gives a pivot set's
+offset, its template (the entries the pivots fix) and its free
+positions, and every route that ranks, unranks or fills a pivot group
+reads it; _canonical_check reads its template to tell whether entries
+whose rows lead at given columns are canonical, with no elimination.
 
 block_echelon_forms lists the canonical bases of a block's t-subspaces
 without elimination, and the decoding certificate takes its subspaces
 from it; it reads none of the kernel's tables, and the tests hold the
 kernel to it.  _group_t_ranks lists their ranks in the same order for
-many blocks with one pivot set: the verifier's, grouped by pivots, a
-pivot group of the incidence matrix or the search, or t_subspace_ranks'.
+many blocks with one pivot set: a pivot group of the incidence matrix
+or the search, t_subspace_ranks' one block, or a run of _block_t_ranks,
+which groups the verifier's blocks by pivots, 4096 at most to a call.
 The images P B of the patterns P with one pivot set share their offset,
 and a rank is that offset plus one contribution per row of P B, its free
 entries in place.  Row i is B's row p_i plus c_m times B's row m over
@@ -56,9 +64,11 @@ time.  No SubspaceBasis is built, and a table lasts one group.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable, Iterator
 from functools import cached_property, lru_cache
 from itertools import combinations, islice, product, repeat
+from operator import itemgetter
 
 from .errors import (
     AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, _value_class, check_chain,
@@ -78,6 +88,15 @@ class SubspaceBasis:
     k: int
     entries: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        q, n, k, entries = self.field.q, self.n, self.k, self.entries
+        check_chain(0, k=k, n=n)
+        if not (type(entries) is tuple and len(entries) == k * n
+                and all(type(x) is int and 0 <= x < q for x in entries)
+                and _span(self.field, n, list(map(list, self.rows()))).entries == entries):
+            raise InvalidParameters(
+                f"entries are not the canonical basis of a {k}-subspace of F_{q}^{n}")
+
     @property
     def basis(self) -> MatrixGFq:
         """The canonical basis as a MatrixGFq, built on each access."""
@@ -85,7 +104,8 @@ class SubspaceBasis:
 
     @cached_property
     def pivot_columns(self) -> tuple[int, ...]:
-        return _pivots(self.rows())
+        # row i of a canonical basis leads with its pivot's 1
+        return tuple([self.entries.index(1, i * self.n) - i * self.n for i in range(self.k)])
 
     def nonzero_vectors(self) -> list[int]:
         """Indices of the q^k - 1 nonzero vectors of the subspace.
@@ -150,6 +170,9 @@ class SubspaceBasis:
         return f"Subspace(q={self.field.q}, n={self.n}, [{rows}])"
 
 
+_trusted = SubspaceBasis._trusted  # for entries the library made canonical itself: no check
+
+
 def subspace_from_rows(field: FieldSpec, n: int, rows) -> SubspaceBasis:
     """Subspace spanned by arbitrary row vectors: checked against n and
     F_q, then canonicalized by RREF."""
@@ -165,24 +188,7 @@ def subspace_from_rows(field: FieldSpec, n: int, rows) -> SubspaceBasis:
 def _span(field: FieldSpec, n: int, rows: list[list[int]]) -> SubspaceBasis:
     """Row space of rows (eliminated in place), with no entry check."""
     rows, rk = _rref_rows(field, rows, n)
-    return SubspaceBasis(field, n, rk, tuple([x for r in rows[:rk] for x in r]))
-
-
-def _free_positions(n: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
-    """Row-major flat indices of the free entries of an n-column RREF basis
-    with these pivot columns: right of the row's pivot, in no pivot column.
-    Every other entry is fixed by the pivots (1 at the pivot, else 0)."""
-    pivset = set(pivots)
-    return tuple(
-        i * n + j for i, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivset
-    )
-
-
-def _pivot_template(n: int, pivots: tuple[int, ...]) -> list[int]:
-    entries = [0] * (len(pivots) * n)
-    for i, p in enumerate(pivots):
-        entries[i * n + p] = 1
-    return entries
+    return _trusted(field, n, rk, tuple([x for r in rows[:rk] for x in r]))
 
 
 def _group_forms(n: int, pivots: tuple[int, ...], q: int) -> Iterator[tuple[int, ...]]:
@@ -202,7 +208,7 @@ def iter_subspaces(n: int, k: int, field: FieldSpec) -> Iterator[SubspaceBasis]:
     check_chain(0, k=k, n=n)
     for pivots in combinations(range(n), k):
         for entries in _group_forms(n, pivots, field.q):
-            yield SubspaceBasis(field, n, k, entries)
+            yield _trusted(field, n, k, entries)
 
 
 def _with_pivot(n: int, k: int, q: int, i: int, e: int, c: int) -> int:
@@ -210,26 +216,39 @@ def _with_pivot(n: int, k: int, q: int, i: int, e: int, c: int) -> int:
     return q ** (e + n - k + i - c) * q_binomial(n - c - 1, k - i - 1, q)
 
 
-@lru_cache(maxsize=None)
-def _pivot_plan(n: int, q: int, pivots: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(offset, free positions) of n-column bases with these pivots."""
-    k = len(pivots)
+@lru_cache(maxsize=1024)
+def _pivot_plan(n: int, q: int, pivots: tuple[int, ...]) -> tuple:
+    """(offset, template, free positions) of the n-column canonical bases
+    with these increasing pivots: the rank of the first, the row-major
+    entries the pivots fix (1 at a pivot, else 0), and the flat indices
+    of the free entries, right of a row's pivot and in no pivot column."""
+    k, pivset = len(pivots), set(pivots)
+    template, free = [0] * (k * n), []
     offset = e = 0
     for i, (prev, p) in enumerate(zip((-1,) + pivots, pivots)):
         offset += sum(_with_pivot(n, k, q, i, e, c) for c in range(prev + 1, p))
         e += n - k + i - p
-    return offset, _free_positions(n, pivots)
+        template[i * n + p] = 1
+        free += [i * n + j for j in range(p + 1, n) if j not in pivset]
+    return offset, tuple(template), tuple(free)
 
 
-def _pivots(rows) -> tuple[int, ...]:
-    # the first nonzero entry of a canonical row is its leading 1
-    return tuple([row.index(1) for row in rows])
+@lru_cache(maxsize=1024)
+def _canonical_check(n: int, q: int, pivots: tuple[int, ...]):
+    """(get, unit) with get(entries) == unit iff the k x n entries whose
+    rows' first nonzero entries sit at these columns are canonical: the
+    pivots increase, and each pivot column is a unit vector with its 1
+    in the pivot's row.  None if the pivots do not increase below n."""
+    if pivots[-1] >= n or any(a >= b for a, b in zip(pivots, pivots[1:])):
+        return None
+    get = itemgetter(*[i * n + p for i in range(len(pivots)) for p in pivots])
+    return get, get(_pivot_plan(n, q, pivots)[1])
 
 
 def subspace_rank(S: SubspaceBasis) -> int:
     """Position of S in the canonical order of iter_subspaces(S.n, S.k, .)."""
     q, entries = S.field.q, S.entries
-    offset, free = _pivot_plan(S.n, q, S.pivot_columns)
+    offset, _, free = _pivot_plan(S.n, q, S.pivot_columns)
     r = 0
     for f in free:
         r = r * q + entries[f]
@@ -251,28 +270,27 @@ def unrank(n: int, k: int, field: FieldSpec, r: int) -> SubspaceBasis:
         pivots.append(c)
         e += n - k + i - c
         c += 1
-    entries = _group_entries(q, _pivot_template(n, pivots), _free_positions(n, pivots), r)
-    return SubspaceBasis(field, n, k, entries)
+    _, template, free = _pivot_plan(n, q, tuple(pivots))
+    return _trusted(field, n, k, _group_entries(q, template, free, r))
 
 
 def _unrank_sorted(n: int, k: int, field: FieldSpec, ranks: list[int]) -> list[SubspaceBasis]:
     """unrank of each of these increasing ranks, by one walk over the
     pivot groups in place of a pivot search per rank."""
-    out: list[SubspaceBasis] = []
+    q, out = field.q, []
     groups, end = combinations(range(n), k), 0
     for r in ranks:
         while r >= end:
-            pivots = next(groups)
-            template, free = _pivot_template(n, pivots), _free_positions(n, pivots)
-            offset, end = end, end + field.q ** len(free)
-        out.append(SubspaceBasis(field, n, k, _group_entries(field.q, template, free, r - offset)))
+            offset, template, free = _pivot_plan(n, q, next(groups))
+            end = offset + q ** len(free)
+        out.append(_trusted(field, n, k, _group_entries(q, template, free, r - offset)))
     return out
 
 
-def _group_entries(q: int, template: list[int], free: tuple[int, ...], i: int) -> tuple[int, ...]:
+def _group_entries(q: int, template: tuple, free: tuple[int, ...], i: int) -> tuple[int, ...]:
     """The entries of the block at index i of the pivot group with this
-    _pivot_template and these free positions: i's base-q digits fill the
-    free entries, the last digit least significant."""
+    _pivot_plan template and these free positions: i's base-q digits fill
+    the free entries, the last digit least significant."""
     entries = list(template)
     for pos in reversed(free):
         i, entries[pos] = divmod(i, q)
@@ -292,10 +310,6 @@ def block_echelon_forms(
     So the canonical basis is the product itself, with no elimination.
     P comes from combinations and _group_forms, with none of the rank
     kernel's tables, so the tests hold _group_t_ranks to this function.
-
-    Precondition: `block.entries` is canonical (RREF, no zero rows), the
-    SubspaceBasis invariant that every library constructor guarantees;
-    it is not re-checked here.
     """
     field = block.field
     q, add, mul = field.q, field.add_table, field.mul_table
@@ -303,7 +317,7 @@ def block_echelon_forms(
     k = len(rows)
     if not 0 <= t <= k:  # inline: this runs once per block
         check_chain(0, t=t, k=k)
-    pivots = _pivots(rows)
+    pivots = block.pivot_columns
     # scaled[m][c] = c * row m, for the coefficients c >= 1 that occur
     scaled = [[None, row] + [tuple([mul[c][x] for x in row]) for c in range(2, q)] for row in rows]
     groups = []
@@ -357,7 +371,7 @@ def _t_plans(n: int, q: int, t: int, pivots: tuple[int, ...]) -> tuple:
     bits = q.bit_length() - 1 if q & (q - 1) == 0 else 0
     plans = []
     for pat in combinations(range(k), t):
-        offset, free = _pivot_plan(n, q, tuple([pivots[p] for p in pat]))
+        offset, _, free = _pivot_plan(n, q, tuple([pivots[p] for p in pat]))
         size, rows = 1, []
         for i, lead in enumerate(pat):
             terms = [m for m in range(lead + 1, k) if m not in pat]
@@ -435,6 +449,23 @@ def _group_t_ranks(
     return out
 
 
+def _block_t_ranks(field: FieldSpec, n: int, k: int, t: int, forms: list) -> Iterator[list[int]]:
+    """The rank lists of _group_t_ranks for canonical k-dimensional blocks
+    given by their entries in any order, grouped by pivots and passed at
+    most 4096 at a time, so each rank occurs once per block containing
+    its t-subspace."""
+    # canonical: row i leads with a 1, so its first 1 from flat index i n is at i n + its pivot
+    firsts = [map(tuple.index, forms, repeat(1), repeat(i * n)) for i in range(k)]
+    keys = zip(*firsts) if k else repeat((), len(forms))  # zip() would yield no key
+    groups: defaultdict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
+    for key, entries in zip(keys, forms):
+        groups[key].append(entries)
+    for key, group in groups.items():
+        pivots = tuple([c - i * n for i, c in enumerate(key)])
+        for s in range(0, len(group), 4096):  # bounds the kernel's tables
+            yield from _group_t_ranks(field, n, t, pivots, group[s : s + 4096])
+
+
 def _rank_groups(
     n: int, k: int, t: int, field: FieldSpec, tick: Callable[[], None] | None = None
 ) -> Iterator[list[tuple[int, ...]]]:
@@ -464,7 +495,7 @@ def _rank_groups(
                 tick()
             yield covers
             continue
-        template, free = _pivot_template(n, pivots), _free_positions(n, pivots)
+        _, template, free = _pivot_plan(n, q, pivots)
         probes = [_group_entries(q, template, free, i)
                   for i in [0] + [1 << j for j in range(field.degree * len(free))]]
         offsets = [offset for offset, size, _ in _t_plans(n, q, t, pivots) for _ in range(size)]

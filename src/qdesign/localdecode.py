@@ -49,6 +49,7 @@ from .gf import make_field, rank_of_rows
 from .grassmann import (
     SubspaceBasis,
     _span,
+    _trusted,
     block_echelon_forms,
     extensions,
     intersect_dim,
@@ -260,7 +261,7 @@ def decode_certificate(
     counts = [0] * (t + 1)
     for _, images in block_echelon_forms(W, k):
         for entries in images:
-            U = SubspaceBasis(field, n, k, tuple(entries))
+            U = _trusted(field, n, k, tuple(entries))
             u_coords = [[entries[i * n + p] for p in pivots] for i in range(k)]
             j = t + k - rank_of_rows(field, u_coords + v_coords, t + k)
             coefficients[U] = system.f[j]

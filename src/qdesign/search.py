@@ -239,8 +239,9 @@ def _greedy_once(
     rng.shuffle(order)
     chosen = []
     remaining = inst.multiplicity * ncols
+    tick = tick or (lambda: None)
     for i, r in enumerate(order):
-        if tick is not None and not i & 4095:
+        if not i & 4095:
             tick()
         cov = inst.covers[r]
         if all(need[c] > 0 for c in cov):

@@ -7,9 +7,9 @@ Verification counts coverage per t-subspace directly from the blocks:
 each block contributes the canonical ranks of its own [k t]_q
 t-subspaces to a flat list of counts, so neither the incidence matrix
 nor the t-subspaces themselves are materialized and the only size cap is
-the number of t-subspaces.  The blocks are grouped by pivot columns,
-read for all blocks at once by tuple.index, and grassmann._group_t_ranks
-ranks up to 4096 blocks of a group in one call.
+the number of t-subspaces.  grassmann._block_t_ranks ranks them, grouping
+the blocks by pivot columns; this module reads nothing of the echelon
+shape but the column where each row of a design file leads.
 
 Design file format (text):
     line 1: "q n k"
@@ -20,21 +20,20 @@ The JSON form carries the same fields plus a schema_version.
 A file is read in one pass: its rows are joined and translated to
 digit values once, and their counts, lengths and digits are checked
 over the whole file.  A block whose rows are canonical, as save_design
-writes them, is taken as it is; any other basis is eliminated and must
-be linearly independent.  If a whole-file check fails, the blocks are
+writes them, is taken as it is (grassmann._canonical_check, from the
+leading column of each row); any other basis is eliminated and must be
+linearly independent.  If a whole-file check fails, the blocks are
 read one at a time, so the first fault in file order is reported.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from functools import lru_cache
+from collections import Counter
 from itertools import chain, groupby, repeat
-from operator import itemgetter
 
 from .errors import DimensionMismatch, InvalidParameters, _value_class, check_chain
 from .gf import FieldSpec, make_field
-from .grassmann import SubspaceBasis, _group_t_ranks, _pivot_template, _span, unrank
+from .grassmann import SubspaceBasis, _block_t_ranks, _canonical_check, _span, _trusted, unrank
 from .qcount import capped, q_binomial
 
 _DIGITS = "0123456789abcdef"
@@ -85,19 +84,10 @@ def verify_design(
     (num_cols,) = capped(q, [(n, t)], max_columns)
 
     forms = [block.entries for block in candidate.blocks]
-    # canonical: row i leads with a 1, so its first 1 from flat index i n is at i n + its pivot
-    firsts = [map(tuple.index, forms, repeat(1), repeat(i * n)) for i in range(k)]
-    keys = zip(*firsts) if k else repeat((), len(forms))  # zip() would yield no key
-    groups: defaultdict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
-    for key, entries in zip(keys, forms):
-        groups[key].append(entries)
     counts = [0] * num_cols  # indexed by canonical rank
-    for key, group in groups.items():
-        pivots = tuple([c - i * n for i, c in enumerate(key)])
-        for s in range(0, len(group), 4096):  # bounds the kernel's tables
-            for ranks in _group_t_ranks(field, n, t, pivots, group[s : s + 4096]):
-                for r in ranks:
-                    counts[r] += 1
+    for ranks in _block_t_ranks(field, n, k, t, forms):
+        for r in ranks:
+            counts[r] += 1
 
     histogram = dict(sorted(Counter(counts).items()))
     N = len(candidate.blocks)
@@ -188,18 +178,6 @@ def _block_from_digit_rows(
     return block
 
 
-@lru_cache(maxsize=1024)
-def _pivot_columns_check(n: int, pivots: tuple[int, ...]):
-    """(get, unit) with get(entries) == unit iff the k x n entries whose
-    rows' first nonzero entries sit at these columns are canonical: the
-    pivots increase, and each pivot column is a unit vector with its 1
-    in the pivot's row.  None if the pivots do not increase below n."""
-    if pivots[-1] >= n or any(a >= b for a, b in zip(pivots, pivots[1:])):
-        return None
-    get = itemgetter(*[i * n + p for i in range(len(pivots)) for p in pivots])
-    return get, get(_pivot_template(n, pivots))
-
-
 def _design_from_fields(q: int, n: int, k: int, block_rows: list) -> DesignCandidate:
     """The candidate of a design file, text or JSON, once q, n and k are
     read.  Only _block_from_digit_rows words a fault (see the module doc)."""
@@ -220,9 +198,9 @@ def _design_from_fields(q: int, n: int, k: int, block_rows: list) -> DesignCandi
                                             range(size, len(digits) + 1, size)))
         # a row's first nonzero entry sits at n minus the length of the row without its leading 0s
         leads = map(n.__sub__, map(len, map(str.lstrip, rows, repeat("0"))))
-        checks = map(_pivot_columns_check, repeat(n), zip(*[leads] * k))
+        checks = map(_canonical_check, repeat(n), repeat(q), zip(*[leads] * k))
     blocks = tuple([
-        SubspaceBasis(field, n, k, tuple(form)) if check and check[0](form) == check[1]
+        _trusted(field, n, k, tuple(form)) if check and check[0](form) == check[1]
         else _block_from_digit_rows(field, n, k, block, i)
         for i, (block, form, check) in enumerate(zip(block_rows, forms, checks))
     ])

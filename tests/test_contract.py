@@ -313,6 +313,21 @@ def test_only_internal_sites_raise_bare_value_error():
     assert handlers == ["BrokenPipeError", "ResourceLimitError", "InvalidParameters", "Exception"]
 
 
+def test_library_builds_no_checked_subspace():
+    # SubspaceBasis(...) checks its entries by an elimination; the library
+    # builds the bases it made canonical itself through grassmann._trusted,
+    # so that check stays off its hot paths
+    src = Path(qdesign.__file__).parent
+    calls = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "SubspaceBasis" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert calls == []
+
+
 # every subcommand under hostile values, through cli.main in one process;
 # {q}, {n}, {k} take each of DIMENSIONS, {cap} each of CAPS, {file} each
 # design file of _design_files.  Every search passes --timeout; exhaustive

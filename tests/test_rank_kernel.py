@@ -13,13 +13,13 @@ from math import comb
 import pytest
 
 from qdesign.errors import DimensionMismatch, InvalidParameters
-from qdesign import grassmann, verifier
+from qdesign import grassmann
 from qdesign.gf import SUPPORTED_ORDERS, make_field, random_invertible
 from qdesign.grassmann import (
     SubspaceBasis,
-    _free_positions,
     _group_forms,
     _group_t_ranks,
+    _pivot_plan,
     _rank_groups,
     _unrank_sorted,
     apply_map,
@@ -238,7 +238,7 @@ def test_rank_groups_match_the_per_block_route():
         covers = []
         groups = list(_rank_groups(n, k, t, field))
         for pivots, group_covers in zip(combinations(range(n), k), groups, strict=True):
-            assert len(group_covers) == q ** len(_free_positions(n, pivots)), (q, n, k, t)
+            assert len(group_covers) == q ** len(_pivot_plan(n, q, pivots)[2]), (q, n, k, t)
             covers += group_covers
         blocks = iter_subspaces(n, k, field)
         assert covers == [_echelon_ranks(b, t) for b in blocks], (q, n, k, t)
@@ -313,20 +313,20 @@ def test_affine_route_builds_only_probe_blocks(monkeypatch):
         ranked.clear()
         inst = build_cover_instance(6, 3, t, 1, make_field(2))
         assert len(inst.covers) == 1395
-        assert len(ranked) == 110 == sum(1 + len(_free_positions(6, p)) for p in groups)
+        assert len(ranked) == 110 == sum(1 + len(_pivot_plan(6, 2, p)[2]) for p in groups)
 
 
 def test_incidence_builds_only_its_indexes(monkeypatch):
     # odd q: ranking a row block builds no SubspaceBasis, so the
     # [5 2]_3 = 1210 rows and [5 1]_3 = 121 columns are the only ones built
     built = []
-    real = grassmann.SubspaceBasis
+    real = grassmann._trusted
 
     def counting(*args):
         built.append(None)
         return real(*args)
 
-    monkeypatch.setattr(grassmann, "SubspaceBasis", counting)
+    monkeypatch.setattr(grassmann, "_trusted", counting)
     M = build_incidence(5, 2, 1, make_field(3))
     assert (M.num_rows, M.num_cols) == (1210, 121)
     assert len(built) == 1210 + 121
@@ -414,13 +414,13 @@ def test_verify_runs_a_large_group_in_several_calls(monkeypatch):
     # the first pivot group of the 2-subspaces of F_2^9 holds 2^14 blocks,
     # ranked in four calls of 4096; the trivial 1-design has lambda = [8 1]_2
     calls = []
-    real = verifier._group_t_ranks
+    real = grassmann._group_t_ranks
 
     def counting(field, n, t, pivots, forms):
         calls.append((pivots, len(forms)))
         return real(field, n, t, pivots, forms)
 
-    monkeypatch.setattr(verifier, "_group_t_ranks", counting)
+    monkeypatch.setattr(grassmann, "_group_t_ranks", counting)
     field = make_field(2)
     blocks = tuple(iter_subspaces(9, 2, field))
     assert len(blocks) == 43435 == q_binomial(9, 2, 2)

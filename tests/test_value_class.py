@@ -6,6 +6,7 @@ there is one per order."""
 
 import ast
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 import qdesign
 from qdesign.errors import DimensionMismatch, InvalidParameters
 from qdesign.gf import SUPPORTED_ORDERS, FieldSpec, MatrixGFq, make_field
-from qdesign.grassmann import iter_subspaces, subspace_from_rows
+from qdesign.grassmann import SubspaceBasis, iter_subspaces, subspace_from_rows
 from qdesign.incidence import build_incidence
 from qdesign.klp import klp_report
 from qdesign.localdecode import (
@@ -194,3 +195,15 @@ def test_post_init_checks_still_raise():
         DesignCandidate(F2, 2, 1, (line,))
     with pytest.raises(DimensionMismatch, match="^block of dimension 1, expected 2$"):
         DesignCandidate(F2, 3, 2, (line,))
+    for n, k, entries in [
+        (3, 2, (0, 1, 1, 0, 1, 0)),  # rows not in echelon form: subspace_rank read 8 of 0..6
+        (3, 1, (0, 0, 0)),  # a zero row
+        (3, 1, (1, 2, 0)),  # a digit >= q
+        (3, 1, [1, 0, 0]),  # a list
+        (3, 1, (1, 0)),  # the wrong length
+    ]:
+        message = f"entries are not the canonical basis of a {k}-subspace of F_2^{n}"
+        with pytest.raises(InvalidParameters, match=f"^{re.escape(message)}$"):
+            SubspaceBasis(F2, n, k, entries)
+    with pytest.raises(DimensionMismatch, match="^need 0 <= k <= n, got k=4, n=3$"):
+        SubspaceBasis(F2, 3, 4, (1, 0, 0) * 4)
