@@ -100,7 +100,7 @@ class SubspaceBasis:
     @property
     def basis(self) -> MatrixGFq:
         """The canonical basis as a MatrixGFq, built on each access."""
-        return MatrixGFq(field=self.field, rows=self.k, cols=self.n, entries=self.entries)
+        return MatrixGFq._trusted(self.field, self.k, self.n, self.entries)
 
     @cached_property
     def pivot_columns(self) -> tuple[int, ...]:

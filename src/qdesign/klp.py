@@ -10,15 +10,27 @@ an upper bound on the base-2 logarithm.  The inequality involves an
 unspecified absolute constant, so feasibility is always reported
 relative to the supplied constant.
 
-Integer roots take one truncated Newton step per precision level: the
-start comes from the root of x's top bits at a little over half the
-precision, with 32 guard bits, so one step lands within a unit or two
-of the root, and the step divides operands cut to about the root's
-length.  Only the returned root is certified, by y^r <= x < (y+1)^r,
-so the result is exact whatever the approximation did; the starts of
-the inner levels need only their guard bits.  klp_report refuses,
-before building anything, parameters whose largest power would exceed
-its max_bits cap.
+Integer roots use precision doubling (Brent & Zimmermann, Modern
+Computer Arithmetic, 1.5), one Newton step per level.  A root of at most
+128 bits runs the plain Newton descent from a power of two above it.  A
+longer root of L bits takes s = L // 2 - 32 and the start g = y0 << s,
+where y0 is one more than the uncertified root of x >> rs from the level
+below, so g agrees with the root to 32 guard bits beyond half its length
+and one step lands within a unit or two of it.  The step is taken at
+half size, without forming g^r: (x >> rs) - y0^r stands for x - g^r,
+r y0^(r-1) for r g^(r-1), and their quotient, the correction of about
+L/2 bits, is divided with the divisor cut to 64 bits beyond it, which
+moves the floored quotient by at most one.  Only the returned root
+y is certified, by y^r <= x < (y+1)^r, so the result is exact whatever
+the approximation did; the inner levels need only their guard bits.
+y^r is computed once, after y is stepped down until y^r <= x.  With
+m = max(0, y.bit_length() - 64), the bound r (y >> m)^(r-1) 2^(m(r-1))
+is at most r y^(r-1), which is less than (y+1)^r - y^r, so x - y^r below
+it proves x < (y+1)^r; only when it cannot decide is (y+1)^r computed,
+stepping y up by ones.
+
+klp_report refuses, before building anything, parameters whose largest
+power would exceed its max_bits cap.
 """
 
 from __future__ import annotations
@@ -44,10 +56,13 @@ def _root_start(x: int, r: int) -> int:
                 return g
             g = ng
     s = root_bits // 2 - 32
-    g = (_root_start(x >> (r * s), r) + 1) << s
-    d = g ** (r - 1)
-    sh = max(0, d.bit_length() - root_bits - 64)
-    return ((r - 1) * g + (x >> sh) // (d >> sh)) // r
+    top = x >> (r * s)
+    y0 = _root_start(top, r) + 1  # the start is g = y0 << s
+    p = y0 ** (r - 1)
+    e, d = top - p * y0, r * p  # x - g^r and r g^(r-1), over 2^rs and 2^s(r-1)
+    # the step g + e 2^s / d moves g by about s bits: cut d to 64 bits more
+    sh = max(0, d.bit_length() - s - 64)
+    return (y0 << s) + (e << s >> sh) // (d >> sh)
 
 
 def _root_and_power(x: int, r: int) -> tuple[int, int]:
@@ -61,6 +76,10 @@ def _root_and_power(x: int, r: int) -> tuple[int, int]:
     while p > x:
         g -= 1
         p = g**r
+    # x < (g+1)^r if x - g^r is below r g^(r-1), read from g's top 64 bits
+    m = max(0, g.bit_length() - 64)
+    if x - p < r * (g >> m) ** (r - 1) << m * (r - 1):
+        return g, p
     while True:
         nxt = (g + 1) ** r
         if nxt > x:
@@ -69,21 +88,7 @@ def _root_and_power(x: int, r: int) -> tuple[int, int]:
 
 
 def nth_root_floor(x: int, r: int) -> int:
-    """Largest integer y with y^r <= x.
-
-    Precision doubling (Brent & Zimmermann, Modern Computer Arithmetic,
-    1.5), one Newton step per level.  For roots of more than 128 bits,
-    s = root_bits // 2 - 32 and y0, the uncertified root of x >> rs from
-    the level below, give the start g = (y0 + 1) << s, which agrees with
-    the root to 32 guard bits beyond half its length; the quadratic step
-    from there lands within a unit or two of the root.  The step's
-    quotient x // g^(r-1) is taken on both operands shifted right until
-    the divisor is 64 bits longer than the root, which moves the floored
-    quotient by at most one.  Smaller roots run the plain Newton descent
-    from a power of two above the root.  Only the top level certifies
-    its result, by y^r <= x < (y+1)^r, adjusting y by ones until both
-    hold; the inner levels need only their guard bits.
-    """
+    """Largest integer y with y^r <= x, for x >= 0 and r >= 1."""
     return _root_and_power(x, r)[0]
 
 

@@ -360,6 +360,14 @@ def test_every_constructor_gives_the_same_value():
     assert len({S, *routes}) == 1
 
 
+def test_basis_equals_the_checked_matrix():
+    # .basis skips MatrixGFq's check; its entries pass it all the same
+    for field, n, k in ((F2, 5, 2), (F3, 4, 2), (make_field(4), 3, 0), (make_field(9), 3, 3)):
+        for S in iter_subspaces(n, k, field):
+            checked = MatrixGFq(field=field, rows=k, cols=n, entries=S.entries)
+            assert S.basis == checked and repr(S.basis) == repr(checked)
+
+
 def test_generated_subspaces_build_no_matrix(monkeypatch):
     # no subspace the library generates or eliminates builds a MatrixGFq
     # or runs its range check; subspace_from_rows checks its bare rows once

@@ -1,8 +1,11 @@
+import hashlib
 import random
+import sys
 import time
 
 import pytest
 
+from qdesign import klp
 from qdesign.errors import DimensionMismatch, TooLarge
 from qdesign.klp import divisibility_witness, klp_report, nth_root_floor, pow_frac_ceil
 from qdesign.localdecode import solve_coefficients
@@ -76,6 +79,36 @@ def test_nth_root_floor_at_large_perfect_powers():
             assert got**r <= x < (got + 1) ** r
 
 
+@pytest.mark.parametrize("r", [2, 3, 5, 7])
+def test_nth_root_floor_at_the_recursion_boundary(r):
+    # roots of at most 128 bits take the plain descent; 129 bits is the
+    # first truncated step, and 193 the first with two levels below it.
+    # (y+1)^r - 1 and y^r - 1 sit too close to the next power for the
+    # certificate's bound, so they take its exact fallback
+    rng = random.Random(128 * r)
+    for bits in (127, 128, 129, 130, 191, 192, 193):
+        y = rng.getrandbits(bits) | 1 << (bits - 1)
+        p, nxt = y**r, (y + 1) ** r
+        for x, want in ((p - 1, y - 1), (p, y), (p + 1, y), (nxt - 1, y)):
+            got = nth_root_floor(x, r)
+            assert got == want == _root_by_bisection(x, r), (r, bits, x - p)
+
+
+@pytest.mark.parametrize("miss", [-2, -1, 1, 2])
+def test_nth_root_floor_certifies_a_start_that_misses(monkeypatch, miss):
+    # the certificate alone makes the root exact: a start off by a unit or
+    # two is stepped down, or fails the bound and is stepped up by ones
+    rng = random.Random(miss)
+    start = klp._root_start
+    monkeypatch.setattr(klp, "_root_start", lambda x, r: max(0, start(x, r) + miss))
+    for r in (2, 3, 5):
+        for bits in (10, 129, 1000):
+            y = rng.getrandbits(bits) | 1 << (bits - 1)
+            for x in (y**r - 1, y**r, y**r + 1, (y + 1) ** r - 1, rng.getrandbits(bits * r)):
+                got = nth_root_floor(x, r)
+                assert got == _root_by_bisection(x, r), (r, bits, miss)
+
+
 def test_pow_frac_ceil_at_a_large_exact_power():
     rng = random.Random(300)
     z = rng.getrandbits(1160) | 1 << 1159
@@ -101,6 +134,39 @@ def test_klp_report_ceiling_root_by_powering(q, n, k, t):
     target = rep.A_upper**52
     assert r52**5 >= target > (r52 - 1) ** 5
     assert rep.feasible == (rep.rhs_final < rep.B_lower)
+
+
+# sha256 of repr(klp_report(...)), captured from the full-length Newton step
+# that certified its roots with two full powers
+KLP_REPR_SHA256 = {
+    (2, 3000, 75, 1): "6fac7dfd7073ed8d16136042728c3e2dbbe8f8c9394f00741ad24fb3a886fa95",
+    (5, 1000, 20, 2): "47a214a21bef746d7a6694746208c8f356e10f97c34466ab4a2476d8bec6f447",
+    (2, 1000, 25, 1): "7be1e89f43d6399a2773d38362b440559ef331c9afe70ba706d0232e47a5a145",
+    (2, 64, 40, 30): "80ad4ddbe2771ed6409365cd12b54d47c6e92fe0f5f231a3ed47fd0faefc9016",
+}
+# the same over the selftest's klp_bound_consistency grid, then (2, 20, 5, 1)
+# at constants 1, 2, 5 and 10
+KLP_GRID_SHA256 = "d396ee7d45bd3e31a43dccf40d3f3597977dc5cfaaabd971eae2e471ef59f65b"
+
+
+def test_klp_report_reprs_pinned():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for params, digest in KLP_REPR_SHA256.items():
+            text = repr(klp_report(*params))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, params
+        grid = hashlib.sha256()
+        for q in (2, 3):
+            for t in (1, 2):
+                for k in range(t, 6):
+                    for n in range(k, 11):
+                        grid.update(repr(klp_report(q, n, k, t)).encode())
+        for c in (1, 2, 5, 10):
+            grid.update(repr(klp_report(2, 20, 5, 1, constant=c)).encode())
+        assert grid.hexdigest() == KLP_GRID_SHA256
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_report_fields():
