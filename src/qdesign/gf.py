@@ -18,8 +18,8 @@ These are the lexicographically minimal choices per (p, e), so every
 table, canonical form, and report produced by the library is reproducible
 bit for bit.  Full addition/multiplication/inverse tables are precomputed
 at construction; all later arithmetic is branch-free table lookup.
-Entries are range-checked where they enter (MatrixGFq); elimination and
-row products (_rref_rows, _mul_rows) read the tables and check nothing.
+Entries are range-checked where they enter (MatrixGFq(...), from_rows);
+library-made matrices (_trusted), _rref_rows and _mul_rows check nothing.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ _REDUCTION_POLYS: dict[int, tuple[int, ...]] = {
 _PRIME_ORDERS = (2, 3, 5, 7, 11, 13)
 
 SUPPORTED_ORDERS = tuple(sorted(_PRIME_ORDERS + tuple(_REDUCTION_POLYS)))
+
+_DIGITS = "0123456789abcdef"  # element x's digit, in design files and grassmann._packed
 
 
 @_value_class
@@ -179,8 +181,7 @@ class MatrixGFq:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise DimensionMismatch("ragged rows")
-        flat = tuple(x for r in rows for x in r)
-        return cls(field=field, rows=len(rows), cols=ncols, entries=flat)
+        return cls(field=field, rows=len(rows), cols=ncols, entries=tuple(x for r in rows for x in r))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -193,9 +194,8 @@ class MatrixGFq:
 
 
 def identity_matrix(field: FieldSpec, n: int) -> MatrixGFq:
-    return MatrixGFq.from_rows(
-        field, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    )
+    check_chain(0, n=n)
+    return MatrixGFq._trusted(field, n, n, tuple([int(i == j) for i in range(n) for j in range(n)]))
 
 
 def _rref_rows(field: FieldSpec, rows: list[list[int]], ncols: int) -> tuple[list[list[int]], int]:
@@ -235,7 +235,7 @@ def _rref_rows(field: FieldSpec, rows: list[list[int]], ncols: int) -> tuple[lis
 def rref(M: MatrixGFq) -> tuple[MatrixGFq, int]:
     """Reduced row echelon form of M and its rank."""
     rows, rank = _rref_rows(M.field, [list(r) for r in M.row_list()], M.cols)
-    return MatrixGFq.from_rows(M.field, rows), rank
+    return MatrixGFq._trusted(M.field, M.rows, M.cols, tuple([x for r in rows for x in r])), rank
 
 
 def rank(M: MatrixGFq) -> int:
@@ -265,7 +265,7 @@ def mat_mul(A: MatrixGFq, B: MatrixGFq) -> MatrixGFq:
     if A.field != B.field or A.cols != B.rows:
         raise DimensionMismatch("incompatible shapes or fields")
     out = _mul_rows(A.field, A.row_list(), B.row_list(), B.cols)
-    return MatrixGFq(field=A.field, rows=A.rows, cols=B.cols, entries=tuple(x for r in out for x in r))
+    return MatrixGFq._trusted(A.field, A.rows, B.cols, tuple([x for r in out for x in r]))
 
 
 def mat_inverse(M: MatrixGFq) -> MatrixGFq:
@@ -277,7 +277,7 @@ def mat_inverse(M: MatrixGFq) -> MatrixGFq:
     aug, rk = _rref_rows(M.field, aug, 2 * n)
     if rk < n or any(aug[i][:n] != [1 if j == i else 0 for j in range(n)] for i in range(n)):
         raise SingularMap("matrix is singular")
-    return MatrixGFq.from_rows(M.field, [r[n:] for r in aug])
+    return MatrixGFq._trusted(M.field, n, n, tuple([x for r in aug for x in r[n:]]))
 
 
 def random_invertible(field: FieldSpec, n: int, seed: int) -> MatrixGFq:
@@ -292,4 +292,4 @@ def random_invertible(field: FieldSpec, n: int, seed: int) -> MatrixGFq:
     while True:
         entries = tuple(rng.randrange(q) for _ in range(n * n))
         if rank_of_rows(field, [entries[i : i + n] for i in range(0, n * n, n)], n) == n:
-            return MatrixGFq(field=field, rows=n, cols=n, entries=entries)
+            return MatrixGFq._trusted(field, n, n, entries)

@@ -5,12 +5,9 @@ rows), which is unique, so two SubspaceBasis values are equal exactly
 when they represent the same subspace.  This module alone knows that
 shape.  Checks run where values enter from outside: SubspaceBasis(...)
 refuses entries that differ from the _span of their own rows, and
-subspace_from_rows and verifier's design files check their rows.  The
-library builds the bases it made canonical itself through _trusted,
-which skips the check: the enumerations, unrank, the design files'
-canonical blocks, the decoding certificate's subspaces, and _span, the
-one elimination from bare rows (outside rows, apply_map, extensions,
-the certificate's envelope), with no MatrixGFq.
+subspace_from_rows, apply_map and verifier's design files check their
+input.  Values the library made valid itself skip them (_trusted,
+MatrixGFq._trusted); _span is the one elimination from bare rows.
 
 Canonical enumeration order: by pivot-column set (lexicographically
 increasing), then by the free entries read in row-major order as a
@@ -38,7 +35,7 @@ from it; it reads none of the kernel's tables, and the tests hold the
 kernel to it.  _group_t_ranks lists their ranks in the same order for
 many blocks with one pivot set: a pivot group of the incidence matrix
 or the search, t_subspace_ranks' one block, or a run of _block_t_ranks,
-which groups the verifier's blocks by pivots, 4096 at most to a call.
+which groups the verifier's blocks by pivots, _CHUNK at most to a call.
 The images P B of the patterns P with one pivot set share their offset,
 and a rank is that offset plus one contribution per row of P B, its free
 entries in place.  Row i is B's row p_i plus c_m times B's row m over
@@ -58,8 +55,8 @@ depends on the characteristic alone.  For q = 2^b the ranks within a
 group are F_2-affine in the block's free bits, by the same argument, so
 _group_t_ranks ranks only the blocks of index 0 and 2^j, one per free
 bit, and XOR doubling across blocks, from _t_plans' offsets, fills in
-the table.  Odd q passes the group to _group_t_ranks 4096 blocks at a
-time.  No SubspaceBasis is built, and a table lasts one group.
+the table.  Odd q passes the group to _group_t_ranks _CHUNK blocks at
+a time.  No SubspaceBasis is built, and a table lasts one group.
 """
 
 from __future__ import annotations
@@ -73,8 +70,12 @@ from operator import itemgetter
 from .errors import (
     AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, _value_class, check_chain,
 )
-from .gf import FieldSpec, MatrixGFq, _mul_rows, _rref_rows, mat_inverse, mat_mul, rank_of_rows
+from .gf import (
+    _DIGITS, FieldSpec, MatrixGFq, _mul_rows, _rref_rows, mat_inverse, mat_mul, rank_of_rows,
+)
 from .qcount import capped, q_binomial
+
+_CHUNK = 4096  # blocks per kernel call and values per doubling run: it bounds the kernel's tables
 
 
 @_value_class
@@ -351,7 +352,7 @@ def _packed(field: FieldSpec, rows: list[bytes], c: int) -> list[int]:
     with b bits per entry, entry 0 most significant, for q = 2^b.  The
     work is in C: bytes.translate writes each entry x as the base-q digit
     of c x, and int reads the digits in base q."""
-    digits = bytes([ord("0123456789abcdef"[y]) for y in field.mul_table[c]])
+    digits = bytes([ord(_DIGITS[y]) for y in field.mul_table[c]])
     table = digits.ljust(256, b"0")  # for bytes.translate: x -> the digit of c x
     return list(map(int, map(bytes.translate, rows, repeat(table)), repeat(field.q)))
 
@@ -452,7 +453,7 @@ def _group_t_ranks(
 def _block_t_ranks(field: FieldSpec, n: int, k: int, t: int, forms: list) -> Iterator[list[int]]:
     """The rank lists of _group_t_ranks for canonical k-dimensional blocks
     given by their entries in any order, grouped by pivots and passed at
-    most 4096 at a time, so each rank occurs once per block containing
+    most _CHUNK at a time, so each rank occurs once per block containing
     its t-subspace."""
     # canonical: row i leads with a 1, so its first 1 from flat index i n is at i n + its pivot
     firsts = [map(tuple.index, forms, repeat(1), repeat(i * n)) for i in range(k)]
@@ -462,8 +463,8 @@ def _block_t_ranks(field: FieldSpec, n: int, k: int, t: int, forms: list) -> Ite
         groups[key].append(entries)
     for key, group in groups.items():
         pivots = tuple([c - i * n for i, c in enumerate(key)])
-        for s in range(0, len(group), 4096):  # bounds the kernel's tables
-            yield from _group_t_ranks(field, n, t, pivots, group[s : s + 4096])
+        for s in range(0, len(group), _CHUNK):
+            yield from _group_t_ranks(field, n, t, pivots, group[s : s + _CHUNK])
 
 
 def _rank_groups(
@@ -478,10 +479,10 @@ def _rank_groups(
     _group_t_ranks call ranks the group's probe blocks, of index 0 and
     2^j for each free bit j, and XOR doubling fills in the table (see the
     module doc), whose columns start at the offsets of _t_plans.  Odd q
-    passes the group's entries to _group_t_ranks 4096 at a time.
+    passes the group's entries to _group_t_ranks _CHUNK at a time.
 
-    tick, if given, is called after every 4096 blocks passed to
-    _group_t_ranks and before each run of at most 4096 values that XOR
+    tick, if given, is called after every _CHUNK blocks passed to
+    _group_t_ranks and before each run of at most _CHUNK values that XOR
     doubling adds to a column, so a caller can stop a long group by
     raising.
     """
@@ -490,7 +491,7 @@ def _rank_groups(
         if field.characteristic != 2:
             forms = _group_forms(n, pivots, q)
             covers: list[tuple[int, ...]] = []
-            while chunk := list(islice(forms, 4096)):
+            while chunk := list(islice(forms, _CHUNK)):
                 covers += zip(*_group_t_ranks(field, n, t, pivots, chunk))
                 tick()
             yield covers
@@ -505,9 +506,9 @@ def _rank_groups(
             values = [c]
             for unit in units:
                 d = (unit - offset) ^ c
-                for s in range(0, len(values), 4096):
+                for s in range(0, len(values), _CHUNK):
                     tick()
-                    values += [v ^ d for v in values[s : s + 4096]]
+                    values += [v ^ d for v in values[s : s + _CHUNK]]
             columns.append([v + offset for v in values])
         yield list(zip(*columns))
 
@@ -587,9 +588,14 @@ def apply_map(L: MatrixGFq, V: SubspaceBasis) -> SubspaceBasis:
     lrows = L.row_list()
     if rank_of_rows(L.field, lrows, L.cols) != L.rows:
         raise SingularMap("map is not invertible")
-    out = _span(V.field, V.n, _mul_rows(V.field, V.rows(), lrows, V.n))
+    out = _image(V, lrows)
     assert out.k == V.k
     return out
+
+
+def _image(V: SubspaceBasis, lrows: list) -> SubspaceBasis:
+    """apply_map's body, for the rows of a map known to be invertible."""
+    return _span(V.field, V.n, _mul_rows(V.field, V.rows(), lrows, V.n))
 
 
 def complete_basis(V: SubspaceBasis) -> MatrixGFq:
@@ -598,8 +604,8 @@ def complete_basis(V: SubspaceBasis) -> MatrixGFq:
     first the rows form a unit upper block-triangular matrix, so they are
     a basis by construction, with no elimination."""
     n, pivots = V.n, set(V.pivot_columns)
-    units = [tuple([int(i == j) for i in range(n)]) for j in range(n) if j not in pivots]
-    return MatrixGFq.from_rows(V.field, V.rows() + units)
+    units = [int(i == j) for j in range(n) if j not in pivots for i in range(n)]
+    return MatrixGFq._trusted(V.field, n, n, V.entries + tuple(units))
 
 
 def gl_map_between(U1: SubspaceBasis, U2: SubspaceBasis) -> MatrixGFq:

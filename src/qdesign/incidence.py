@@ -16,12 +16,7 @@ from itertools import chain
 from .errors import TooLarge, _value_class, check_chain, number_text
 from .gf import FieldSpec
 from .grassmann import (
-    SubspaceBasis,
-    _rank_groups,
-    apply_map,
-    gl_map_between,
-    iter_subspaces,
-    subspace_rank,
+    SubspaceBasis, _image, _rank_groups, gl_map_between, iter_subspaces, subspace_rank,
 )
 from .qcount import capped, q_binomial
 
@@ -141,19 +136,17 @@ def check_symmetry_transitivity(M: IncidenceStructure, trials: int, seed: int) -
     rng = random.Random(seed)
     nrows, ncols = M.num_rows, M.num_cols
     for _ in range(trials):
-        b1 = rng.randrange(nrows)
-        b2 = rng.randrange(nrows)
-        L = gl_map_between(M.row_index[b1], M.row_index[b2])
-        # row and column positions are canonical ranks
-        pi = [subspace_rank(apply_map(L, s)) for s in M.row_index]
-        sigma = [subspace_rank(apply_map(L, s)) for s in M.col_index]
+        b1, b2 = rng.randrange(nrows), rng.randrange(nrows)
+        lrows = gl_map_between(M.row_index[b1], M.row_index[b2]).row_list()
+        # positions are canonical ranks; gl_map_between's maps are invertible
+        ranks = [subspace_rank(_image(s, lrows)) for s in M.row_index + M.col_index]
+        pi, sigma = ranks[:nrows], ranks[nrows:]
         if pi[b1] != b2:
             return False
         if sorted(pi) != list(range(nrows)) or sorted(sigma) != list(range(ncols)):
             return False
         for _ in range(1000):
-            i = rng.randrange(nrows)
-            j = rng.randrange(ncols)
+            i, j = rng.randrange(nrows), rng.randrange(ncols)
             if M.entry(pi[i], sigma[j]) != M.entry(i, j):
                 return False
     return True

@@ -8,8 +8,8 @@ k-subspace of canonical rank r, kept only as the columns it covers, the
 ranks of its own t-subspaces, taken one pivot group at a time
 (grassmann._rank_groups); search_design unranks the blocks it chose.
 One clock, search_design's tick, bounds the build, the solver and the
-greedy restarts; the build, the solver's set-up and each greedy pass
-call it every 4096 candidates (the build's affine tables: 4096 values).
+greedy restarts: the build once per batch of grassmann._CHUNK, the
+solver's set-up and each greedy pass every _TICK_EVERY candidates.
 
 The exhaustive method branches on the deficient column with the fewest
 usable candidates, lowest index first; at each node the candidates
@@ -40,6 +40,8 @@ from .gf import FieldSpec, make_field
 from .grassmann import _rank_groups, _unrank_sorted
 from .qcount import capped, q_binomial
 from .verifier import DesignCandidate, verify_design
+
+_TICK_EVERY = 4096  # candidates between the solver's clock checks
 
 
 @_value_class
@@ -127,7 +129,7 @@ class _ExactCover:
         self.need = [inst.multiplicity] * ncols
         self.col_cands = [[] for _ in range(ncols)]
         for r, cov in enumerate(inst.covers):
-            if not r & 4095:
+            if not r % _TICK_EVERY:
                 self.tick()
             for c in cov:
                 self.col_cands[c].append(r)
@@ -232,7 +234,7 @@ def _greedy_once(
     Takes, in shuffled order, every candidate that covers no satisfied
     column.  need only decreases, so a candidate passed over can never
     become takeable later and one pass over the order suffices.  tick,
-    if given, is called every 4096 candidates of the pass."""
+    if given, is called every _TICK_EVERY candidates of the pass."""
     ncols = inst.universe_size
     need = [inst.multiplicity] * ncols
     order = list(range(len(inst.covers)))
@@ -241,7 +243,7 @@ def _greedy_once(
     remaining = inst.multiplicity * ncols
     tick = tick or (lambda: None)
     for i, r in enumerate(order):
-        if not i & 4095:
+        if not i % _TICK_EVERY:
             tick()
         cov = inst.covers[r]
         if all(need[c] > 0 for c in cov):
@@ -333,7 +335,7 @@ def search_design(
 
     chosen = tuple(_unrank_sorted(n, k, field, sorted(rows)))
     assert len(chosen) == target_n
-    candidate = DesignCandidate(field=field, n=n, k=k, blocks=chosen)
+    candidate = DesignCandidate._trusted(field, n, k, chosen)
     report = verify_design(candidate, t, max_columns=n_t)
     if not (report.is_design and report.is_simple and report.lambda_ == lam):
         raise AssertionError("search produced a non-design; solver bug")

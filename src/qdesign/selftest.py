@@ -101,12 +101,8 @@ def gf_rref_properties() -> int:
         for trial in range(25):
             rows = rng.randrange(1, 5)
             cols = rng.randrange(1, 6)
-            M = MatrixGFq(
-                field=f,
-                rows=rows,
-                cols=cols,
-                entries=tuple(rng.randrange(q) for _ in range(rows * cols)),
-            )
+            entries = tuple(rng.randrange(q) for _ in range(rows * cols))
+            M = MatrixGFq(field=f, rows=rows, cols=cols, entries=entries)
             R, rk = rref(M)
             R2, rk2 = rref(R)
             if R2 != R or rk2 != rk:

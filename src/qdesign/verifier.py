@@ -15,7 +15,8 @@ Design file format (text):
     line 1: "q n k"
     then blocks separated by blank lines, each block k lines of n
     digits (field element indices; 0-9a-f covers q <= 16).
-The JSON form carries the same fields plus a schema_version.
+The JSON form carries the same fields plus a schema_version.  A block
+with k = 0 has no rows, so only JSON holds a design of such blocks.
 
 A file is read in one pass: its rows are joined and translated to
 digit values once, and their counts, lengths and digits are checked
@@ -23,7 +24,8 @@ over the whole file.  A block whose rows are canonical, as save_design
 writes them, is taken as it is (grassmann._canonical_check, from the
 leading column of each row); any other basis is eliminated and must be
 linearly independent.  If a whole-file check fails, the blocks are
-read one at a time, so the first fault in file order is reported.
+read one at a time, so the first fault in file order is reported.  The
+blocks share the file's q, n and k: DesignCandidate._trusted builds it.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ from collections import Counter
 from itertools import chain, groupby, repeat
 
 from .errors import DimensionMismatch, InvalidParameters, _value_class, check_chain
-from .gf import FieldSpec, make_field
+from .gf import _DIGITS, FieldSpec, make_field
 from .grassmann import SubspaceBasis, _block_t_ranks, _canonical_check, _span, _trusted, unrank
 from .qcount import capped, q_binomial
 
-_DIGITS = "0123456789abcdef"
-# for bytes.translate: a digit's byte to its value, every other byte to 255
-_DIGIT_VALUES = bytes(int(chr(b), 16) if chr(b) in _DIGITS + "ABCDEF" else 255 for b in range(256))
+# for bytes.translate: a digit's byte, either case, to its value, every other byte to 255
+_DIGIT_VALUES = bytes(_DIGITS.find(chr(b).lower()) % 256 for b in range(256))
 
 
 @_value_class
@@ -204,7 +205,7 @@ def _design_from_fields(q: int, n: int, k: int, block_rows: list) -> DesignCandi
         else _block_from_digit_rows(field, n, k, block, i)
         for i, (block, form, check) in enumerate(zip(block_rows, forms, checks))
     ])
-    return DesignCandidate(field=field, n=n, k=k, blocks=blocks)
+    return DesignCandidate._trusted(field, n, k, blocks)
 
 
 def _int_field(value, key: str, part: str) -> int:
@@ -263,6 +264,8 @@ def save_design(candidate: DesignCandidate, path: str, fmt: str = "text") -> Non
     import json
 
     if fmt == "text":
+        if candidate.blocks and not candidate.k:  # such a block has no rows to write
+            raise InvalidParameters("blocks of k = 0 have no text form; use --out-format json")
         payload = format_design_text(candidate)
     elif fmt == "json":
         payload = json.dumps(design_to_json_obj(candidate), indent=2, sort_keys=True) + "\n"

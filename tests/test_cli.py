@@ -836,6 +836,19 @@ def test_verify_json_output(tmp_path):
     assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == out
 
 
+def test_search_refuses_a_text_file_for_blocks_of_k_0(tmp_path):
+    k0 = ("search", "--q", "2", "--n", "2", "--k", "0", "--t", "0", "--lambda", "1")
+    code, out, err = run_cli(*k0, "--out", "k0.txt", cwd=tmp_path)
+    assert (code, out) == (2, "")
+    assert err == "error: blocks of k = 0 have no text form; use --out-format json\n"
+    assert not (tmp_path / "k0.txt").exists()
+    code, _, _ = run_cli(*k0, "--out", "k0.json", "--out-format", "json", cwd=tmp_path)
+    assert code == 0
+    code, out, _ = run_cli("verify", "--design", "k0.json", "--t", "0", "--json", cwd=tmp_path)
+    obj = json.loads(out)
+    assert code == 0 and (obj["N"], obj["lambda"], obj["trivial"]) == (1, 1, True)
+
+
 def test_incidence_json_round_trip():
     code, out, _ = run_cli(
         "incidence", "--q", "2", "--n", "4", "--k", "2", "--t", "1", "--json"

@@ -6,6 +6,8 @@ the exception class alone picks the CLI exit code, and caps format
 nothing until they refuse."""
 
 import ast
+import hashlib
+import random
 import re
 import sys
 import time
@@ -15,17 +17,30 @@ import pytest
 
 import qdesign
 from qdesign.errors import DimensionMismatch, TooLarge
-from qdesign.gf import make_field, random_invertible
+from qdesign.gf import (
+    SUPPORTED_ORDERS,
+    MatrixGFq,
+    identity_matrix,
+    make_field,
+    mat_inverse,
+    mat_mul,
+    random_invertible,
+    rref,
+)
 from qdesign.grassmann import (
+    apply_map,
     block_echelon_forms,
+    complete_basis,
     enumerate_subspaces,
     extensions,
+    gl_map_between,
     iter_subspaces,
     subspace_from_rows,
+    subspace_rank,
     t_subspace_ranks,
     unrank,
 )
-from qdesign.incidence import build_incidence
+from qdesign.incidence import build_incidence, check_symmetry_transitivity
 from qdesign.klp import divisibility_witness, klp_report
 from qdesign.localdecode import (
     CoefficientCertificate,
@@ -313,19 +328,63 @@ def test_only_internal_sites_raise_bare_value_error():
     assert handlers == ["BrokenPipeError", "ResourceLimitError", "InvalidParameters", "Exception"]
 
 
+# the public doors that check what enters: SubspaceBasis(...) by an
+# elimination, MatrixGFq(...) and from_rows each entry, DesignCandidate(...)
+# each block's space and dimension.  selftest, an oracle, passes the
+# library's matrices and designs through the last three on purpose, so a
+# malformed output raises there
+CHECKED_DOORS = ("SubspaceBasis", "MatrixGFq", "MatrixGFq.from_rows", "DesignCandidate")
+
+
 def test_library_builds_no_checked_subspace():
-    # SubspaceBasis(...) checks its entries by an elimination; the library
-    # builds the bases it made canonical itself through grassmann._trusted,
-    # so that check stays off its hot paths
+    # the library builds the values it made valid itself through each
+    # class's _trusted, so the checks stay at the doors and off its hot paths
     src = Path(qdesign.__file__).parent
     calls = [
         f"{path.stem}:{node.lineno}"
         for path in sorted(src.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
-        and "SubspaceBasis" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and any(f".{ast.unparse(node.func)}".endswith(f".{door}")
+                for door in CHECKED_DOORS[: 1 if path.stem == "selftest" else None])
     ]
     assert calls == []
+
+
+def test_library_built_values_are_pinned():
+    # sha256 of what gf and grassmann build for themselves on seeded
+    # input, for every field order with n <= 4, and of the ranks of
+    # subspaces mapped by apply_map; captured while every such value
+    # still ran the public checks
+    h = hashlib.sha256()
+    for q in SUPPORTED_ORDERS:
+        f, rng = make_field(q), random.Random(q)
+
+        def rows(count, cols):
+            return MatrixGFq.from_rows(f, [[rng.randrange(q) for _ in range(cols)]
+                                           for _ in range(count)])
+
+        for n in range(1, 5):
+            for seed in range(3):
+                M = rows(rng.randrange(1, 5), n)
+                R, rk = rref(M)
+                L = random_invertible(f, n, seed)
+                k = rng.randrange(n + 1)
+                S1, S2 = (unrank(n, k, f, rng.randrange(q_binomial(n, k, q))) for _ in range(2))
+                built = [R, mat_inverse(L), mat_mul(L, rows(n, 3)),
+                         identity_matrix(f, n), complete_basis(S1), gl_map_between(S1, S2)]
+                shapes = [(X.rows, X.cols, X.entries) for X in built]
+                h.update(repr((q, n, seed, rk, shapes)).encode())
+    for q, n, k in ((2, 4, 2), (2, 5, 2), (3, 3, 1), (3, 4, 2), (4, 3, 2), (5, 3, 1)):
+        f = make_field(q)
+        L = random_invertible(f, n, 7)
+        h.update(repr([subspace_rank(apply_map(L, S)) for S in iter_subspaces(n, k, f)]).encode())
+    assert h.hexdigest() == "a8d4a80a907b51b815d710127af6632d1ad2e550c625a61022fb214c8ea579bc"
+    # the incidence_symmetry selftest's cases, at its seed and one more
+    f2 = make_field(2)
+    verdicts = [check_symmetry_transitivity(build_incidence(n, k, t, f2), 20, seed)
+                for n, k, t in ((3, 2, 1), (4, 2, 1), (5, 3, 2)) for seed in (20240 + n, 7)]
+    assert verdicts == [True] * 6
 
 
 # every subcommand under hostile values, through cli.main in one process;

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from qdesign.errors import SingularMap, UnsupportedOrder
+from qdesign.errors import DimensionMismatch, SingularMap, UnsupportedOrder
 from qdesign.gf import (
     SUPPORTED_ORDERS,
     MatrixGFq,
@@ -189,13 +189,13 @@ def test_random_invertible_pinned_digest():
 def test_random_invertible_builds_one_matrix(monkeypatch):
     # rejected samples are ranked as bare rows; only the result is built
     created = []
-    original = MatrixGFq.__post_init__
+    original = MatrixGFq._trusted
 
-    def counting(self):
-        created.append(self.entries)
-        original(self)
+    def counting(*fields):
+        created.append(fields[-1])
+        return original(*fields)
 
-    monkeypatch.setattr(MatrixGFq, "__post_init__", counting)
+    monkeypatch.setattr(MatrixGFq, "_trusted", staticmethod(counting))
     f2 = make_field(2)
     for seed in range(20):
         created.clear()
@@ -234,3 +234,19 @@ def test_matrix_validation():
         MatrixGFq(field=f2, rows=2, cols=2, entries=(0, 1, 1))
     with pytest.raises(ValueError):
         MatrixGFq(field=f2, rows=1, cols=2, entries=(0, 2))
+
+
+def test_rref_keeps_the_shape():
+    f3 = make_field(3)
+    for rows, cols in ((0, 3), (2, 3), (3, 2), (0, 0)):
+        M = MatrixGFq(f3, rows, cols, (2,) * (rows * cols))
+        R, rk = rref(M)
+        assert (R.rows, R.cols, rk) == (rows, cols, min(rows, cols, 1))
+
+
+def test_identity_matrix_checks_its_size():
+    # n comes from the caller; the result is built unchecked, so n is checked first
+    f2 = make_field(2)
+    assert identity_matrix(f2, 0) == MatrixGFq.from_rows(f2, [])
+    with pytest.raises(DimensionMismatch, match="need 0 <= n, got n=-1"):
+        identity_matrix(f2, -1)

@@ -1,9 +1,10 @@
 import json
+from itertools import product
 
 import pytest
 
 from qdesign import verifier
-from qdesign.errors import DimensionMismatch
+from qdesign.errors import DimensionMismatch, InvalidParameters
 from qdesign.gf import make_field, random_invertible
 from qdesign.grassmann import apply_map, enumerate_subspaces, subspace_from_rows
 from qdesign.qcount import q_binomial
@@ -142,6 +143,28 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "design.json"
     save_design(spread, str(path), fmt="json")
     assert load_design(str(path)).blocks == spread.blocks
+
+
+def test_found_designs_survive_both_formats(tmp_path):
+    # the text format has no rows for a block with k = 0: it refuses such
+    # a design and writes nothing, and JSON holds it
+    json_path, text_path = tmp_path / "d.json", tmp_path / "d.txt"
+    grid = [(q, n, k, t, lam) for q, n, lam in product((2, 3), range(4), (1, 2))
+            for k in range(n + 1) for t in range(k + 1)]
+    found = [cand for cand in (search_design(*p) for p in grid)
+             if isinstance(cand, DesignCandidate)]
+    assert {cand.k for cand in found} == {0, 1, 2, 3}
+    for cand in found:
+        save_design(cand, str(json_path), fmt="json")
+        assert load_design(str(json_path)) == cand
+        if cand.k == 0:
+            with pytest.raises(InvalidParameters, match="--out-format json"):
+                save_design(cand, str(text_path))
+            assert not text_path.exists()
+            continue
+        save_design(cand, str(text_path))
+        assert load_design(str(text_path)) == cand
+        text_path.unlink()
 
 
 def test_file_format_q3(tmp_path):
