@@ -310,6 +310,8 @@ def _cmd_search(args) -> _Result:
         with _user_file("write design", args.out):
             save_design(result, args.out, fmt=args.out_format)
         lines.append(f"wrote design to {args.out}")
+    elif result.blocks and not result.k:  # as save_design refuses them
+        lines.append("blocks of k = 0 have no text form; use --json")
     else:
         lines += ["", format_design_text(result)[:-1]]
     return 0, obj, lines

@@ -24,7 +24,9 @@ on an explicit stack, so designs of any block count are in reach.
 
 The greedy method takes, in a shuffled order, every block that
 over-covers nothing, restarting until the time budget runs out; it
-makes no completeness claim.
+makes no completeness claim.  Its passes run on the exhaustive solver's
+counts ("over-covers nothing" is "unblocked"); a failed pass undoes its
+takes, so every restart starts from the same state.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class _Expired(Exception):
 
 
 class _ExactCover:
-    """Backtracking exact multi-cover in canonical order.
+    """Exact multi-cover counts, shared by backtracking in canonical
+    order (solve) and greedy passes in a given order (greedy).
 
     Three counts are kept up to date as candidates are taken, undone,
     excluded and released, so no node recounts from scratch (the
@@ -118,8 +121,9 @@ class _ExactCover:
     frames, one per level, so its depth (the block count) is not bounded
     by the interpreter's recursion limit.
 
-    tick, if given, is called during the set-up and at every node, and
-    may stop the search by raising.
+    tick, if given, is called during the set-up, at every node and
+    every _TICK_EVERY candidates of a greedy pass, and may stop the
+    search by raising.
     """
 
     def __init__(self, inst: CoverInstance, tick: Callable[[], None] | None = None):
@@ -140,6 +144,10 @@ class _ExactCover:
         self.stack: list[list] = []
         self.best_satisfied = 0
         self.nodes = 0
+        if not inst.multiplicity:  # lambda = 0: every column starts satisfied
+            self.satisfied = ncols
+            for rows in self.col_cands:
+                self._block(rows)
 
     def _block(self, rows) -> None:
         blocked, avail, covers = self.blocked, self.avail, self.covers
@@ -225,34 +233,23 @@ class _ExactCover:
             else:
                 return None
 
-
-def _greedy_once(
-    inst: CoverInstance, rng: random.Random, tick: Callable[[], None] | None = None
-) -> tuple[list[int] | None, int]:
-    """One greedy pass; returns (solution or None, columns fully satisfied).
-
-    Takes, in shuffled order, every candidate that covers no satisfied
-    column.  need only decreases, so a candidate passed over can never
-    become takeable later and one pass over the order suffices.  tick,
-    if given, is called every _TICK_EVERY candidates of the pass."""
-    ncols = inst.universe_size
-    need = [inst.multiplicity] * ncols
-    order = list(range(len(inst.covers)))
-    rng.shuffle(order)
-    chosen = []
-    remaining = inst.multiplicity * ncols
-    tick = tick or (lambda: None)
-    for i, r in enumerate(order):
-        if not i % _TICK_EVERY:
-            tick()
-        cov = inst.covers[r]
-        if all(need[c] > 0 for c in cov):
-            chosen.append(r)
-            for c in cov:
-                need[c] -= 1
-            remaining -= len(cov)
-    satisfied = sum(1 for nd in need if nd == 0)
-    return (chosen if remaining == 0 else None), satisfied
+    def greedy(self, order: list[int]) -> list[int] | None:
+        """Take, in order, every unblocked candidate: need only
+        decreases, so one passed over never becomes takeable and one pass
+        suffices.  Returns the candidates taken if every column is
+        satisfied; else undoes them, so the next pass starts afresh."""
+        blocked, tick = self.blocked, self.tick
+        for i, r in enumerate(order):
+            if not i % _TICK_EVERY:
+                tick()
+            if not blocked[r]:
+                self._take(r)
+        self.best_satisfied = max(self.best_satisfied, self.satisfied)
+        if self.satisfied == len(self.need):
+            return list(self.chosen)
+        while self.chosen:
+            self._untake(self.chosen[-1])
+        return None
 
 
 def search_design(
@@ -275,9 +272,9 @@ def search_design(
     or a limit that is not finite, DimensionMismatch, before any count is
     taken, unless 0 <= t <= k <= n and lam >= 0, and then TooLarge, before
     the block-count test, if the universe or the candidates exceed their
-    caps.  The limit covers the build, the solver's set-up, every node
-    and every greedy restart; run out during the build or the set-up, it
-    returns Timeout with no column satisfied.
+    caps.  The limit covers the build, the solver's set-up, which both
+    methods run, every node and every greedy restart; run out during the
+    build or the set-up, it returns Timeout with no column satisfied.
     """
     if method not in ("exhaustive", "greedy"):
         raise InvalidParameters(f"unknown method {method!r}")
@@ -307,14 +304,13 @@ def search_design(
             raise _Expired
 
     solver = None
-    best = 0
     try:
         inst = build_cover_instance(
             n, k, t, lam, field, max_universe=max_universe, max_candidates=max_candidates,
             tick=tick,
         )
+        solver = _ExactCover(inst, tick)
         if method == "exhaustive":
-            solver = _ExactCover(inst, tick)
             rows = solver.solve()
             if rows is None:
                 return NotFound("exhaustive search completed without a solution")
@@ -323,15 +319,15 @@ def search_design(
             # a fixed restart budget keeps the no-deadline outcome
             # deterministic per seed; a deadline overrides it
             for _ in range(1000) if limit is None else count():
-                rows, satisfied = _greedy_once(inst, rng, tick)
-                best = max(best, satisfied)
+                order = list(range(len(inst.covers)))
+                rng.shuffle(order)
+                rows = solver.greedy(order)
                 if rows is not None:
                     break
             else:
                 return NotFound("greedy search stalled after 1000 restarts")
     except _Expired:
-        best = solver.best_satisfied if solver else best
-        return Timeout(time.monotonic() - start, best, n_t)
+        return Timeout(time.monotonic() - start, solver.best_satisfied if solver else 0, n_t)
 
     chosen = tuple(_unrank_sorted(n, k, field, sorted(rows)))
     assert len(chosen) == target_n

@@ -2,6 +2,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 if SRC not in sys.path:
     sys.path.insert(0, SRC)
@@ -23,3 +25,24 @@ def run_cli(*args, cwd=None):
         timeout=300,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.fixture
+def main_in_process(capsys):
+    """Run cli.main in this process; each call returns (exit_code, stdout,
+    stderr) as run_cli does, for commands that need no process of their
+    own.  An argparse exit is caught, and the interpreter's limit on
+    integer digits, which main lifts, is restored afterwards."""
+    from qdesign import cli
+
+    def run(*args):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    saved = sys.get_int_max_str_digits()
+    yield run
+    sys.set_int_max_str_digits(saved)

@@ -234,7 +234,7 @@ def test_verify_json_blocks_malformed_exit_2(tmp_path):
         )
 
 
-def test_verify_json_non_integer_field_exit_2(tmp_path):
+def test_verify_json_non_integer_field_exit_2(tmp_path, main_in_process):
     cases = (
         ("q", "null"), ("n", "[2]"), ("k", '"one"'), ("k", "1e999"),
         # JSON numbers must be integers: no truncation, no boolean as 1
@@ -245,12 +245,14 @@ def test_verify_json_non_integer_field_exit_2(tmp_path):
         (tmp_path / "d.json").write_text(
             '{"q": %(q)s, "n": %(n)s, "k": %(k)s, "blocks": []}\n' % fields
         )
-        code, out, err = run_cli("verify", "--design", str(tmp_path / "d.json"), "--t", "1")
+        code, out, err = main_in_process(
+            "verify", "--design", str(tmp_path / "d.json"), "--t", "1"
+        )
         assert code == 2 and out == ""
         assert err == f"error: design JSON field '{key}' must be an integer\n"
 
 
-def test_verify_design_file_digit_and_header_errors_exit_2(tmp_path):
+def test_verify_design_file_digit_and_header_errors_exit_2(tmp_path, main_in_process):
     # each message names where the file is at fault
     cases = (
         ("e.txt", "2 3 1\n\n100\n\n102\n",
@@ -299,7 +301,9 @@ def test_verify_design_file_digit_and_header_errors_exit_2(tmp_path):
     for name, text, expected in cases:
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         for extra in ((), ("--json",)):
-            code, out, err = run_cli("verify", "--design", str(tmp_path / name), "--t", "1", *extra)
+            code, out, err = main_in_process(
+                "verify", "--design", str(tmp_path / name), "--t", "1", *extra
+            )
             assert (code, out, err) == (2, "", expected)
 
 
@@ -329,7 +333,7 @@ def test_klp_report_q_below_2_exit_2():
         assert err == "error: need q >= 2, got q=1\n"
 
 
-def test_field_order_below_2_one_message(tmp_path):
+def test_field_order_below_2_one_message(tmp_path, main_in_process):
     # make_field gives the same message as the q-counting commands above
     (tmp_path / "d.txt").write_text("1 3 1\n\n100\n")
     (tmp_path / "d.json").write_text('{"q": 1, "n": 3, "k": 1, "blocks": [["100"]]}')
@@ -341,7 +345,7 @@ def test_field_order_below_2_one_message(tmp_path):
         ("verify", "--design", str(tmp_path / "d.txt"), "--t", "1"),
         ("verify", "--design", str(tmp_path / "d.json"), "--t", "1"),
     ):
-        assert run_cli(*args) == (2, "", "error: need q >= 2, got q=1\n"), args
+        assert main_in_process(*args) == (2, "", "error: need q >= 2, got q=1\n"), args
 
 
 def test_decode_text():
@@ -515,7 +519,7 @@ def test_lemma2_check_hit_word_cap_exit_3():
     )
 
 
-def test_cap_errors_abbreviate_huge_counts():
+def test_cap_errors_abbreviate_huge_counts(main_in_process):
     # [1000000 1]_2 has 301,030 decimal digits; the caps refuse it at once
     million = ("--q", "2", "--n", "1000000")
     cases = {
@@ -555,7 +559,7 @@ def test_cap_errors_abbreviate_huge_counts():
         )
     for args, message in cases.items():
         start = time.monotonic()
-        code, out, err = run_cli(*args)
+        code, out, err = main_in_process(*args)
         assert time.monotonic() - start < 1.5
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
@@ -735,7 +739,7 @@ def test_klp_report_json_round_trip():
     assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == out
 
 
-def test_search_out_of_range_exit_2():
+def test_search_out_of_range_exit_2(main_in_process):
     # t > k, t < 0, k > n and lambda < 0 are refused before any count
     cases = (
         (("--n", "4", "--k", "2", "--t", "3", "--lambda", "1"), "t=3, k=2, n=4"),
@@ -743,16 +747,18 @@ def test_search_out_of_range_exit_2():
         (("--n", "3", "--k", "5", "--t", "1", "--lambda", "1"), "t=1, k=5, n=3"),
     )
     for args, got in cases:
-        code, out, err = run_cli("search", "--q", "2", *args)
+        code, out, err = main_in_process("search", "--q", "2", *args)
         assert (code, out, err) == (2, "", f"error: need 0 <= t <= k <= n, got {got}\n")
-    code, out, err = run_cli(
+    code, out, err = main_in_process(
         "search", "--q", "2", "--n", "4", "--k", "2", "--t", "1", "--lambda", "-1"
     )
     assert (code, out, err) == (2, "", "error: need 0 <= lambda, got lambda=-1\n")
     # a deadline that never passes, or always has, is refused too
     sizes = ("--q", "2", "--n", "6", "--k", "3", "--t", "2", "--lambda", "3")
     for limit, method in (("nan", "exhaustive"), ("inf", "greedy"), ("-inf", "exhaustive")):
-        code, out, err = run_cli("search", *sizes, "--method", method, f"--timeout={limit}")
+        code, out, err = main_in_process(
+            "search", *sizes, "--method", method, f"--timeout={limit}"
+        )
         assert (code, out, err) == (2, "", f"error: timeout must be finite, got {limit}\n")
 
 
@@ -847,6 +853,21 @@ def test_search_refuses_a_text_file_for_blocks_of_k_0(tmp_path):
     code, out, _ = run_cli("verify", "--design", "k0.json", "--t", "0", "--json", cwd=tmp_path)
     obj = json.loads(out)
     assert code == 0 and (obj["N"], obj["lambda"], obj["trivial"]) == (1, 1, True)
+
+
+def test_search_prints_no_text_for_blocks_of_k_0():
+    # the design text of a k = 0 block is its header alone, which reads
+    # back as N = 0; the found line stands, then the refusal save_design gives
+    k0 = ("search", "--q", "2", "--n", "2", "--k", "0", "--t", "0", "--lambda")
+    assert run_cli(*k0, "1") == (0, (
+        "found: q=2 n=2 k=0 t=0 lambda=1 N=1\n"
+        "blocks of k = 0 have no text form; use --json\n"
+    ), "")
+    # with no blocks the header is the whole design, as before
+    assert run_cli(*k0, "0") == (0, "found: q=2 n=2 k=0 t=0 lambda=0 N=0\n\n2 2 0\n", "")
+    code, out, err = run_cli(*k0, "1", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["design"]["blocks"] == [[]]
 
 
 def test_incidence_json_round_trip():

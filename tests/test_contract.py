@@ -455,9 +455,7 @@ def _design_files(tmp_path: Path) -> list[Path]:
     return files + [tmp_path / "a_directory"]
 
 
-def test_every_command_ends_in_a_documented_exit(tmp_path, capsys):
-    from qdesign import cli
-
+def test_every_command_ends_in_a_documented_exit(tmp_path, main_in_process):
     points = tmp_path / "points.txt"
     points.write_text("2 3 1\n\n" + "\n\n".join(f"{v:03b}" for v in range(1, 8)) + "\n")
     argvs = [c.format(q=q, n=n, k=k) for c in DIMENSION_COMMANDS for q, n, k in DIMENSIONS]
@@ -467,31 +465,26 @@ def test_every_command_ends_in_a_documented_exit(tmp_path, capsys):
     argvs += [c.format(file=f) for c in DESIGN_COMMANDS for f in files]
     argvs += SELFTEST_COMMANDS
     problems = []
-    saved = sys.get_int_max_str_digits()
     table_start = time.monotonic()
-    try:
-        for argv in argvs:
-            start = time.monotonic()
-            code = cli.main(argv.split())
-            elapsed = time.monotonic() - start
-            out, err = capsys.readouterr()
-            if code not in (0, 1, 2, 3):
-                problems.append(f"exit {code}: {argv}: {err!r}")
-            elif code == 3 and argv.startswith("search ") and err == "":
-                # a search timeout reports its progress on stdout
-                if not re.fullmatch(r"timeout: best \d+/\d+ columns satisfied\n", out):
-                    problems.append(f"exit 3 without a timeout line: {argv}: {out!r}")
-            elif code in (2, 3) and (err.count("\n") != 1 or not err.endswith("\n")):
-                problems.append(f"exit {code} without one stderr line: {argv}: {err!r}")
-            elif code == 2 and (got := re.search(r"\bgot (.*)", err)):
-                # a refusal names the caller's values by the flags that set them
-                for name, value in re.findall(r"(\w+)=(\S+?)(?=,|$)", got.group(1)):
-                    if f" --{name} {value} " not in f" {argv} ":
-                        problems.append(f"{name}={value} is no flag of: {argv}: {err!r}")
-            if elapsed > 2.0:
-                problems.append(f"{elapsed:.1f} s: {argv}")
-        total = time.monotonic() - table_start
-    finally:
-        sys.set_int_max_str_digits(saved)
+    for argv in argvs:
+        start = time.monotonic()
+        code, out, err = main_in_process(*argv.split())
+        elapsed = time.monotonic() - start
+        if code not in (0, 1, 2, 3):
+            problems.append(f"exit {code}: {argv}: {err!r}")
+        elif code == 3 and argv.startswith("search ") and err == "":
+            # a search timeout reports its progress on stdout
+            if not re.fullmatch(r"timeout: best \d+/\d+ columns satisfied\n", out):
+                problems.append(f"exit 3 without a timeout line: {argv}: {out!r}")
+        elif code in (2, 3) and (err.count("\n") != 1 or not err.endswith("\n")):
+            problems.append(f"exit {code} without one stderr line: {argv}: {err!r}")
+        elif code == 2 and (got := re.search(r"\bgot (.*)", err)):
+            # a refusal names the caller's values by the flags that set them
+            for name, value in re.findall(r"(\w+)=(\S+?)(?=,|$)", got.group(1)):
+                if f" --{name} {value} " not in f" {argv} ":
+                    problems.append(f"{name}={value} is no flag of: {argv}: {err!r}")
+        if elapsed > 2.0:
+            problems.append(f"{elapsed:.1f} s: {argv}")
+    total = time.monotonic() - table_start
     assert problems == []
     assert total < 10.0

@@ -13,7 +13,6 @@ from qdesign.search import (
     NotFound,
     Timeout,
     _ExactCover,
-    _greedy_once,
     build_cover_instance,
     search_design,
 )
@@ -84,7 +83,9 @@ def test_greedy_pass_ticks_every_4096_candidates():
     # 0, 4096, ..., 69632: ceil(70161 / 4096) = 18 times
     inst = build_cover_instance(4, 2, 1, 1, make_field(16))
     ticks = []
-    _greedy_once(inst, random.Random(0), lambda: ticks.append(None))
+    solver = _ExactCover(inst, lambda: ticks.append(None))
+    ticks.clear()
+    solver.greedy(_order(inst, random.Random(0)))
     assert len(ticks) >= 18
 
 
@@ -153,6 +154,34 @@ def test_greedy_deterministic_per_seed():
     a = search_design(2, 4, 2, 1, 1, method="greedy", seed=5, limit=30)
     b = search_design(2, 4, 2, 1, 1, method="greedy", seed=5, limit=30)
     assert a.blocks == b.blocks
+
+
+def test_greedy_outcomes_pinned():
+    # seeds 0-5 on each instance; the two that fail the count identity
+    # pin that greedy keeps to the exhaustive method's early refusal
+    h = hashlib.sha256()
+    for q, n, k, t, lam in (
+        (2, 4, 2, 1, 1), (2, 4, 2, 1, 2), (2, 4, 2, 1, 3), (2, 6, 3, 1, 1),
+        (2, 6, 2, 1, 31), (3, 3, 2, 1, 1), (4, 3, 2, 1, 1), (2, 5, 3, 2, 7),
+    ):
+        for seed in range(6):
+            h.update(repr(search_design(q, n, k, t, lam, method="greedy", seed=seed)).encode())
+    assert h.hexdigest() == "bdd79e6a2a59492cb7ef8bd71d01176cba6cb90c0302094cbeed9d35002fb9c1"
+    # 62 of the 155 lines of F_2^5, each point on 6 of them: every one of
+    # the 1000 passes stalls
+    stalled = search_design(2, 5, 2, 1, 6, method="greedy")
+    assert stalled == NotFound("greedy search stalled after 1000 restarts")
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "greedy"])
+def test_lambda_0_is_the_empty_design(method):
+    # every column already has its lambda = 0 covers, so no candidate
+    # may be taken
+    for q in (2, 3):
+        for n, k, t in ((2, 0, 0), (2, 1, 1), (3, 1, 1), (3, 2, 1), (4, 2, 1), (4, 3, 0)):
+            result = search_design(q, n, k, t, 0, method=method)
+            assert isinstance(result, DesignCandidate), (q, n, k, t)
+            assert (result.field.q, result.n, result.k, result.blocks) == (q, n, k, ())
 
 
 def test_timeout_reports_partial_stats():
@@ -320,9 +349,35 @@ def _greedy_rescan(inst, rng):
     return (chosen if done else None), sum(1 for nd in need if nd == 0)
 
 
+def _order(inst, rng):
+    """A greedy pass's order, drawn as search_design draws it."""
+    order = list(range(len(inst.covers)))
+    rng.shuffle(order)
+    return order
+
+
 def test_greedy_single_pass_matches_rescan():
     for n, k, t, lam in ((4, 2, 1, 1), (6, 3, 1, 1), (5, 3, 2, 7)):
         inst = build_cover_instance(n, k, t, lam, F2)
         for seed in range(8):
-            got = _greedy_once(inst, random.Random(seed))
+            solver = _ExactCover(inst, None)
+            got = solver.greedy(_order(inst, random.Random(seed))), solver.best_satisfied
             assert got == _greedy_rescan(inst, random.Random(seed))
+
+
+@pytest.mark.parametrize("n, k, t, lam", [(3, 2, 1, 1), (5, 2, 1, 6)])
+def test_greedy_pass_restores_counts_after_a_failure(n, k, t, lam):
+    # every pass fails on these two, and each failed pass leaves the
+    # counts as a fresh solver has them and as a recount finds them, so
+    # the next pass starts from the same state
+    inst = build_cover_instance(n, k, t, lam, F2)
+    fresh = _ExactCover(inst, None)
+    solver = _RecountingCover(inst, None)
+    rng = random.Random(0)
+    for _ in range(3):
+        assert solver.greedy(_order(inst, rng)) is None
+        for name in ("need", "blocked", "avail", "satisfied", "chosen"):
+            assert getattr(solver, name) == getattr(fresh, name), name
+        solver._pick_column()
+    assert solver.checked == 3
+    assert 0 < solver.best_satisfied < inst.universe_size
