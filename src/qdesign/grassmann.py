@@ -57,6 +57,22 @@ _group_t_ranks ranks only the blocks of index 0 and 2^j, one per free
 bit, and XOR doubling across blocks, from _t_plans' offsets, fills in
 the table.  Odd q passes the group to _group_t_ranks _CHUNK blocks at
 a time.  No SubspaceBasis is built, and a table lasts one group.
+
+The brute-force oracles read vector sets, apart from that kernel.  A
+vector is indexed by its entries read as a base-q number
+(nonzero_vectors), so c times a row is one bytes.translate and one
+int(., q) (_scaled_indices, with its own digit tables).  For q = 2^b
+vectors add by XOR of their indices, so a span is built on indices from
+each row's multiples (_multiples, _xor_span); odd q sums entry tuples
+(_tuple_span).  _vector_sets lists nonzero_vectors() of a whole
+Grassmannian in canonical order: for q = 2^b the values the rows of a
+pivot group take (_group_rows, from the entry factors _row_factors that
+_group_forms also reads) are indexed once, and each subspace is the
+span of one value per row, with no SubspaceBasis built; odd q takes
+each subspace's own nonzero_vectors.  _basis_rows lists the rows'
+indices alone, and _leading_vector_sets the vectors of given subspaces
+whose first nonzero entry is 1, among which lie the canonical rows of
+each of their subspaces.
 """
 
 from __future__ import annotations
@@ -64,7 +80,7 @@ from __future__ import annotations
 from collections import defaultdict
 from collections.abc import Callable, Iterator
 from functools import cached_property, lru_cache
-from itertools import combinations, islice, product, repeat
+from itertools import chain, combinations, islice, product, repeat
 from operator import itemgetter
 
 from .errors import (
@@ -115,40 +131,14 @@ class SubspaceBasis:
         significant.  In characteristic 2 the base-q digits of an index
         are the base-2 digits of its entries and entries add by XOR, so
         two vectors add by XOR of their indices and the span is built on
-        indices alone.  In odd characteristic the vectors are summed as
-        tuples and indexed at the end.  Not cached: kept for every
-        subspace, the lists would outweigh the masks.
+        indices alone (_xor_span).  In odd characteristic the vectors are
+        summed as tuples and indexed at the end.  Not cached: kept for
+        every subspace, the lists would outweigh the masks.
         """
-        q, mul = self.field.q, self.field.mul_table
-        rows = self.rows()
-        if self.field.characteristic == 2:
-            vecs: list[int] = []
-            for row in rows:
-                multiples = []
-                for c in range(1, q):
-                    mc = mul[c]
-                    idx = 0
-                    for x in row:
-                        idx = idx * q + mc[x]
-                    multiples.append(idx)
-                vecs += multiples + [m ^ v for m in multiples for v in vecs]
-            return vecs
-        add = self.field.add_table
-        tuples: list[tuple[int, ...]] = [(0,) * self.n]
-        for row in rows:
-            new = list(tuples)
-            for c in range(1, q):
-                scaled = [mul[c][x] for x in row]
-                for v in tuples:
-                    new.append(tuple([add[a][b] for a, b in zip(v, scaled)]))
-            tuples = new
-        out = []
-        for v in tuples[1:]:
-            idx = 0
-            for x in v:
-                idx = idx * q + x
-            out.append(idx)
-        return out
+        field, rows = self.field, self.rows()
+        if field.characteristic == 2:
+            return _xor_span(_multiples(field, list(map(bytes, rows))))
+        return _indices(field, _tuple_span(field, self.n, rows)[1:])
 
     @cached_property
     def vector_mask(self) -> int:
@@ -192,16 +182,139 @@ def _span(field: FieldSpec, n: int, rows: list[list[int]]) -> SubspaceBasis:
     return _trusted(field, n, rk, tuple([x for r in rows[:rk] for x in r]))
 
 
+@lru_cache(maxsize=None)  # one entry per field: make_field is cached
+def _digit_tables(field: FieldSpec) -> tuple[bytes, ...]:
+    """Per c in F_q, the bytes.translate table that writes an entry x,
+    one byte, as the base-q digit of c x."""
+    return tuple([bytes([ord(_DIGITS[y]) for y in row]).ljust(256, b"0")
+                  for row in field.mul_table])
+
+
+def _scaled_indices(field: FieldSpec, rows: list[bytes], scales) -> list[list[int]]:
+    """Per scale c, the vector index (see nonzero_vectors) of c times each
+    row, given one byte per entry: one bytes.translate and one int(., q)
+    per row, the work in C.  Scaling acts entry by entry, so this holds
+    in any characteristic."""
+    tables, q = _digit_tables(field), field.q
+    return [list(map(int, map(bytes.translate, rows, repeat(tables[c])), repeat(q)))
+            for c in scales]
+
+
+def _multiples(field: FieldSpec, rows: list[bytes]) -> list[list[int]]:
+    """Per row, for q = 2^b, the indices of c times it for c = 1 .. q-1:
+    read for each c = 2^j, j < b, and XORed for the others, since c times
+    the row is the sum of 2^j times it over the bits j of c."""
+    out = []
+    for generators in zip(*_scaled_indices(field, rows, [1 << j for j in range(field.degree)])):
+        multiples = [0]
+        for g in generators:
+            multiples += [g ^ m for m in multiples]
+        out.append(multiples[1:])
+    return out
+
+
+def _xor_span(rows) -> list[int]:
+    """The nonzero vectors spanned by rows given as their _multiples, for
+    q = 2^b, where vectors add by XOR of their indices."""
+    vecs: list[int] = []
+    for multiples in rows:
+        vecs += [*multiples, *[m ^ v for m in multiples for v in vecs]]
+    return vecs
+
+
+def _indices(field: FieldSpec, vectors) -> list[int]:
+    """The index of each vector, given by its entries as a tuple or bytes."""
+    return _scaled_indices(field, list(map(bytes, vectors)), (1,))[0]
+
+
+def _tuple_span(field: FieldSpec, n: int, rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Every vector of the span of rows as its entries, the zero vector
+    first, summed through the field's tables: the route of odd q."""
+    add, mul = field.add_table, field.mul_table
+    tuples: list[tuple[int, ...]] = [(0,) * n]
+    for row in rows:
+        new = list(tuples)
+        for c in range(1, field.q):
+            scaled = [mul[c][x] for x in row]
+            for v in tuples:
+                new.append(tuple([add[a][b] for a, b in zip(v, scaled)]))
+        tuples = new
+    return tuples
+
+
+def _row_factors(n: int, pivots: tuple[int, ...], q: int) -> list[list[tuple[int, ...]]]:
+    """Per row of the n-column canonical bases with these pivot columns,
+    the values each entry ranges over: 1 at the row's pivot, F_q at a
+    free entry (right of it, in no pivot column), 0 elsewhere.  The
+    product over the row-major entries, the last fastest, is canonical
+    order."""
+    pivset, digits, zero = set(pivots), range(q), (0,)
+    return [[zero] * p + [(1,)] + [zero if j in pivset else digits for j in range(p + 1, n)]
+            for p in pivots]
+
+
 def _group_forms(n: int, pivots: tuple[int, ...], q: int) -> Iterator[tuple[int, ...]]:
     """Entries of every n-column canonical basis with these pivot columns,
-    in canonical order: the product over the row-major entries, each
-    free one ranging over F_q and the others fixed, varies the last free
-    entry fastest."""
-    pivset, digits, zero = set(pivots), range(q), (0,)
-    entries = []
-    for p in pivots:
-        entries += [zero] * p + [(1,)] + [zero if j in pivset else digits for j in range(p + 1, n)]
-    return product(*entries)
+    in canonical order."""
+    return product(*chain.from_iterable(_row_factors(n, pivots, q)))
+
+
+def _group_rows(n: int, pivots: tuple[int, ...], q: int) -> list[list[bytes]]:
+    """Per row of the canonical bases with these pivot columns, each value
+    the row takes, one byte per entry, in canonical order: the product
+    over the rows lists the group's bases."""
+    return [list(map(bytes, product(*factors))) for factors in _row_factors(n, pivots, q)]
+
+
+def _vector_sets(n: int, k: int, field: FieldSpec) -> Iterator[list[int]]:
+    """nonzero_vectors() of every k-subspace of F_q^n, in canonical order.
+
+    The route is picked by the characteristic.  For q = 2^b no
+    SubspaceBasis is built: per pivot group, the _multiples of each value
+    a row takes are read once, one bytes.translate and int(., q) per
+    scale 2^j, and each subspace is the _xor_span of one value per row,
+    in the product's order.  Odd q takes each subspace's own nonzero_vectors.
+    """
+    check_chain(0, k=k, n=n)
+    if field.characteristic != 2:
+        yield from (S.nonzero_vectors() for S in iter_subspaces(n, k, field))
+        return
+    for pivots in combinations(range(n), k):
+        rows = [_multiples(field, values) for values in _group_rows(n, pivots, field.q)]
+        yield from map(_xor_span, product(*rows))
+
+
+def _basis_rows(n: int, k: int, field: FieldSpec) -> Iterator[tuple[int, ...]]:
+    """The vector indices of the canonical rows of every k-subspace of
+    F_q^n, in canonical order: per pivot group, each value a row takes
+    is read once, by one int(., q)."""
+    for pivots in combinations(range(n), k):
+        yield from product(*[_indices(field, values) for values in _group_rows(n, pivots, field.q)])
+
+
+def _leading_vector_sets(field: FieldSpec, subspaces: list[SubspaceBasis]) -> Iterator[list[int]]:
+    """Per subspace S, the indices of the [k 1]_q vectors of S whose first
+    nonzero entry is a 1: row i of the canonical basis plus each vector of
+    the span of the rows below it.  A subspace lies in S exactly when its
+    canonical rows, which lead with a 1, are among them.  For q = 2^b the
+    rows of all the subspaces are read at once (_multiples) and added by
+    XOR; odd q adds entry tuples (_tuple_span)."""
+    if field.characteristic != 2:
+        add = field.add_table
+        for S in subspaces:
+            rows, vecs = S.rows(), []
+            for i, row in enumerate(rows):
+                vecs += [tuple([add[x][y] for x, y in zip(row, v)])
+                         for v in _tuple_span(field, S.n, rows[i + 1 :])]
+            yield _indices(field, vecs)
+        return
+    multiples = iter(_multiples(field, [bytes(r) for S in subspaces for r in S.rows()]))
+    for S in subspaces:
+        rows = list(islice(multiples, S.k))
+        out: list[int] = []
+        for i, (lead, *_) in enumerate(rows):
+            out += [lead, *[lead ^ v for v in _xor_span(rows[i + 1 :])]]
+        yield out
 
 
 def iter_subspaces(n: int, k: int, field: FieldSpec) -> Iterator[SubspaceBasis]:

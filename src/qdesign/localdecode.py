@@ -16,9 +16,11 @@ block kernel grassmann.block_echelon_forms with no elimination and each
 dim(U intersect V) from a rank over W's t + k pivot columns, where U and
 V have their coordinates in W.  verify_certificate checks the identity
 against every column on exhaustive vector sets, sharing no code with
-that kernel: the k-subspaces above each t-subspace are read off
-per-vector bit lanes, one bit per k-subspace, and summed per coefficient
-value by popcount.
+that kernel: a t-subspace lies in U when its t canonical rows do, so
+per-vector bit lanes, one bit per k-subspace, are kept for the [k 1]_q
+vectors of each U that lead with a 1, the k-subspaces above a
+t-subspace are the AND of its rows' lanes, and they are summed per
+coefficient value by popcount.
 
 All determinants run through fraction-free (Bareiss) elimination and,
 for D itself, are cross-checked against the diagonal product; the
@@ -29,14 +31,16 @@ lemma2_count's closed-form intersection counts, D's entries among them,
 are paired with enumeration over exhaustive vector sets:
 lemma2_count_bruteforce walks extensions(V1, k) for one pair, and
 lemma2_grid_report checks every ordered pair of t-subspaces at once:
-it counts each k-subspace's intersections with every V2 once, in
-bit-sliced lanes (one bit per t-subspace), reads the k-subspaces above
-each V1 off per-vector lanes (one bit per k-subspace), and sums those
-hit words in one bit-sliced tally.  lemma2_grid_report works on
-the vector indices of SubspaceBasis.nonzero_vectors alone and never calls
-the RREF or rank routes; lemma2_count_bruteforce gets its U from
-extensions, which eliminates with grassmann._span and sorts by
-subspace_rank, and only its intersections come from vector sets.
+it counts each k-subspace's intersections with every V2 once, as one
+big-integer sum of packed w-bit fields (one field per t-subspace; Knuth,
+TAOCP 4A 7.1.3, broadword computing), turns them into a hit word by a
+field-wise equality test, reads the k-subspaces above each V1 off
+per-vector lanes (one bit per k-subspace), and adds their hit words into
+one packed tally.  lemma2_grid_report works on the vector indices of
+grassmann._vector_sets alone and never calls the RREF or rank routes;
+lemma2_count_bruteforce gets its U from extensions, which eliminates
+with grassmann._span and sorts by subspace_rank, and only its
+intersections come from vector sets.
 """
 
 from __future__ import annotations
@@ -48,12 +52,15 @@ from .errors import (
 from .gf import make_field, rank_of_rows
 from .grassmann import (
     SubspaceBasis,
+    _basis_rows,
+    _indices,
+    _leading_vector_sets,
     _span,
     _trusted,
+    _vector_sets,
     block_echelon_forms,
     extensions,
     intersect_dim,
-    iter_subspaces,
     subspace_dim_from_count,
 )
 from .qcount import capped, q_binomial
@@ -218,13 +225,19 @@ def certificate_composition(q: int, t: int, k: int) -> tuple[int, ...]:
 def _check_ambient(q: int, n: int, t: int, k: int, max_subspaces: int | None = None) -> None:
     """The certificate's preconditions on F_q^n: DimensionMismatch unless
     n >= t + k, then, given a cap, TooLarge when verify_certificate would
-    check more than max_subspaces t-subspaces.  decode --certify asks
-    before it builds anything."""
+    check more than max_subspaces t-subspaces, or when its lanes would
+    exceed _MAX_LANE_BITS: [t+k k]_q bits, one per k-subspace of the
+    envelope, for each of its [t+k 1]_q vectors that lead with a 1.
+    decode --certify asks before it builds anything."""
     if n < t + k:
         raise DimensionMismatch(f"need ambient n >= t + k = {t + k}, got {n}")
     if max_subspaces is not None:
         capped(
             q, [(n, t)], max_subspaces, f"ambient t-subspaces [{n} {t}]_{q} exceed cap {{cap}}"
+        )
+        capped(
+            q, [(t + k, 1), (t + k, k)], _MAX_LANE_BITS,
+            f"[{t + k} 1]_{q} * [{t + k} {k}]_{q} = {{total}} lane bits exceed cap {{cap}}",
         )
 
 
@@ -283,33 +296,39 @@ def decode_certificate(
 def verify_certificate(cert: CoefficientCertificate, max_subspaces: int = 10**6) -> bool:
     """Exhaustively check sum_U coeff(U) 1[a <= U] = m [a == V] over
     every t-subspace a of the ambient space, refusing with TooLarge when
-    there are more than max_subspaces of them.
+    there are more than max_subspaces of them or when the lanes below
+    would exceed _MAX_LANE_BITS (see _check_ambient, k = dim W - t).
 
-    Containment is read from vector sets: lanes[v] has bit u set when
-    vector v lies in the u-th U, so the U above a are the AND of the
-    lanes of a's nonzero vectors, and the sum is sum_c c * |above & U_c|
-    over the sets U_c of the U with coefficient c.
+    Containment is read at basis rows: a <= U exactly when a's t
+    canonical rows lie in U, and each leads with a 1.  So lanes[v] has
+    bit u set when vector v leads with a 1 and lies in the u-th U, the
+    [k 1]_q vectors grassmann._leading_vector_sets lists, not all q^k - 1.
+    The t-subspaces come as their rows' vector indices
+    (grassmann._basis_rows), the U above a are the AND of the lanes of
+    a's rows, and the sum is sum_c c * |above & U_c| over the sets U_c
+    of the U with coefficient c.
     """
     V = cert.decoded_column
     field, n, t = V.field, V.n, V.k
-    _check_ambient(field.q, n, t, 0, max_subspaces)  # V <= F_q^n: only the cap can refuse
+    _check_ambient(field.q, n, t, cert.envelope.k - t, max_subspaces)
     lanes: dict[int, int] = {}
     by_coefficient: dict[int, int] = {}
-    for u, (U, c) in enumerate(cert.coefficients.items()):
+    leading = _leading_vector_sets(field, list(cert.coefficients))
+    for u, (vecs, c) in enumerate(zip(leading, cert.coefficients.values())):
         bit = 1 << u
-        for v in U.nonzero_vectors():
+        for v in vecs:
             lanes[v] = lanes.get(v, 0) | bit
         by_coefficient[c] = by_coefficient.get(c, 0) | bit
     every = (1 << len(cert.coefficients)) - 1
-    for a in iter_subspaces(n, t, field):
+    decoded = tuple(_indices(field, V.rows()))
+    for a in _basis_rows(n, t, field):
         above = every
-        for v in a.nonzero_vectors():
+        for v in a:
             above &= lanes.get(v, 0)
-            if not above:
-                break
-        total = sum(c * (above & us).bit_count() for c, us in by_coefficient.items())
-        if total != (cert.m if a == V else 0):
-            return False
+        if above or a == decoded:
+            total = sum(c * (above & us).bit_count() for c, us in by_coefficient.items())
+            if total != (cert.m if a == decoded else 0):
+                return False
     return True
 
 
@@ -407,35 +426,16 @@ class Lemma2GridReport:
     mismatch: str
 
 
-def _add_lanes(planes: list[int], lanes: int) -> None:
-    """Add 1 to the bit-sliced counter of every lane set in `lanes`.
-
-    planes[b] holds bit b of every lane's count, and there are enough
-    planes for the largest count; the carry ripples up only as far as
-    some lane still carries.
-    """
-    for b, p in enumerate(planes):
-        planes[b] = p ^ lanes
-        lanes &= p
-        if not lanes:
-            return
-
-
-def _lanes_equal(planes: list[int], value: int, lanes: int) -> int:
-    """The lanes of `lanes` whose bit-sliced count equals value."""
-    if value >> len(planes):
-        return 0
-    for b, p in enumerate(planes):
-        lanes &= p if value >> b & 1 else ~p
-    return lanes
-
-
-def _lane_value(planes: list[int], lane: int) -> int:
-    return sum((p >> lane & 1) << b for b, p in enumerate(planes))
-
-
-# bits in any lane family of lemma2_grid_report: 32 MiB of lane ints
+# bits in any lane family of lemma2_grid_report and verify_certificate: 32 MiB of lane ints
 _MAX_LANE_BITS = 2**28
+
+
+def _field_equals(x: int, c: int, tops: int, w: int) -> int:
+    """1 in the low bit of each w-bit field where x and c agree, else 0,
+    for fields below 2^(w-1); tops holds the top bit of every field.  A
+    field of x ^ c is 0 exactly where they agree, and only then does
+    2^(w-1) minus it keep its top bit; no field borrows."""
+    return ((tops - (x ^ c)) & tops) >> (w - 1)
 
 
 def lemma2_grid_report(
@@ -452,22 +452,25 @@ def lemma2_grid_report(
     _ordered_basis_products_check).
 
     Enumeration is exhaustive vector-set intersection, so it shares no
-    code path with the formula.  The t-subspaces are numbered as lanes:
-    tlanes[v] has bit i set when vector v lies in the i-th t-subspace,
-    and klanes[v] likewise for the k-subspaces.  Once per k-subspace U,
-    adding the t-lanes of U's nonzero vectors into bit-sliced counters
-    gives |U int V2| - 1 for every V2 at once, and U's hit word holds,
-    in segment j at bits j [n t]_q onward, the V2 that U meets in q^j
-    vectors.  The U >= V1 are the AND of the k-lanes of V1's nonzero
-    vectors; adding their hit words into one bit-sliced tally counter
-    counts, per j and V2, how many U >= V1 meet V2 in dimension j.  The
-    tallies are compared with the formula rows, held as bit planes in
-    the same segments.  Before anything is enumerated, TooLarge is
-    raised when the [n t]_q [n k]_q (V1, U) containments exceed
-    max_pairs, or when a lane family exceeds 2^28 bits: the t-lanes and
-    the k-lanes, [n t]_q q^n and [n k]_q q^n bits, checked first, then
-    the hit words, (t+1) [n t]_q [n k]_q bits.  The first failing pair,
-    in the order V1 then V2 by canonical index, is reported.
+    code path with the formula; the vector sets come from
+    grassmann._vector_sets.  Counts are packed in w-bit fields, one per
+    t-subspace V2 in canonical order, w = max(bits(q^t - 1),
+    bits([n-t k-t]_q)) + 1, so no field overflows into the next:
+    tlanes[v] has a 1 in the field of each V2 holding vector v, and the
+    sum of the t-lanes of U's nonzero vectors holds |U int V2| - 1 for
+    every V2 at once.  U's hit word holds, in segment j at field j [n t]_q
+    onward, a 1 for each V2 that U meets in q^j vectors, a field-wise
+    equality test (_field_equals).  klanes[v] has bit u set when vector v
+    lies in the u-th k-subspace, so the U >= V1 are the AND of the k-lanes
+    of V1's nonzero vectors, and V1's tally, the sum of their hit words,
+    counts per j and V2 how many U >= V1 meet V2 in dimension j; it is
+    compared with the formula rows, packed in the same fields.  Before
+    anything is enumerated, TooLarge is raised when the [n t]_q [n k]_q
+    (V1, U) containments exceed max_pairs, or when a lane family exceeds
+    _MAX_LANE_BITS = 2^28 bits: the t-lanes and the k-lanes, w [n t]_q q^n
+    and [n k]_q q^n bits, checked first, then the hit words,
+    w (t+1) [n t]_q [n k]_q bits.  The first failing pair, in the order
+    V1 then V2 by canonical index, is reported.
     """
     check_chain(1, t=t, k=k, n=n)
     field = make_field(q)
@@ -477,16 +480,17 @@ def lemma2_grid_report(
         q, [(n, t), (n, k)], max_pairs,
         f"[{n} {t}]_{q} * [{n} {k}]_{q} = {{total}} containment tests exceed cap {{cap}}",
     )
+    ext_total = q_binomial(n - t, k - t, q)
+    w = max((q**t - 1).bit_length(), ext_total.bit_length()) + 1
     for family, bits in (
-        (f"[{n} {t}]_{q} * {q}^{n}", n_t * q**n),
+        (f"{w} * [{n} {t}]_{q} * {q}^{n}", w * n_t * q**n),
         (f"[{n} {k}]_{q} * {q}^{n}", n_k * q**n),
-        (f"{t + 1} * [{n} {t}]_{q} * [{n} {k}]_{q}", (t + 1) * n_t * n_k),
+        (f"{w} * {t + 1} * [{n} {t}]_{q} * [{n} {k}]_{q}", w * (t + 1) * n_t * n_k),
     ):
         if bits > _MAX_LANE_BITS:
             raise TooLarge(
                 f"{family} = {number_text(bits)} lane bits exceed cap {_MAX_LANE_BITS}"
             )
-    ext_total = q_binomial(n - t, k - t, q)
 
     def report(pair_count: int, mismatch: str, cells: tuple = ()) -> Lemma2GridReport:
         return Lemma2GridReport(
@@ -510,39 +514,37 @@ def lemma2_grid_report(
                 return report(0, problem)
         expected[l] = row
 
-    tvecs = [s.nonzero_vectors() for s in iter_subspaces(n, t, field)]
+    seg = w * n_t  # bits per segment: one field per V2
+    ones = ((1 << seg) - 1) // ((1 << w) - 1)  # a 1 in every field of a segment
+    shifts = range(seg, (t + 1) * seg, seg)  # to segments 1 .. t
+
+    def packed(row: list[int]) -> int:  # row[j] in every field of segment j
+        return sum(c * ones << j * seg for j, c in enumerate(row))
+
+    tops, all_tops = packed([1 << w - 1]), packed([1 << w - 1] * (t + 1))
+    tvecs = list(_vector_sets(n, t, field))
     tlanes = [0] * q**n
     for i, vecs in enumerate(tvecs):
-        bit = 1 << i
+        bit = 1 << i * w
         for v in vecs:
             tlanes[v] |= bit
-    all_t = (1 << n_t) - 1
-    count_bits = (q**t - 1).bit_length()
     # a subspace meeting V2 in dimension j shares q^j - 1 nonzero vectors with it
     nonzero = [q**j - 1 for j in range(t + 1)]
-    # the k-lanes, and each k-subspace U's hit word: segment j, at bit
-    # j * n_t, holds the V2 that meet U in dimension j
+    met = packed(nonzero)
     klanes = [0] * q**n
     hit_words = []
-    for u, U in enumerate(iter_subspaces(n, k, field)):
+    for u, vecs in enumerate(_vector_sets(n, k, field)):
         bit = 1 << u
-        counts = [0] * count_bits
-        for v in U.nonzero_vectors():
+        for v in vecs:
             klanes[v] |= bit
-            _add_lanes(counts, tlanes[v])
-        hit_words.append(
-            sum(_lanes_equal(counts, c, all_t) << j * n_t for j, c in enumerate(nonzero))
-        )
+        counts = sum(map(tlanes.__getitem__, vecs))
+        copies = counts  # counts in every segment, compared with met at once
+        for s in shifts:
+            copies |= counts << s
+        hit_words.append(_field_equals(copies, met, all_tops, w))
     all_k = (1 << len(hit_words)) - 1
-    tally_bits = ext_total.bit_length()
-    # expected[l] as bit planes over the t + 1 segments
-    expected_planes = {
-        l: [
-            sum(all_t << j * n_t for j in range(t + 1) if row[j] >> b & 1)
-            for b in range(tally_bits)
-        ]
-        for l, row in expected.items()
-    }
+    expected_fields = {l: packed(row) for l, row in expected.items()}
+    meets_at_l = {l: packed([nonzero[l]]) for l in expected}  # |V1 int V2| = q^l
 
     pair_count = 0
     l_pairs = [0] * t
@@ -554,30 +556,26 @@ def lemma2_grid_report(
             return report(
                 pair_count, f"extension count {above.bit_count()} != {ext_total} at V1 index {i}"
             )
-        tally = [0] * tally_bits
+        tally = 0
         while above:
             low = above & -above
             above ^= low
-            _add_lanes(tally, hit_words[low.bit_length() - 1])
+            tally += hit_words[low.bit_length() - 1]
 
-        shared = [0] * count_bits
-        for v in vecs:
-            _add_lanes(shared, tlanes[v])
-        # V1's own lane counts q^t - 1 and so falls in no l < t
-        at_l = {l: _lanes_equal(shared, nonzero[l], all_t) for l in expected}
+        shared = sum(map(tlanes.__getitem__, vecs))
+        # V1's own field counts q^t - 1 and so falls in no l < t
+        at_l = {l: _field_equals(shared, c, tops, w) for l, c in meets_at_l.items()}
         failing = 0
-        for l, planes in expected_planes.items():
-            same = -1  # the lanes, over all segments, whose tally matches
-            for p, e in zip(tally, planes):
-                same &= ~(p ^ e)
-            agree = at_l[l]
-            for j in range(t + 1):
-                agree &= same >> j * n_t
-            failing |= at_l[l] ^ agree
+        for l, fields in expected_fields.items():
+            agree = every = _field_equals(tally, fields, all_tops, w)
+            for s in shifts:
+                every &= agree >> s
+            # the lanes at l whose tally is off in some segment
+            failing |= at_l[l] & ~every
         if failing:
-            mi = (failing & -failing).bit_length() - 1
-            l = next(l for l, lm in at_l.items() if lm >> mi & 1)
-            counted = [_lane_value(tally, j * n_t + mi) for j in range(t + 1)]
+            mi = (failing & -failing).bit_length() // w
+            l = next(l for l, lm in at_l.items() if lm >> mi * w & 1)
+            counted = [tally >> (j * n_t + mi) * w & (1 << w) - 1 for j in range(t + 1)]
             # the pairs of this V1 before V2, V1 itself not among them
             return report(
                 pair_count + mi - (mi > i),

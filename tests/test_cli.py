@@ -467,6 +467,21 @@ def test_decode_certify_ambient_cap_exit_3():
         assert err == f"error: ambient t-subspaces [{n} 1]_2 exceed cap 1000000\n"
 
 
+def test_decode_certify_lane_cap_exit_3():
+    # [5 4]_16 = 69,905 certificate subspaces and [5 1]_16 ambient lines
+    # pass both caps, but the lanes would hold 69,905 bits for each of the
+    # [5 1]_16 vectors of the envelope that lead with a 1
+    args = ("decode", "--q", "16", "--t", "1", "--k")
+    start = time.monotonic()
+    code, out, err = run_cli(*args, "4", "--certify", "--n", "5")
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == "error: [5 1]_16 * [5 4]_16 = 4886709025 lane bits exceed cap 268435456\n"
+    # one dimension lower the lanes pass and the certificate is checked
+    code, out, _ = run_cli(*args, "3", "--certify", "--n", "4")
+    assert code == 0 and out.endswith("certified = true\n")
+
+
 def test_lemma2_check():
     code, out, _ = run_cli("lemma2-check", "--q", "2", "--n", "4", "--t", "1", "--k", "2")
     assert code == 0
@@ -503,19 +518,19 @@ def test_lemma2_check_pair_cap_exit_3():
 def test_lemma2_check_lane_cap_exit_3():
     code, out, err = run_cli("lemma2-check", "--q", "2", "--n", "17", "--t", "1", "--k", "17")
     assert (code, out) == (3, "")
-    assert err == "error: [17 1]_2 * 2^17 = 17179738112 lane bits exceed cap 268435456\n"
+    assert err == "error: 2 * [17 1]_2 * 2^17 = 34359476224 lane bits exceed cap 268435456\n"
 
 
 def test_lemma2_check_hit_word_cap_exit_3():
     # both lane families and the raised pair cap pass; the (t+1) segments
-    # of [10 2]_2 bits per 8-subspace do not
-    args = ("--q", "2", "--n", "10", "--t", "2", "--k", "8", "--max-pairs", "100000000000")
+    # of [10 1]_2 fields of w = 17 bits per 8-subspace do not
+    args = ("--q", "2", "--n", "10", "--t", "1", "--k", "8", "--max-pairs", "100000000000")
     start = time.monotonic()
     code, out, err = run_cli("lemma2-check", *args)
     assert time.monotonic() - start < 1.0
     assert (code, out) == (3, "")
     assert err == (
-        "error: 3 * [10 2]_2 * [10 8]_2 = 91090233003 lane bits exceed cap 268435456\n"
+        "error: 17 * 2 * [10 1]_2 * [10 8]_2 = 6060798282 lane bits exceed cap 268435456\n"
     )
 
 

@@ -423,10 +423,13 @@ CAP_COMMANDS = (
 )
 CAPS = ("0", "-1", "1" + "0" * 399)
 # [10 5]_2 = 109,221,651 blocks pass the caller's caps; the incidence
-# index charge refuses them, and the search build runs until --timeout
+# index charge refuses them, and the search build runs until --timeout.
+# The [5 4]_16 = 69,905 certificate subspaces pass decode's caps; the
+# certificate's lane charge refuses them.
 BUILD_COMMANDS = (
     "incidence --q 2 --n 10 --k 5 --t 0",
     "search --q 2 --n 10 --k 5 --t 1 --lambda 1 --max-candidates 1000000000 --timeout 1",
+    "decode --q 16 --t 1 --k 4 --certify --n 5",
 )
 DESIGN_COMMANDS = ("verify --design {file} --t 1", "verify --design {file} --t 1 --json")
 SELFTEST_COMMANDS = (

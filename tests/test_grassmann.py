@@ -170,6 +170,29 @@ def test_nonzero_vectors_match_coefficient_enumeration(q):
             assert S.vector_mask == sum(1 << v for v in indices)
 
 
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_vector_sets_match_each_subspace(q):
+    # the whole-Grassmannian route lists nonzero_vectors() of every
+    # subspace in canonical order; _leading_vector_sets keeps the vectors
+    # whose first nonzero entry is 1, one per line of the subspace
+    field = make_field(q)
+    n = 4 if q <= 3 else 3 if q <= 9 else 2
+    for k in range(n + 1):
+        subspaces = list(iter_subspaces(n, k, field))
+        assert list(grassmann._vector_sets(n, k, field)) == [
+            S.nonzero_vectors() for S in subspaces
+        ], (n, k)
+        for S, leading in zip(subspaces, grassmann._leading_vector_sets(field, subspaces)):
+            firsts = []  # the vectors whose leading base-q digit, the first entry, is 1
+            for v in S.nonzero_vectors():
+                digit = v
+                while digit >= q:
+                    digit //= q
+                if digit == 1:
+                    firsts.append(v)
+            assert sorted(leading) == sorted(firsts) and len(leading) == q_binomial(k, 1, q)
+
+
 def test_dimension_formula():
     rng = random.Random(7)
     pool = enumerate_subspaces(5, 2, F2)

@@ -3,7 +3,6 @@ import json
 import random
 import re
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -197,11 +196,14 @@ def test_verify_certificate_caps_ambient_t_subspaces():
 
 
 @pytest.mark.parametrize(
-    "q, n, t, k", [(2, 4, 1, 2), (2, 5, 2, 2), (2, 6, 2, 3), (3, 4, 1, 2), (4, 3, 1, 2)]
+    "q, n, t, k",
+    [(2, 4, 1, 2), (2, 5, 2, 2), (2, 6, 2, 3), (3, 4, 1, 2), (4, 3, 1, 2), (16, 3, 1, 2),
+     (5, 3, 1, 2)],
 )
 def test_verify_certificate_rejects_tampered_coefficients(q, n, t, k):
     # adding 1 to a coefficient changes the sum at every a <= U; moving a
-    # nonzero coefficient from U to U' changes it at an a <= U' not <= U
+    # nonzero coefficient from U to U' changes it at an a <= U' not <= U,
+    # also where U' lies outside the envelope
     field = make_field(q)
     rng = random.Random(n * q + t)
     V = unrank(n, t, field, rng.randrange(q_binomial(n, t, q)))
@@ -221,6 +223,62 @@ def test_verify_certificate_rejects_tampered_coefficients(q, n, t, k):
         other = rng.choice([W for W in subs if W != U])
         c = cert.coefficients
         assert not verdict({**c, U: 0, other: c[other] + c[U]})
+    # with no coefficient at all, the sum is 0 at V too, not m
+    assert not verdict({})
+    if n > t + k:
+        outside = rng.choice([W for W in iter_subspaces(n, k, field)
+                              if W not in cert.coefficients])
+        U = rng.choice(movable)
+        assert not verdict({**cert.coefficients, U: 0, outside: cert.coefficients[U]})
+
+
+def test_verify_certificate_caps_lane_bits(monkeypatch):
+    # the lanes of a certificate in F_2^3 hold [3 2]_2 = 7 bits for each
+    # of the [3 1]_2 = 7 vectors of the envelope that lead with a 1
+    import qdesign.localdecode as localdecode
+
+    cert = decode_certificate(next(iter_subspaces(3, 1, F2)), 2)
+    monkeypatch.setattr(localdecode, "_MAX_LANE_BITS", 49)
+    assert verify_certificate(cert)
+    monkeypatch.setattr(localdecode, "_MAX_LANE_BITS", 48)
+    with pytest.raises(TooLarge, match=r"^\[3 1\]_2 \* \[3 2\]_2 = 49 lane bits exceed cap 48$"):
+        verify_certificate(cert)
+
+
+def test_vector_set_oracles_read_nothing_of_the_kernel(monkeypatch):
+    # the vector sets, the lemma-2 grid and the certificate check give the
+    # same results with every entry point of the rank kernel, the
+    # certificate's subspace builder and the rank route disabled
+    import qdesign.gf as gf
+    import qdesign.grassmann as grassmann
+    import qdesign.localdecode as localdecode
+
+    sets = [(2, 5, 2), (4, 3, 2), (3, 3, 1)]
+    grids = [(2, 5, 2, 3), (3, 4, 1, 2), (4, 3, 1, 2)]
+    certs = [decode_certificate(_seeded_subspace(q, n, t, k), k)
+             for q, n, t, k in ((2, 6, 2, 3), (16, 3, 1, 2), (3, 4, 1, 2))]
+    tampered = [CoefficientCertificate(c.decoded_column, c.envelope,
+                                       {U: x + 1 for U, x in c.coefficients.items()},
+                                       c.m, c.l1_norm) for c in certs]
+
+    def run():
+        return ([list(grassmann._vector_sets(n, k, make_field(q))) for q, n, k in sets],
+                [lemma2_grid_report(*p) for p in grids],
+                [verify_certificate(c) for c in certs + tampered])
+
+    expected = run()
+    assert expected[2] == [True] * 3 + [False] * 3
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("a vector-set oracle called the kernel")
+
+    names = ("_pivot_plan", "_t_plans", "_packed", "_group_t_ranks", "_rank_groups",
+             "block_echelon_forms", "rank_of_rows")
+    for module in (gf, grassmann, localdecode):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, disabled)
+    assert run() == expected
 
 
 def test_certificate_cost_does_not_grow_with_ambient_n():
@@ -420,20 +478,28 @@ def test_lemma2_grid_report_caps_containment_tests():
 
 def test_lemma2_grid_report_caps_lane_bits():
     # one 17-subspace gives 131,071 containment tests, under the pair
-    # cap, but the t-lanes would hold [17 1]_2 * 2^17 bits
+    # cap, but the t-lanes would hold w = 2 bits per t-subspace for each
+    # of the 2^17 vectors
     start = time.monotonic()
-    with pytest.raises(TooLarge, match=r"\[17 1\]_2 \* 2\^17 = 17179738112 lane bits exceed"):
+    with pytest.raises(
+        TooLarge, match=r"^2 \* \[17 1\]_2 \* 2\^17 = 34359476224 lane bits exceed"
+    ):
         lemma2_grid_report(2, 17, 1, 17)
     assert time.monotonic() - start < 1.0
     # with the pair cap lifted, the k-lanes are capped too
     with pytest.raises(TooLarge, match=r"\[12 2\]_2 \* 2\^12 = 11444858880 lane bits"):
         lemma2_grid_report(2, 12, 1, 2, max_pairs=10**12)
     # both lane families pass; the hit words, t + 1 segments of [n t]_q
-    # bits per k-subspace, do not
+    # fields of w = 17 bits per k-subspace, do not
     start = time.monotonic()
-    with pytest.raises(TooLarge, match=r"^3 \* \[10 2\]_2 \* \[10 8\]_2 = 91090233003 lane"):
-        lemma2_grid_report(2, 10, 2, 8, max_pairs=10**11)
+    with pytest.raises(
+        TooLarge, match=r"^17 \* 2 \* \[10 1\]_2 \* \[10 8\]_2 = 6060798282 lane"
+    ):
+        lemma2_grid_report(2, 10, 1, 8, max_pairs=10**11)
     assert time.monotonic() - start < 1.0
+    # at t = 2 the t-lanes, w = 15 bits per plane of F_2^10, refuse first
+    with pytest.raises(TooLarge, match=r"^15 \* \[10 2\]_2 \* 2\^10 = 2676495360 lane"):
+        lemma2_grid_report(2, 10, 2, 8, max_pairs=10**11)
 
 
 def _first_failure(q, t, tmasks, kmasks, formula, ext_total):
@@ -474,21 +540,16 @@ def test_lemma2_grid_report_failures_match_pair_recount(monkeypatch, q, n, t, k)
         formula[c.l][c.j] = c.formula
     tmasks = [s.vector_mask for s in iter_subspaces(n, t, field)]
     kmasks = [s.vector_mask for s in iter_subspaces(n, k, field)]
-    real = localdecode.iter_subspaces
+    real = localdecode._vector_sets
 
     def check(edited):
         def enumerate_edited(n_, d, field_):
             if d != k:
                 return real(n_, d, field_)
             # each tampered mask as the nonzero vector indices the check reads
-            return [
-                SimpleNamespace(
-                    nonzero_vectors=lambda m=m: [v for v in range(1, q**n) if m >> v & 1]
-                )
-                for m in edited
-            ]
+            return [[v for v in range(1, q**n) if m >> v & 1] for m in edited]
 
-        monkeypatch.setattr(localdecode, "iter_subspaces", enumerate_edited)
+        monkeypatch.setattr(localdecode, "_vector_sets", enumerate_edited)
         rep = lemma2_grid_report(q, n, t, k)
         pairs, mismatch = _first_failure(q, t, tmasks, edited, formula, good.extension_count)
         assert (rep.ok, rep.pair_count, rep.mismatch) == (False, pairs, mismatch)
