@@ -23,11 +23,17 @@ L/2 bits, is divided with the divisor cut to 64 bits beyond it, which
 moves the floored quotient by at most one.  Only the returned root
 y is certified, by y^r <= x < (y+1)^r, so the result is exact whatever
 the approximation did; the inner levels need only their guard bits.
-y^r is computed once, after y is stepped down until y^r <= x.  With
-m = max(0, y.bit_length() - 64), the bound r (y >> m)^(r-1) 2^(m(r-1))
-is at most r y^(r-1), which is less than (y+1)^r - y^r, so x - y^r below
-it proves x < (y+1)^r; only when it cannot decide is (y+1)^r computed,
-stepping y up by ones.
+With m = max(0, y.bit_length() - 64), the gap r (y >> m)^(r-1)
+2^(m(r-1)) is at most r y^(r-1), which is less than (y+1)^r - y^r, so
+y^r < x with x - y^r below the gap proves y the root, and not exact.
+The start is certified so without forming y^r: binary powering with
+every product cut to 64 bits past y's length gives integer bounds
+lo 2^sh <= y^r <= (lo + err) 2^sh, with err a few units, which settle
+both comparisons unless x lies within about 2^-64 gaps of y^r or of
+y^r + gap.  A start that misses, such an x and every perfect power,
+which no bound tells from its neighbours, take the exact branch: y^r
+is formed, y stepped down while y^r > x and then, when x - y^r is not
+below the gap, stepped up by ones while (y+1)^r <= x.
 
 klp_report refuses, before building anything, parameters whose largest
 power would exceed its max_bits cap.
@@ -65,26 +71,62 @@ def _root_start(x: int, r: int) -> int:
     return (y0 << s) + (e << s >> sh) // (d >> sh)
 
 
-def _root_and_power(x: int, r: int) -> tuple[int, int]:
-    """(y, y^r) for the largest integer y with y^r <= x."""
-    if x < 0 or r < 1:
-        raise InvalidParameters("need x >= 0, r >= 1")
-    if x == 0 or r == 1:
-        return x, x
-    g = _root_start(x, r)
+# bits past the root's length kept in each product of _power_bounds
+_GUARD_BITS = 64
+
+
+def _power_bounds(y: int, r: int) -> tuple[int, int, int]:
+    """(lo, err, sh) with lo 2^sh <= y^r <= (lo + err) 2^sh, r >= 1, by
+    binary powering with each product cut to _GUARD_BITS bits past y's."""
+    prec = y.bit_length() + _GUARD_BITS
+    lo, err, sh = y, 0, 0
+
+    def cut(p: int, e: int, s: int) -> tuple[int, int, int]:
+        # p + e < ((p >> c) + 1 + ceil(e / 2^c)) 2^c
+        c = max(0, p.bit_length() - prec)
+        return (p >> c, 1 - (-e >> c), s + c) if c else (p, e, s)
+
+    for bit in bin(r)[3:]:
+        # (lo + err)^2 = lo^2 + err (2 lo + err)
+        lo, err, sh = cut(lo * lo, err * (2 * lo + err), 2 * sh)
+        if bit == "1":
+            lo, err, sh = cut(lo * y, err * y, sh)
+    return lo, err, sh
+
+
+def _gap(y: int, r: int) -> int:
+    """r (y >> m)^(r-1) 2^(m(r-1)) for m = max(0, bits(y) - 64): at most
+    r y^(r-1), so below (y+1)^r - y^r."""
+    m = max(0, y.bit_length() - 64)
+    return r * (y >> m) ** (r - 1) << m * (r - 1)
+
+
+def _exact_root(x: int, r: int, g: int) -> tuple[int, bool]:
+    """_root_and_power from the start g by full-length powers: g is
+    stepped down until g^r <= x, then up by ones until x < (g+1)^r."""
     p = g**r
     while p > x:
         g -= 1
         p = g**r
-    # x < (g+1)^r if x - g^r is below r g^(r-1), read from g's top 64 bits
-    m = max(0, g.bit_length() - 64)
-    if x - p < r * (g >> m) ** (r - 1) << m * (r - 1):
-        return g, p
-    while True:
-        nxt = (g + 1) ** r
-        if nxt > x:
-            return g, p
-        g, p = g + 1, nxt
+    if x - p >= _gap(g, r):
+        while (nxt := (g + 1) ** r) <= x:
+            g, p = g + 1, nxt
+    return g, p == x
+
+
+def _root_and_power(x: int, r: int) -> tuple[int, bool]:
+    """(y, y^r == x) for the largest integer y with y^r <= x.  The start
+    is returned when its power bounds prove y^r < x and x - y^r < _gap;
+    otherwise _exact_root decides."""
+    if x < 0 or r < 1:
+        raise InvalidParameters("need x >= 0, r >= 1")
+    if x == 0 or r == 1:
+        return x, True
+    g = _root_start(x, r)
+    lo, err, sh = _power_bounds(g, r)
+    if (lo + err) << sh < x and x - (lo << sh) < _gap(g, r):
+        return g, False
+    return _exact_root(x, r, g)
 
 
 def nth_root_floor(x: int, r: int) -> int:
@@ -94,9 +136,8 @@ def nth_root_floor(x: int, r: int) -> int:
 
 def pow_frac_ceil(x: int, num: int, den: int) -> int:
     """Smallest integer >= x^(num/den), exactly."""
-    p = x**num
-    root, power = _root_and_power(p, den)
-    return root if power == p else root + 1
+    root, exact = _root_and_power(x**num, den)
+    return root if exact else root + 1
 
 
 @_value_class

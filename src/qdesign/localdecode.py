@@ -225,16 +225,19 @@ def certificate_composition(q: int, t: int, k: int) -> tuple[int, ...]:
 def _check_ambient(q: int, n: int, t: int, k: int, max_subspaces: int | None = None) -> None:
     """The certificate's preconditions on F_q^n: DimensionMismatch unless
     n >= t + k, then, given a cap, TooLarge when verify_certificate would
-    check more than max_subspaces t-subspaces, or when its lanes would
-    exceed _MAX_LANE_BITS: [t+k k]_q bits, one per k-subspace of the
-    envelope, for each of its [t+k 1]_q vectors that lead with a 1.
-    decode --certify asks before it builds anything."""
+    check more than max_subspaces t-subspaces, DimensionMismatch unless
+    k >= 1, so the envelope's dimension t + k exceeds t, and TooLarge when
+    its lanes would exceed _MAX_LANE_BITS: [t+k k]_q bits, one per
+    k-subspace of the envelope, for each of its [t+k 1]_q vectors that
+    lead with a 1.  decode --certify asks before it builds anything."""
     if n < t + k:
         raise DimensionMismatch(f"need ambient n >= t + k = {t + k}, got {n}")
     if max_subspaces is not None:
         capped(
             q, [(n, t)], max_subspaces, f"ambient t-subspaces [{n} {t}]_{q} exceed cap {{cap}}"
         )
+        if k < 1:
+            raise DimensionMismatch(f"need envelope dimension > t = {t}, got {t + k}")
         capped(
             q, [(t + k, 1), (t + k, k)], _MAX_LANE_BITS,
             f"[{t + k} 1]_{q} * [{t + k} {k}]_{q} = {{total}} lane bits exceed cap {{cap}}",
@@ -295,9 +298,13 @@ def decode_certificate(
 
 def verify_certificate(cert: CoefficientCertificate, max_subspaces: int = 10**6) -> bool:
     """Exhaustively check sum_U coeff(U) 1[a <= U] = m [a == V] over
-    every t-subspace a of the ambient space, refusing with TooLarge when
-    there are more than max_subspaces of them or when the lanes below
-    would exceed _MAX_LANE_BITS (see _check_ambient, k = dim W - t).
+    every t-subspace a of the ambient space.  _check_ambient, with
+    k = dim W - t, refuses an envelope W of dimension at most t with
+    DimensionMismatch, and raises TooLarge when there are more than
+    max_subspaces t-subspaces or when W's counts put the lanes below
+    over _MAX_LANE_BITS.  The lanes are charged again as they fill, at
+    len(coefficients) bits per lane, whatever subspaces the
+    coefficients name.
 
     Containment is read at basis rows: a <= U exactly when a's t
     canonical rows lie in U, and each leads with a 1.  So lanes[v] has
@@ -313,11 +320,17 @@ def verify_certificate(cert: CoefficientCertificate, max_subspaces: int = 10**6)
     _check_ambient(field.q, n, t, cert.envelope.k - t, max_subspaces)
     lanes: dict[int, int] = {}
     by_coefficient: dict[int, int] = {}
+    width = len(cert.coefficients)
     leading = _leading_vector_sets(field, list(cert.coefficients))
     for u, (vecs, c) in enumerate(zip(leading, cert.coefficients.values())):
         bit = 1 << u
         for v in vecs:
             lanes[v] = lanes.get(v, 0) | bit
+        if len(lanes) * width > _MAX_LANE_BITS:
+            raise TooLarge(
+                f"{number_text(len(lanes))} lanes of {number_text(width)} bits exceed cap "
+                f"{_MAX_LANE_BITS}"
+            )
         by_coefficient[c] = by_coefficient.get(c, 0) | bit
     every = (1 << len(cert.coefficients)) - 1
     decoded = tuple(_indices(field, V.rows()))

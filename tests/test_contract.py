@@ -351,6 +351,46 @@ def test_library_builds_no_checked_subspace():
     assert calls == []
 
 
+# the modules whose answers README promises exact; search and cli read clocks
+EXACT_MODULES = ("gf", "qcount", "grassmann", "incidence", "verifier", "localdecode", "klp")
+EXACT_MATH = {"prod", "comb", "isqrt", "gcd"}
+
+
+def _float_use(node):
+    """How node brings in floating point, or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        return "float literal"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+        return "float()"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "/"
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "math" and node.attr not in EXACT_MATH):
+        return f"math.{node.attr}"
+    if isinstance(node, ast.ImportFrom) and node.module == "math":
+        names = sorted({alias.name for alias in node.names} - EXACT_MATH)
+        return f"from math import {', '.join(names)}" if names else None
+    return None
+
+
+def test_exact_modules_use_no_floating_point():
+    # nothing but solve_coefficients' one Fraction back-substitution
+    def uses(stem, node, function):
+        for child in ast.iter_child_nodes(node):
+            if kind := _float_use(child):
+                yield f"{stem}.{function}: {kind}"
+            inner = child.name if isinstance(child, ast.FunctionDef) else function
+            yield from uses(stem, child, inner)
+
+    src = Path(qdesign.__file__).parent
+    found = [
+        use
+        for stem in EXACT_MODULES
+        for use in uses(stem, ast.parse((src / f"{stem}.py").read_text(encoding="utf-8")), "")
+    ]
+    assert found == ["localdecode.solve_coefficients: /"]
+
+
 def test_library_built_values_are_pinned():
     # sha256 of what gf and grassmann build for themselves on seeded
     # input, for every field order with n <= 4, and of the ranks of

@@ -36,6 +36,66 @@ def _root_by_bisection(x, r):
     return lo
 
 
+def _root_fuzz_cases():
+    """Seeded root cases, stdlib only: (name, args) for nth_root_floor and
+    pow_frac_ceil at y^r - 3 .. y^r + 3, (y+1)^r - 1 and a uniform x
+    between for r in 2..12 and y of 1 to 20,000 bits, at the
+    (q^e)^num / 5 roots that klp_report takes for q in 2..16, and at
+    refused arguments."""
+    rng = random.Random(1435)
+    cases = [("nth_root_floor", (-1, 2)), ("nth_root_floor", (7, 0)),
+             ("pow_frac_ceil", (-8, 1, 3)), ("pow_frac_ceil", (0, 52, 5))]
+    for r in range(2, 13):
+        sizes = (1, 2, 3, 63, 64, 65, 128, 129, 193, rng.randrange(194, 2000), 20_000 // r)
+        for bits in sizes + (20_000,) * (r < 4):
+            y = rng.getrandbits(bits) | 1 << (bits - 1)
+            p, nxt = y**r, (y + 1) ** r
+            for x in [p + d for d in range(-3, 4)] + [nxt - 1, p + rng.randrange(nxt - p)]:
+                cases.append(("nth_root_floor", (x, r)))
+                cases.append(("pow_frac_ceil", (x, 1, r)))
+    for q in range(2, 17):
+        for e in (1, 2, 3, 5, 39, 96, rng.randrange(100, 1200)):
+            cases.append(("pow_frac_ceil", (q**e, 52, 5)))
+            cases.append(("pow_frac_ceil", (q**e, 12, 5)))
+    return cases
+
+
+def _root_fuzz_digest():
+    h = hashlib.sha256()
+    for name, args in _root_fuzz_cases():
+        try:
+            outcome = hex(getattr(klp, name)(*args))
+        except Exception as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        h.update(f"{name} {outcome}\n".encode())
+    return h.hexdigest()
+
+
+# sha256 of every _root_fuzz_cases outcome, captured while each root was
+# certified by full-length powers
+ROOT_FUZZ_SHA256 = "55850872f0b50336f53d502c4f9134328cfb5fb7fec93c770de66e53cdd053ee"
+
+
+def test_root_outcomes_pinned():
+    assert _root_fuzz_digest() == ROOT_FUZZ_SHA256
+
+
+def test_root_outcomes_with_no_guard_bits(monkeypatch):
+    # power bounds cut to the root's own length seldom decide, and must
+    # then leave the root to the exact branch, never certify a wrong one
+    monkeypatch.setattr(klp, "_GUARD_BITS", 0)
+    assert _root_fuzz_digest() == ROOT_FUZZ_SHA256
+    for name, args in _root_fuzz_cases():
+        if name == "nth_root_floor" and args[0] >= 0 and args[1] >= 1:
+            x, r = args
+            got = nth_root_floor(x, r)
+            # bisection of every root, up to 20,000 bits, would take a minute
+            if x.bit_length() <= 500 * r:
+                assert got == _root_by_bisection(x, r), (r, x.bit_length())
+            else:
+                assert got**r <= x < (got + 1) ** r, (r, x.bit_length())
+
+
 def test_nth_root_floor_matches_bisection():
     rng = random.Random(20131)
     for r in range(1, 9):
@@ -109,14 +169,35 @@ def test_nth_root_floor_certifies_a_start_that_misses(monkeypatch, miss):
                 assert got == _root_by_bisection(x, r), (r, bits, miss)
 
 
-def test_pow_frac_ceil_at_a_large_exact_power():
+def _count_exact_roots(monkeypatch, perfect_only=False):
+    """Wrap klp._exact_root to record each call's exactness; with
+    perfect_only, fail any call for a root that is not exact."""
+    calls = []
+    exact_root = klp._exact_root
+
+    def counted(x, r, g):
+        root, exact = exact_root(x, r, g)
+        assert exact or not perfect_only, (r, x.bit_length())
+        calls.append(exact)
+        return root, exact
+
+    monkeypatch.setattr(klp, "_exact_root", counted)
+    return calls
+
+
+def test_pow_frac_ceil_at_a_large_exact_power(monkeypatch):
+    # a perfect power cannot be told from its neighbours by bounds, so it
+    # takes the exact branch; one past it is decided by the bounds alone
+    calls = _count_exact_roots(monkeypatch)
     rng = random.Random(300)
     z = rng.getrandbits(1160) | 1 << 1159
     x = z**5
     assert (x**52).bit_length() >= 300_000
     assert pow_frac_ceil(x, 52, 5) == z**52
+    assert calls == [True]
     y = pow_frac_ceil(x + 1, 52, 5)
     assert y**5 >= (x + 1) ** 52 > (y - 1) ** 5
+    assert calls == [True]
 
 
 @pytest.mark.parametrize("q, n, k, t", [(2, 3000, 75, 1), (5, 1000, 20, 2)])
@@ -137,7 +218,8 @@ def test_klp_report_ceiling_root_by_powering(q, n, k, t):
 
 
 # sha256 of repr(klp_report(...)), captured from the full-length Newton step
-# that certified its roots with two full powers
+# that certified its roots with two full powers; every report since forms
+# no full power for a root that is not exact
 KLP_REPR_SHA256 = {
     (2, 3000, 75, 1): "6fac7dfd7073ed8d16136042728c3e2dbbe8f8c9394f00741ad24fb3a886fa95",
     (5, 1000, 20, 2): "47a214a21bef746d7a6694746208c8f356e10f97c34466ab4a2476d8bec6f447",
@@ -149,13 +231,15 @@ KLP_REPR_SHA256 = {
 KLP_GRID_SHA256 = "d396ee7d45bd3e31a43dccf40d3f3597977dc5cfaaabd971eae2e471ef59f65b"
 
 
-def test_klp_report_reprs_pinned():
+def _klp_report_digests():
+    """sha256 of each KLP_REPR_SHA256 report's repr, and one of the grid."""
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        for params, digest in KLP_REPR_SHA256.items():
-            text = repr(klp_report(*params))
-            assert hashlib.sha256(text.encode()).hexdigest() == digest, params
+        digests = {
+            params: hashlib.sha256(repr(klp_report(*params)).encode()).hexdigest()
+            for params in KLP_REPR_SHA256
+        }
         grid = hashlib.sha256()
         for q in (2, 3):
             for t in (1, 2):
@@ -164,9 +248,21 @@ def test_klp_report_reprs_pinned():
                         grid.update(repr(klp_report(q, n, k, t)).encode())
         for c in (1, 2, 5, 10):
             grid.update(repr(klp_report(2, 20, 5, 1, constant=c)).encode())
-        assert grid.hexdigest() == KLP_GRID_SHA256
+        return digests, grid.hexdigest()
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def test_klp_report_reprs_pinned():
+    assert _klp_report_digests() == (KLP_REPR_SHA256, KLP_GRID_SHA256)
+
+
+def test_klp_report_decides_every_inexact_root_by_bounds(monkeypatch):
+    # the exact branch fails unless its root is exact, yet every report
+    # comes out the same; the perfect powers among them still take it
+    calls = _count_exact_roots(monkeypatch, perfect_only=True)
+    assert _klp_report_digests() == (KLP_REPR_SHA256, KLP_GRID_SHA256)
+    assert calls and all(calls)
 
 
 def test_report_fields():

@@ -245,6 +245,31 @@ def test_verify_certificate_caps_lane_bits(monkeypatch):
         verify_certificate(cert)
 
 
+def test_verify_certificate_charges_lanes_by_the_coefficients(monkeypatch):
+    # a hand-built envelope no longer sets the lane charge: one of
+    # dimension <= t is refused, and a 2-dimensional one for the seven
+    # 2-subspaces of a 3-dimensional envelope in F_2^5 is charged for the
+    # seven lanes of 7 bits they fill, not [2 1]_2 * [2 1]_2 = 9 bits
+    import qdesign.localdecode as localdecode
+
+    V = subspace_from_rows(F2, 5, [[1, 0, 0, 0, 0]])
+    cert = decode_certificate(V, 2)
+
+    def verdict(envelope):
+        return verify_certificate(CoefficientCertificate(
+            V, envelope, cert.coefficients, cert.m, cert.l1_norm
+        ))
+
+    for rows in ([], [[1, 0, 0, 0, 0]]):
+        with pytest.raises(DimensionMismatch, match=r"^need envelope dimension > t = 1, got"):
+            verdict(subspace_from_rows(F2, 5, rows))
+    plane = subspace_from_rows(F2, 5, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
+    assert verdict(plane)
+    monkeypatch.setattr(localdecode, "_MAX_LANE_BITS", 48)
+    with pytest.raises(TooLarge, match=r"^7 lanes of 7 bits exceed cap 48$"):
+        verdict(plane)
+
+
 def test_vector_set_oracles_read_nothing_of_the_kernel(monkeypatch):
     # the vector sets, the lemma-2 grid and the certificate check give the
     # same results with every entry point of the rank kernel, the
