@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate worked_examples.md by running every transcript command.
+"""Refresh the command outputs in worked_examples.md, the one source of
+the worked examples: edit its prose and `$ qdesign` lines, then run this.
 
-The test suite re-executes each transcript and requires byte-identical
-output, so any behavior change must be followed by a rerun of this
-script (and a review of the diff).
+Each ```console block's commands run in order as `python -m qdesign`
+processes in a fresh directory, and only the lines below each command are
+rewritten.  Nothing is written unless every command exits 0 or 1 with
+empty stderr, as tests/test_docs.py requires.  Review the diff after a rerun.
 """
 
 from __future__ import annotations
@@ -14,143 +16,50 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SRC = os.path.join(HERE, "..", "src")
+DOC = os.path.join(HERE, "worked_examples.md")
+SRC = os.path.abspath(os.path.join(HERE, "..", "src"))
+PROMPT = "$ qdesign "
 
-PAGES = [
-    (
-        "Counting subspaces",
-        "The number of k-dimensional subspaces of F_q^n is the Gaussian "
-        "binomial [n k]_q. `qbinom` evaluates it exactly; `--bounds` also "
-        "prints the two-sided estimate q^(k(n-k)) <= [n k]_q <= "
-        "C(n,k) q^(k(n-k)) that comes from the monomial-sum expansion.",
-        [
-            "qbinom --q 2 --n 4 --k 2",
-            "qbinom --q 2 --n 4 --k 2 --bounds",
-        ],
-    ),
-    (
-        "Enumerating the Grassmannian",
-        "`enumerate` lists every subspace as its canonical reduced-row-echelon "
-        "basis, ordered by pivot columns and then by free entries. The seven "
-        "lines of F_2^3:",
-        [
-            "enumerate --q 2 --n 3 --k 1",
-        ],
-    ),
-    (
-        "Incidence structure",
-        "`incidence` builds the 0/1 matrix whose rows are k-subspaces and "
-        "whose columns are t-subspaces, with a 1 exactly where the column is "
-        "contained in the row. Every row has weight [k t]_q and every column "
-        "weight [n-t k-t]_q; the average row is the constant "
-        "[k t]_q/[n t]_q.",
-        [
-            "incidence --q 2 --n 4 --k 2 --t 1",
-        ],
-    ),
-    (
-        "The decoding coefficient system",
-        "`decode` builds the upper-triangular system D, takes m = det D, and "
-        "solves D f = (0, ..., 0, m) for the integer coefficient vector f. "
-        "With `--certify` it assigns coefficient f(dim(U intersect V)) to "
-        "every k-subspace U of a (t+k)-dimensional envelope W containing the "
-        "first canonical t-subspace V, then checks by exhaustive summation "
-        "that the combination equals m at column V and 0 everywhere else.",
-        [
-            "decode --q 2 --t 1 --k 2",
-            "decode --q 2 --t 1 --k 2 --certify --n 3",
-        ],
-    ),
-    (
-        "Intersection counts",
-        "`lemma2-check` validates the closed-form count of k-subspaces that "
-        "contain one t-subspace and meet another in a prescribed dimension, "
-        "against brute-force enumeration over every ordered pair of distinct "
-        "t-subspaces. For lines of F_2^4 and k = 2: six planes through V1 "
-        "miss V2 and exactly one (the span of both) meets it.",
-        [
-            "lemma2-check --q 2 --n 4 --t 1 --k 2",
-        ],
-    ),
-    (
-        "Searching for designs",
-        "`search` reduces the design condition to exact multi-cover: every "
-        "t-subspace must be covered exactly lambda times by chosen blocks. "
-        "A 1-(4,2,1) design over F_2 is a spread: five planes partitioning "
-        "the nonzero vectors of F_2^4.",
-        [
-            "search --q 2 --n 4 --k 2 --t 1 --lambda 1 --out spread.txt",
-            "verify --design spread.txt --t 1",
-        ],
-    ),
-    (
-        "The trivial design",
-        "With lambda = 7 the cover is forced to use all 35 planes, producing "
-        "the trivial design; the verifier confirms lambda = [n-t k-t]_q = 7 "
-        "and flags it as trivial. At (3,2,1) no spread exists because the "
-        "block count N = lambda [n t]_q / [k t]_q = 7/3 is not an integer.",
-        [
-            "search --q 2 --n 4 --k 2 --t 1 --lambda 7 --out trivial.txt",
-            "verify --design trivial.txt --t 1",
-            "search --q 2 --n 3 --k 2 --t 1 --lambda 1",
-        ],
-    ),
-    (
-        "Existence-condition report",
-        "`klp-report` evaluates the divisibility, boundedness, and local-"
-        "decodability parameter bounds together with the feasibility "
-        "inequality as exact big integers (fractional exponents are rounded "
-        "up through exact integer roots). At q=2, t=1, k=25, n=1000 the "
-        "inequality holds relative to constant 1.",
-        [
-            "klp-report --q 2 --n 1000 --k 25 --t 1",
-        ],
-    ),
-    (
-        "Self-test",
-        "`selftest` runs the library's invariant suites; `--workers` shards "
-        "them across processes without changing a byte of the report.",
-        [
-            "selftest --suite decode_systems --suite search_spreads",
-        ],
-    ),
-]
+
+def console_blocks(lines: list[str]) -> list[list[tuple[int, str, list[str]]]]:
+    """Per ```console block of the document's lines, one (index, command,
+    output) per command line: lines[index] is the command line, and output
+    the lines after it up to the next command or the closing fence."""
+    blocks: list = []
+    block = None  # the open block, if any
+    for index, line in enumerate(lines):
+        if line.strip() == "```console":
+            block = []
+        elif block is not None and line.strip() == "```":
+            blocks.append(block)
+            block = None
+        elif block is not None and line.startswith(PROMPT):
+            block.append((index, line[len(PROMPT) :], []))
+        elif block:
+            block[-1][2].append(line)
+    return blocks
 
 
 def main() -> int:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    out = [
-        "# Worked examples",
-        "",
-        "Every fenced block below is executable: lines starting with `$ "
-        "qdesign` are commands, the rest is their exact stdout. The test "
-        "suite re-runs each block and fails on any drift.",
-        "",
-    ]
-    with tempfile.TemporaryDirectory() as scratch:
-        for title, prose, commands in PAGES:
-            out.append(f"## {title}")
-            out.append("")
-            out.append(prose)
-            out.append("")
-            out.append("```console")
-            for cmd in commands:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "qdesign", *cmd.split()],
-                    capture_output=True,
-                    text=True,
-                    cwd=scratch,
-                    env=env,
-                )
-                out.append(f"$ qdesign {cmd}")
-                out.extend(proc.stdout.splitlines())
-            out.append("```")
-            out.append("")
-    path = os.path.join(HERE, "worked_examples.md")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out))
-    print(f"wrote {path}")
+    with open(DOC, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out, done, faults = [], 0, []
+    for block in console_blocks(lines):
+        with tempfile.TemporaryDirectory() as scratch:
+            for index, command, old in block:
+                proc = subprocess.run([sys.executable, "-m", "qdesign", *command.split()],
+                                      capture_output=True, text=True, cwd=scratch, env=env)
+                if proc.returncode not in (0, 1) or proc.stderr:
+                    faults.append(f"exit {proc.returncode}, stderr {proc.stderr!r}: {command}")
+                out += lines[done : index + 1] + proc.stdout.splitlines()
+                done = index + 1 + len(old)
+    if faults:
+        print(*faults, f"{DOC} not written", sep="\n", file=sys.stderr)
+        return 1
+    with open(DOC, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(out + lines[done:]))
+    print(f"wrote {DOC}")
     return 0
 
 

@@ -7,7 +7,7 @@ PASS/FAIL line and enforces its stated wall-clock budget.
 import time
 from contextlib import contextmanager
 
-from conftest import run_cli
+from conftest import run_process
 
 from qdesign.gf import make_field
 from qdesign.grassmann import enumerate_subspaces, extensions, iter_subspaces
@@ -184,8 +184,8 @@ def test_criterion_11_klp_report():
 
 def test_criterion_12_selftest_determinism():
     with criterion(12, "selftest reports byte-identical across worker counts", None):
-        code1, out1, _ = run_cli("selftest", "--workers", "1")
-        code8, out8, _ = run_cli("selftest", "--workers", "8")
+        code1, out1, _ = run_process("selftest", "--workers", "1")
+        code8, out8, _ = run_process("selftest", "--workers", "8")
         assert code1 == 0 and code8 == 0
         assert out1 == out8
         assert "selftest: 28/28 suites ok" in out1

@@ -5,7 +5,7 @@ import sys
 import time
 
 import pytest
-from conftest import SRC, run_cli
+from conftest import child_env, run_cli, run_process
 
 from qdesign.errors import DegenerateSystem
 from qdesign.qcount import q_binomial
@@ -234,7 +234,7 @@ def test_verify_json_blocks_malformed_exit_2(tmp_path):
         )
 
 
-def test_verify_json_non_integer_field_exit_2(tmp_path, main_in_process):
+def test_verify_json_non_integer_field_exit_2(tmp_path):
     cases = (
         ("q", "null"), ("n", "[2]"), ("k", '"one"'), ("k", "1e999"),
         # JSON numbers must be integers: no truncation, no boolean as 1
@@ -245,14 +245,14 @@ def test_verify_json_non_integer_field_exit_2(tmp_path, main_in_process):
         (tmp_path / "d.json").write_text(
             '{"q": %(q)s, "n": %(n)s, "k": %(k)s, "blocks": []}\n' % fields
         )
-        code, out, err = main_in_process(
+        code, out, err = run_cli(
             "verify", "--design", str(tmp_path / "d.json"), "--t", "1"
         )
         assert code == 2 and out == ""
         assert err == f"error: design JSON field '{key}' must be an integer\n"
 
 
-def test_verify_design_file_digit_and_header_errors_exit_2(tmp_path, main_in_process):
+def test_verify_design_file_digit_and_header_errors_exit_2(tmp_path):
     # each message names where the file is at fault
     cases = (
         ("e.txt", "2 3 1\n\n100\n\n102\n",
@@ -301,7 +301,7 @@ def test_verify_design_file_digit_and_header_errors_exit_2(tmp_path, main_in_pro
     for name, text, expected in cases:
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         for extra in ((), ("--json",)):
-            code, out, err = main_in_process(
+            code, out, err = run_cli(
                 "verify", "--design", str(tmp_path / name), "--t", "1", *extra
             )
             assert (code, out, err) == (2, "", expected)
@@ -333,7 +333,7 @@ def test_klp_report_q_below_2_exit_2():
         assert err == "error: need q >= 2, got q=1\n"
 
 
-def test_field_order_below_2_one_message(tmp_path, main_in_process):
+def test_field_order_below_2_one_message(tmp_path):
     # make_field gives the same message as the q-counting commands above
     (tmp_path / "d.txt").write_text("1 3 1\n\n100\n")
     (tmp_path / "d.json").write_text('{"q": 1, "n": 3, "k": 1, "blocks": [["100"]]}')
@@ -345,7 +345,7 @@ def test_field_order_below_2_one_message(tmp_path, main_in_process):
         ("verify", "--design", str(tmp_path / "d.txt"), "--t", "1"),
         ("verify", "--design", str(tmp_path / "d.json"), "--t", "1"),
     ):
-        assert main_in_process(*args) == (2, "", "error: need q >= 2, got q=1\n"), args
+        assert run_cli(*args) == (2, "", "error: need q >= 2, got q=1\n"), args
 
 
 def test_decode_text():
@@ -442,14 +442,11 @@ def test_decode_certify_requires_n():
     assert code == 2
 
 
-def test_decode_certify_small_n_names_n(capsys):
+def test_decode_certify_small_n_names_n():
     # n < t is refused by the certificate's own check, not by building V
-    from qdesign import cli
-
     for t, k, n in ((2, 5, 1), (2, 5, 5), (1, 2, 0), (1, 2, -1)):
         argv = ["decode", "--q", "2", "--t", str(t), "--k", str(k), "--certify", "--n", str(n)]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: need ambient n >= t + k = {t + k}, got {n}\n")
+        assert run_cli(*argv) == (2, "", f"error: need ambient n >= t + k = {t + k}, got {n}\n")
 
 
 def test_decode_certify_ambient_cap_exit_3():
@@ -534,7 +531,7 @@ def test_lemma2_check_hit_word_cap_exit_3():
     )
 
 
-def test_cap_errors_abbreviate_huge_counts(main_in_process):
+def test_cap_errors_abbreviate_huge_counts():
     # [1000000 1]_2 has 301,030 decimal digits; the caps refuse it at once
     million = ("--q", "2", "--n", "1000000")
     cases = {
@@ -574,7 +571,7 @@ def test_cap_errors_abbreviate_huge_counts(main_in_process):
         )
     for args, message in cases.items():
         start = time.monotonic()
-        code, out, err = main_in_process(*args)
+        code, out, err = run_cli(*args)
         assert time.monotonic() - start < 1.5
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
@@ -754,7 +751,7 @@ def test_klp_report_json_round_trip():
     assert json.dumps(obj, indent=2, sort_keys=True) + "\n" == out
 
 
-def test_search_out_of_range_exit_2(main_in_process):
+def test_search_out_of_range_exit_2():
     # t > k, t < 0, k > n and lambda < 0 are refused before any count
     cases = (
         (("--n", "4", "--k", "2", "--t", "3", "--lambda", "1"), "t=3, k=2, n=4"),
@@ -762,16 +759,16 @@ def test_search_out_of_range_exit_2(main_in_process):
         (("--n", "3", "--k", "5", "--t", "1", "--lambda", "1"), "t=1, k=5, n=3"),
     )
     for args, got in cases:
-        code, out, err = main_in_process("search", "--q", "2", *args)
+        code, out, err = run_cli("search", "--q", "2", *args)
         assert (code, out, err) == (2, "", f"error: need 0 <= t <= k <= n, got {got}\n")
-    code, out, err = main_in_process(
+    code, out, err = run_cli(
         "search", "--q", "2", "--n", "4", "--k", "2", "--t", "1", "--lambda", "-1"
     )
     assert (code, out, err) == (2, "", "error: need 0 <= lambda, got lambda=-1\n")
     # a deadline that never passes, or always has, is refused too
     sizes = ("--q", "2", "--n", "6", "--k", "3", "--t", "2", "--lambda", "3")
     for limit, method in (("nan", "exhaustive"), ("inf", "greedy"), ("-inf", "exhaustive")):
-        code, out, err = main_in_process(
+        code, out, err = run_cli(
             "search", *sizes, "--method", method, f"--timeout={limit}"
         )
         assert (code, out, err) == (2, "", f"error: timeout must be finite, got {limit}\n")
@@ -908,15 +905,15 @@ def test_search_not_found_json():
 
 def test_cli_import_leaves_selftest_unloaded():
     code = "import sys, qdesign.cli; print('qdesign.selftest' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_import_adds_no_heavy_stdlib_modules():
     # compared with what the bare interpreter has loaded before the import,
     # so a module that site already imports does not count
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     cases = {
         "qdesign.cli": {"dataclasses", "inspect", "fractions", "decimal", "json", "typing"},
         "qdesign.selftest": {"dataclasses", "inspect"},
@@ -926,14 +923,16 @@ def test_import_adds_no_heavy_stdlib_modules():
             f"import sys; before = set(sys.modules); import {module}; "
             "print(*set(sys.modules) - before)"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
         assert (proc.returncode, proc.stderr) == (0, "")
         added = set(proc.stdout.split())
         assert module in added
         assert not added & heavy, f"import {module} loads {sorted(added & heavy)}"
 
 
-def test_internal_error_exit_4(monkeypatch, capsys):
+def test_internal_error_exit_4(monkeypatch):
     # only InvalidParameters is the caller's fault; a bare ValueError is
     # an internal invariant, and a solver's assertion is a bug, not a "no"
     from qdesign import cli
@@ -944,8 +943,8 @@ def test_internal_error_exit_4(monkeypatch, capsys):
             raise exc_type("handler fell over")
 
         monkeypatch.setattr(cli, "_cmd_qbinom", broken)
-        assert cli.main(["qbinom", "--q", "2", "--n", "4", "--k", "2"]) == 4
-        out, err = capsys.readouterr()
+        code, out, err = run_cli("qbinom", "--q", "2", "--n", "4", "--k", "2")
+        assert code == 4
         name = exc_type.__name__
         assert (out, err) == ("", f"error: internal error: {name}: handler fell over\n")
 
@@ -953,7 +952,7 @@ def test_internal_error_exit_4(monkeypatch, capsys):
 def test_selftest_subset_and_determinism():
     args = ("selftest", "--suite", "qcount_symmetry", "--suite", "decode_systems")
     code1, out1, _ = run_cli(*args, "--workers", "1")
-    code8, out8, _ = run_cli(*args, "--workers", "4")
+    code8, out8, _ = run_process(*args, "--workers", "4")
     assert code1 == code8 == 0
     assert out1 == out8
     assert "ok qcount_symmetry" in out1
@@ -1026,13 +1025,12 @@ def test_selftest_workers_clamped(monkeypatch):
 
 
 def test_closed_stdout_exits_141_without_traceback():
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     # about 380 kB of text, far more than a pipe buffers
     proc = subprocess.Popen(
         [sys.executable, "-m", "qdesign", "enumerate", "--q", "2", "--n", "7", "--k", "3"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
     assert len(proc.stdout.read(20)) == 20
     proc.stdout.close()
@@ -1073,23 +1071,53 @@ def test_selftest_output_pinned():
     )
 
 
-def test_selftest_failing_suite(monkeypatch, capsys):
-    from qdesign import cli, selftest
+def test_selftest_failing_suite(monkeypatch):
+    from qdesign import selftest
 
     def failing():
         raise selftest.SelfTestFailure("boom at 3")
 
     monkeypatch.setitem(selftest.SUITES, "qcount_pascal", failing)
-    assert cli.main(list(SELFTEST_PAIR)) == 1
-    assert capsys.readouterr() == (
+    assert run_cli(*SELFTEST_PAIR) == (
+        1,
         "FAIL qcount_pascal: boom at 3\nok decode_systems (48 checks)\n"
         "selftest: 1/2 suites ok\n",
         "",
     )
-    assert cli.main([*SELFTEST_PAIR, "--json"]) == 1
-    obj = json.loads(capsys.readouterr().out)
+    code, out, _ = run_cli(*SELFTEST_PAIR, "--json")
+    assert code == 1
+    obj = json.loads(out)
     assert obj["ok"] is False
     assert obj["suites"] == [
         {"checks": 0, "detail": "boom at 3", "name": "qcount_pascal", "ok": False},
         {"checks": 48, "detail": "", "name": "decode_systems", "ok": True},
     ]
+
+
+
+# each line runs its commands in order in a fresh directory; "search --q 2"
+# is a usage error long enough to wrap, at the width a pipe sees
+BOTH_ROUTES = (
+    "qbinom --q 2 --n 4 --k 2", "incidence --q 2 --n 4 --k 2 --t 1 --json",
+    "search --q 2 --n 3 --k 2 --t 1 --lambda 1",
+    "qbinom --q 2 --n 40 --k 20 --via-sum --max-terms 100", "qbinom --q 2 --n 4 --k 5",
+    "search --q 2",
+    "search --q 2 --n 4 --k 2 --t 1 --lambda 1 --out s.txt; verify --design s.txt --t 1 --json",
+    "decode --q 2 --t 1 --k 2 --certify --n 3", "klp-report --q 2 --n 1000 --k 25 --t 1",
+    "selftest --suite qcount_pascal",
+)
+
+
+def test_in_process_runs_match_a_child_process(tmp_path):
+    # run_cli stands in for a process everywhere else, so both must agree
+    codes = []
+    for i, line in enumerate(BOTH_ROUTES):
+        got = {}
+        for run in (run_cli, run_process):
+            where = tmp_path / f"{run.__name__}{i}"
+            where.mkdir()
+            got[run] = [run(*argv.split(), cwd=where) for argv in line.split("; ")]
+        assert got[run_cli] == got[run_process], line
+        codes += [code for code, _, _ in got[run_cli]]
+    assert codes == [0, 0, 1, 3, 2, 2, 0, 0, 0, 0, 0]
+    assert run_cli("search", "--q", "2")[2].count("\n") > 3

@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import run_cli
 
 import qdesign
 from qdesign.errors import DimensionMismatch, TooLarge
@@ -351,6 +352,33 @@ def test_library_builds_no_checked_subspace():
     assert calls == []
 
 
+# the only code in tests/ that starts a process: run_process itself and the
+# tests whose subject is a process (separate hash seeds, worker processes,
+# a fresh interpreter's imports, a broken pipe, and run_cli's agreement
+# with a child)
+PROCESS_SUBJECTS = {
+    "conftest.run_process",
+    "test_acceptance.test_criterion_12_selftest_determinism",
+    "test_cli.test_selftest_subset_and_determinism",
+    "test_cli.test_cli_import_leaves_selftest_unloaded",
+    "test_cli.test_import_adds_no_heavy_stdlib_modules",
+    "test_cli.test_closed_stdout_exits_141_without_traceback",
+    "test_cli.test_in_process_runs_match_a_child_process",
+}
+
+
+def test_only_process_subjects_start_processes():
+    # every other command runs in this process, through conftest.run_cli
+    starts = {
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id in ("run_process", "subprocess", "Popen")
+    }
+    assert starts == PROCESS_SUBJECTS
+
+
 # the modules whose answers README promises exact; search and cli read clocks
 EXACT_MODULES = ("gf", "qcount", "grassmann", "incidence", "verifier", "localdecode", "klp")
 EXACT_MATH = {"prod", "comb", "isqrt", "gcd"}
@@ -498,7 +526,7 @@ def _design_files(tmp_path: Path) -> list[Path]:
     return files + [tmp_path / "a_directory"]
 
 
-def test_every_command_ends_in_a_documented_exit(tmp_path, main_in_process):
+def test_every_command_ends_in_a_documented_exit(tmp_path):
     points = tmp_path / "points.txt"
     points.write_text("2 3 1\n\n" + "\n\n".join(f"{v:03b}" for v in range(1, 8)) + "\n")
     argvs = [c.format(q=q, n=n, k=k) for c in DIMENSION_COMMANDS for q, n, k in DIMENSIONS]
@@ -511,7 +539,7 @@ def test_every_command_ends_in_a_documented_exit(tmp_path, main_in_process):
     table_start = time.monotonic()
     for argv in argvs:
         start = time.monotonic()
-        code, out, err = main_in_process(*argv.split())
+        code, out, err = run_cli(*argv.split())
         elapsed = time.monotonic() - start
         if code not in (0, 1, 2, 3):
             problems.append(f"exit {code}: {argv}: {err!r}")

@@ -2,52 +2,19 @@
 byte-identical stdout, exit 0 or 1 and empty stderr."""
 
 import os
+import sys
 
 import pytest
-
 from conftest import run_cli
 
-DOC = os.path.join(os.path.dirname(__file__), "..", "docs", "worked_examples.md")
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "docs"))
+from regen_worked_examples import DOC, console_blocks  # noqa: E402
 
-
-def parse_transcripts():
-    """Yield (block_index, [(command, expected_stdout), ...]) per fenced block."""
-    with open(DOC, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    blocks = []
-    inside = False
-    current = []
-    for line in lines:
-        if line.strip() == "```console":
-            inside = True
-            current = []
-            continue
-        if inside and line.strip() == "```":
-            blocks.append(current)
-            inside = False
-            continue
-        if inside:
-            current.append(line)
-    out = []
-    for idx, block in enumerate(blocks):
-        pairs = []
-        cmd = None
-        buf = []
-        for line in block:
-            if line.startswith("$ qdesign "):
-                if cmd is not None:
-                    pairs.append((cmd, buf))
-                cmd = line[len("$ qdesign ") :]
-                buf = []
-            else:
-                buf.append(line)
-        if cmd is not None:
-            pairs.append((cmd, buf))
-        out.append((idx, pairs))
-    return out
-
-
-TRANSCRIPTS = parse_transcripts()
+with open(DOC, encoding="utf-8") as fh:
+    TRANSCRIPTS = [
+        (idx, [(command, output) for _, command, output in block])
+        for idx, block in enumerate(console_blocks(fh.read().splitlines()))
+    ]
 
 
 def test_doc_has_transcripts():
