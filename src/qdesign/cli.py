@@ -47,7 +47,7 @@ from .incidence import (
     check_constant_vector_property,
     export_bits_text,
 )
-from .klp import divisibility_witness, klp_report
+from .klp import MAX_BITS_LIMIT, divisibility_witness, klp_report
 from .localdecode import (
     _check_ambient,
     certificate_composition,
@@ -259,15 +259,18 @@ def _cmd_klp_report(args) -> _Result:
         divisibility_witness(args.q, args.n, args.k, args.t) if rep.A_exact is not None else None
     )
     obj = {**vars(rep), "divisibility_witness": witness}
-    lines = _kv(
-        obj, "q", "n", "k", "t", "constant", "c1_bound", "c2", "c3_bound", "A_upper",
-        "B_lower", "A_exact", "B_exact", "rhs_final", "block_budget",
-    )
-    if witness is not None:
-        lines += _kv(obj, "divisibility_witness")
-    lines.append(f"feasible = {_text(rep.feasible)} (relative to supplied constant)")
-    lines += _kv(obj, "k_gt_12t", "k_gt_12t_plus_1", "log_reading")
-    return 0, obj, lines
+
+    def lines():  # text only: a bound's decimal takes time quadratic in its length
+        yield from _kv(
+            obj, "q", "n", "k", "t", "constant", "c1_bound", "c2", "c3_bound", "A_upper",
+            "B_lower", "A_exact", "B_exact", "rhs_final", "block_budget",
+        )
+        if witness is not None:
+            yield from _kv(obj, "divisibility_witness")
+        yield f"feasible = {_text(rep.feasible)} (relative to supplied constant)"
+        yield from _kv(obj, "k_gt_12t", "k_gt_12t_plus_1", "log_reading")
+
+    return 0, obj, lines()
 
 
 def _cmd_search(args) -> _Result:
@@ -438,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-bits",
         required=False,
         default=10**6,
-        help="cap on the bit length of the largest power built (default: 1000000)",
+        help="cap on the bit length of the largest power built (default: 1000000,"
+        f" at most {MAX_BITS_LIMIT})",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_klp_report)

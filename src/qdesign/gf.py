@@ -45,7 +45,7 @@ _PRIME_ORDERS = (2, 3, 5, 7, 11, 13)
 
 SUPPORTED_ORDERS = tuple(sorted(_PRIME_ORDERS + tuple(_REDUCTION_POLYS)))
 
-_DIGITS = "0123456789abcdef"  # element x's digit, in design files and grassmann._packed
+_DIGITS = "0123456789abcdef"  # element x's digit, in design files and grassmann's digit tables
 
 
 @_value_class

@@ -41,12 +41,25 @@ and a rank is that offset plus one contribution per row of P B, its free
 entries in place.  Row i is B's row p_i plus c_m times B's row m over
 P's free columns m in row i, so its contributions are a table over those
 c_m alone (_t_plans), and the ranks are the sums over the product of the
-rows' tables.  For q = 2^b addition is XOR and scaling is F_2-linear on
-an entry's b bits, so a contribution is F_2-affine in the c_m's bits: it
-is read off the packed blocks (_packed) for row p_i and 2^j times each
-row m, and XOR doubling fills in the table.  Odd q expands each free
-entry over the c_m through the field's tables.  Each list comprehension
-runs over the blocks, about one per t-subspace however many blocks.
+rows' tables.
+
+The kernel works on whole columns of blocks, in C.  Block j sits in lane
+j of a big integer, a fixed number of bytes wide: enough for a rank and,
+for q = 2^b, for the packed block.  Every partial sum of a rank stays
+below [n t]_q, so lanes add with no carry from one to the next, and each
+table entry is one such integer for all the blocks.  For q = 2^b
+addition is XOR and scaling is F_2-linear on an entry's b bits, so a
+contribution is F_2-affine in the c_m's bits.  The blocks are packed
+once per scale 2^j, one bytes.translate and one int(., 2^w) with w bits
+an entry (_lane_tables), and the contribution of row p_i and of 2^j
+times each row m is read off them by shifts and masks repeated in every
+lane; XOR doubling fills in the table.  For odd q an entry column holds
+one entry per lane, in its low byte: c x is one bytes.translate, and
+x + y one more once (x << 4) | y puts the two in the nibbles of one
+byte.  A free entry's place value scales its column.  _lane_values
+reads each t-subspace's ranks back out, by one typed memoryview read of
+each lane's low item while ranks fit in 64 bits, so a call costs a
+fixed number of big-integer operations however many blocks it holds.
 
 The incidence matrix and the search rank every k-subspace, and
 _rank_groups serves them one pivot group at a time, as covers only: a
@@ -58,7 +71,9 @@ bit, and XOR doubling across blocks, from _t_plans' offsets, fills in
 the table.  Odd q passes the group to _group_t_ranks _CHUNK blocks at
 a time.  No SubspaceBasis is built, and a table lasts one group.
 
-The brute-force oracles read vector sets, apart from that kernel.  A
+The brute-force oracles read vector sets, apart from that kernel: no
+function or table of one side names one of the other, which a static
+test checks.  A
 vector is indexed by its entries read as a base-q number
 (nonzero_vectors), so c times a row is one bytes.translate and one
 int(., q) (_scaled_indices, with its own digit tables).  For q = 2^b
@@ -77,6 +92,7 @@ each of their subspaces.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from collections.abc import Callable, Iterator
 from functools import cached_property, lru_cache
@@ -460,14 +476,43 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
     return [r for r, in ranks]
 
 
-def _packed(field: FieldSpec, rows: list[bytes], c: int) -> list[int]:
-    """Each block's entries, one byte each, scaled by c, as one integer
-    with b bits per entry, entry 0 most significant, for q = 2^b.  The
-    work is in C: bytes.translate writes each entry x as the base-q digit
-    of c x, and int reads the digits in base q."""
-    digits = bytes([ord(_DIGITS[y]) for y in field.mul_table[c]])
-    table = digits.ljust(256, b"0")  # for bytes.translate: x -> the digit of c x
-    return list(map(int, map(bytes.translate, rows, repeat(table)), repeat(field.q)))
+# q = 2^b: an entry's bits in a packed lane, b rounded up to divide 8
+_ENTRY_BITS = {2: 1, 4: 2, 8: 4, 16: 4}
+# a memoryview format per lane width in bytes, for the widths it has
+_LANE_TYPES = {memoryview(bytes(8)).cast(code).itemsize: code for code in "BHILQ"}
+
+
+@lru_cache(maxsize=None)  # one entry per field: make_field is cached
+def _lane_tables(field: FieldSpec) -> tuple[bytes, ...]:
+    """The kernel's bytes.translate tables, one byte per entry.  For
+    q = 2^b, per j < b, the table that writes x as the base-2^w digit of
+    2^j x, w = _ENTRY_BITS[q].  For odd q, per c in F_q, the table that
+    maps x to (c x) << 4, then the table that maps (x << 4) | y to x + y.
+    Each maps 0 to zero, so the zero bytes that pad the lanes stay zero."""
+    add, mul = field.add_table, field.mul_table
+    if field.characteristic == 2:
+        return tuple([bytes([ord(_DIGITS[y]) for y in mul[1 << j]]).ljust(256, b"0")
+                      for j in range(field.degree)])
+    q = field.q
+    sums = bytes([add[x >> 4][x & 15] if x >> 4 < q and x & 15 < q else 0 for x in range(256)])
+    return tuple([bytes([y << 4 for y in row]).ljust(256, b"\0") for row in mul]) + (sums,)
+
+
+def _lane_bytes(bits: int) -> int:
+    """The bytes of a lane for values of this many bits: a memoryview
+    item's width, 1, 2, 4 or 8, or whole 8-byte words past 64 bits."""
+    return 1 << max(0, (bits - 1).bit_length() - 3) if bits <= 64 else -(-bits // 64) * 8
+
+
+def _lane_values(x: int, count: int, width: int, bits: int) -> list[int]:
+    """The count lanes of x, width bytes each, lane 0 the lowest, whose
+    values have at most this many bits: up to 64, on a little-endian
+    machine, one typed read of the lanes' low items."""
+    data = x.to_bytes(count * width, "little")
+    if bits > 64 or sys.byteorder != "little":
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    item = _lane_bytes(bits)
+    return memoryview(data).cast(_LANE_TYPES[item])[:: width // item].tolist()
 
 
 @lru_cache(maxsize=1024)  # a plan is reused only across calls
@@ -477,12 +522,13 @@ def _t_plans(n: int, q: int, t: int, pivots: tuple[int, ...]) -> tuple:
     over the rows of q^|terms|) and, per image row with free columns, its
     table's recipe.  For q = 2^b that is its probes (j, runs) in doubling
     order, 2^j times row p_i, then each row m, the last first and low bits
-    first; a run (shift, mask, pos) moves (w >> shift) & mask of a packed
-    block w to bit pos.  For odd q it is the table size and, per free
-    column, (f, place value, fs): the column's flat index in row p_i and
-    in each row m."""
+    first; a run (shift, mask, pos) moves (x >> shift) & mask of a block x
+    packed with _ENTRY_BITS[q] bits per entry to bit pos.  For odd q it is
+    the table size and, per free column, (f, place value, fs): the
+    column's flat index in row p_i and in each row m."""
     k = len(pivots)
     bits = q.bit_length() - 1 if q & (q - 1) == 0 else 0
+    w = _ENTRY_BITS.get(q, 0)
     plans = []
     for pat in combinations(range(k), t):
         offset, _, free = _pivot_plan(n, q, tuple([pivots[p] for p in pat]))
@@ -500,11 +546,12 @@ def _t_plans(n: int, q: int, t: int, pivots: tuple[int, ...]) -> tuple:
                 continue
             runs: list[list[int]] = []  # [first column, last column, its digit]
             for j, e in cols:
-                if runs and runs[-1][1] == j - 1:
+                # neighbouring columns are one run where an entry's w bits are its b bits
+                if runs and runs[-1][1] == j - 1 and w == bits:
                     runs[-1][1:] = [j, e]
                 else:
                     runs.append([j, j, e])
-            rows.append(tuple([(j, tuple([(bits * (n * (k - m) - 1 - last),
+            rows.append(tuple([(j, tuple([(w * (n * (k - m) - 1 - last),
                                            (1 << bits * (last - first + 1)) - 1, bits * e)
                                           for first, last, e in runs]))
                                for j, m in [(0, lead)] + [(j, m) for m in reversed(terms)
@@ -523,43 +570,53 @@ def _group_t_ranks(
     count = len(forms)
     if t == 0:  # every block has exactly one 0-subspace; its rows are not read
         return [[0] * count]
-    q, binary = field.q, field.characteristic == 2
+    q, k, tables = field.q, len(pivots), _lane_tables(field)
+    binary = field.characteristic == 2
+    raw = list(map(bytes, forms))  # converted once for every table
+    # a lane holds a rank, and for q = 2^b a packed block too
+    bits = (q_binomial(n, t, q) - 1).bit_length()
+    width = _lane_bytes(max(bits, k * n * _ENTRY_BITS.get(q, 0)))
+    length = count * width
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * count, "little")  # 1 in every lane
     if binary:
-        raw = list(map(bytes, forms))  # converted once for every scale
-        scaled = [_packed(field, raw, 1 << j) for j in range(field.degree)]
+        w = _ENTRY_BITS[q]
+        # block i in lane i, entry 0 most significant, below zero padding
+        packed = bytes(8 * width // w - k * n).join(reversed(raw))
+        scaled = [int(packed.translate(table), 1 << w) for table in tables]
     else:
-        add, mul, columns = field.add_table, field.mul_table, list(zip(*forms))
+        flat, lane, sums = b"".join(raw), bytearray(length), tables[q]
+        multiples: dict[int, list[int]] = {}
 
-    def part(j, runs):  # the entries of 2^j times the blocks at these runs
-        words = scaled[j]
-        (shift, mask, pos), *rest = runs
-        values = [(w >> shift & mask) << pos for w in words]
-        for shift, mask, pos in rest:
-            values = [v | (w >> shift & mask) << pos for v, w in zip(values, words)]
-        return values
+        def spread(f):  # entry f of each block, in the low byte of its lane
+            lane[::width] = flat[f :: k * n]
+            return bytes(lane)
 
     out = []
     for offset, _, rows in _t_plans(n, q, t, pivots):
-        ranks = [[offset] * count]
+        ranks = [offset * ones]
         for row in rows:
             if binary:
-                base, *units = [part(j, runs) for j, runs in row]
-                table = [base]
-                for unit in units:
-                    table += [[x ^ y for x, y in zip(v, unit)] for v in table]
+                table: list[int] = []
+                for j, runs in row:  # the entries of 2^j times the blocks at these runs
+                    word = 0
+                    for shift, mask, pos in runs:
+                        word |= (scaled[j] >> shift & mask * ones) << pos
+                    table += [v ^ word for v in table] if table else [word]
             else:
                 size, cols = row
-                table = [[0] * count] * size
+                table = [0] * size
                 for f, weight, fs in cols:
-                    digits = [columns[f]]
-                    for g in fs:
-                        multiples = [[mc[x] for x in columns[g]] for mc in mul]
-                        digits = [[add[x][y] for x, y in zip(a, b)]
-                                  for a in digits for b in multiples]
-                    table = [[x + weight * y for x, y in zip(a, b)]
-                             for a, b in zip(table, digits)]
-            ranks = [[x + y for x, y in zip(a, b)] for a in ranks for b in table]
-        out += ranks
+                    digits = [int.from_bytes(spread(f), "little")]
+                    for g in fs:  # add c times row m's entry, for each c, nibble by nibble
+                        if g not in multiples:
+                            multiples[g] = [int.from_bytes(spread(g).translate(mul), "little")
+                                            for mul in tables[:q]]
+                        digits = [int.from_bytes((a | m).to_bytes(length, "little").translate(sums),
+                                                 "little")
+                                  for a in digits for m in multiples[g]]
+                    table = [x + weight * d for x, d in zip(table, digits)]
+            ranks = [a + b for a in ranks for b in table]
+        out += [_lane_values(r, count, width, bits) for r in ranks]
     return out
 
 

@@ -36,7 +36,7 @@ is formed, y stepped down while y^r > x and then, when x - y^r is not
 below the gap, stepped up by ones while (y+1)^r <= x.
 
 klp_report refuses, before building anything, parameters whose largest
-power would exceed its max_bits cap.
+power would exceed its max_bits cap, and a cap above MAX_BITS_LIMIT.
 """
 
 from __future__ import annotations
@@ -162,6 +162,12 @@ class KLPReport:
     log_reading: str
 
 
+# the largest max_bits accepted: one power is one C call that no timer
+# stops, and printing a bound takes time quadratic in its length, so a
+# report at this cap, printed in full, ends in a few seconds
+MAX_BITS_LIMIT = 1_750_000
+
+
 def klp_report(
     q: int, n: int, k: int, t: int, constant: int = 1, max_bits: int = 10**6
 ) -> KLPReport:
@@ -177,12 +183,16 @@ def klp_report(
     The largest powers built are B_lower, block_budget, A_upper^52 and
     (c2 c3)^12; if one has more than max_bits bits the report raises
     TooLarge before building them (near the cap it builds the largest
-    alone, under 2 max_bits bits, to read its length).
+    alone, under 2 max_bits bits, to read its length).  A max_bits above
+    MAX_BITS_LIMIT raises InvalidParameters.
     """
     check_chain(1, t=t, k=k, n=n)
     if constant < 1:
         raise InvalidParameters("constant must be >= 1")
     validate_q(q)
+    if max_bits > MAX_BITS_LIMIT:
+        raise InvalidParameters(
+            f"max_bits (--max-bits) must be at most {MAX_BITS_LIMIT}, got {number_text(max_bits)}")
     powers = {
         "B_lower": k * (n - k),
         "block_budget": 12 * (t + 1) * n,

@@ -629,9 +629,13 @@ def test_klp_report_bit_cap_exit_3():
     assert run_cli(*args, "2028")[0] == 3
     default = run_cli(*args[:-1])
     assert default[0] == 0
-    # a cap past the float range (about 10^308) is compared in integers
-    for cap in ("2029", "1" + "0" * 400):
+    for cap in ("2029", "1750000"):
         assert run_cli(*args, cap) == default
+    # a cap above the ceiling is refused as input, one past the float
+    # range (about 10^308) compared in integers
+    for cap, got in (("1750001", "1750001"), ("1" + "0" * 400, "more than 2^1328")):
+        assert run_cli(*args, cap) == (
+            2, "", f"error: max_bits (--max-bits) must be at most 1750000, got {got}\n")
 
 
 def test_klp_report_feasible_point():

@@ -352,6 +352,34 @@ def test_library_builds_no_checked_subspace():
     assert calls == []
 
 
+# grassmann's t-rank kernel, with its lane tables, and the oracles that the
+# tests hold it to: neither side names a function of the other, so a change
+# to one cannot reach the other unseen
+KERNEL = ("_ENTRY_BITS", "_LANE_TYPES", "_lane_tables", "_lane_bytes", "_lane_values",
+          "_t_plans", "_group_t_ranks", "_block_t_ranks", "_rank_groups", "t_subspace_ranks")
+ORACLES = ("_digit_tables", "_scaled_indices", "_multiples", "_xor_span", "_indices",
+           "_tuple_span", "_group_rows", "_vector_sets", "_basis_rows", "_leading_vector_sets",
+           "block_echelon_forms")
+
+
+def test_rank_kernel_and_oracles_name_nothing_of_each_other():
+    tree = ast.parse((Path(qdesign.__file__).parent / "grassmann.py").read_text(encoding="utf-8"))
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    defined |= {target.id: node for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    # a renamed name would otherwise drop out of the check unseen
+    assert set(KERNEL + ORACLES) <= set(defined)
+
+    def names(name):
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(defined[name]) if isinstance(node, (ast.Name, ast.Attribute))}
+
+    crossings = [f"{name} names {other}"
+                 for side, others in ((KERNEL, ORACLES), (ORACLES, KERNEL))
+                 for name in side for other in sorted(names(name) & set(others))]
+    assert crossings == []
+
+
 # the only code in tests/ that starts a process: run_process itself and the
 # tests whose subject is a process (separate hash seeds, worker processes,
 # a fresh interpreter's imports, a broken pipe, and run_cli's agreement
@@ -499,6 +527,9 @@ BUILD_COMMANDS = (
     "search --q 2 --n 10 --k 5 --t 1 --lambda 1 --max-candidates 1000000000 --timeout 1",
     "decode --q 16 --t 1 --k 4 --certify --n 5",
 )
+# a cap above its ceiling is refused as input: one power of that many bits
+# would be one C call that no timer stops
+CEILING_COMMANDS = ("klp-report --q 2 --n 20 --k 5 --t 1 --max-bits 1750001",)
 DESIGN_COMMANDS = ("verify --design {file} --t 1", "verify --design {file} --t 1 --json")
 SELFTEST_COMMANDS = (
     "selftest --suite nope",
@@ -531,7 +562,7 @@ def test_every_command_ends_in_a_documented_exit(tmp_path):
     points.write_text("2 3 1\n\n" + "\n\n".join(f"{v:03b}" for v in range(1, 8)) + "\n")
     argvs = [c.format(q=q, n=n, k=k) for c in DIMENSION_COMMANDS for q, n, k in DIMENSIONS]
     argvs += [c.format(cap=cap, points=points) for c in CAP_COMMANDS for cap in CAPS]
-    argvs += BUILD_COMMANDS
+    argvs += BUILD_COMMANDS + CEILING_COMMANDS
     files = _design_files(tmp_path)
     argvs += [c.format(file=f) for c in DESIGN_COMMANDS for f in files]
     argvs += SELFTEST_COMMANDS

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from qdesign import klp
-from qdesign.errors import DimensionMismatch, TooLarge
+from qdesign.errors import DimensionMismatch, InvalidParameters, TooLarge
 from qdesign.klp import divisibility_witness, klp_report, nth_root_floor, pow_frac_ceil
 from qdesign.localdecode import solve_coefficients
 from qdesign.qcount import q_binomial
@@ -352,6 +352,11 @@ def test_klp_report_caps_largest_power():
     assert time.monotonic() - start < 1.0
     # the default admits the largest report in the benchmark, about 362k bits
     assert klp_report(5, 1000, 20, 2).A_upper == 5**2996
+    # a cap above the ceiling is the caller's error, refused before any power
+    assert klp_report(2, 20, 5, 1, max_bits=klp.MAX_BITS_LIMIT).feasible is False
+    for cap in (klp.MAX_BITS_LIMIT + 1, 10**400):
+        with pytest.raises(InvalidParameters, match=r"^max_bits \(--max-bits\) must be at most"):
+            klp_report(2, 20, 5, 1, max_bits=cap)
 
 
 def test_parameter_guards():

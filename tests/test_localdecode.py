@@ -297,12 +297,16 @@ def test_vector_set_oracles_read_nothing_of_the_kernel(monkeypatch):
     def disabled(*args, **kwargs):
         raise AssertionError("a vector-set oracle called the kernel")
 
-    names = ("_pivot_plan", "_t_plans", "_packed", "_group_t_ranks", "_rank_groups",
-             "block_echelon_forms", "rank_of_rows")
+    names = ("_pivot_plan", "_t_plans", "_lane_tables", "_lane_bytes", "_lane_values",
+             "_group_t_ranks", "_rank_groups", "block_echelon_forms", "rank_of_rows")
+    found = set()
     for module in (gf, grassmann, localdecode):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, disabled)
+                found.add(name)
+    # a renamed entry point would otherwise drop out of the test unseen
+    assert found == set(names)
     assert run() == expected
 
 

@@ -291,7 +291,8 @@ def test_echelon_oracle_reads_nothing_of_the_kernel(monkeypatch):
     def disabled(*args, **kwargs):
         raise AssertionError("the oracle called the kernel")
 
-    for name in ("_t_plans", "_group_t_ranks", "_rank_groups", "_packed"):
+    for name in ("_t_plans", "_group_t_ranks", "_rank_groups", "_lane_tables", "_lane_bytes",
+                 "_lane_values"):
         monkeypatch.setattr(grassmann, name, disabled)
     assert set(ORACLE_CASES) <= set(_group_cases())
     for q, n, k, t in ORACLE_CASES:
@@ -413,6 +414,34 @@ def test_group_kernel_matches_containment(q):
                     assert [list(r) for r in zip(*ranks)] == expected, (q, n, k, t, pivots)
                     cases += 1
     assert cases == 4 * sum((k + 1) * comb(n, k) for k in range(n + 1))
+
+
+@pytest.mark.parametrize(
+    "q,n,k,t",
+    [(2, 70, 3, 1), (2, 40, 3, 2), (3, 45, 2, 1), (16, 20, 2, 1), (16, 6, 3, 1), (4, 9, 4, 2)],
+)
+def test_lanes_of_more_than_64_bits(q, n, k, t):
+    # [n t]_q has 70 to 80 bits in the first four cases, so no rank fits a
+    # 64-bit lane; in the last two the ranks do, but for q = 2^b a lane
+    # also holds the packed block, 72 bits.  The blocks of one pivot set
+    # go through one _group_t_ranks call as well
+    field = make_field(q)
+    assert q_binomial(n, t, q).bit_length() > 64 or k * n * (q.bit_length() - 1) > 64
+    rng = random.Random(f"wide:{q}:{n}:{k}:{t}")
+    blocks = []
+    while len(blocks) < 4:
+        S = subspace_from_rows(field, n, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+        if S.k == k:
+            blocks.append(S)
+    for S in blocks:
+        assert tuple(t_subspace_ranks(S, t)) == _echelon_ranks(S, t), S
+    pivots = blocks[0].pivot_columns
+    _, template, free = _pivot_plan(n, q, pivots)
+    group = [SubspaceBasis(field, n, k, tuple(
+        rng.randrange(q) if i in free else x for i, x in enumerate(template)))
+        for _ in range(5)]
+    ranks = _group_t_ranks(field, n, t, pivots, [S.entries for S in group])
+    assert list(zip(*ranks)) == [_echelon_ranks(S, t) for S in group]
 
 
 def test_verify_runs_a_large_group_in_several_calls(monkeypatch):
