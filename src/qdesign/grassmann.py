@@ -63,13 +63,10 @@ fixed number of big-integer operations however many blocks it holds.
 
 The incidence matrix and the search rank every k-subspace, and
 _rank_groups serves them one pivot group at a time, as covers only: a
-block is its canonical rank, its position in the output.  The route
-depends on the characteristic alone.  For q = 2^b the ranks within a
-group are F_2-affine in the block's free bits, by the same argument, so
-_group_t_ranks ranks only the blocks of index 0 and 2^j, one per free
-bit, and XOR doubling across blocks, from _t_plans' offsets, fills in
-the table.  Odd q passes the group to _group_t_ranks _CHUNK blocks at
-a time.  No SubspaceBasis is built, and a table lasts one group.
+block is its canonical rank, its position in the output.  For every q
+it passes the group to _group_t_ranks _CHUNK blocks at a time, each
+block the bytes of one value per row, from the values each row takes
+(_row_factors), and ticks once a call.  No SubspaceBasis is built.
 
 The brute-force oracles read vector sets, apart from that kernel: no
 function or table of one side names one of the other, which a static
@@ -82,12 +79,12 @@ each row's multiples (_multiples, _xor_span); odd q sums entry tuples
 (_tuple_span).  _vector_sets lists nonzero_vectors() of a whole
 Grassmannian in canonical order: for q = 2^b the values the rows of a
 pivot group take (_group_rows, from the entry factors _row_factors that
-_group_forms also reads) are indexed once, and each subspace is the
-span of one value per row, with no SubspaceBasis built; odd q takes
-each subspace's own nonzero_vectors.  _basis_rows lists the rows'
-indices alone, and _leading_vector_sets the vectors of given subspaces
-whose first nonzero entry is 1, among which lie the canonical rows of
-each of their subspaces.
+_group_forms and _rank_groups also read) are indexed once, and each
+subspace is the span of one value per row, with no SubspaceBasis built;
+odd q takes each subspace's own nonzero_vectors.  _basis_rows lists the
+rows' indices alone, and _leading_vector_sets the vectors of given
+subspaces whose first nonzero entry is 1, among which lie the canonical
+rows of each of their subspaces.
 """
 
 from __future__ import annotations
@@ -107,7 +104,7 @@ from .gf import (
 )
 from .qcount import capped, q_binomial
 
-_CHUNK = 4096  # blocks per kernel call and values per doubling run: it bounds the kernel's tables
+_CHUNK = 4096  # blocks per kernel call: it bounds the kernel's tables
 
 
 @_value_class
@@ -472,7 +469,7 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
     block, in the order of block_echelon_forms, with no elimination: the
     one-block call of _group_t_ranks."""
     check_chain(0, t=t, k=block.k)
-    ranks = _group_t_ranks(block.field, block.n, t, block.pivot_columns, [block.entries])
+    ranks = _group_t_ranks(block.field, block.n, t, block.pivot_columns, [bytes(block.entries)])
     return [r for r, in ranks]
 
 
@@ -518,24 +515,22 @@ def _lane_values(x: int, count: int, width: int, bits: int) -> list[int]:
 @lru_cache(maxsize=1024)  # a plan is reused only across calls
 def _t_plans(n: int, q: int, t: int, pivots: tuple[int, ...]) -> tuple:
     """Per pattern pivot set of the t-subspaces of blocks with these
-    pivots, in order: the images' offset, the patterns' count (the product
-    over the rows of q^|terms|) and, per image row with free columns, its
-    table's recipe.  For q = 2^b that is its probes (j, runs) in doubling
-    order, 2^j times row p_i, then each row m, the last first and low bits
-    first; a run (shift, mask, pos) moves (x >> shift) & mask of a block x
-    packed with _ENTRY_BITS[q] bits per entry to bit pos.  For odd q it is
-    the table size and, per free column, (f, place value, fs): the
-    column's flat index in row p_i and in each row m."""
+    pivots, in order: the images' offset and, per image row with free
+    columns, its table's recipe.  For q = 2^b that is its probes (j, runs)
+    in doubling order, 2^j times row p_i, then each row m, the last first
+    and low bits first; a run (shift, mask, pos) moves (x >> shift) & mask
+    of a block x packed with _ENTRY_BITS[q] bits per entry to bit pos.
+    For odd q it is the table size and, per free column, (f, place value,
+    fs): the column's flat index in row p_i and in each row m."""
     k = len(pivots)
     bits = q.bit_length() - 1 if q & (q - 1) == 0 else 0
     w = _ENTRY_BITS.get(q, 0)
     plans = []
     for pat in combinations(range(k), t):
         offset, _, free = _pivot_plan(n, q, tuple([pivots[p] for p in pat]))
-        size, rows = 1, []
+        rows = []
         for i, lead in enumerate(pat):
             terms = [m for m in range(lead + 1, k) if m not in pat]
-            size *= q ** len(terms)
             # the free columns of image row i, with their base-q digit in the rank
             cols = [(f - i * n, len(free) - 1 - d) for d, f in enumerate(free) if f // n == i]
             if not cols:
@@ -556,7 +551,7 @@ def _t_plans(n: int, q: int, t: int, pivots: tuple[int, ...]) -> tuple:
                                           for first, last, e in runs]))
                                for j, m in [(0, lead)] + [(j, m) for m in reversed(terms)
                                                           for j in range(bits)]]))
-        plans.append((offset, size, tuple(rows)))
+        plans.append((offset, tuple(rows)))
     return tuple(plans)
 
 
@@ -564,15 +559,14 @@ def _group_t_ranks(
     field: FieldSpec, n: int, t: int, pivots: tuple[int, ...], forms
 ) -> list[list[int]]:
     """The canonical ranks of the t-subspaces of canonical blocks that
-    share these pivot columns, given by their entries: one list per
-    t-subspace, in the order of block_echelon_forms, of one rank per
-    block.  The module doc describes the method."""
+    share these pivot columns, given by their entries as bytes, one byte
+    each: one list per t-subspace, in the order of block_echelon_forms, of
+    one rank per block.  The module doc describes the method."""
     count = len(forms)
     if t == 0:  # every block has exactly one 0-subspace; its rows are not read
         return [[0] * count]
     q, k, tables = field.q, len(pivots), _lane_tables(field)
     binary = field.characteristic == 2
-    raw = list(map(bytes, forms))  # converted once for every table
     # a lane holds a rank, and for q = 2^b a packed block too
     bits = (q_binomial(n, t, q) - 1).bit_length()
     width = _lane_bytes(max(bits, k * n * _ENTRY_BITS.get(q, 0)))
@@ -581,10 +575,10 @@ def _group_t_ranks(
     if binary:
         w = _ENTRY_BITS[q]
         # block i in lane i, entry 0 most significant, below zero padding
-        packed = bytes(8 * width // w - k * n).join(reversed(raw))
+        packed = bytes(8 * width // w - k * n).join(reversed(forms))
         scaled = [int(packed.translate(table), 1 << w) for table in tables]
     else:
-        flat, lane, sums = b"".join(raw), bytearray(length), tables[q]
+        flat, lane, sums = b"".join(forms), bytearray(length), tables[q]
         multiples: dict[int, list[int]] = {}
 
         def spread(f):  # entry f of each block, in the low byte of its lane
@@ -592,7 +586,7 @@ def _group_t_ranks(
             return bytes(lane)
 
     out = []
-    for offset, _, rows in _t_plans(n, q, t, pivots):
+    for offset, rows in _t_plans(n, q, t, pivots):
         ranks = [offset * ones]
         for row in rows:
             if binary:
@@ -634,7 +628,7 @@ def _block_t_ranks(field: FieldSpec, n: int, k: int, t: int, forms: list) -> Ite
     for key, group in groups.items():
         pivots = tuple([c - i * n for i, c in enumerate(key)])
         for s in range(0, len(group), _CHUNK):
-            yield from _group_t_ranks(field, n, t, pivots, group[s : s + _CHUNK])
+            yield from _group_t_ranks(field, n, t, pivots, list(map(bytes, group[s : s + _CHUNK])))
 
 
 def _rank_groups(
@@ -645,42 +639,26 @@ def _rank_groups(
     S the group's j-th block, which is never built.  It takes no cap:
     each caller bounds [n k]_q first.
 
-    The route is picked by the field's characteristic.  For q = 2^b one
-    _group_t_ranks call ranks the group's probe blocks, of index 0 and
-    2^j for each free bit j, and XOR doubling fills in the table (see the
-    module doc), whose columns start at the offsets of _t_plans.  Odd q
-    passes the group's entries to _group_t_ranks _CHUNK at a time.
+    Each group goes to _group_t_ranks _CHUNK blocks at a time, a block
+    given by its entries, one byte each: the values each row takes are
+    listed once, and a block joins one value per row.  The first row
+    takes the most values and is read lazily, so no list held for a group
+    is longer than the square root of its size.
 
-    tick, if given, is called after every _CHUNK blocks passed to
-    _group_t_ranks and before each run of at most _CHUNK values that XOR
-    doubling adds to a column, so a caller can stop a long group by
-    raising.
+    tick, if given, is called after every call, so a caller can stop a
+    long group by raising.
     """
     q, tick = field.q, tick or (lambda: None)
     for pivots in combinations(range(n), k):
-        if field.characteristic != 2:
-            forms = _group_forms(n, pivots, q)
-            covers: list[tuple[int, ...]] = []
-            while chunk := list(islice(forms, _CHUNK)):
-                covers += zip(*_group_t_ranks(field, n, t, pivots, chunk))
-                tick()
-            yield covers
-            continue
-        _, template, free = _pivot_plan(n, q, pivots)
-        probes = [_group_entries(q, template, free, i)
-                  for i in [0] + [1 << j for j in range(field.degree * len(free))]]
-        offsets = [offset for offset, size, _ in _t_plans(n, q, t, pivots) for _ in range(size)]
-        columns = []
-        for offset, (base, *units) in zip(offsets, _group_t_ranks(field, n, t, pivots, probes)):
-            c = base - offset
-            values = [c]
-            for unit in units:
-                d = (unit - offset) ^ c
-                for s in range(0, len(values), _CHUNK):
-                    tick()
-                    values += [v ^ d for v in values[s : s + _CHUNK]]
-            columns.append([v + offset for v in values])
-        yield list(zip(*columns))
+        # k = 0: one group of one block, with no entries
+        head, *rest = [map(bytes, product(*f)) for f in _row_factors(n, pivots, q)] or [[b""]]
+        rest = [tuple(values) for values in rest]
+        forms = map(b"".join, chain.from_iterable(product((v,), *rest) for v in head))
+        covers: list[tuple[int, ...]] = []
+        while chunk := list(islice(forms, _CHUNK)):
+            covers += zip(*_group_t_ranks(field, n, t, pivots, chunk))
+            tick()
+        yield covers
 
 
 def enumerate_subspaces(

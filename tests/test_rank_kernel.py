@@ -34,7 +34,6 @@ from qdesign.grassmann import (
 )
 from qdesign.incidence import build_incidence
 from qdesign.qcount import q_binomial
-from qdesign.search import build_cover_instance
 from qdesign.verifier import DesignCandidate, verify_design
 
 RANK_CAP = 5000
@@ -233,8 +232,8 @@ def _echelon_ranks(block, t, checked=False):
 
 
 def test_rank_groups_match_the_per_block_route():
-    # the affine tables (q = 2^b) and the 4096-block runs (odd q), t = 0
-    # too, against iter_subspaces and the echelon forms of each block
+    # the 4096-block runs of every q, t = 0 too, against iter_subspaces
+    # and the echelon forms of each block
     cases = 0
     for q, n, k, t in _group_cases():
         field = make_field(q)
@@ -253,16 +252,14 @@ def test_rank_groups_match_the_per_block_route():
 
 def test_rank_groups_tick_every_4096_blocks_and_column():
     # the first group of the 2-subspaces of F_16^4 holds 16^4 = 2^16
-    # blocks, and its affine table has [2 1]_16 = 17 columns; doubling
-    # step s of a column adds 2^s values in ceil(2^s / 4096) ticked runs,
-    # so the 16 steps tick 12 + (1 + 2 + 4 + 8) = 27 times per column
+    # blocks, ranked in 16 runs of 4096, one tick each
     ticks = []
 
     def tick():
         ticks.append(None)
 
     next(_rank_groups(4, 2, 1, make_field(16), tick))
-    assert len(ticks) == 17 * 27
+    assert len(ticks) == 16
 
     # odd q ranks each 4096-block fill as it goes; [4 2]_3 has a first
     # group of 81 blocks, and the last of its six groups has one
@@ -302,24 +299,63 @@ def test_echelon_oracle_reads_nothing_of_the_kernel(monkeypatch):
             assert list(_echelon_ranks(block, t)) == _mask_ranks(block, cols), (q, n, k, t)
 
 
-def test_affine_route_builds_only_probe_blocks(monkeypatch):
-    # q = 2, t = 1 and t = 0: each of the 20 pivot groups of [6 3]_2 ranks
-    # its all-zero block and one block per free bit, and nothing else
-    ranked = []
+# (q, n, k, t) whose first pivot group, of 2^14, 3^8 and 16^4 blocks,
+# spans several kernel calls
+SPLIT_GROUPS = ((2, 9, 2, 1), (3, 6, 2, 1), (16, 4, 2, 1))
+
+
+def test_rank_groups_pass_each_block_once_in_runs_of_4096(monkeypatch):
+    # every block of every group reaches the kernel once, as its entries,
+    # in canonical order, in full runs of _CHUNK but the group's last
+    calls = []
     real = grassmann._group_t_ranks
 
-    def counting(field, n, t, pivots, forms):
-        ranked.extend(forms)
+    def recording(field, n, t, pivots, forms):
+        calls.append((pivots, forms))
         return real(field, n, t, pivots, forms)
 
-    monkeypatch.setattr(grassmann, "_group_t_ranks", counting)
-    groups = list(combinations(range(6), 3))
-    assert len(groups) == 20
-    for t in (1, 0):
-        ranked.clear()
-        inst = build_cover_instance(6, 3, t, 1, make_field(2))
-        assert len(inst.covers) == 1395
-        assert len(ranked) == 110 == sum(1 + len(_pivot_plan(6, 2, p)[2]) for p in groups)
+    monkeypatch.setattr(grassmann, "_group_t_ranks", recording)
+    for q, n, k, t in SPLIT_GROUPS:
+        calls.clear()
+        assert sum(map(len, _rank_groups(n, k, t, make_field(q)))) == q_binomial(n, k, q)
+        assert [(p, form) for p, forms in calls for form in forms] == [
+            (p, bytes(e)) for p in combinations(range(n), k) for e in _group_forms(n, p, q)]
+        for (p, forms), (after, _) in zip(calls, calls[1:] + [(None, ())]):
+            assert 0 < len(forms) <= grassmann._CHUNK, (q, n, k, p)
+            assert len(forms) == grassmann._CHUNK or p != after, (q, n, k, p)
+
+
+def test_rank_groups_across_kernel_calls():
+    # blocks of one group ranked in different calls, at the run boundaries,
+    # the last block and a seeded sample, against the echelon forms; the
+    # first group starts at rank 0, so a block's index is its rank
+    rng = random.Random(38)
+    for q, n, k, t in SPLIT_GROUPS:
+        field = make_field(q)
+        covers = next(_rank_groups(n, k, t, field))
+        assert len(covers) == q ** (2 * (n - 2))
+        picks = {4095, 4096, 4097, len(covers) - 1, *rng.sample(range(len(covers)), 50)}
+        for i in sorted(picks):
+            assert covers[i] == _echelon_ranks(unrank(n, k, field, i), t), (q, n, k, t, i)
+
+
+def test_rank_groups_hold_no_whole_row_of_a_group():
+    # the single row of a 1-subspace group takes all 2^19 of its values;
+    # read lazily, the first run of 4096 is ranked, and stopped, at once
+    class Stop(Exception):
+        pass
+
+    def stop():
+        raise Stop
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            next(_rank_groups(20, 1, 0, make_field(2), stop))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_incidence_builds_only_its_indexes(monkeypatch):
@@ -407,7 +443,7 @@ def test_group_kernel_matches_containment(q):
                 for blocks in [group, rng.sample(group, 1)] + [
                     rng.sample(group, rng.randint(1, len(group))) for _ in range(2)
                 ]:
-                    ranks = _group_t_ranks(field, n, t, pivots, [b.entries for b in blocks])
+                    ranks = _group_t_ranks(field, n, t, pivots, [bytes(b.entries) for b in blocks])
                     assert len(ranks) == q_binomial(k, t, q)
                     assert all(len(r) == len(blocks) for r in ranks)
                     expected = [_mask_ranks(b, cols) for b in blocks]
@@ -440,7 +476,7 @@ def test_lanes_of_more_than_64_bits(q, n, k, t):
     group = [SubspaceBasis(field, n, k, tuple(
         rng.randrange(q) if i in free else x for i, x in enumerate(template)))
         for _ in range(5)]
-    ranks = _group_t_ranks(field, n, t, pivots, [S.entries for S in group])
+    ranks = _group_t_ranks(field, n, t, pivots, [bytes(S.entries) for S in group])
     assert list(zip(*ranks)) == [_echelon_ranks(S, t) for S in group]
 
 

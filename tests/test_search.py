@@ -90,9 +90,9 @@ def test_greedy_pass_ticks_every_4096_candidates():
 
 
 def test_timeout_within_a_2_25_block_pivot_group():
-    # the first pivot group of [10 5]_2 holds 2^25 blocks; its affine
-    # table is filled by XOR doubling, which ticks once per 4096 values
-    # added, so the 0.3 s limit is not overrun by a whole column
+    # the first pivot group of [10 5]_2 holds 2^25 blocks; it is ranked
+    # in runs of 4096, with a tick after each, so the 0.3 s limit is not
+    # overrun by a whole group
     start = time.monotonic()
     result = search_design(2, 10, 5, 1, 1, limit=0.3, max_candidates=10**9)
     assert isinstance(result, Timeout)
