@@ -182,7 +182,7 @@ def _cmd_verify(args) -> _Result:
         "q": candidate.field.q,
         "n": candidate.n,
         "k": candidate.k,
-        "N": len(candidate.blocks),
+        "N": candidate._count,
         "t": args.t,
         "is_design": report.is_design,
         "lambda": report.lambda_,

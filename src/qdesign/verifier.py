@@ -7,8 +7,9 @@ Verification counts coverage per t-subspace directly from the blocks:
 each block contributes the canonical ranks of its own [k t]_q
 t-subspaces to a flat list of counts, so neither the incidence matrix
 nor the t-subspaces themselves are materialized and the only size cap is
-the number of t-subspaces.  grassmann._block_t_ranks ranks them, grouping
-the blocks by pivot columns; this module reads nothing of the echelon
+the number of t-subspaces.  The blocks reach grassmann._block_t_ranks as
+bytes of their canonical entries, one byte each, which groups them by
+pivot columns and ranks them; this module reads nothing of the echelon
 shape but the column where each row of a design file leads.
 
 Design file format (text):
@@ -23,14 +24,18 @@ digit values once, and their counts, lengths and digits are checked
 over the whole file.  A block whose rows are canonical, as save_design
 writes them, is taken as it is (grassmann._canonical_check, from the
 leading column of each row); any other basis is eliminated and must be
-linearly independent.  If a whole-file check fails, the blocks are
-read one at a time, so the first fault in file order is reported.  The
-blocks share the file's q, n and k: DesignCandidate._trusted builds it.
+linearly independent.  When every block is canonical, the translated
+digits are the packed entries of the DesignCandidate; otherwise each
+eliminated block's entries are written in its place.  If a whole-file
+check fails, the blocks are read one at a time, so the first fault in
+file order is reported.  Past the eliminated blocks, no SubspaceBasis
+is built until a caller reads the candidate's blocks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from itertools import chain, groupby, repeat
 
 from .errors import DimensionMismatch, InvalidParameters, _value_class, check_chain
@@ -44,10 +49,22 @@ _DIGIT_VALUES = bytes(_DIGITS.find(chr(b).lower()) % 256 for b in range(256))
 
 @_value_class
 class DesignCandidate:
+    """N k-subspaces of F_q^n, the blocks of a candidate design.
+
+    A candidate read from a design file is packed: it holds its blocks'
+    canonical entries as one bytes of N k n digits, one byte each (each
+    block's SubspaceBasis.entries, laid end to end), and N.  Its blocks
+    are built through _trusted the first time they are read, and
+    verify_design ranks straight from the buffer.  Equality, hash, repr
+    and pickling read the fields, so a packed candidate matches the one
+    built from its blocks.
+    """
+
     field: FieldSpec
     n: int
     k: int
     blocks: tuple[SubspaceBasis, ...]
+    _entries = None  # a packed candidate's buffer
 
     def __post_init__(self) -> None:
         for b in self.blocks:
@@ -55,6 +72,39 @@ class DesignCandidate:
                 raise DimensionMismatch("block lives in the wrong ambient space")
             if b.k != self.k:
                 raise DimensionMismatch(f"block of dimension {b.k}, expected {self.k}")
+
+    @staticmethod
+    def _packed(field: FieldSpec, n: int, k: int, count: int, entries: bytes) -> DesignCandidate:
+        """The candidate of count canonical blocks whose entries, one byte
+        each, are laid end to end in entries: no block is built."""
+        self = object.__new__(DesignCandidate)
+        for name, value in (("field", field), ("n", n), ("k", k), ("_count", count),
+                            ("_entries", entries)):
+            object.__setattr__(self, name, value)
+        return self
+
+    # the builders store blocks in the instance __dict__, which wins over
+    # these non-data descriptors; a packed candidate stores _count
+    @cached_property
+    def blocks(self) -> tuple[SubspaceBasis, ...]:
+        field, n, k = self.field, self.n, self.k
+        return tuple([_trusted(field, n, k, tuple(form)) for form in self._forms()])
+
+    @cached_property
+    def _count(self) -> int:
+        """N, read without building a packed candidate's blocks."""
+        return len(self.blocks)
+
+    def _forms(self) -> list[bytes]:
+        """Each block's canonical entries as bytes, one byte each: slices
+        of a packed candidate's buffer, else the blocks' entries."""
+        entries, size = self._entries, self.k * self.n
+        if entries is None:
+            return list(map(bytes, [block.entries for block in self.blocks]))
+        if not size:  # k = 0: every block is the 0-subspace
+            return [b""] * self._count
+        return list(map(entries.__getitem__, map(slice, range(0, len(entries), size),
+                                                  range(size, len(entries) + 1, size))))
 
 
 @_value_class
@@ -84,14 +134,14 @@ def verify_design(
     check_chain(0, t=t, k=k, n=n)
     (num_cols,) = capped(q, [(n, t)], max_columns)
 
-    forms = [block.entries for block in candidate.blocks]
+    forms = candidate._forms()
     counts = [0] * num_cols  # indexed by canonical rank
     for ranks in _block_t_ranks(field, n, k, t, forms):
         for r in ranks:
             counts[r] += 1
 
     histogram = dict(sorted(Counter(counts).items()))
-    N = len(candidate.blocks)
+    N = len(forms)
     # blocks share field, n and k, so equal entries are equal blocks
     is_simple = len(set(forms)) == N
     is_design = len(histogram) == 1
@@ -192,20 +242,23 @@ def _design_from_fields(q: int, n: int, k: int, block_rows: list) -> DesignCandi
         and all(map(n.__eq__, map(len, rows)))
         and not digits.translate(None, bytes(range(q)))  # only digits below q
     )
-    forms = checks = repeat(None)  # a file at fault, or k = 0 (no rows to slice): block by block
+    size = k * n
+    canonical = repeat(False)  # a file at fault, or k = 0 (no rows to slice): block by block
     if k and well_formed:
-        size = k * n
         forms = map(digits.__getitem__, map(slice, range(0, len(digits), size),
                                             range(size, len(digits) + 1, size)))
         # a row's first nonzero entry sits at n minus the length of the row without its leading 0s
         leads = map(n.__sub__, map(len, map(str.lstrip, rows, repeat("0"))))
         checks = map(_canonical_check, repeat(n), repeat(q), zip(*[leads] * k))
-    blocks = tuple([
-        _trusted(field, n, k, tuple(form)) if check and check[0](form) == check[1]
-        else _block_from_digit_rows(field, n, k, block, i)
-        for i, (block, form, check) in enumerate(zip(block_rows, forms, checks))
+        canonical = [check and check[0](form) == check[1] for form, check in zip(forms, checks)]
+        if all(canonical):  # the file's digits are the packed entries
+            return DesignCandidate._packed(field, n, k, len(block_rows), digits)
+    entries = b"".join([
+        digits[i * size : (i + 1) * size] if ok
+        else bytes(_block_from_digit_rows(field, n, k, block, i).entries)
+        for i, (block, ok) in enumerate(zip(block_rows, canonical))
     ])
-    return DesignCandidate._trusted(field, n, k, blocks)
+    return DesignCandidate._packed(field, n, k, len(block_rows), entries)
 
 
 def _int_field(value, key: str, part: str) -> int:

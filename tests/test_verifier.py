@@ -1,9 +1,12 @@
 import json
+import pickle
+import random
 from itertools import product
 
 import pytest
+from conftest import run_cli
 
-from qdesign import verifier
+from qdesign import grassmann, verifier
 from qdesign.errors import DimensionMismatch, InvalidParameters
 from qdesign.gf import make_field, random_invertible
 from qdesign.grassmann import apply_map, enumerate_subspaces, subspace_from_rows
@@ -13,6 +16,7 @@ from qdesign.verifier import (
     DesignCandidate,
     design_from_json_obj,
     design_to_json_obj,
+    digit_rows,
     format_design_text,
     lambda_identity_check,
     load_design,
@@ -145,26 +149,89 @@ def test_json_round_trip(tmp_path):
     assert load_design(str(path)).blocks == spread.blocks
 
 
+def _assert_packed_matches(packed, cand, t):
+    """packed, read from a file, against cand, built from its blocks: the
+    same value, hash, repr, pickle round trip and report, both before and
+    after packed's blocks are built (equality, hash and repr build them)."""
+    for built in (False, True):
+        assert ("blocks" in vars(packed)) is built
+        report = verify_design(packed, t)
+        again = pickle.loads(pickle.dumps(packed))
+        for c in (packed, again):
+            assert c == cand and hash(c) == hash(cand) and repr(c) == repr(cand)
+        assert report == verify_design(cand, t)
+
+
 def test_found_designs_survive_both_formats(tmp_path):
     # the text format has no rows for a block with k = 0: it refuses such
     # a design and writes nothing, and JSON holds it
     json_path, text_path = tmp_path / "d.json", tmp_path / "d.txt"
     grid = [(q, n, k, t, lam) for q, n, lam in product((2, 3), range(4), (1, 2))
             for k in range(n + 1) for t in range(k + 1)]
-    found = [cand for cand in (search_design(*p) for p in grid)
+    found = [(cand, p[3]) for p, cand in zip(grid, (search_design(*p) for p in grid))
              if isinstance(cand, DesignCandidate)]
-    assert {cand.k for cand in found} == {0, 1, 2, 3}
-    for cand in found:
+    assert {cand.k for cand, _ in found} == {0, 1, 2, 3}
+    for cand, t in found:
         save_design(cand, str(json_path), fmt="json")
-        assert load_design(str(json_path)) == cand
+        _assert_packed_matches(load_design(str(json_path)), cand, t)
         if cand.k == 0:
             with pytest.raises(InvalidParameters, match="--out-format json"):
                 save_design(cand, str(text_path))
             assert not text_path.exists()
             continue
         save_design(cand, str(text_path))
-        assert load_design(str(text_path)) == cand
+        _assert_packed_matches(load_design(str(text_path)), cand, t)
         text_path.unlink()
+
+
+def test_packed_candidates_match_their_blocks(tmp_path):
+    # seeded shuffled blocks with a duplicate, one of them written with its
+    # first two rows swapped: the loader eliminates that block and packs
+    # its canonical entries in file order
+    rng = random.Random(2005)
+    for q, n, k, t in ((2, 5, 2, 1), (2, 6, 3, 2), (3, 4, 2, 1), (4, 4, 3, 2), (16, 3, 2, 1)):
+        field = make_field(q)
+        blocks = rng.sample(enumerate_subspaces(n, k, field), 12)
+        blocks.insert(rng.randrange(13), rng.choice(blocks))
+        cand = DesignCandidate(field=field, n=n, k=k, blocks=tuple(blocks))
+        rows = [digit_rows(b) for b in blocks]
+        j = rng.randrange(len(rows))
+        rows[j][:2] = rows[j][1::-1]
+        text = f"{q} {n} {k}\n" + "".join(["\n" + "\n".join(r) + "\n" for r in rows])
+        obj = {"schema_version": 1, "q": q, "n": n, "k": k, "blocks": rows}
+        for suffix, data in (("txt", text), ("json", json.dumps(obj))):
+            path = tmp_path / f"d.{suffix}"
+            path.write_text(data, encoding="utf-8")
+            _assert_packed_matches(load_design(str(path)), cand, t)
+
+
+def test_verify_door_builds_no_block_objects(tmp_path, monkeypatch):
+    # the 1,395 planes of F_2^6, the last replaced by the first: loading and
+    # verifying the file, and `qdesign verify` on it, build no SubspaceBasis
+    # but the failing witness that unrank returns.  Every block the door
+    # could build goes through one of the two _trusted names counted here
+    planes = enumerate_subspaces(6, 3, F2)
+    cand = DesignCandidate(field=F2, n=6, k=3, blocks=tuple(planes[:-1] + planes[:1]))
+    builds = []
+    for module in (grassmann, verifier):
+        def counting(*args, real=module._trusted):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "_trusted", counting)
+    for fmt in ("text", "json"):
+        path = tmp_path / f"d.{fmt}"
+        save_design(cand, str(path), fmt=fmt)
+        builds.clear()
+        loaded = load_design(str(path))
+        assert builds == []
+        report = verify_design(loaded, 2)
+        assert not report.is_design and not report.is_simple
+        assert len(builds) == 1 and builds[0][3] == report.failing_t_subspace.entries
+        builds.clear()
+        code, out, _ = run_cli("verify", "--design", str(path), "--t", "2")
+        assert code == 1 and "N = 1395" in out
+        assert len(builds) == 1
 
 
 def test_file_format_q3(tmp_path):
