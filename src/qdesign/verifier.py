@@ -7,10 +7,11 @@ Verification counts coverage per t-subspace directly from the blocks:
 each block contributes the canonical ranks of its own [k t]_q
 t-subspaces to a flat list of counts, so neither the incidence matrix
 nor the t-subspaces themselves are materialized and the only size cap is
-the number of t-subspaces.  The blocks reach grassmann._block_t_ranks as
-bytes of their canonical entries, one byte each, which groups them by
-pivot columns and ranks them; this module reads nothing of the echelon
-shape but the column where each row of a design file leads.
+the number of t-subspaces.  grassmann._block_t_ranks ranks them from
+their canonical entries, grouping the blocks by pivot columns; this
+module reads nothing of the echelon shape but the column where each row
+of a design file leads.  A candidate read from a file hands it slices of
+its packed entries, and builds no block.
 
 Design file format (text):
     line 1: "q n k"
@@ -95,12 +96,12 @@ class DesignCandidate:
         """N, read without building a packed candidate's blocks."""
         return len(self.blocks)
 
-    def _forms(self) -> list[bytes]:
-        """Each block's canonical entries as bytes, one byte each: slices
-        of a packed candidate's buffer, else the blocks' entries."""
+    def _forms(self) -> list:
+        """Each block's canonical entries: slices of a packed candidate's
+        buffer, one byte each, else the blocks' entries tuples."""
         entries, size = self._entries, self.k * self.n
         if entries is None:
-            return list(map(bytes, [block.entries for block in self.blocks]))
+            return [block.entries for block in self.blocks]
         if not size:  # k = 0: every block is the 0-subspace
             return [b""] * self._count
         return list(map(entries.__getitem__, map(slice, range(0, len(entries), size),
@@ -238,8 +239,8 @@ def _design_from_fields(q: int, n: int, k: int, block_rows: list) -> DesignCandi
     # one byte per character: a non-ASCII one (a lone surrogate too) reads as 255
     digits = "".join(rows).encode("ascii", "replace").translate(_DIGIT_VALUES)
     well_formed = (
-        all(map(k.__eq__, map(len, block_rows)))
-        and all(map(n.__eq__, map(len, rows)))
+        set(map(len, block_rows)) <= {k}
+        and set(map(len, rows)) <= {n}
         and not digits.translate(None, bytes(range(q)))  # only digits below q
     )
     size = k * n
@@ -293,10 +294,8 @@ def design_from_json_obj(obj: dict) -> DesignCandidate:
         raise InvalidParameters(f"design JSON is missing field {missing[0]!r}")
     q, n, k = (_int_field(obj[key], key, "JSON") for key in ("q", "n", "k"))
     block_rows = obj["blocks"]
-    if not isinstance(block_rows, list) or not all(
-        isinstance(rows, list) and all(isinstance(row, str) for row in rows)
-        for rows in block_rows
-    ):
+    if not (isinstance(block_rows, list) and all(map(isinstance, block_rows, repeat(list)))
+            and all(map(isinstance, chain.from_iterable(block_rows), repeat(str)))):
         raise InvalidParameters("design JSON field 'blocks' must be a list of lists of digit strings")
     return _design_from_fields(q, n, k, block_rows)
 
