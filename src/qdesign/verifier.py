@@ -36,6 +36,7 @@ is built until a caller reads the candidate's blocks.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain, groupby, repeat
 
@@ -46,6 +47,12 @@ from .qcount import capped, q_binomial
 
 # for bytes.translate: a digit's byte, either case, to its value, every other byte to 255
 _DIGIT_VALUES = bytes(_DIGITS.find(chr(b).lower()) % 256 for b in range(256))
+
+
+def _pieces(data: bytes, size: int) -> Iterator[bytes]:
+    """data cut into consecutive pieces of size > 0 bytes, lazily."""
+    return map(data.__getitem__, map(slice, range(0, len(data), size),
+                                     range(size, len(data) + 1, size)))
 
 
 @_value_class
@@ -104,8 +111,7 @@ class DesignCandidate:
             return [block.entries for block in self.blocks]
         if not size:  # k = 0: every block is the 0-subspace
             return [b""] * self._count
-        return list(map(entries.__getitem__, map(slice, range(0, len(entries), size),
-                                                  range(size, len(entries) + 1, size))))
+        return list(_pieces(entries, size))
 
 
 @_value_class
@@ -246,8 +252,7 @@ def _design_from_fields(q: int, n: int, k: int, block_rows: list) -> DesignCandi
     size = k * n
     canonical = repeat(False)  # a file at fault, or k = 0 (no rows to slice): block by block
     if k and well_formed:
-        forms = map(digits.__getitem__, map(slice, range(0, len(digits), size),
-                                            range(size, len(digits) + 1, size)))
+        forms = _pieces(digits, size)
         # a row's first nonzero entry sits at n minus the length of the row without its leading 0s
         leads = map(n.__sub__, map(len, map(str.lstrip, rows, repeat("0"))))
         checks = map(_canonical_check, repeat(n), repeat(q), zip(*[leads] * k))
