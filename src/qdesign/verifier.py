@@ -61,8 +61,8 @@ class DesignCandidate:
 
     A candidate read from a design file is packed: it holds its blocks'
     canonical entries as one bytes of N k n digits, one byte each (each
-    block's SubspaceBasis.entries, laid end to end), and N.  Its blocks
-    are built through _trusted the first time they are read, and
+    block's SubspaceBasis.entries, laid end to end), and N as _count.
+    Its blocks are built through _trusted the first time they are read;
     verify_design ranks straight from the buffer.  Equality, hash, repr
     and pickling read the fields, so a packed candidate matches the one
     built from its blocks.
@@ -91,17 +91,12 @@ class DesignCandidate:
             object.__setattr__(self, name, value)
         return self
 
-    # the builders store blocks in the instance __dict__, which wins over
-    # these non-data descriptors; a packed candidate stores _count
+    # the other builders store blocks in the instance __dict__, which wins
+    # over this non-data descriptor
     @cached_property
     def blocks(self) -> tuple[SubspaceBasis, ...]:
         field, n, k = self.field, self.n, self.k
         return tuple([_trusted(field, n, k, tuple(form)) for form in self._forms()])
-
-    @cached_property
-    def _count(self) -> int:
-        """N, read without building a packed candidate's blocks."""
-        return len(self.blocks)
 
     def _forms(self) -> list:
         """Each block's canonical entries: slices of a packed candidate's
