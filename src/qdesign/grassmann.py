@@ -35,9 +35,8 @@ from it; it reads none of the kernel's tables, and the tests hold the
 kernel to it.  _group_t_ranks lists their ranks in the same order for
 many blocks with one pivot set: a pivot group of the incidence matrix
 or the search, t_subspace_ranks' one block, or a run of _block_t_ranks,
-which groups the verifier's blocks by the pivots that index reads from
-their entries (tuples, or slices of a packed design's bytes), _CHUNK at
-most to a call.
+which groups the verifier's blocks, given as bytes, by pivots it reads
+in lanes as the kernel reads entries, _CHUNK at most to a call.
 The images P B of the patterns P with one pivot set share their offset,
 and a rank is that offset plus one contribution per row of P B, its free
 entries in place.  Row i is B's row p_i plus c_m times B's row m over
@@ -479,6 +478,8 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
 _ENTRY_BITS = {2: 1, 4: 2, 8: 4, 16: 4}
 # a memoryview format per lane width in bytes, for the widths it has
 _LANE_TYPES = {memoryview(bytes(8)).cast(code).itemsize: code for code in "BHILQ"}
+# for bytes.translate: 1 for a zero entry, 0 for any other
+_ZERO_ENTRY = b"\1".ljust(256, b"\0")
 
 
 @lru_cache(maxsize=None)  # one entry per field: make_field is cached
@@ -616,22 +617,34 @@ def _group_t_ranks(
     return out
 
 
-def _block_t_ranks(field: FieldSpec, n: int, k: int, t: int, forms: list) -> Iterator[list[int]]:
+def _block_t_ranks(
+    field: FieldSpec, n: int, k: int, t: int, forms: list[bytes]
+) -> Iterator[list[int]]:
     """The rank lists of _group_t_ranks for canonical k-dimensional blocks
-    given by their entries, all as tuples or all as bytes of one byte
-    each, in any order, grouped by pivots and passed at most _CHUNK at a
-    time, so each rank occurs once per block containing its t-subspace."""
-    # canonical: row i leads with a 1, so its first 1 from flat index i n is at i n + its pivot
-    index = type(forms[0]).index if forms else tuple.index  # tuple.index or bytes.index
-    firsts = [map(index, forms, repeat(1), repeat(i * n)) for i in range(k)]
-    keys = zip(*firsts) if k else repeat((), len(forms))  # zip() would yield no key
-    groups: defaultdict[tuple[int, ...], list] = defaultdict(list)
-    for key, form in zip(keys, forms):
-        groups[key].append(form)
-    for key, group in groups.items():
-        pivots = tuple([c - i * n for i, c in enumerate(key)])
-        for s in range(0, len(group), _CHUNK):  # bytes(form) is form itself for bytes
-            yield from _group_t_ranks(field, n, t, pivots, list(map(bytes, group[s : s + _CHUNK])))
+    given by their entries as bytes, one byte each, in any order, grouped
+    by pivots and passed at most _CHUNK at a time, so each rank occurs
+    once per block containing its t-subspace."""
+    count, data = len(forms), b"".join(forms)
+    # row i of a canonical block leads with a 1, so its pivot counts the
+    # columns j whose entries 0..j of the row are all zero: read in lanes,
+    # one entry column of every block at a time, as the kernel reads them
+    bits = n.bit_length()
+    width = _lane_bytes(bits)
+    lane, leads = bytearray(count * width), []
+    for i in range(k):
+        run, lead = -1, 0
+        for f in range(i * n, i * n + n):
+            lane[::width] = data[f :: k * n].translate(_ZERO_ENTRY)
+            run &= int.from_bytes(lane, "little")
+            lead += run
+        leads.append(_lane_values(lead, count, width, bits))
+    keys = zip(*leads) if k else repeat((), count)  # zip() would yield no key
+    groups: defaultdict[tuple[int, ...], list[bytes]] = defaultdict(list)
+    for pivots, form in zip(keys, forms):
+        groups[pivots].append(form)
+    for pivots, group in groups.items():
+        for s in range(0, len(group), _CHUNK):
+            yield from _group_t_ranks(field, n, t, pivots, group[s : s + _CHUNK])
 
 
 def _rank_groups(

@@ -8,10 +8,11 @@ each block contributes the canonical ranks of its own [k t]_q
 t-subspaces to a flat list of counts, so neither the incidence matrix
 nor the t-subspaces themselves are materialized and the only size cap is
 the number of t-subspaces.  grassmann._block_t_ranks ranks them from
-their canonical entries, grouping the blocks by pivot columns; this
-module reads nothing of the echelon shape but the column where each row
-of a design file leads.  A candidate read from a file hands it slices of
-its packed entries, and builds no block.
+each block's canonical entries as bytes, grouping the blocks by pivot
+columns; this module reads nothing of the echelon shape but the column
+where each row of a design file leads.  A candidate read from a file
+hands it slices of its packed entries and builds no block; one built
+from blocks hands their entries, converted once.
 
 Design file format (text):
     line 1: "q n k"
@@ -39,6 +40,8 @@ from collections import Counter
 from collections.abc import Iterator
 from functools import cached_property
 from itertools import chain, groupby, repeat
+from operator import itemgetter
+from struct import Struct
 
 from .errors import DimensionMismatch, InvalidParameters, _value_class, check_chain
 from .gf import _DIGITS, FieldSpec, make_field
@@ -50,9 +53,9 @@ _DIGIT_VALUES = bytes(_DIGITS.find(chr(b).lower()) % 256 for b in range(256))
 
 
 def _pieces(data: bytes, size: int) -> Iterator[bytes]:
-    """data cut into consecutive pieces of size > 0 bytes, lazily."""
-    return map(data.__getitem__, map(slice, range(0, len(data), size),
-                                     range(size, len(data) + 1, size)))
+    """data, a multiple of size > 0 bytes long, cut into consecutive
+    pieces of size bytes, lazily."""
+    return map(itemgetter(0), Struct(f"{size}s").iter_unpack(data))
 
 
 @_value_class
@@ -98,12 +101,12 @@ class DesignCandidate:
         field, n, k = self.field, self.n, self.k
         return tuple([_trusted(field, n, k, tuple(form)) for form in self._forms()])
 
-    def _forms(self) -> list:
-        """Each block's canonical entries: slices of a packed candidate's
-        buffer, one byte each, else the blocks' entries tuples."""
+    def _forms(self) -> list[bytes]:
+        """Each block's canonical entries as bytes, one byte each: slices
+        of a packed candidate's buffer, else the blocks' entries."""
         entries, size = self._entries, self.k * self.n
         if entries is None:
-            return [block.entries for block in self.blocks]
+            return [bytes(block.entries) for block in self.blocks]
         if not size:  # k = 0: every block is the 0-subspace
             return [b""] * self._count
         return list(_pieces(entries, size))

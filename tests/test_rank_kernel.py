@@ -501,6 +501,30 @@ def test_verify_runs_a_large_group_in_several_calls(monkeypatch):
     assert report.counts_histogram == {255: q_binomial(9, 1, 2)}
 
 
+def test_block_t_ranks_pass_each_block_under_its_pivots(monkeypatch):
+    # the verifier's grouping reads pivots in lanes, one entry column of
+    # every block at a time; at n = 300 they pass 255, in 2-byte lanes.
+    # Each block, a duplicate too, reaches the kernel once, in the one
+    # call of its pivots (every group here is below _CHUNK blocks)
+    calls = []
+    monkeypatch.setattr(grassmann, "_group_t_ranks",
+                        lambda field, n, t, pivots, forms: calls.append((pivots, forms)) or [])
+    rng = random.Random(39)
+    for q, n, k in ((2, 6, 3), (3, 5, 2), (16, 3, 2), (2, 300, 2), (5, 300, 1)):
+        field = make_field(q)
+        leads = [(0, 1), (0, 255), (254, 256), (255, 299), (3, 299)] if n == 300 else []
+        rows = [[[int(j == c) for j in range(n)] for c in lead[:k]] for lead in leads]
+        rows += [[[rng.randrange(q) for _ in range(n)] for _ in range(k)] for _ in range(60)]
+        blocks = [b for b in (subspace_from_rows(field, n, r) for r in rows) if b.k == k]
+        blocks.append(blocks[0])
+        calls.clear()
+        list(grassmann._block_t_ranks(field, n, k, 0, [bytes(b.entries) for b in blocks]))
+        by_pivots = Counter((b.pivot_columns, bytes(b.entries)) for b in blocks)
+        assert Counter((p, f) for p, group in calls for f in group) == by_pivots
+        assert len(calls) == len({p for p, _ in by_pivots})
+        assert {lead[:k] for lead in leads} <= {p for p, _ in calls}
+
+
 # (q, n, k, t) of the covers under the digest below
 DIGEST_COVERS = (
     (2, 6, 3, 0), (2, 6, 3, 1), (2, 6, 3, 2), (2, 7, 3, 2),
