@@ -26,8 +26,9 @@ q^(e + n - k + i - c) [n-c-1 k-i-1]_q, e the free entries of rows
 picks each pivot greedily from them.  _pivot_plan gives a pivot set's
 offset, its template (the entries the pivots fix) and its free
 positions, and every route that ranks, unranks or fills a pivot group
-reads it; _canonical_check reads its template to tell whether entries
-whose rows lead at given columns are canonical, with no elimination.
+reads it.  _canonical_check tells whether entries whose rows lead at
+given columns are canonical from the k x k entries in those columns,
+with no elimination and no plan.
 
 block_echelon_forms lists the canonical bases of a block's t-subspaces
 without elimination, and the decoding certificate takes its subspaces
@@ -362,15 +363,17 @@ def _pivot_plan(n: int, q: int, pivots: tuple[int, ...]) -> tuple:
 
 
 @lru_cache(maxsize=1024)
-def _canonical_check(n: int, q: int, pivots: tuple[int, ...]):
+def _canonical_check(n: int, pivots: tuple[int, ...]):
     """(get, unit) with get(entries) == unit iff the k x n entries whose
     rows' first nonzero entries sit at these columns are canonical: the
     pivots increase, and each pivot column is a unit vector with its 1
-    in the pivot's row.  None if the pivots do not increase below n."""
+    in the pivot's row, so get reads the k x k identity.  None if the
+    pivots do not increase below n."""
     if pivots[-1] >= n or any(a >= b for a, b in zip(pivots, pivots[1:])):
         return None
-    get = itemgetter(*[i * n + p for i in range(len(pivots)) for p in pivots])
-    return get, get(_pivot_plan(n, q, pivots)[1])
+    at = [i * n + p for i in range(len(pivots)) for p in pivots]
+    get = itemgetter(*at)
+    return get, get(dict.fromkeys(at, 0) | {i * n + p: 1 for i, p in enumerate(pivots)})
 
 
 def subspace_rank(S: SubspaceBasis) -> int:

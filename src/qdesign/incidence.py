@@ -5,7 +5,9 @@ the row.
 Rows are stored bit-packed, one arbitrary-precision integer per row, so
 weights are popcounts.  Row and column order follow the canonical
 enumeration order of the grassmann module, which makes every report
-reproducible.
+reproducible.  build_incidence ranks the rows' t-subspaces without
+building a SubspaceBasis, and the row and column indexes, the subspaces
+in that order, are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -21,8 +23,40 @@ from .grassmann import (
 from .qcount import capped, q_binomial
 
 
+class _Derived:
+    """A field an instance may leave unset: derived on first read, then
+    kept, as by functools.cached_property.  It is kept through
+    object.__setattr__, where cached_property writes to the instance
+    __dict__; in CPython 3.11 that write makes every later attribute read
+    of the instance slower, entry's read of bits among them."""
+
+    def __init__(self, derive):
+        self.derive = derive
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.derive(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
 @_value_class
 class IncidenceStructure:
+    """The incidence matrix of the k-subspaces (rows) and t-subspaces
+    (columns) of F_q^n: row b's mask bits[b] has bit a set when column
+    subspace col_index[a] lies in row subspace row_index[b].
+
+    A structure from build_incidence holds no index: each is listed by
+    iter_subspaces in canonical order the first time it is read, and
+    num_rows and num_cols are stored counts.  Equality, hash, repr and
+    pickling read the fields, so it matches the structure built from its
+    indexes through the constructor.
+    """
+
     field: FieldSpec
     n: int
     k: int
@@ -36,11 +70,20 @@ class IncidenceStructure:
     def entry(self, b: int, a: int) -> int:
         return (self.bits[b] >> a) & 1
 
-    @property
+    # the constructor sets the indexes, and build_incidence the counts
+    @_Derived
+    def row_index(self) -> tuple[SubspaceBasis, ...]:
+        return tuple(iter_subspaces(self.n, self.k, self.field))
+
+    @_Derived
+    def col_index(self) -> tuple[SubspaceBasis, ...]:
+        return tuple(iter_subspaces(self.n, self.t, self.field))
+
+    @_Derived
     def num_rows(self) -> int:
         return len(self.row_index)
 
-    @property
+    @_Derived
     def num_cols(self) -> int:
         return len(self.col_index)
 
@@ -56,11 +99,13 @@ def build_incidence(
     Each row's ones sit at the canonical ranks of the t-subspaces *of the
     row subspace* (one pivot group of rows at a time, by
     grassmann._rank_groups), which costs [k t]_q per row
-    instead of a containment test per (row, column) pair; both indexes
-    list the subspaces in canonical order, by iter_subspaces.  Entries
-    are only ever 0 or 1 by construction, so the boundedness parameter
-    of the structure is 1.  max_bits bounds rows x cols + 100 (rows +
-    cols): each row and column index entry is charged 100 bits.
+    instead of a containment test per (row, column) pair.  No
+    SubspaceBasis is built: the row and column indexes are listed in
+    canonical order, by iter_subspaces, when they are first read.
+    Entries are only ever 0 or 1 by construction, so the boundedness
+    parameter of the structure is 1.  max_bits bounds rows x cols + 100
+    (rows + cols): each row and column index entry is charged 100 bits,
+    so the cap also bounds what a later read of the indexes builds.
     """
     q = field.q
     check_chain(0, t=t, k=k, n=n)
@@ -86,17 +131,12 @@ def build_incidence(
     if bad:
         raise AssertionError(f"column {bad[0]} weight {col_counts[bad[0]]} != {col_weight}")
 
-    return IncidenceStructure(
-        field=field,
-        n=n,
-        k=k,
-        t=t,
-        row_index=tuple(iter_subspaces(n, k, field)),
-        col_index=tuple(iter_subspaces(n, t, field)),
-        bits=tuple(bits),
-        row_weight=row_weight,
-        col_weight=col_weight,
-    )
+    M = object.__new__(IncidenceStructure)  # no index: each is derived on first read
+    for name, value in (("field", field), ("n", n), ("k", k), ("t", t), ("bits", tuple(bits)),
+                        ("row_weight", row_weight), ("col_weight", col_weight),
+                        ("num_rows", num_rows), ("num_cols", num_cols)):
+        object.__setattr__(M, name, value)
+    return M
 
 
 def average_row(M: IncidenceStructure) -> Fraction:

@@ -23,10 +23,12 @@ with k = 0 has no rows, so only JSON holds a design of such blocks.
 
 A file is read in one pass: its rows are joined and translated to
 digit values once, and their counts, lengths and digits are checked
-over the whole file.  A block whose rows are canonical, as save_design
-writes them, is taken as it is (grassmann._canonical_check, from the
-leading column of each row); any other basis is eliminated and must be
-linearly independent.  When every block is canonical, the translated
+over the whole file.  A block is a run of rows, held as its length
+alone (a text file's runs of nonblank lines), so no list is built per
+block.  A block whose rows are canonical, as save_design writes them,
+is taken as it is (grassmann._canonical_check, from the leading column
+of each row); any other basis is eliminated and must be linearly
+independent.  When every block is canonical, the translated
 digits are the packed entries of the DesignCandidate; otherwise each
 eliminated block's entries are written in its place.  If a whole-file
 check fails, the blocks are read one at a time, so the first fault in
@@ -39,7 +41,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import chain, groupby, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from struct import Struct
 
@@ -234,16 +236,18 @@ def _block_from_digit_rows(
     return block
 
 
-def _design_from_fields(q: int, n: int, k: int, block_rows: list) -> DesignCandidate:
+def _design_from_fields(
+    q: int, n: int, k: int, rows: list[str], sizes: list[int]
+) -> DesignCandidate:
     """The candidate of a design file, text or JSON, once q, n and k are
-    read.  Only _block_from_digit_rows words a fault (see the module doc)."""
+    read: its rows in file order, and the number of rows of each block.
+    Only _block_from_digit_rows words a fault (see the module doc)."""
     field = make_field(q)
     check_chain(0, k=k, n=n)
-    rows = list(chain.from_iterable(block_rows))
     # one byte per character: a non-ASCII one (a lone surrogate too) reads as 255
     digits = "".join(rows).encode("ascii", "replace").translate(_DIGIT_VALUES)
     well_formed = (
-        set(map(len, block_rows)) <= {k}
+        set(sizes) <= {k}
         and set(map(len, rows)) <= {n}
         and not digits.translate(None, bytes(range(q)))  # only digits below q
     )
@@ -253,16 +257,16 @@ def _design_from_fields(q: int, n: int, k: int, block_rows: list) -> DesignCandi
         forms = _pieces(digits, size)
         # a row's first nonzero entry sits at n minus the length of the row without its leading 0s
         leads = map(n.__sub__, map(len, map(str.lstrip, rows, repeat("0"))))
-        checks = map(_canonical_check, repeat(n), repeat(q), zip(*[leads] * k))
+        checks = map(_canonical_check, repeat(n), zip(*[leads] * k))
         canonical = [check and check[0](form) == check[1] for form, check in zip(forms, checks)]
         if all(canonical):  # the file's digits are the packed entries
-            return DesignCandidate._packed(field, n, k, len(block_rows), digits)
+            return DesignCandidate._packed(field, n, k, len(sizes), digits)
     entries = b"".join([
         digits[i * size : (i + 1) * size] if ok
-        else bytes(_block_from_digit_rows(field, n, k, block, i).entries)
-        for i, (block, ok) in enumerate(zip(block_rows, canonical))
+        else bytes(_block_from_digit_rows(field, n, k, rows[start : start + count], i).entries)
+        for i, (start, count, ok) in enumerate(zip(accumulate(sizes, initial=0), sizes, canonical))
     ])
-    return DesignCandidate._packed(field, n, k, len(block_rows), entries)
+    return DesignCandidate._packed(field, n, k, len(sizes), entries)
 
 
 def _int_field(value, key: str, part: str) -> int:
@@ -286,9 +290,10 @@ def parse_design_text(text: str) -> DesignCandidate:
     if len(header) != 3:
         raise InvalidParameters("header must be 'q n k'")
     q, n, k = (_int_field(word, key, "header") for key, word in zip(("q", "n", "k"), header))
-    # blocks are the runs of nonblank lines
-    block_rows = [list(rows) for nonblank, rows in groupby(lines[1:], bool) if nonblank]
-    return _design_from_fields(q, n, k, block_rows)
+    # blocks are the runs of nonblank lines: the runs of 1s in this mask
+    nonblank = bytes(map(bool, lines[1:]))
+    sizes = list(filter(None, map(len, nonblank.split(b"\0"))))
+    return _design_from_fields(q, n, k, list(filter(None, lines[1:])), sizes)
 
 
 def design_from_json_obj(obj: dict) -> DesignCandidate:
@@ -300,7 +305,8 @@ def design_from_json_obj(obj: dict) -> DesignCandidate:
     if not (isinstance(block_rows, list) and all(map(isinstance, block_rows, repeat(list)))
             and all(map(isinstance, chain.from_iterable(block_rows), repeat(str)))):
         raise InvalidParameters("design JSON field 'blocks' must be a list of lists of digit strings")
-    return _design_from_fields(q, n, k, block_rows)
+    return _design_from_fields(q, n, k, list(chain.from_iterable(block_rows)),
+                               list(map(len, block_rows)))
 
 
 def load_design(path: str) -> DesignCandidate:

@@ -548,6 +548,8 @@ def _design_files(tmp_path: Path) -> list[Path]:
         "dependent.txt": b"2 3 2\n\n110\n110\n",
         "nested.json": b'{"q": ' * 5000 + b"2" + b"}" * 5000,
         "undecodable.txt": b"\xff\xfe2 3 1\n",
+        # rows that lead late in a long row: checked with no rank offset
+        "late_lead.txt": b"2 100000 1\n\n" + b"0" * 99999 + b"1\n\n1" + b"0" * 99999 + b"\n",
     }
     files = []
     for name, data in contents.items():

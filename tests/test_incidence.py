@@ -1,11 +1,14 @@
+import pickle
 import re
 from fractions import Fraction
 
 import pytest
+from conftest import run_cli
 
+from qdesign import grassmann, verifier
 from qdesign.errors import TooLarge
 from qdesign.gf import make_field
-from qdesign.grassmann import contains
+from qdesign.grassmann import contains, iter_subspaces
 from qdesign.incidence import (
     IncidenceStructure,
     average_row,
@@ -49,6 +52,41 @@ def test_entries_match_containment():
     for b, B in enumerate(M.row_index):
         for a, A in enumerate(M.col_index):
             assert M.entry(b, a) == int(contains(B, A))
+
+
+@pytest.mark.parametrize("q,n,k,t", [(2, 4, 2, 1), (3, 3, 2, 1), (4, 3, 3, 2), (2, 3, 0, 0)])
+def test_lazy_indexes_match_the_constructor(q, n, k, t):
+    # a structure from build_incidence against the one built from its
+    # indexes: the same counts, value, hash, repr and pickle round trip,
+    # both before and after its indexes are built (equality, hash and
+    # repr build them)
+    field = make_field(q)
+    M = build_incidence(n, k, t, field)
+    rows, cols = tuple(iter_subspaces(n, k, field)), tuple(iter_subspaces(n, t, field))
+    built = IncidenceStructure(field, n, k, t, rows, cols, M.bits, M.row_weight, M.col_weight)
+    for read in (False, True):
+        again = pickle.loads(pickle.dumps(M))
+        for c in (M, again):
+            assert (c.num_rows, c.num_cols) == (built.num_rows, built.num_cols)
+            assert ("row_index" in vars(c), "col_index" in vars(c)) == (read, read)
+        for c in (M, again):
+            assert c == built and hash(c) == hash(built) and repr(c) == repr(built)
+        assert (M.row_index, M.col_index) == (rows, cols)
+
+
+def test_incidence_command_builds_no_subspace(monkeypatch):
+    # counted through both _trusted names, as the verify door counts them
+    builds = []
+    for module in (grassmann, verifier):
+        def counting(*args, real=module._trusted):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "_trusted", counting)
+    for extra in ((), ("--json",), ("--export-bits", "-"), ("--weights-only",)):
+        code, out, _ = run_cli("incidence", "--q", "3", "--n", "4", "--k", "2", "--t", "1", *extra)
+        assert code == 0 and out
+    assert builds == []
 
 
 def test_weights_q3():

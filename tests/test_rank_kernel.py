@@ -359,8 +359,9 @@ def test_rank_groups_hold_no_whole_row_of_a_group():
 
 
 def test_incidence_builds_only_its_indexes(monkeypatch):
-    # odd q: ranking a row block builds no SubspaceBasis, so the
-    # [5 2]_3 = 1210 rows and [5 1]_3 = 121 columns are the only ones built
+    # odd q: ranking a row block builds no SubspaceBasis, and the indexes
+    # are built when read, so the [5 2]_3 = 1210 rows and [5 1]_3 = 121
+    # columns are the only ones built, and only then
     built = []
     real = grassmann._trusted
 
@@ -371,6 +372,8 @@ def test_incidence_builds_only_its_indexes(monkeypatch):
     monkeypatch.setattr(grassmann, "_trusted", counting)
     M = build_incidence(5, 2, 1, make_field(3))
     assert (M.num_rows, M.num_cols) == (1210, 121)
+    assert built == []
+    assert (len(M.row_index), len(M.col_index)) == (1210, 121)
     assert len(built) == 1210 + 121
 
 
