@@ -12,13 +12,23 @@ lone surrogate and non-ASCII characters, wrong row counts and lengths,
 k from -1 to n + 1, for every supported q and a few unsupported ones.
 A case's outcome is q, n, k, the entries of its blocks and
 verify_design(c, min(1, k)); or the exception.
+
+Ranks (through unrank): the first and the last rank of every pivot
+group, and the ranks -1 and [n k]_q just outside the range, over a small
+grid of (n, k) for every supported q.  A case's outcome is repr(S) and
+subspace_rank(S) for S = unrank(n, k, F_q, r); or the exception.  The
+generator counts each group itself: the bases with pivot columns P
+number q to the count of free entries, those right of a row's pivot
+and in no pivot column.
 """
 
 import hashlib
 import json
 import random
+from itertools import combinations
 
-from qdesign.gf import SUPPORTED_ORDERS
+from qdesign.gf import SUPPORTED_ORDERS, make_field
+from qdesign.grassmann import subspace_rank, unrank
 from qdesign.verifier import load_design, verify_design
 
 RUN = 100  # cases per pinned run digest
@@ -209,3 +219,57 @@ def test_design_file_outcomes_pinned(tmp_path):
              in enumerate(zip(runs, DESIGN_FILE_RUNS)) if got != want]
     assert len(runs) == len(DESIGN_FILE_RUNS) and not moved, moved
     assert whole == DESIGN_FILE_SHA256
+
+
+def _rank_cases():
+    """(q, n, k, r) cases: per q and (n, k) of a small grid, r = -1, the
+    first and last rank of each pivot group in lexicographic order of the
+    pivot sets, and r = the number of k-subspaces."""
+    cases = []
+    for q in ORDERS:
+        for n in range(6 if q <= 3 else 5 if q <= 9 else 4):
+            for k in range(n + 1):
+                cases.append((q, n, k, -1))
+                start = 0
+                for pivots in combinations(range(n), k):
+                    free = sum(n - p - 1 - (k - 1 - i) for i, p in enumerate(pivots))
+                    cases += [(q, n, k, start), (q, n, k, start + q**free - 1)]
+                    start += q**free
+                cases.append((q, n, k, start))
+    return cases
+
+
+def _rank_outcome(q, n, k, r) -> str:
+    try:
+        S = unrank(n, k, make_field(q), r)
+        return f"{q} {n} {k} {r} {S!r} {subspace_rank(S)}"
+    except Exception as exc:
+        return f"{q} {n} {k} {r} {type(exc).__name__}: {exc}"
+
+
+# sha256 of each run of 100 rank outcomes, and of the whole door, captured
+# while SubspaceBasis held its entries as a tuple of ints
+RANK_RUNS = (
+    "0ceaecc90c6da61214464073127a1f19b0dbdc6c0bfb6528f3471c9d4fb718c5",
+    "aae96b75aa88b784f98408fc030b1746957640060dd36190ebb980684f552089",
+    "1327c462e2ad45ef9325f10b2a278a5fda10270b4c3e7b2b2b58ea6c5fcf94b6",
+    "c1c1a25be3e2cb5f152bed836d4a01b0c839b5546e7e39a538d2922a919cc8f6",
+    "b3e65a1d1c8b880d589e6dce013b21af3fd721866398ef31623ae4d6a7065613",
+    "209362497e029c1059757e56f8b6e46bc4935ce4e50543089ca2277ad988b66b",
+    "00734a4523a3cb88ae65631e2c9cbaaceb747f280d60c3794e5d7ba97512c7c5",
+    "62974572d647982e047b8a471194885cf5dad7c00743e4cb4d77468c2c8e4c28",
+    "59aa04a5e63d5277a5caee5e78df7471075cf1351ac17a22ec7d0f6c36a6aea3",
+    "f188d5bd6929c7f3ed653d8163007c94ed3472a75ba7e0b0eba7526fcfd7adac",
+)
+RANK_SHA256 = "47532c351b5bad890fcf59c3f2935e1f32769b4f9dca69a592e5c3e27ce3202b"
+
+
+def test_rank_outcomes_pinned():
+    outcomes = [_rank_outcome(*case) for case in _rank_cases()]
+    # each subspace ranks back to the rank it was unranked from
+    assert all(o.split()[3] == o.split()[-1] for o in outcomes if "Subspace(" in o)
+    runs, whole = _digests(outcomes)
+    moved = [f"cases {RUN * i}..{RUN * i + RUN - 1}" for i, (got, want)
+             in enumerate(zip(runs, RANK_RUNS)) if got != want]
+    assert len(runs) == len(RANK_RUNS) and not moved, moved
+    assert whole == RANK_SHA256
