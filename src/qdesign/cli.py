@@ -12,10 +12,11 @@ command's verdict (a verification or bound check that comes back false),
 2 InvalidParameters or an argparse usage error (bad arguments, an
 unreadable or malformed input file, an unwritable output file), 3
 ResourceLimitError or a search timeout, 4 any other exception, reported
-as "error: internal error: <Type>: <message>", 141 stdout closed by its
-reader before all output was written (128 + SIGPIPE, the status a shell
-reports for a process that a broken pipe kills; nothing is printed to
-stderr). Dimensions must satisfy
+as "error: internal error: <Type>: <message>", 130 an interrupt (SIGINT,
+as Ctrl-C sends), reported as "error: interrupted", 141 stdout closed by
+its reader before all output was written (128 + SIGPIPE, the status a
+shell reports for a process that a broken pipe kills; nothing is printed
+to stderr). Dimensions must satisfy
 0 <= t <= k <= n (1 <= t for decode, lemma2-check and klp-report), and
 search needs --lambda >= 0; a design file's header must satisfy
 0 <= k <= n. Otherwise the run exits 2 with one line naming the values,
@@ -500,6 +501,9 @@ def main(argv=None) -> int:
         # at interpreter exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

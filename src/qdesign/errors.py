@@ -1,6 +1,6 @@
 """Exception hierarchy and small helpers shared by all qdesign modules:
-the message helpers, the parameter checks and the frozen value-class
-decorator that every result record uses."""
+the message helpers, the parameter checks, and the frozen value-class
+decorator that every result record uses, with its derived fields."""
 
 # counts up to this many bits are printed in full in error messages
 SHOWN_BITS = 200
@@ -94,7 +94,7 @@ def _value_class(cls):
     __hash__ are compiled once per class, as collections.namedtuple does,
     so they cost what dataclass's do; setting each field in turn keeps
     the __dict__ in 3.11's compact form.  Instances keep a __dict__, so
-    cached_property works and they pickle.
+    they hold _Derived fields and pickle.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     fields = "".join(f"self.{name}, " for name in names)
@@ -125,3 +125,29 @@ def _value_class(cls):
         if name not in cls.__dict__:
             setattr(cls, name, method)
     return cls
+
+
+class _Derived:
+    """A value-class field derived by func on first read and kept through
+    object.__setattr__: functools.cached_property writes the instance
+    __dict__, which in CPython 3.11 slows every later attribute read of
+    the instance.  A value a builder stored in the instance wins."""
+
+    def __init__(self, func):
+        self.func, self.name = func, func.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
+
+
+def _partial(cls, **values):
+    """An instance of the value class cls holding these values, with no
+    check: each field left out is a _Derived, derived when first read."""
+    self = object.__new__(cls)
+    for name, value in values.items():
+        object.__setattr__(self, name, value)
+    return self

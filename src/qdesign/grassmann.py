@@ -2,12 +2,14 @@
 
 A subspace is identified with its reduced-row-echelon basis (no zero
 rows), which is unique, so two SubspaceBasis values are equal exactly
-when they represent the same subspace.  This module alone knows that
-shape.  Checks run where values enter from outside: SubspaceBasis(...)
-refuses entries that differ from the _span of their own rows, and
-subspace_from_rows, apply_map and verifier's design files check their
-input.  Values the library made valid itself skip them (_trusted,
-MatrixGFq._trusted); _span is the one elimination from bare rows.
+when they represent the same subspace; its entries are bytes, one per
+entry, as the kernel, the packed designs and the oracles read them.
+This module alone knows that shape.  Checks run where values enter from
+outside: SubspaceBasis(...) refuses entries that differ from the _span
+of their own rows, and subspace_from_rows, apply_map and verifier's
+design files check their input.  Values the library made valid itself
+skip them (_trusted, MatrixGFq._trusted); _span is the one elimination
+from bare rows.
 
 Canonical enumeration order: by pivot-column set (lexicographically
 increasing), then by the free entries read in row-major order as a
@@ -67,8 +69,8 @@ The incidence matrix and the search rank every k-subspace, and
 _rank_groups serves them one pivot group at a time, as covers only: a
 block is its canonical rank, its position in the output.  For every q
 it passes the group to _group_t_ranks _CHUNK blocks at a time, each
-block the bytes of one value per row, from the values each row takes
-(_row_factors), and ticks once a call.  No SubspaceBasis is built.
+block its entries from _group_forms, and ticks once a call.  No
+SubspaceBasis is built.
 
 The brute-force oracles read vector sets, apart from that kernel: no
 function or table of one side names one of the other, which a static
@@ -81,9 +83,9 @@ each row's multiples (_multiples, _xor_span); odd q sums entry tuples
 (_tuple_span).  _vector_sets lists nonzero_vectors() of a whole
 Grassmannian in canonical order: for q = 2^b the values the rows of a
 pivot group take (_group_rows, from the entry factors _row_factors that
-_group_forms and _rank_groups also read) are indexed once, and each
-subspace is the span of one value per row, with no SubspaceBasis built;
-odd q takes each subspace's own nonzero_vectors.  _basis_rows lists the
+_group_forms also reads) are indexed once, and each subspace is the
+span of one value per row, with no SubspaceBasis built; odd q takes
+each subspace's own nonzero_vectors.  _basis_rows lists the
 rows' indices alone, and _leading_vector_sets the vectors of given
 subspaces whose first nonzero entry is 1, among which lie the canonical
 rows of each of their subspaces.
@@ -94,12 +96,13 @@ from __future__ import annotations
 import sys
 from collections import defaultdict
 from collections.abc import Callable, Iterator
-from functools import cached_property, lru_cache
-from itertools import chain, combinations, islice, product, repeat
+from functools import lru_cache
+from itertools import chain, combinations, islice, product, repeat, tee
 from operator import itemgetter
 
 from .errors import (
-    AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, _value_class, check_chain,
+    AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, _Derived, _value_class,
+    check_chain,
 )
 from .gf import (
     _DIGITS, FieldSpec, MatrixGFq, _mul_rows, _rref_rows, mat_inverse, mat_mul, rank_of_rows,
@@ -112,29 +115,31 @@ _CHUNK = 4096  # blocks per kernel call: it bounds the kernel's tables
 @_value_class
 class SubspaceBasis:
     """A k-subspace of F_q^n as the row-major entries of its canonical
-    (RREF, no zero rows) k x n basis, so equality and hash, which compare
-    the fields, hold exactly between equal subspaces."""
+    (RREF, no zero rows) k x n basis, one byte each (the constructor also
+    takes a tuple of ints), so equality and hash, which compare the
+    fields, hold exactly between equal subspaces."""
 
     field: FieldSpec
     n: int
     k: int
-    entries: tuple[int, ...]
+    entries: bytes
 
     def __post_init__(self) -> None:
         q, n, k, entries = self.field.q, self.n, self.k, self.entries
         check_chain(0, k=k, n=n)
-        if not (type(entries) is tuple and len(entries) == k * n
-                and all(type(x) is int and 0 <= x < q for x in entries)
-                and _span(self.field, n, list(map(list, self.rows()))).entries == entries):
+        if type(entries) is tuple and all(type(x) is int and 0 <= x < q for x in entries):
+            object.__setattr__(self, "entries", entries := bytes(entries))
+        if not (type(entries) is bytes and len(entries) == k * n and max(entries, default=0) < q
+                and _span(self.field, n, self.rows()).entries == entries):
             raise InvalidParameters(
                 f"entries are not the canonical basis of a {k}-subspace of F_{q}^{n}")
 
     @property
     def basis(self) -> MatrixGFq:
         """The canonical basis as a MatrixGFq, built on each access."""
-        return MatrixGFq._trusted(self.field, self.k, self.n, self.entries)
+        return MatrixGFq._trusted(self.field, self.k, self.n, tuple(self.entries))
 
-    @cached_property
+    @_Derived
     def pivot_columns(self) -> tuple[int, ...]:
         # row i of a canonical basis leads with its pivot's 1
         return tuple([self.entries.index(1, i * self.n) - i * self.n for i in range(self.k)])
@@ -152,10 +157,10 @@ class SubspaceBasis:
         """
         field, rows = self.field, self.rows()
         if field.characteristic == 2:
-            return _xor_span(_multiples(field, list(map(bytes, rows))))
+            return _xor_span(_multiples(field, rows))
         return _indices(field, _tuple_span(field, self.n, rows)[1:])
 
-    @cached_property
+    @_Derived
     def vector_mask(self) -> int:
         """Bitmask of all q^k vectors of the subspace: bit v is set iff
         the vector of index v (see nonzero_vectors) lies in it, bit 0
@@ -167,7 +172,7 @@ class SubspaceBasis:
             mask |= 1 << v
         return mask
 
-    def rows(self) -> list[tuple[int, ...]]:
+    def rows(self) -> list[bytes]:
         n, entries = self.n, self.entries
         return [entries[i * n : (i + 1) * n] for i in range(self.k)]
 
@@ -194,7 +199,7 @@ def subspace_from_rows(field: FieldSpec, n: int, rows) -> SubspaceBasis:
 def _span(field: FieldSpec, n: int, rows: list[list[int]]) -> SubspaceBasis:
     """Row space of rows (eliminated in place), with no entry check."""
     rows, rk = _rref_rows(field, rows, n)
-    return _trusted(field, n, rk, tuple([x for r in rows[:rk] for x in r]))
+    return _trusted(field, n, rk, b"".join(map(bytes, rows[:rk])))
 
 
 @lru_cache(maxsize=None)  # one entry per field: make_field is cached
@@ -257,21 +262,29 @@ def _tuple_span(field: FieldSpec, n: int, rows: list[tuple[int, ...]]) -> list[t
     return tuples
 
 
-def _row_factors(n: int, pivots: tuple[int, ...], q: int) -> list[list[tuple[int, ...]]]:
+@lru_cache(maxsize=1024)  # extensions fills the same small groups call after call
+def _row_factors(n: int, pivots: tuple[int, ...], q: int) -> tuple:
     """Per row of the n-column canonical bases with these pivot columns,
     the values each entry ranges over: 1 at the row's pivot, F_q at a
     free entry (right of it, in no pivot column), 0 elsewhere.  The
     product over the row-major entries, the last fastest, is canonical
     order."""
-    pivset, digits, zero = set(pivots), range(q), (0,)
-    return [[zero] * p + [(1,)] + [zero if j in pivset else digits for j in range(p + 1, n)]
-            for p in pivots]
+    pivset, digits, zero = set(pivots), tuple(range(q)), (0,)
+    return tuple([(*[zero] * p, (1,), *[zero if j in pivset else digits for j in range(p + 1, n)])
+                  for p in pivots])
 
 
-def _group_forms(n: int, pivots: tuple[int, ...], q: int) -> Iterator[tuple[int, ...]]:
+def _group_forms(n: int, pivots: tuple[int, ...], q: int) -> Iterator[bytes]:
     """Entries of every n-column canonical basis with these pivot columns,
-    in canonical order."""
-    return product(*chain.from_iterable(_row_factors(n, pivots, q)))
+    one byte each, in canonical order: each value of the first row joined
+    to each of the other rows' values, read once and replayed from a tee."""
+    head, *rest = _row_factors(n, pivots, q) or ((),)  # k = 0: one basis, no entries
+    tails = tee(map(bytes, product(*chain.from_iterable(rest))), 1)[0]
+    return chain.from_iterable(map(_joined, map(bytes, product(*head)), repeat(tails)))
+
+
+def _joined(head: bytes, tails) -> Iterator[bytes]:
+    return map(head.__add__, tails.__copy__())
 
 
 def _group_rows(n: int, pivots: tuple[int, ...], q: int) -> list[list[bytes]]:
@@ -323,7 +336,7 @@ def _leading_vector_sets(field: FieldSpec, subspaces: list[SubspaceBasis]) -> It
                          for v in _tuple_span(field, S.n, rows[i + 1 :])]
             yield _indices(field, vecs)
         return
-    multiples = iter(_multiples(field, [bytes(r) for S in subspaces for r in S.rows()]))
+    multiples = iter(_multiples(field, [r for S in subspaces for r in S.rows()]))
     for S in subspaces:
         rows = list(islice(multiples, S.k))
         out: list[int] = []
@@ -335,9 +348,8 @@ def _leading_vector_sets(field: FieldSpec, subspaces: list[SubspaceBasis]) -> It
 def iter_subspaces(n: int, k: int, field: FieldSpec) -> Iterator[SubspaceBasis]:
     """All k-subspaces of F_q^n in canonical order, lazily."""
     check_chain(0, k=k, n=n)
-    for pivots in combinations(range(n), k):
-        for entries in _group_forms(n, pivots, field.q):
-            yield _trusted(field, n, k, entries)
+    forms = chain.from_iterable(_group_forms(n, p, field.q) for p in combinations(range(n), k))
+    return map(_trusted, repeat(field), repeat(n), repeat(k), forms)
 
 
 def _with_pivot(n: int, k: int, q: int, i: int, e: int, c: int) -> int:
@@ -359,7 +371,7 @@ def _pivot_plan(n: int, q: int, pivots: tuple[int, ...]) -> tuple:
         e += n - k + i - p
         template[i * n + p] = 1
         free += [i * n + j for j in range(p + 1, n) if j not in pivset]
-    return offset, tuple(template), tuple(free)
+    return offset, bytes(template), tuple(free)
 
 
 @lru_cache(maxsize=1024)
@@ -418,14 +430,14 @@ def _unrank_sorted(n: int, k: int, field: FieldSpec, ranks: list[int]) -> list[S
     return out
 
 
-def _group_entries(q: int, template: tuple, free: tuple[int, ...], i: int) -> tuple[int, ...]:
+def _group_entries(q: int, template: bytes, free: tuple[int, ...], i: int) -> bytes:
     """The entries of the block at index i of the pivot group with this
     _pivot_plan template and these free positions: i's base-q digits fill
     the free entries, the last digit least significant."""
-    entries = list(template)
+    entries = bytearray(template)
     for pos in reversed(free):
         i, entries[pos] = divmod(i, q)
-    return tuple(entries)
+    return bytes(entries)
 
 
 def block_echelon_forms(
@@ -473,7 +485,7 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
     block, in the order of block_echelon_forms, with no elimination: the
     one-block call of _group_t_ranks."""
     check_chain(0, t=t, k=block.k)
-    ranks = _group_t_ranks(block.field, block.n, t, block.pivot_columns, [bytes(block.entries)])
+    ranks = _group_t_ranks(block.field, block.n, t, block.pivot_columns, [block.entries])
     return [r for r, in ranks]
 
 
@@ -659,20 +671,14 @@ def _rank_groups(
     each caller bounds [n k]_q first.
 
     Each group goes to _group_t_ranks _CHUNK blocks at a time, a block
-    given by its entries, one byte each: the values each row takes are
-    listed once, and a block joins one value per row.  The first row
-    takes the most values and is read lazily, so no list held for a group
-    is longer than the square root of its size.
+    given by its entries from _group_forms.
 
     tick, if given, is called after every call, so a caller can stop a
     long group by raising.
     """
     q, tick = field.q, tick or (lambda: None)
     for pivots in combinations(range(n), k):
-        # k = 0: one group of one block, with no entries
-        head, *rest = [map(bytes, product(*f)) for f in _row_factors(n, pivots, q)] or [[b""]]
-        rest = [tuple(values) for values in rest]
-        forms = map(b"".join, chain.from_iterable(product((v,), *rest) for v in head))
+        forms = _group_forms(n, pivots, q)
         covers: list[tuple[int, ...]] = []
         while chunk := list(islice(forms, _CHUNK)):
             covers += zip(*_group_t_ranks(field, n, t, pivots, chunk))
@@ -730,18 +736,14 @@ def extensions(V: SubspaceBasis, k: int, max_count: int = 10**7) -> list[Subspac
     field, n, t = V.field, V.n, V.k
     check_chain(0, t=t, k=k, n=n)
     capped(field.q, [(n - t, k - t)], max_count)
-    pivset = set(V.pivot_columns)
-    nonpiv = [j for j in range(n) if j not in pivset]
-    vrows = V.rows()
-    out = []
+    nonpiv = [j for j in range(n) if j not in V.pivot_columns]
+    # lifted row r reads row r of W at the non-pivot columns, a 0 appended at V's pivots
+    reads = [[r * (n - t) + nonpiv.index(j) if j in nonpiv else -1 for j in range(n)]
+             for r in range(k - t)]
+    vrows, out = V.rows(), []
     for W in iter_subspaces(n - t, k - t, field):
-        rows = [list(r) for r in vrows]
-        for row in W.rows():
-            full = [0] * n
-            for pos, x in zip(nonpiv, row):
-                full[pos] = x
-            rows.append(full)
-        out.append(_span(field, n, rows))
+        entries = W.entries + b"\0"
+        out.append(_span(field, n, vrows + [[entries[j] for j in row] for row in reads]))
     out.sort(key=subspace_rank)
     return out
 
@@ -772,7 +774,7 @@ def complete_basis(V: SubspaceBasis) -> MatrixGFq:
     a basis by construction, with no elimination."""
     n, pivots = V.n, set(V.pivot_columns)
     units = [int(i == j) for j in range(n) if j not in pivots for i in range(n)]
-    return MatrixGFq._trusted(V.field, n, n, V.entries + tuple(units))
+    return MatrixGFq._trusted(V.field, n, n, (*V.entries, *units))
 
 
 def gl_map_between(U1: SubspaceBasis, U2: SubspaceBasis) -> MatrixGFq:

@@ -7,7 +7,7 @@ weights are popcounts.  Row and column order follow the canonical
 enumeration order of the grassmann module, which makes every report
 reproducible.  build_incidence ranks the rows' t-subspaces without
 building a SubspaceBasis, and the row and column indexes, the subspaces
-in that order, are built only when a caller reads them.
+in that order, are errors._Derived fields, built when first read.
 """
 
 from __future__ import annotations
@@ -15,33 +15,12 @@ from __future__ import annotations
 import random
 from itertools import chain
 
-from .errors import TooLarge, _value_class, check_chain, number_text
+from .errors import TooLarge, _Derived, _partial, _value_class, check_chain, number_text
 from .gf import FieldSpec
 from .grassmann import (
     SubspaceBasis, _image, _rank_groups, gl_map_between, iter_subspaces, subspace_rank,
 )
 from .qcount import capped, q_binomial
-
-
-class _Derived:
-    """A field an instance may leave unset: derived on first read, then
-    kept, as by functools.cached_property.  It is kept through
-    object.__setattr__, where cached_property writes to the instance
-    __dict__; in CPython 3.11 that write makes every later attribute read
-    of the instance slower, entry's read of bits among them."""
-
-    def __init__(self, derive):
-        self.derive = derive
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = self.derive(obj)
-        object.__setattr__(obj, self.name, value)
-        return value
 
 
 @_value_class
@@ -131,12 +110,9 @@ def build_incidence(
     if bad:
         raise AssertionError(f"column {bad[0]} weight {col_counts[bad[0]]} != {col_weight}")
 
-    M = object.__new__(IncidenceStructure)  # no index: each is derived on first read
-    for name, value in (("field", field), ("n", n), ("k", k), ("t", t), ("bits", tuple(bits)),
-                        ("row_weight", row_weight), ("col_weight", col_weight),
-                        ("num_rows", num_rows), ("num_cols", num_cols)):
-        object.__setattr__(M, name, value)
-    return M
+    return _partial(IncidenceStructure, field=field, n=n, k=k, t=t, bits=tuple(bits),  # no index
+                    row_weight=row_weight, col_weight=col_weight,
+                    num_rows=num_rows, num_cols=num_cols)
 
 
 def average_row(M: IncidenceStructure) -> Fraction:

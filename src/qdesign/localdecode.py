@@ -269,7 +269,7 @@ def decode_certificate(
     system = solve_coefficients(q, t, k)
     extra = [j for j in range(n) if j not in V.pivot_columns][:k]
     units = [[int(i == j) for i in range(n)] for j in extra]
-    W = _span(field, n, [list(r) for r in V.rows()] + units)
+    W = _span(field, n, V.rows() + units)
 
     pivots = W.pivot_columns
     v_coords = [[row[p] for p in pivots] for row in V.rows()]
@@ -277,7 +277,7 @@ def decode_certificate(
     counts = [0] * (t + 1)
     for _, images in block_echelon_forms(W, k):
         for entries in images:
-            U = _trusted(field, n, k, tuple(entries))
+            U = _trusted(field, n, k, bytes(entries))
             u_coords = [[entries[i * n + p] for p in pivots] for i in range(k)]
             j = t + k - rank_of_rows(field, u_coords + v_coords, t + k)
             coefficients[U] = system.f[j]

@@ -10,9 +10,9 @@ nor the t-subspaces themselves are materialized and the only size cap is
 the number of t-subspaces.  grassmann._block_t_ranks ranks them from
 each block's canonical entries as bytes, grouping the blocks by pivot
 columns; this module reads nothing of the echelon shape but the column
-where each row of a design file leads.  A candidate read from a file
-hands it slices of its packed entries and builds no block; one built
-from blocks hands their entries, converted once.
+where each row of a design file leads.  Every candidate hands it slices
+of its packed entries: a candidate read from a file builds no block, and
+one built from blocks joins their entries, bytes already, once.
 
 Design file format (text):
     line 1: "q n k"
@@ -40,12 +40,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from struct import Struct
 
-from .errors import DimensionMismatch, InvalidParameters, _value_class, check_chain
+from .errors import (
+    DimensionMismatch, InvalidParameters, _Derived, _partial, _value_class, check_chain,
+)
 from .gf import _DIGITS, FieldSpec, make_field
 from .grassmann import SubspaceBasis, _block_t_ranks, _canonical_check, _span, _trusted, unrank
 from .qcount import capped, q_binomial
@@ -64,20 +65,18 @@ def _pieces(data: bytes, size: int) -> Iterator[bytes]:
 class DesignCandidate:
     """N k-subspaces of F_q^n, the blocks of a candidate design.
 
-    A candidate read from a design file is packed: it holds its blocks'
-    canonical entries as one bytes of N k n digits, one byte each (each
-    block's SubspaceBasis.entries, laid end to end), and N as _count.
-    Its blocks are built through _trusted the first time they are read;
-    verify_design ranks straight from the buffer.  Equality, hash, repr
-    and pickling read the fields, so a packed candidate matches the one
-    built from its blocks.
+    Every candidate is ranked from one packed buffer, _entries: its
+    blocks' entries laid end to end, N k n bytes.  One read from a design
+    file holds the buffer and N, _count, and builds its blocks when they
+    are first read; one built from its blocks joins their entries when
+    the buffer is first read.  Equality, hash, repr and pickling read the
+    fields, so a packed candidate matches the one built from its blocks.
     """
 
     field: FieldSpec
     n: int
     k: int
     blocks: tuple[SubspaceBasis, ...]
-    _entries = None  # a packed candidate's buffer
 
     def __post_init__(self) -> None:
         for b in self.blocks:
@@ -86,32 +85,25 @@ class DesignCandidate:
             if b.k != self.k:
                 raise DimensionMismatch(f"block of dimension {b.k}, expected {self.k}")
 
-    @staticmethod
-    def _packed(field: FieldSpec, n: int, k: int, count: int, entries: bytes) -> DesignCandidate:
-        """The candidate of count canonical blocks whose entries, one byte
-        each, are laid end to end in entries: no block is built."""
-        self = object.__new__(DesignCandidate)
-        for name, value in (("field", field), ("n", n), ("k", k), ("_count", count),
-                            ("_entries", entries)):
-            object.__setattr__(self, name, value)
-        return self
-
-    # the other builders store blocks in the instance __dict__, which wins
-    # over this non-data descriptor
-    @cached_property
+    @_Derived
     def blocks(self) -> tuple[SubspaceBasis, ...]:
         field, n, k = self.field, self.n, self.k
-        return tuple([_trusted(field, n, k, tuple(form)) for form in self._forms()])
+        return tuple([_trusted(field, n, k, form) for form in self._forms()])
+
+    @_Derived
+    def _entries(self) -> bytes:
+        return b"".join([block.entries for block in self.blocks])
+
+    @_Derived
+    def _count(self) -> int:
+        return len(self.blocks)
 
     def _forms(self) -> list[bytes]:
-        """Each block's canonical entries as bytes, one byte each: slices
-        of a packed candidate's buffer, else the blocks' entries."""
-        entries, size = self._entries, self.k * self.n
-        if entries is None:
-            return [bytes(block.entries) for block in self.blocks]
+        """Each block's canonical entries: the buffer's slices."""
+        size = self.k * self.n
         if not size:  # k = 0: every block is the 0-subspace
             return [b""] * self._count
-        return list(_pieces(entries, size))
+        return list(_pieces(self._entries, size))
 
 
 @_value_class
@@ -259,14 +251,14 @@ def _design_from_fields(
         leads = map(n.__sub__, map(len, map(str.lstrip, rows, repeat("0"))))
         checks = map(_canonical_check, repeat(n), zip(*[leads] * k))
         canonical = [check and check[0](form) == check[1] for form, check in zip(forms, checks)]
-        if all(canonical):  # the file's digits are the packed entries
-            return DesignCandidate._packed(field, n, k, len(sizes), digits)
-    entries = b"".join([
-        digits[i * size : (i + 1) * size] if ok
-        else bytes(_block_from_digit_rows(field, n, k, rows[start : start + count], i).entries)
-        for i, (start, count, ok) in enumerate(zip(accumulate(sizes, initial=0), sizes, canonical))
-    ])
-    return DesignCandidate._packed(field, n, k, len(sizes), entries)
+    if not all(canonical):  # else the file's digits are the packed entries
+        digits = b"".join([
+            digits[i * size : (i + 1) * size] if ok
+            else _block_from_digit_rows(field, n, k, rows[start : start + count], i).entries
+            for i, (start, count, ok) in enumerate(zip(accumulate(sizes, initial=0), sizes,
+                                                       canonical))
+        ])
+    return _partial(DesignCandidate, field=field, n=n, k=k, _count=len(sizes), _entries=digits)
 
 
 def _int_field(value, key: str, part: str) -> int:

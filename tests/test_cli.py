@@ -5,7 +5,7 @@ import sys
 import time
 
 import pytest
-from conftest import child_env, run_cli, run_process
+from conftest import CommandTimeout, child_env, run_cli, run_process
 
 from qdesign.errors import DegenerateSystem
 from qdesign.qcount import q_binomial
@@ -951,6 +951,28 @@ def test_internal_error_exit_4(monkeypatch):
         assert code == 4
         name = exc_type.__name__
         assert (out, err) == ("", f"error: internal error: {name}: handler fell over\n")
+
+
+def test_interrupt_exits_130_without_traceback(monkeypatch):
+    # an interrupt is reported in one line; the test timer's own
+    # BaseException still passes through main
+    from qdesign import cli
+
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    def timed_out(args):
+        raise CommandTimeout("timer ran out")
+
+    monkeypatch.setattr(cli, "_cmd_qbinom", interrupted)
+    try:  # an interrupt that escapes main would stop the whole session
+        result = run_cli("qbinom", "--q", "2", "--n", "4", "--k", "2")
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt passed through cli.main")
+    assert result == (130, "", "error: interrupted\n")
+    monkeypatch.setattr(cli, "_cmd_qbinom", timed_out)
+    with pytest.raises(CommandTimeout, match="^timer ran out$"):
+        run_cli("qbinom", "--q", "2", "--n", "4", "--k", "2")
 
 
 def test_selftest_subset_and_determinism():

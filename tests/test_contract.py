@@ -326,7 +326,8 @@ def test_only_internal_sites_raise_bare_value_error():
         if isinstance(f, ast.FunctionDef) and f.name == "main"
     )
     handlers = [ast.unparse(h.type) for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)]
-    assert handlers == ["BrokenPipeError", "ResourceLimitError", "InvalidParameters", "Exception"]
+    assert handlers == ["BrokenPipeError", "KeyboardInterrupt", "ResourceLimitError",
+                        "InvalidParameters", "Exception"]
 
 
 # the public doors that check what enters: SubspaceBasis(...) by an
@@ -445,6 +446,22 @@ def test_exact_modules_use_no_floating_point():
         for use in uses(stem, ast.parse((src / f"{stem}.py").read_text(encoding="utf-8")), "")
     ]
     assert found == ["localdecode.solve_coefficients: /"]
+
+
+def test_no_cached_property_in_the_library():
+    # a derived field is an errors._Derived: functools.cached_property
+    # writes the instance __dict__, and in CPython 3.11 every later
+    # attribute read of that instance is then slower
+    src = Path(qdesign.__file__).parent
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+        or (isinstance(node, ast.alias) and node.name == "cached_property")
+    ]
+    assert found == []
 
 
 def test_library_built_values_are_pinned():

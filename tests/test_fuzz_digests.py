@@ -166,7 +166,7 @@ def _design_file_cases():
 def _design_file_outcome(path) -> str:
     try:
         c = load_design(str(path))
-        entries = [block.entries for block in c.blocks]
+        entries = [tuple(block.entries) for block in c.blocks]
         report = verify_design(c, min(1, c.k))
         return f"{c.field.q} {c.n} {c.k} {entries} {report!r}"
     except Exception as exc:

@@ -104,7 +104,7 @@ def test_rank_in_a_large_space_reads_one_pivot_set(q, k):
             row[j] = rng.randrange(q)
         rows.append(row)
     S = subspace_from_rows(field, n, rows)
-    assert S.entries == tuple(x for r in rows for x in r)
+    assert S.entries == bytes(x for r in rows for x in r)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -540,7 +540,8 @@ DIGEST_COVERS = (
 def _report_key(report):
     failing = report.failing_t_subspace
     return (report.is_design, report.t, report.lambda_, report.is_simple, report.is_trivial,
-            tuple(report.counts_histogram.items()), None if failing is None else failing.entries)
+            tuple(report.counts_histogram.items()),
+            None if failing is None else tuple(failing.entries))
 
 
 def test_rank_outputs_are_byte_identical_to_the_pinned_digests():

@@ -1,7 +1,8 @@
 """Every result record is a frozen value class (errors._value_class): the
 dataclass repr, field-wise equality with its own class only, a hash over
 the fields, no assignment or deletion, the __post_init__ checks, and
-pickling.  FieldSpec alone compares by identity: make_field is cached, so
+pickling, whether or not its derived fields (errors._Derived) have been
+read.  FieldSpec alone compares by identity: make_field is cached, so
 there is one per order."""
 
 import ast
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import qdesign
-from qdesign.errors import DimensionMismatch, InvalidParameters
+from qdesign.errors import DimensionMismatch, InvalidParameters, _Derived, _partial
 from qdesign.gf import SUPPORTED_ORDERS, FieldSpec, MatrixGFq, make_field
 from qdesign.grassmann import SubspaceBasis, iter_subspaces, subspace_from_rows
 from qdesign.incidence import build_incidence
@@ -128,6 +129,15 @@ CASES = {
 }
 
 
+# other builders of a CASES value, whose derived fields are unread too
+SAME_VALUES = {
+    "DesignCandidate": (
+        lambda: _partial(DesignCandidate, field=F2, n=2, k=1, _count=3,
+                         _entries=b"".join(b.entries for b in _points().blocks)),
+    ),
+}
+
+
 def _decorated_classes() -> set[str]:
     """Names of the classes the package decorates with _value_class."""
     names = set()
@@ -177,6 +187,19 @@ def test_value_class(name):
     assert [getattr(a, f) for f in fields] == values
     c = pickle.loads(pickle.dumps(a))
     assert type(c) is cls and c == a and repr(c) == text
+    # each derived field, read or unread, changes nothing of the value:
+    # a fresh instance is pickled before anything reads its fields
+    derived = [f for f, attr in vars(cls).items() if isinstance(attr, _Derived)]
+    if not derived:
+        return
+    for build in (make, *SAME_VALUES.get(name, ())):
+        for field in (None, *derived):
+            d = build()
+            if field:
+                getattr(d, field)
+            for e in (pickle.loads(pickle.dumps(d)), d):
+                assert type(e) is cls and repr(e) == text
+                assert e == a and a == e and hash(e) == hash(a)
 
 
 def test_field_spec_pickles_to_the_same_object():

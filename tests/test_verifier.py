@@ -246,7 +246,7 @@ def test_noncanonical_rows_are_canonicalized():
     # rows spanning a block need not be in echelon form in the file
     text = "2 3 2\n\n111\n011\n"
     cand = parse_design_text(text)
-    assert cand.blocks[0].rows() == [(1, 0, 0), (0, 1, 1)]
+    assert cand.blocks[0].rows() == [bytes((1, 0, 0)), bytes((0, 1, 1))]
     # rows that only look canonical are eliminated too
     for q, rows in (
         (2, ["010", "100"]),  # swapped rows
