@@ -28,9 +28,9 @@ q^(e + n - k + i - c) [n-c-1 k-i-1]_q, e the free entries of rows
 picks each pivot greedily from them.  _pivot_plan gives a pivot set's
 offset, its template (the entries the pivots fix) and its free
 positions, and every route that ranks, unranks or fills a pivot group
-reads it.  _canonical_check tells whether entries whose rows lead at
-given columns are canonical from the k x k entries in those columns,
-with no elimination and no plan.
+reads it.  _noncanonical_blocks tells which of many blocks' entries
+are not canonical, with no elimination and no plan: it reads every
+block of a design file at once in lanes, through _lead_runs.
 
 block_echelon_forms lists the canonical bases of a block's t-subspaces
 without elimination, and the decoding certificate takes its subspaces
@@ -38,8 +38,12 @@ from it; it reads none of the kernel's tables, and the tests hold the
 kernel to it.  _group_t_ranks lists their ranks in the same order for
 many blocks with one pivot set: a pivot group of the incidence matrix
 or the search, t_subspace_ranks' one block, or a run of _block_t_ranks,
-which groups the verifier's blocks, given as bytes, by pivots it reads
-in lanes as the kernel reads entries, _CHUNK at most to a call.
+which groups the verifier's blocks, given as bytes, by their pivots,
+_CHUNK at most to a call.  _lead_runs is the one reader of where rows
+lead, for _block_t_ranks and the design-file check alike: row i of
+block b sits in lane b k + i, and each entry column of every row is
+one bytes.translate and one int.from_bytes, so the columns, not the
+blocks, set its count of big-integer operations.
 The images P B of the patterns P with one pivot set share their offset,
 and a rank is that offset plus one contribution per row of P B, its free
 entries in place.  Row i is B's row p_i plus c_m times B's row m over
@@ -98,7 +102,6 @@ from collections import defaultdict
 from collections.abc import Callable, Iterator
 from functools import lru_cache
 from itertools import chain, combinations, islice, product, repeat, tee
-from operator import itemgetter
 
 from .errors import (
     AmbientMismatch, DimensionMismatch, InvalidParameters, SingularMap, _Derived, _value_class,
@@ -374,20 +377,6 @@ def _pivot_plan(n: int, q: int, pivots: tuple[int, ...]) -> tuple:
     return offset, bytes(template), tuple(free)
 
 
-@lru_cache(maxsize=1024)
-def _canonical_check(n: int, pivots: tuple[int, ...]):
-    """(get, unit) with get(entries) == unit iff the k x n entries whose
-    rows' first nonzero entries sit at these columns are canonical: the
-    pivots increase, and each pivot column is a unit vector with its 1
-    in the pivot's row, so get reads the k x k identity.  None if the
-    pivots do not increase below n."""
-    if pivots[-1] >= n or any(a >= b for a, b in zip(pivots, pivots[1:])):
-        return None
-    at = [i * n + p for i in range(len(pivots)) for p in pivots]
-    get = itemgetter(*at)
-    return get, get(dict.fromkeys(at, 0) | {i * n + p: 1 for i, p in enumerate(pivots)})
-
-
 def subspace_rank(S: SubspaceBasis) -> int:
     """Position of S in the canonical order of iter_subspaces(S.n, S.k, .)."""
     q, entries = S.field.q, S.entries
@@ -493,8 +482,8 @@ def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
 _ENTRY_BITS = {2: 1, 4: 2, 8: 4, 16: 4}
 # a memoryview format per lane width in bytes, for the widths it has
 _LANE_TYPES = {memoryview(bytes(8)).cast(code).itemsize: code for code in "BHILQ"}
-# for bytes.translate: 1 for a zero entry, 0 for any other
-_ZERO_ENTRY = b"\1".ljust(256, b"\0")
+# for bytes.translate: 1 for a zero entry, 0 for a 1, 2 for any other
+_LEAD_CODES = b"\1\0".ljust(256, b"\2")
 
 
 @lru_cache(maxsize=None)  # one entry per field: make_field is cached
@@ -632,28 +621,80 @@ def _group_t_ranks(
     return out
 
 
+def _row_lanes(count: int, k: int, width: int, first: int) -> int:
+    """1 in the lanes of rows first.. of count blocks of k rows, a lane
+    width bytes, row i of block b in lane b k + i."""
+    lane = b"\1".ljust(width, b"\0")
+    return int.from_bytes((bytes(first * width) + lane * (k - first)) * count, "little")
+
+
+def _lead_runs(
+    data: bytes, count: int, n: int, k: int, width: int
+) -> Iterator[tuple[int, int, int]]:
+    """Where the rows of count blocks lead, read in lanes: the one reader
+    of leads.  The blocks' k x n entries lie end to end in data, one byte
+    each, and row i of block b sits in lane b k + i of a big integer,
+    width bytes a lane, so an entry column of every row costs one
+    bytes.translate and one int.from_bytes.  Per column, left to right,
+    it yields the column's _LEAD_CODES and the rows' zero runs before and
+    after it, the lanes whose entries so far are all zero.  A run ends at
+    its row's lead, so the lead is the sum of the runs after each column;
+    once every row has led, no later column holds a lead, and it stops."""
+    lane, run = bytearray(count * k * width), _row_lanes(count, k, width, 0)
+    for j in range(n):
+        if not run:
+            return
+        column = data[j::n].translate(_LEAD_CODES)
+        if width > 1:  # n > 255: leads need wider lanes
+            lane[::width] = column
+            column = lane
+        codes = int.from_bytes(column, "little")
+        new = run & codes  # a code's bit 0 flags a zero, and a run has no other bit
+        yield codes, run, new
+        run = new
+
+
+def _noncanonical_blocks(data: bytes, count: int, n: int, k: int) -> list[int]:
+    """The blocks, in order, of count blocks of k x n entries laid end to
+    end in data, one byte each, that are not canonical: those with a zero
+    row, a leading entry other than 1, a lead not right of the lead above
+    it, or a nonzero entry above a lead.  A lead at column j is sound
+    where every row above it is zero at j and has led before j, which
+    _lead_runs' lanes give, OR-ed down each block's rows by doubling
+    shifts; so a file costs a fixed number of big-integer operations per
+    entry column, whatever its count."""
+    ones, below_top = _row_lanes(count, k, 1, 0), _row_lanes(count, k, 1, 1)
+    steps, c = [], 1  # (a shift of c rows, the rows c or more down a block), c doubling
+    while c < k - 1:
+        steps.append((8 * c, _row_lanes(count, k, 1, c)))
+        c *= 2
+    bad = run = 0
+    for codes, before, run in _lead_runs(data, count, n, k, 1):
+        # rows nonzero at j or yet to lead, moved one row down, then OR-ed down the block
+        above = (ones ^ codes & ones ^ run) << 8 & below_top
+        for distance, mask in steps:
+            above |= above << distance & mask
+        # before ^ run: the rows that lead at j; codes >> 1: an entry other than 0 or 1
+        bad |= (before ^ run) & (above | codes >> 1)
+    bad |= run  # a zero row's run never ends
+    if not bad:
+        return []
+    return sorted({i // k for i, flag in enumerate(bad.to_bytes(count * k, "little")) if flag})
+
+
 def _block_t_ranks(
     field: FieldSpec, n: int, k: int, t: int, forms: list[bytes]
 ) -> Iterator[list[int]]:
     """The rank lists of _group_t_ranks for canonical k-dimensional blocks
     given by their entries as bytes, one byte each, in any order, grouped
     by pivots and passed at most _CHUNK at a time, so each rank occurs
-    once per block containing its t-subspace."""
-    count, data = len(forms), b"".join(forms)
-    # row i of a canonical block leads with a 1, so its pivot counts the
-    # columns j whose entries 0..j of the row are all zero: read in lanes,
-    # one entry column of every block at a time, as the kernel reads them
-    bits = n.bit_length()
+    once per block containing its t-subspace.  A canonical row leads at
+    its pivot, which _lead_runs gives."""
+    count, bits = len(forms), n.bit_length()  # a lead is at most n
     width = _lane_bytes(bits)
-    lane, leads = bytearray(count * width), []
-    for i in range(k):
-        run, lead = -1, 0
-        for f in range(i * n, i * n + n):
-            lane[::width] = data[f :: k * n].translate(_ZERO_ENTRY)
-            run &= int.from_bytes(lane, "little")
-            lead += run
-        leads.append(_lane_values(lead, count, width, bits))
-    keys = zip(*leads) if k else repeat((), count)  # zip() would yield no key
+    lead = sum([run for _, _, run in _lead_runs(b"".join(forms), count, n, k, width)])
+    leads = iter(_lane_values(lead, count * k, width, bits))
+    keys = zip(*[leads] * k) if k else repeat((), count)  # zip() would yield no key
     groups: defaultdict[tuple[int, ...], list[bytes]] = defaultdict(list)
     for pivots, form in zip(keys, forms):
         groups[pivots].append(form)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 from fractions import Fraction
 
 from .errors import InvalidParameters, _value_class
@@ -626,12 +627,19 @@ def _run_suite(name: str) -> SuiteResult:
     return SuiteResult(name=name, ok=True, checks=checks, detail="")
 
 
+def _ignore_interrupts() -> None:
+    """A pool worker's start: an interrupt is the parent's to handle."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def run_selftest(workers: int = 1, names=None) -> SelftestReport:
     """Run the named suites (by default all, in registry order).
 
     More than one worker shards the suites across a process pool of
     min(workers, suites run, CPU count) processes; the report is the same
-    for any worker count.
+    for any worker count.  The workers ignore SIGINT: an interrupt reaches
+    the parent, which lets the running suites end, cancels the rest and
+    raises KeyboardInterrupt once no worker is left.
     """
     if workers < 1:
         raise InvalidParameters(f"workers must be >= 1, got {workers}")
@@ -646,8 +654,13 @@ def run_selftest(workers: int = 1, names=None) -> SelftestReport:
         from concurrent.futures import ProcessPoolExecutor
 
         try:
-            with ProcessPoolExecutor(max_workers=workers) as ex:
-                results = tuple(ex.map(_run_suite, names))
+            with ProcessPoolExecutor(max_workers=workers, initializer=_ignore_interrupts) as ex:
+                try:
+                    results = tuple(ex.map(_run_suite, names))
+                except KeyboardInterrupt:
+                    # the running suites end, the rest never start, then no worker is left
+                    ex.shutdown(cancel_futures=True)
+                    raise
         except OSError:
             results = tuple(_run_suite(n) for n in names)
     else:

@@ -9,10 +9,10 @@ t-subspaces to a flat list of counts, so neither the incidence matrix
 nor the t-subspaces themselves are materialized and the only size cap is
 the number of t-subspaces.  grassmann._block_t_ranks ranks them from
 each block's canonical entries as bytes, grouping the blocks by pivot
-columns; this module reads nothing of the echelon shape but the column
-where each row of a design file leads.  Every candidate hands it slices
-of its packed entries: a candidate read from a file builds no block, and
-one built from blocks joins their entries, bytes already, once.
+columns; this module reads nothing of the echelon shape itself.  Every
+candidate hands it slices of its packed entries: a candidate read from
+a file builds no block, and one built from blocks joins their entries,
+bytes already, once.
 
 Design file format (text):
     line 1: "q n k"
@@ -26,14 +26,16 @@ digit values once, and their counts, lengths and digits are checked
 over the whole file.  A block is a run of rows, held as its length
 alone (a text file's runs of nonblank lines), so no list is built per
 block.  A block whose rows are canonical, as save_design writes them,
-is taken as it is (grassmann._canonical_check, from the leading column
-of each row); any other basis is eliminated and must be linearly
-independent.  When every block is canonical, the translated
-digits are the packed entries of the DesignCandidate; otherwise each
-eliminated block's entries are written in its place.  If a whole-file
-check fails, the blocks are read one at a time, so the first fault in
-file order is reported.  Past the eliminated blocks, no SubspaceBasis
-is built until a caller reads the candidate's blocks.
+is taken as it is; any other basis is eliminated and must be linearly
+independent.  Which blocks are canonical is read in lanes over the
+whole file at once (grassmann._noncanonical_blocks): one bytes.translate,
+one int.from_bytes and a fixed number of big-integer operations per
+entry column, whatever the block count.  When every block is canonical,
+the translated digits are the packed entries of the DesignCandidate;
+otherwise each eliminated block's entries are written in its place.  If
+a whole-file check fails, the blocks are read one at a time, so the
+first fault in file order is reported.  Past the eliminated blocks, no
+SubspaceBasis is built until a caller reads the candidate's blocks.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ from .errors import (
     DimensionMismatch, InvalidParameters, _Derived, _partial, _value_class, check_chain,
 )
 from .gf import _DIGITS, FieldSpec, make_field
-from .grassmann import SubspaceBasis, _block_t_ranks, _canonical_check, _span, _trusted, unrank
+from .grassmann import (
+    SubspaceBasis, _block_t_ranks, _noncanonical_blocks, _span, _trusted, unrank,
+)
 from .qcount import capped, q_binomial
 
 # for bytes.translate: a digit's byte, either case, to its value, every other byte to 255
@@ -243,21 +247,14 @@ def _design_from_fields(
         and set(map(len, rows)) <= {n}
         and not digits.translate(None, bytes(range(q)))  # only digits below q
     )
-    size = k * n
-    canonical = repeat(False)  # a file at fault, or k = 0 (no rows to slice): block by block
-    if k and well_formed:
-        forms = _pieces(digits, size)
-        # a row's first nonzero entry sits at n minus the length of the row without its leading 0s
-        leads = map(n.__sub__, map(len, map(str.lstrip, rows, repeat("0"))))
-        checks = map(_canonical_check, repeat(n), zip(*[leads] * k))
-        canonical = [check and check[0](form) == check[1] for form, check in zip(forms, checks)]
-    if not all(canonical):  # else the file's digits are the packed entries
-        digits = b"".join([
-            digits[i * size : (i + 1) * size] if ok
-            else _block_from_digit_rows(field, n, k, rows[start : start + count], i).entries
-            for i, (start, count, ok) in enumerate(zip(accumulate(sizes, initial=0), sizes,
-                                                       canonical))
-        ])
+    # a file at fault goes block by block and raises at its first fault
+    bad = _noncanonical_blocks(digits, len(sizes), n, k) if well_formed else range(len(sizes))
+    if bad:  # else the file's digits are the packed entries
+        size, starts, entries = k * n, list(accumulate(sizes, initial=0)), bytearray(digits)
+        for i in bad:
+            block = _block_from_digit_rows(field, n, k, rows[starts[i] : starts[i + 1]], i)
+            entries[i * size : (i + 1) * size] = block.entries
+        digits = bytes(entries)
     return _partial(DesignCandidate, field=field, n=n, k=k, _count=len(sizes), _entries=digits)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -1019,7 +1020,8 @@ def test_selftest_workers_clamped(monkeypatch):
     class RecordingPool:
         """Records max_workers and runs the suites in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer):
+            assert initializer is selftest._ignore_interrupts
             pools.append(max_workers)
 
         def __enter__(self):
@@ -1063,6 +1065,25 @@ def test_closed_stdout_exits_141_without_traceback():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (141, b"")
+
+
+def test_interrupted_selftest_workers_exit_130_and_leave_no_process():
+    # Ctrl-C signals the whole process group, 1.2 s in, while the pool runs
+    # grassmann_extension_counts: the workers ignore it, and the parent lets
+    # the running suites end, cancels the rest and reports it on one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qdesign", "selftest", "--workers", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+        start_new_session=True,
+    )
+    time.sleep(1.2)
+    os.killpg(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (130, b"", b"error: interrupted\n")
+    with pytest.raises(ProcessLookupError):  # no worker is left in the group
+        os.killpg(proc.pid, 0)
 
 
 def test_selftest_json():

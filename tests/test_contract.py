@@ -353,11 +353,13 @@ def test_library_builds_no_checked_subspace():
     assert calls == []
 
 
-# grassmann's t-rank kernel, with its lane tables, and the oracles that the
-# tests hold it to: neither side names a function of the other, so a change
-# to one cannot reach the other unseen
+# grassmann's t-rank kernel, with its lane tables and the lead reader that
+# it shares with the design-file check, and the oracles that the tests hold
+# it to: neither side names a function of the other, so a change to one
+# cannot reach the other unseen
 KERNEL = ("_ENTRY_BITS", "_LANE_TYPES", "_lane_tables", "_lane_bytes", "_lane_values",
-          "_t_plans", "_group_t_ranks", "_block_t_ranks", "_rank_groups", "t_subspace_ranks")
+          "_t_plans", "_group_t_ranks", "_block_t_ranks", "_rank_groups", "t_subspace_ranks",
+          "_LEAD_CODES", "_row_lanes", "_lead_runs", "_noncanonical_blocks")
 ORACLES = ("_digit_tables", "_scaled_indices", "_multiples", "_xor_span", "_indices",
            "_tuple_span", "_group_rows", "_vector_sets", "_basis_rows", "_leading_vector_sets",
            "block_echelon_forms")
@@ -383,8 +385,8 @@ def test_rank_kernel_and_oracles_name_nothing_of_each_other():
 
 # the only code in tests/ that starts a process: run_process itself and the
 # tests whose subject is a process (separate hash seeds, worker processes,
-# a fresh interpreter's imports, a broken pipe, and run_cli's agreement
-# with a child)
+# a fresh interpreter's imports, a broken pipe, an interrupted worker
+# pool, and run_cli's agreement with a child)
 PROCESS_SUBJECTS = {
     "conftest.run_process",
     "test_acceptance.test_criterion_12_selftest_determinism",
@@ -392,6 +394,7 @@ PROCESS_SUBJECTS = {
     "test_cli.test_cli_import_leaves_selftest_unloaded",
     "test_cli.test_import_adds_no_heavy_stdlib_modules",
     "test_cli.test_closed_stdout_exits_141_without_traceback",
+    "test_cli.test_interrupted_selftest_workers_exit_130_and_leave_no_process",
     "test_cli.test_in_process_runs_match_a_child_process",
 }
 

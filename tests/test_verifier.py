@@ -1,15 +1,15 @@
 import json
 import pickle
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from conftest import run_cli
 
 from qdesign import grassmann, verifier
 from qdesign.errors import DimensionMismatch, InvalidParameters
-from qdesign.gf import make_field, random_invertible
-from qdesign.grassmann import apply_map, enumerate_subspaces, subspace_from_rows
+from qdesign.gf import _DIGITS, SUPPORTED_ORDERS, make_field, random_invertible
+from qdesign.grassmann import apply_map, enumerate_subspaces, subspace_from_rows, unrank
 from qdesign.qcount import q_binomial
 from qdesign.search import search_design
 from qdesign.verifier import (
@@ -259,17 +259,107 @@ def test_noncanonical_rows_are_canonicalized():
 
 
 def test_canonical_files_are_not_eliminated(tmp_path, monkeypatch):
-    # save_design writes canonical rows, which load_design takes as they are
-    cases = [(F2, 5, 2), (F3, 4, 2), (make_field(16), 3, 2)]
-    designs = [DesignCandidate(field=f, n=n, k=k, blocks=tuple(enumerate_subspaces(n, k, f)))
-               for f, n, k in cases]
+    # save_design writes canonical rows, which load_design takes as they
+    # are, for every q: no block goes through _block_from_digit_rows
+    calls = []
 
-    def no_span(*args):
-        raise AssertionError("a canonical block was eliminated")
+    def counting(*args, real=verifier._block_from_digit_rows):
+        calls.append(args[-1])
+        return real(*args)
 
-    monkeypatch.setattr(verifier, "_span", no_span)
-    for cand in designs:
-        for fmt in ("text", "json"):
-            path = tmp_path / f"d.{fmt}"
-            save_design(cand, str(path), fmt=fmt)
-            assert load_design(str(path)) == cand
+    monkeypatch.setattr(verifier, "_block_from_digit_rows", counting)
+    rng = random.Random(2013)
+    for q in SUPPORTED_ORDERS:
+        field = make_field(q)
+        for n, k in ((3, 1), (3, 2), (4, 2), (5, 3)):
+            ranks = [rng.randrange(q_binomial(n, k, q)) for _ in range(100)]
+            cand = DesignCandidate(field=field, n=n, k=k,
+                                   blocks=tuple(unrank(n, k, field, r) for r in ranks))
+            for fmt in ("text", "json"):
+                path = tmp_path / f"d.{fmt}"
+                save_design(cand, str(path), fmt=fmt)
+                assert load_design(str(path)) == cand and calls == [], (q, n, k, fmt)
+
+
+# the kinds of block the design-file check must tell apart; "late" blocks
+# lead in the last columns, as late_lead.txt in test_contract.py does
+BLOCK_KINDS = ("canonical", "late", "zero row", "leading entry", "swapped leads",
+               "equal leads", "above pivot", "random")
+
+
+def _seeded_block(rng, q, n, k, kind):
+    """k rows of n entries: a random canonical basis, then spoiled by kind
+    (a kind that needs q > 2 or k > 1 leaves it canonical)."""
+    pivots = sorted(rng.sample(range(n - k - 2 if kind == "late" else 0, n), k))
+    rows = [[0] * n for _ in pivots]
+    for row, p in zip(rows, pivots):
+        row[p] = 1
+        row[p + 1 :] = [0 if j in pivots else rng.randrange(q) for j in range(p + 1, n)]
+    a, b = sorted(rng.sample(range(k), 2)) if k > 1 else (0, 0)
+    if kind == "zero row" and k:
+        rows[b] = [0] * n
+    elif kind == "leading entry" and k and q > 2:
+        rows[b][pivots[b]] = rng.randrange(2, q)
+    elif kind == "swapped leads" and k > 1:
+        rows[a], rows[b] = rows[b], rows[a]
+    elif kind == "equal leads" and k > 1:  # row b also leads at row a's pivot
+        rows[b][pivots[a]] = rng.randrange(1, q)
+    elif kind == "above pivot" and k > 1:
+        rows[a][pivots[b]] = rng.randrange(1, q)
+    elif kind == "random":
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+    return rows
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_lane_decision_matches_elimination(q, monkeypatch):
+    # the lanes' decision over a whole file against the definition: a block
+    # is canonical iff eliminating its rows (grassmann._span) returns them
+    # unchanged; the loader eliminates exactly the blocks the lanes mark
+    rng, field = random.Random(f"lanes {q}"), make_field(q)
+    calls = []
+
+    def counting(*args, real=verifier._block_from_digit_rows):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(verifier, "_block_from_digit_rows", counting)
+    for n, k in ((3, 0), (4, 1), (5, 2), (6, 3), (7, 4), (8, 6), (300, 2)):
+        blocks = [_seeded_block(rng, q, n, k, rng.choice(BLOCK_KINDS)) for _ in range(48)]
+        spans = [grassmann._span(field, n, [list(row) for row in rows]) for rows in blocks]
+        entries = [bytes(chain.from_iterable(rows)) for rows in blocks]
+        expected = [i for i, (S, e) in enumerate(zip(spans, entries)) if S.entries != e]
+        assert 0 < len(expected) < len(blocks) or not k, (n, k)
+        assert grassmann._noncanonical_blocks(b"".join(entries), len(blocks), n, k) == expected
+        if not k:  # a block without rows has no text form
+            continue
+        # a file of its blocks of full rank, through the loader
+        kept = [i for i, S in enumerate(spans) if S.k == k]
+        lines = [["".join([_DIGITS[x] for x in row]) for row in blocks[i]] for i in kept]
+        calls.clear()
+        loaded = parse_design_text(f"{q} {n} {k}\n" + "".join(["\n" + "\n".join(b) + "\n"
+                                                               for b in lines]))
+        assert loaded.blocks == tuple(spans[i] for i in kept), (n, k)
+        assert calls == [j for j, i in enumerate(kept) if i in expected], (n, k)
+
+
+@pytest.mark.parametrize("n", (6, 300))
+def test_verifier_groups_blocks_by_their_pivots(n, monkeypatch):
+    # _block_t_ranks reads each block's pivots through the shared lane
+    # reader (wider lanes past n = 255) and hands each group the blocks
+    # whose rows lead there
+    rng, seen = random.Random(n), []
+
+    def recording(field, n, t, pivots, forms):
+        seen.extend((pivots, form) for form in forms)
+        return []
+
+    monkeypatch.setattr(grassmann, "_group_t_ranks", recording)
+    for q in (2, 5, 16):
+        for k in range(4):
+            forms = [bytes(chain.from_iterable(_seeded_block(rng, q, n, k, kind)))
+                     for kind in ("canonical", "late") * 20]
+            seen.clear()
+            list(grassmann._block_t_ranks(make_field(q), n, k, min(k, 1), forms))
+            leads = [tuple(f.index(b"\1", i * n) - i * n for i in range(k)) for f in forms]
+            assert sorted(seen) == sorted(zip(leads, forms)), (q, k)
