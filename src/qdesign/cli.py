@@ -468,9 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        # a string default goes through type=int only when selftest parses
-        default=os.environ.get("QDESIGN_WORKERS", "1"),
-        help="worker processes (default: QDESIGN_WORKERS or 1)",
+        default=1,
+        help="worker processes (default: 1)",
     )
     p.add_argument("--suite", action="append", metavar="NAME", help="run only the named suite")
     p.add_argument("--json", action="store_true")

@@ -36,11 +36,12 @@ block_echelon_forms lists the canonical bases of a block's t-subspaces
 without elimination, and the decoding certificate takes its subspaces
 from it; it reads none of the kernel's tables, and the tests hold the
 kernel to it.  _group_t_ranks lists their ranks in the same order for
-many blocks with one pivot set: a pivot group of the incidence matrix
-or the search, t_subspace_ranks' one block, or a run of _block_t_ranks,
-which groups the verifier's blocks, given as bytes, by their pivots,
-_CHUNK at most to a call.  _lead_runs is the one reader of where rows
-lead, for _block_t_ranks and the design-file check alike: row i of
+many blocks with one pivot set, and _rank_runs, its one caller, feeds
+it (pivots, blocks) groups in runs of _CHUNK blocks at most: the
+canonical walk's pivot groups (_pivot_groups), t_subspace_ranks' one
+block, or the verifier's blocks, given as bytes, grouped by their
+pivots (_lead_groups).  _lead_runs is the one reader of where rows
+lead, for _lead_groups and the design-file check alike: row i of
 block b sits in lane b k + i, and each entry column of every row is
 one bytes.translate and one int.from_bytes, so the columns, not the
 blocks, set its count of big-integer operations.
@@ -69,12 +70,11 @@ reads each t-subspace's ranks back out, by one typed memoryview read of
 each lane's low item while ranks fit in 64 bits, so a call costs a
 fixed number of big-integer operations however many blocks it holds.
 
-The incidence matrix and the search rank every k-subspace, and
-_rank_groups serves them one pivot group at a time, as covers only: a
-block is its canonical rank, its position in the output.  For every q
-it passes the group to _group_t_ranks _CHUNK blocks at a time, each
-block its entries from _group_forms, and ticks once a call.  No
-SubspaceBasis is built.
+The incidence matrix and the search rank every k-subspace through
+_rank_runs, over the walk that iter_subspaces reads too, each block its
+entries from _group_forms, and each zips a run's rank lists into one
+cover per block: a block is its canonical rank, its position in the
+output.  No SubspaceBasis is built.
 
 The brute-force oracles read vector sets, apart from that kernel: no
 function or table of one side names one of the other, which a static
@@ -99,7 +99,7 @@ from __future__ import annotations
 
 import sys
 from collections import defaultdict
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from itertools import chain, combinations, islice, product, repeat, tee
 
@@ -348,10 +348,16 @@ def _leading_vector_sets(field: FieldSpec, subspaces: list[SubspaceBasis]) -> It
         yield out
 
 
+def _pivot_groups(n: int, k: int, q: int) -> Iterator[tuple[tuple[int, ...], Iterator[bytes]]]:
+    """(pivots, _group_forms) of each pivot group of the k-subspaces of
+    F_q^n, lazily, in canonical order: the canonical walk."""
+    return ((p, _group_forms(n, p, q)) for p in combinations(range(n), k))
+
+
 def iter_subspaces(n: int, k: int, field: FieldSpec) -> Iterator[SubspaceBasis]:
     """All k-subspaces of F_q^n in canonical order, lazily."""
     check_chain(0, k=k, n=n)
-    forms = chain.from_iterable(_group_forms(n, p, field.q) for p in combinations(range(n), k))
+    forms = chain.from_iterable(forms for _, forms in _pivot_groups(n, k, field.q))
     return map(_trusted, repeat(field), repeat(n), repeat(k), forms)
 
 
@@ -406,17 +412,18 @@ def unrank(n: int, k: int, field: FieldSpec, r: int) -> SubspaceBasis:
     return _trusted(field, n, k, _group_entries(q, template, free, r))
 
 
-def _unrank_sorted(n: int, k: int, field: FieldSpec, ranks: list[int]) -> list[SubspaceBasis]:
-    """unrank of each of these increasing ranks, by one walk over the
-    pivot groups in place of a pivot search per rank."""
+def _unrank_sorted(n: int, k: int, field: FieldSpec, ranks: list[int]) -> bytes:
+    """The entries of unrank of each of these increasing ranks, laid end
+    to end, by one walk over the pivot groups in place of a pivot search
+    per rank; no SubspaceBasis is built."""
     q, out = field.q, []
     groups, end = combinations(range(n), k), 0
     for r in ranks:
         while r >= end:
             offset, template, free = _pivot_plan(n, q, next(groups))
             end = offset + q ** len(free)
-        out.append(_trusted(field, n, k, _group_entries(q, template, free, r - offset)))
-    return out
+        out.append(_group_entries(q, template, free, r - offset))
+    return b"".join(out)
 
 
 def _group_entries(q: int, template: bytes, free: tuple[int, ...], i: int) -> bytes:
@@ -472,9 +479,9 @@ def block_echelon_forms(
 def t_subspace_ranks(block: SubspaceBasis, t: int) -> list[int]:
     """Canonical ranks of the [k t]_q t-subspaces of a k-dimensional
     block, in the order of block_echelon_forms, with no elimination: the
-    one-block call of _group_t_ranks."""
+    one-block run of _rank_runs."""
     check_chain(0, t=t, k=block.k)
-    ranks = _group_t_ranks(block.field, block.n, t, block.pivot_columns, [block.entries])
+    (ranks,) = _rank_runs(block.field, block.n, t, [(block.pivot_columns, [block.entries])])
     return [r for r, in ranks]
 
 
@@ -682,14 +689,13 @@ def _noncanonical_blocks(data: bytes, count: int, n: int, k: int) -> list[int]:
     return sorted({i // k for i, flag in enumerate(bad.to_bytes(count * k, "little")) if flag})
 
 
-def _block_t_ranks(
-    field: FieldSpec, n: int, k: int, t: int, forms: list[bytes]
-) -> Iterator[list[int]]:
-    """The rank lists of _group_t_ranks for canonical k-dimensional blocks
-    given by their entries as bytes, one byte each, in any order, grouped
-    by pivots and passed at most _CHUNK at a time, so each rank occurs
-    once per block containing its t-subspace.  A canonical row leads at
-    its pivot, which _lead_runs gives."""
+def _lead_groups(
+    forms: list[bytes], n: int, k: int
+) -> Iterable[tuple[tuple[int, ...], list[bytes]]]:
+    """Canonical k-dimensional blocks, given by their entries as bytes,
+    one byte each, in any order, as (pivots, blocks) groups for
+    _rank_runs, a group per pivot set, so each block is ranked once.  A
+    canonical row leads at its pivot, which _lead_runs gives."""
     count, bits = len(forms), n.bit_length()  # a lead is at most n
     width = _lane_bytes(bits)
     lead = sum([run for _, _, run in _lead_runs(b"".join(forms), count, n, k, width)])
@@ -698,33 +704,25 @@ def _block_t_ranks(
     groups: defaultdict[tuple[int, ...], list[bytes]] = defaultdict(list)
     for pivots, form in zip(keys, forms):
         groups[pivots].append(form)
-    for pivots, group in groups.items():
-        for s in range(0, len(group), _CHUNK):
-            yield from _group_t_ranks(field, n, t, pivots, group[s : s + _CHUNK])
+    return groups.items()
 
 
-def _rank_groups(
-    n: int, k: int, t: int, field: FieldSpec, tick: Callable[[], None] | None = None
-) -> Iterator[list[tuple[int, ...]]]:
-    """The covers of the k-subspaces of F_q^n in canonical order, one
-    pivot group at a time: covers[j] == tuple(t_subspace_ranks(S, t)) for
-    S the group's j-th block, which is never built.  It takes no cap:
-    each caller bounds [n k]_q first.
-
-    Each group goes to _group_t_ranks _CHUNK blocks at a time, a block
-    given by its entries from _group_forms.
-
-    tick, if given, is called after every call, so a caller can stop a
-    long group by raising.
+def _rank_runs(
+    field: FieldSpec, n: int, t: int, groups, tick: Callable[[], None] | None = None
+) -> Iterator[list[list[int]]]:
+    """_group_t_ranks' rank lists for each run of at most _CHUNK blocks
+    of these (pivots, blocks) groups, a block given by its canonical
+    entries as bytes, one byte each: the kernel's one driver.  It takes
+    no cap: each caller bounds its blocks first.  tick, if given, is
+    called after every run, so a caller can stop a long group by raising.
     """
-    q, tick = field.q, tick or (lambda: None)
-    for pivots in combinations(range(n), k):
-        forms = _group_forms(n, pivots, q)
-        covers: list[tuple[int, ...]] = []
-        while chunk := list(islice(forms, _CHUNK)):
-            covers += zip(*_group_t_ranks(field, n, t, pivots, chunk))
-            tick()
-        yield covers
+    for pivots, forms in groups:
+        forms = iter(forms)
+        while run := list(islice(forms, _CHUNK)):
+            ranks = _group_t_ranks(field, n, t, pivots, run)
+            if tick:
+                tick()
+            yield ranks
 
 
 def enumerate_subspaces(

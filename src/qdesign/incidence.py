@@ -5,9 +5,10 @@ the row.
 Rows are stored bit-packed, one arbitrary-precision integer per row, so
 weights are popcounts.  Row and column order follow the canonical
 enumeration order of the grassmann module, which makes every report
-reproducible.  build_incidence ranks the rows' t-subspaces without
-building a SubspaceBasis, and the row and column indexes, the subspaces
-in that order, are errors._Derived fields, built when first read.
+reproducible.  build_incidence ranks the rows' t-subspaces through
+grassmann._rank_runs and zips each run into rows, without building a
+SubspaceBasis, and the row and column indexes, the subspaces in that
+order, are errors._Derived fields, built when first read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from itertools import chain
 from .errors import TooLarge, _Derived, _partial, _value_class, check_chain, number_text
 from .gf import FieldSpec
 from .grassmann import (
-    SubspaceBasis, _image, _rank_groups, gl_map_between, iter_subspaces, subspace_rank,
+    SubspaceBasis, _image, _pivot_groups, _rank_runs, gl_map_between, iter_subspaces,
+    subspace_rank,
 )
 from .qcount import capped, q_binomial
 
@@ -76,8 +78,8 @@ def build_incidence(
     """Build the full structure for parameters t <= k <= n.
 
     Each row's ones sit at the canonical ranks of the t-subspaces *of the
-    row subspace* (one pivot group of rows at a time, by
-    grassmann._rank_groups), which costs [k t]_q per row
+    row subspace* (runs of one pivot group of rows at a time, by
+    grassmann._rank_runs), which costs [k t]_q per row
     instead of a containment test per (row, column) pair.  No
     SubspaceBasis is built: the row and column indexes are listed in
     canonical order, by iter_subspaces, when they are first read.
@@ -98,7 +100,8 @@ def build_incidence(
 
     bits = []
     col_counts = [0] * num_cols
-    for ranks in chain.from_iterable(_rank_groups(n, k, t, field)):
+    runs = _rank_runs(field, n, t, _pivot_groups(n, k, q))
+    for ranks in chain.from_iterable(zip(*run) for run in runs):
         mask = 0
         for pos in ranks:
             mask |= 1 << pos

@@ -5,11 +5,13 @@ A t-(n, k, lambda) design is a selection of candidate k-subspaces
 covering every t-subspace exactly lambda times, so the search reduces to
 exact multi-cover over the canonical enumerations.  Candidate r is the
 k-subspace of canonical rank r, kept only as the columns it covers, the
-ranks of its own t-subspaces, taken one pivot group at a time
-(grassmann._rank_groups); search_design unranks the blocks it chose.
-One clock, search_design's tick, bounds the build, the solver and the
-greedy restarts: the build once per batch of grassmann._CHUNK, the
-solver's set-up and each greedy pass every _TICK_EVERY candidates.
+ranks of its own t-subspaces, taken in runs of one pivot group at a
+time (grassmann._rank_runs).  search_design unranks the blocks it chose
+into one packed buffer, as load_design holds a file's blocks, and
+builds no SubspaceBasis until a caller reads them.  One clock,
+search_design's tick, bounds the build, the solver and the greedy
+restarts: the build once per run of grassmann._CHUNK, the solver's
+set-up and each greedy pass every _TICK_EVERY candidates.
 
 The exhaustive method branches on the deficient column with the fewest
 usable candidates, lowest index first; at each node the candidates
@@ -37,9 +39,9 @@ import time
 from collections.abc import Callable
 from itertools import chain, count
 
-from .errors import InvalidParameters, _value_class, check_chain
+from .errors import InvalidParameters, _partial, _value_class, check_chain
 from .gf import FieldSpec, make_field
-from .grassmann import _rank_groups, _unrank_sorted
+from .grassmann import _pivot_groups, _rank_runs, _unrank_sorted
 from .qcount import capped, q_binomial
 from .verifier import DesignCandidate, verify_design
 
@@ -86,14 +88,15 @@ def build_cover_instance(
     tick: Callable[[], None] | None = None,
 ) -> CoverInstance:
     """The columns each candidate covers, candidate r being the
-    k-subspace of canonical rank r; tick, if given, is called at
-    _rank_groups' ticks."""
+    k-subspace of canonical rank r; tick, if given, is called after each
+    of _rank_runs' runs."""
     check_chain(0, t=t, k=k, n=n)
     n_t, _ = _capped_counts(field.q, n, k, t, max_universe, max_candidates)
 
     # a column index is a t-subspace's canonical rank, and the kernel
     # lists a block's ranks in increasing order
-    covers = tuple(chain.from_iterable(_rank_groups(n, k, t, field, tick)))
+    runs = _rank_runs(field, n, t, _pivot_groups(n, k, field.q), tick)
+    covers = tuple(chain.from_iterable(zip(*run) for run in runs))
     return CoverInstance(universe_size=n_t, covers=covers, multiplicity=lam)
 
 
@@ -329,9 +332,9 @@ def search_design(
     except _Expired:
         return Timeout(time.monotonic() - start, solver.best_satisfied if solver else 0, n_t)
 
-    chosen = tuple(_unrank_sorted(n, k, field, sorted(rows)))
-    assert len(chosen) == target_n
-    candidate = DesignCandidate._trusted(field, n, k, chosen)
+    assert len(rows) == target_n
+    candidate = _partial(DesignCandidate, field=field, n=n, k=k, _count=len(rows),
+                         _entries=_unrank_sorted(n, k, field, sorted(rows)))
     report = verify_design(candidate, t, max_columns=n_t)
     if not (report.is_design and report.is_simple and report.lambda_ == lam):
         raise AssertionError("search produced a non-design; solver bug")

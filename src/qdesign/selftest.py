@@ -638,8 +638,8 @@ def run_selftest(workers: int = 1, names=None) -> SelftestReport:
     More than one worker shards the suites across a process pool of
     min(workers, suites run, CPU count) processes; the report is the same
     for any worker count.  The workers ignore SIGINT: an interrupt reaches
-    the parent, which lets the running suites end, cancels the rest and
-    raises KeyboardInterrupt once no worker is left.
+    the parent, whose pool, on leaving its with block, terminates the
+    workers, running suites and all, before KeyboardInterrupt propagates.
     """
     if workers < 1:
         raise InvalidParameters(f"workers must be >= 1, got {workers}")
@@ -651,16 +651,11 @@ def run_selftest(workers: int = 1, names=None) -> SelftestReport:
             raise InvalidParameters(f"unknown suite(s): {', '.join(unknown)}")
     workers = min(workers, len(names), os.cpu_count() or 1)
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import Pool
 
         try:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_ignore_interrupts) as ex:
-                try:
-                    results = tuple(ex.map(_run_suite, names))
-                except KeyboardInterrupt:
-                    # the running suites end, the rest never start, then no worker is left
-                    ex.shutdown(cancel_futures=True)
-                    raise
+            with Pool(workers, initializer=_ignore_interrupts) as pool:
+                results = tuple(pool.map(_run_suite, names))
         except OSError:
             results = tuple(_run_suite(n) for n in names)
     else:

@@ -7,12 +7,12 @@ Verification counts coverage per t-subspace directly from the blocks:
 each block contributes the canonical ranks of its own [k t]_q
 t-subspaces to a flat list of counts, so neither the incidence matrix
 nor the t-subspaces themselves are materialized and the only size cap is
-the number of t-subspaces.  grassmann._block_t_ranks ranks them from
-each block's canonical entries as bytes, grouping the blocks by pivot
-columns; this module reads nothing of the echelon shape itself.  Every
-candidate hands it slices of its packed entries: a candidate read from
-a file builds no block, and one built from blocks joins their entries,
-bytes already, once.
+the number of t-subspaces.  grassmann._rank_runs ranks them from each
+block's canonical entries as bytes, which grassmann._lead_groups groups
+by pivot columns; this module reads nothing of the echelon shape
+itself.  Every candidate hands it slices of its packed entries: a
+candidate read from a file or found by search_design builds no block,
+and one built from blocks joins their entries, bytes already, once.
 
 Design file format (text):
     line 1: "q n k"
@@ -51,7 +51,7 @@ from .errors import (
 )
 from .gf import _DIGITS, FieldSpec, make_field
 from .grassmann import (
-    SubspaceBasis, _block_t_ranks, _noncanonical_blocks, _span, _trusted, unrank,
+    SubspaceBasis, _lead_groups, _noncanonical_blocks, _rank_runs, _span, _trusted, unrank,
 )
 from .qcount import capped, q_binomial
 
@@ -71,10 +71,11 @@ class DesignCandidate:
 
     Every candidate is ranked from one packed buffer, _entries: its
     blocks' entries laid end to end, N k n bytes.  One read from a design
-    file holds the buffer and N, _count, and builds its blocks when they
-    are first read; one built from its blocks joins their entries when
-    the buffer is first read.  Equality, hash, repr and pickling read the
-    fields, so a packed candidate matches the one built from its blocks.
+    file or returned by search_design holds the buffer and N, _count, and
+    builds its blocks when they are first read; one built from its blocks
+    joins their entries when the buffer is first read.  Equality, hash,
+    repr and pickling read the fields, so a packed candidate matches the
+    one built from its blocks.
     """
 
     field: FieldSpec
@@ -139,7 +140,7 @@ def verify_design(
 
     forms = candidate._forms()
     counts = [0] * num_cols  # indexed by canonical rank
-    for ranks in _block_t_ranks(field, n, k, t, forms):
+    for ranks in chain.from_iterable(_rank_runs(field, n, t, _lead_groups(forms, n, k))):
         for r in ranks:
             counts[r] += 1
 

@@ -358,7 +358,7 @@ def test_library_builds_no_checked_subspace():
 # it to: neither side names a function of the other, so a change to one
 # cannot reach the other unseen
 KERNEL = ("_ENTRY_BITS", "_LANE_TYPES", "_lane_tables", "_lane_bytes", "_lane_values",
-          "_t_plans", "_group_t_ranks", "_block_t_ranks", "_rank_groups", "t_subspace_ranks",
+          "_t_plans", "_group_t_ranks", "_lead_groups", "_rank_runs", "t_subspace_ranks",
           "_LEAD_CODES", "_row_lanes", "_lead_runs", "_noncanonical_blocks")
 ORACLES = ("_digit_tables", "_scaled_indices", "_multiples", "_xor_span", "_indices",
            "_tuple_span", "_group_rows", "_vector_sets", "_basis_rows", "_leading_vector_sets",
@@ -381,6 +381,24 @@ def test_rank_kernel_and_oracles_name_nothing_of_each_other():
                  for side, others in ((KERNEL, ORACLES), (ORACLES, KERNEL))
                  for name in side for other in sorted(names(name) & set(others))]
     assert crossings == []
+
+
+def test_one_driver_calls_the_rank_kernel():
+    # chunking, grouping and ticking are decided in one place: no code of
+    # src/ but grassmann._rank_runs names _group_t_ranks, not even by import
+    def named(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None) or (
+            node.name if isinstance(node, ast.alias) else None)
+
+    src = Path(qdesign.__file__).parent
+    callers = {
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in sorted(src.glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if named(node) == "_group_t_ranks"
+    }
+    assert callers == {"grassmann._rank_runs"}
 
 
 # the only code in tests/ that starts a process: run_process itself and the

@@ -298,7 +298,7 @@ def test_vector_set_oracles_read_nothing_of_the_kernel(monkeypatch):
         raise AssertionError("a vector-set oracle called the kernel")
 
     names = ("_pivot_plan", "_t_plans", "_lane_tables", "_lane_bytes", "_lane_values",
-             "_group_t_ranks", "_rank_groups", "block_echelon_forms", "rank_of_rows")
+             "_group_t_ranks", "_rank_runs", "block_echelon_forms", "rank_of_rows")
     found = set()
     for module in (gf, grassmann, localdecode):
         for name in names:

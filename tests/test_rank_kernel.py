@@ -7,7 +7,7 @@ import re
 import time
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -19,8 +19,9 @@ from qdesign.grassmann import (
     SubspaceBasis,
     _group_forms,
     _group_t_ranks,
+    _pivot_groups,
     _pivot_plan,
-    _rank_groups,
+    _rank_runs,
     _unrank_sorted,
     apply_map,
     block_echelon_forms,
@@ -71,9 +72,11 @@ def test_unrank_sorted_matches_unrank():
     for q, n, k in _rank_cases():
         field = make_field(q)
         blocks = list(iter_subspaces(n, k, field))
-        assert _unrank_sorted(n, k, field, list(range(len(blocks)))) == blocks
+        everything = b"".join([b.entries for b in blocks])
+        assert _unrank_sorted(n, k, field, list(range(len(blocks)))) == everything
         ranks = sorted(rng.sample(range(len(blocks)), min(len(blocks), 7)))
-        assert _unrank_sorted(n, k, field, ranks) == [unrank(n, k, field, r) for r in ranks]
+        expected = b"".join([unrank(n, k, field, r).entries for r in ranks])
+        assert _unrank_sorted(n, k, field, ranks) == expected
 
 
 def test_unrank_rejects_out_of_range():
@@ -231,6 +234,15 @@ def _echelon_ranks(block, t, checked=False):
     return tuple(subspace_rank(make(field, n, t, tuple(e))) for e in images)
 
 
+def _group_covers(n, k, t, field):
+    """Per pivot group of the canonical walk, the covers of its blocks in
+    order, zipped from _rank_runs' runs as the incidence matrix and the
+    search zip them: covers[j] == tuple(t_subspace_ranks(S, t)) for S the
+    group's j-th block."""
+    for group in _pivot_groups(n, k, field.q):
+        yield [cover for ranks in _rank_runs(field, n, t, [group]) for cover in zip(*ranks)]
+
+
 def test_rank_groups_match_the_per_block_route():
     # the 4096-block runs of every q, t = 0 too, against iter_subspaces
     # and the echelon forms of each block
@@ -238,7 +250,7 @@ def test_rank_groups_match_the_per_block_route():
     for q, n, k, t in _group_cases():
         field = make_field(q)
         covers = []
-        groups = list(_rank_groups(n, k, t, field))
+        groups = list(_group_covers(n, k, t, field))
         for pivots, group_covers in zip(combinations(range(n), k), groups, strict=True):
             assert len(group_covers) == q ** len(_pivot_plan(n, q, pivots)[2]), (q, n, k, t)
             covers += group_covers
@@ -258,13 +270,15 @@ def test_rank_groups_tick_every_4096_blocks_and_column():
     def tick():
         ticks.append(None)
 
-    next(_rank_groups(4, 2, 1, make_field(16), tick))
-    assert len(ticks) == 16
+    first = islice(_pivot_groups(4, 2, 16), 1)
+    sizes = [len(ranks[0]) for ranks in _rank_runs(make_field(16), 4, 1, first, tick)]
+    assert sizes == [4096] * 16 and len(ticks) == 16
 
     # odd q ranks each 4096-block fill as it goes; [4 2]_3 has a first
-    # group of 81 blocks, and the last of its six groups has one
+    # group of 81 blocks, and the last of its six groups has one, each one run
     ticks.clear()
-    sizes = [len(covers) for covers in _rank_groups(4, 2, 1, make_field(3), tick)]
+    runs = _rank_runs(make_field(3), 4, 1, _pivot_groups(4, 2, 3), tick)
+    sizes = [len(ranks[0]) for ranks in runs]
     assert sizes == [81, 27, 9, 9, 3, 1] and len(ticks) == 6
 
     # a tick that raises stops the group at once
@@ -275,7 +289,7 @@ def test_rank_groups_tick_every_4096_blocks_and_column():
         raise Stop
 
     with pytest.raises(Stop):
-        next(_rank_groups(4, 2, 1, make_field(16), stop))
+        next(_rank_runs(make_field(16), 4, 1, _pivot_groups(4, 2, 16), stop))
 
 
 # a few _group_cases, each q's route among them, t = 0 too
@@ -283,12 +297,12 @@ ORACLE_CASES = ((2, 5, 3, 2), (2, 4, 2, 0), (3, 4, 2, 1), (4, 3, 2, 1), (8, 3, 3
 
 
 def test_echelon_oracle_reads_nothing_of_the_kernel(monkeypatch):
-    # _echelon_ranks, which the _rank_groups and kernel tests trust, gives
+    # _echelon_ranks, which the _rank_runs and kernel tests trust, gives
     # the containment ranks with every kernel entry point disabled
     def disabled(*args, **kwargs):
         raise AssertionError("the oracle called the kernel")
 
-    for name in ("_t_plans", "_group_t_ranks", "_rank_groups", "_lane_tables", "_lane_bytes",
+    for name in ("_t_plans", "_group_t_ranks", "_rank_runs", "_lane_tables", "_lane_bytes",
                  "_lane_values"):
         monkeypatch.setattr(grassmann, name, disabled)
     assert set(ORACLE_CASES) <= set(_group_cases())
@@ -317,7 +331,8 @@ def test_rank_groups_pass_each_block_once_in_runs_of_4096(monkeypatch):
     monkeypatch.setattr(grassmann, "_group_t_ranks", recording)
     for q, n, k, t in SPLIT_GROUPS:
         calls.clear()
-        assert sum(map(len, _rank_groups(n, k, t, make_field(q)))) == q_binomial(n, k, q)
+        runs = _rank_runs(make_field(q), n, t, _pivot_groups(n, k, q))
+        assert sum(len(ranks[0]) for ranks in runs) == q_binomial(n, k, q)
         assert [(p, form) for p, forms in calls for form in forms] == [
             (p, bytes(e)) for p in combinations(range(n), k) for e in _group_forms(n, p, q)]
         for (p, forms), (after, _) in zip(calls, calls[1:] + [(None, ())]):
@@ -332,7 +347,7 @@ def test_rank_groups_across_kernel_calls():
     rng = random.Random(38)
     for q, n, k, t in SPLIT_GROUPS:
         field = make_field(q)
-        covers = next(_rank_groups(n, k, t, field))
+        covers = next(_group_covers(n, k, t, field))
         assert len(covers) == q ** (2 * (n - 2))
         picks = {4095, 4096, 4097, len(covers) - 1, *rng.sample(range(len(covers)), 50)}
         for i in sorted(picks):
@@ -351,7 +366,7 @@ def test_rank_groups_hold_no_whole_row_of_a_group():
     tracemalloc.start()
     try:
         with pytest.raises(Stop):
-            next(_rank_groups(20, 1, 0, make_field(2), stop))
+            next(_rank_runs(make_field(2), 20, 0, _pivot_groups(20, 1, 2), stop))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -521,7 +536,8 @@ def test_block_t_ranks_pass_each_block_under_its_pivots(monkeypatch):
         blocks = [b for b in (subspace_from_rows(field, n, r) for r in rows) if b.k == k]
         blocks.append(blocks[0])
         calls.clear()
-        list(grassmann._block_t_ranks(field, n, k, 0, [bytes(b.entries) for b in blocks]))
+        forms = [bytes(b.entries) for b in blocks]
+        list(grassmann._rank_runs(field, n, 0, grassmann._lead_groups(forms, n, k)))
         by_pivots = Counter((b.pivot_columns, bytes(b.entries)) for b in blocks)
         assert Counter((p, f) for p, group in calls for f in group) == by_pivots
         assert len(calls) == len({p for p, _ in by_pivots})
@@ -545,7 +561,7 @@ def _report_key(report):
 
 
 def test_rank_outputs_are_byte_identical_to_the_pinned_digests():
-    # sha256 over the _rank_groups covers of DIGEST_COVERS, and over the
+    # sha256 over the pivot groups' covers of DIGEST_COVERS, and over the
     # verify_design reports of the bench's coverage designs (the trivial
     # ones and the four seed-11 random 279-subsets of [6 3]_2 at t = 2);
     # the digests were taken before the batched kernel replaced the
@@ -553,7 +569,7 @@ def test_rank_outputs_are_byte_identical_to_the_pinned_digests():
     covers = hashlib.sha256()
     for q, n, k, t in DIGEST_COVERS:
         covers.update(repr((q, n, k, t)).encode())
-        for group in _rank_groups(n, k, t, make_field(q)):
+        for group in _group_covers(n, k, t, make_field(q)):
             covers.update(repr(group).encode())
     assert covers.hexdigest() == (
         "f9919b837815b5471fab324be58647b0cab6b6f9017c0fe5dd0ce1d0c04cb6d9"

@@ -4,9 +4,10 @@ import time
 
 import pytest
 
+from qdesign import grassmann, verifier
 from qdesign.errors import TooLarge
 from qdesign.gf import make_field
-from qdesign.grassmann import unrank
+from qdesign.grassmann import SubspaceBasis, unrank
 from qdesign.qcount import q_binomial
 from qdesign.search import (
     CoverInstance,
@@ -113,6 +114,31 @@ def test_spread_f2_6():
     assert len(result.blocks) == 9  # (2^6 - 1) / (2^3 - 1)
     rep = verify_design(result, 1)
     assert rep.is_design and rep.is_simple and not rep.is_trivial and rep.lambda_ == 1
+
+
+def test_search_result_builds_no_subspace_until_read(monkeypatch):
+    # counted through both _trusted names, as the verify door counts them:
+    # the chosen blocks are held as packed entries, and built when read
+    builds = []
+    for module in (grassmann, verifier):
+        def counting(*args, real=module._trusted):
+            builds.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "_trusted", counting)
+    for q, n, k, t, lam, method in ((2, 6, 3, 1, 1, "exhaustive"), (4, 4, 2, 1, 1, "exhaustive"),
+                                    (2, 4, 2, 1, 7, "greedy")):
+        field = make_field(q)
+        builds.clear()
+        result = search_design(q, n, k, t, lam, method=method)
+        assert builds == []
+        blocks = result.blocks
+        assert len(builds) == len(blocks) == lam * q_binomial(n, t, q) // q_binomial(k, t, q)
+        # each block canonical, through the checked door, and in rank order
+        assert blocks == tuple(SubspaceBasis(field, n, k, tuple(b.entries)) for b in blocks)
+        ranks = [grassmann.subspace_rank(b) for b in blocks]
+        assert ranks == sorted(set(ranks))
+        assert result == DesignCandidate(field, n, k, blocks)
 
 
 def test_no_spread_f2_3():

@@ -345,9 +345,9 @@ def test_lane_decision_matches_elimination(q, monkeypatch):
 
 @pytest.mark.parametrize("n", (6, 300))
 def test_verifier_groups_blocks_by_their_pivots(n, monkeypatch):
-    # _block_t_ranks reads each block's pivots through the shared lane
-    # reader (wider lanes past n = 255) and hands each group the blocks
-    # whose rows lead there
+    # _lead_groups reads each block's pivots through the shared lane
+    # reader (wider lanes past n = 255), and _rank_runs hands each group
+    # the blocks whose rows lead there
     rng, seen = random.Random(n), []
 
     def recording(field, n, t, pivots, forms):
@@ -360,6 +360,7 @@ def test_verifier_groups_blocks_by_their_pivots(n, monkeypatch):
             forms = [bytes(chain.from_iterable(_seeded_block(rng, q, n, k, kind)))
                      for kind in ("canonical", "late") * 20]
             seen.clear()
-            list(grassmann._block_t_ranks(make_field(q), n, k, min(k, 1), forms))
+            groups = grassmann._lead_groups(forms, n, k)
+            list(grassmann._rank_runs(make_field(q), n, min(k, 1), groups))
             leads = [tuple(f.index(b"\1", i * n) - i * n for i in range(k)) for f in forms]
             assert sorted(seen) == sorted(zip(leads, forms)), (q, k)
